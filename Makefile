@@ -11,10 +11,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# The simulator core, the parallel sweep runner, and the concurrent
-# allocation library; run them under the race detector.
+# The simulator core, the parallel sweep runner, the concurrent allocation
+# library, and the sharded fleet simulator; run them under the race detector.
 race:
-	$(GO) test -race ./internal/sim ./internal/experiments ./internal/alloc
+	$(GO) test -race ./internal/sim ./internal/experiments ./internal/alloc ./internal/fleet
 
 # The quantum-execution differential matrix (parallel vs sequential,
 # byte-identical, every workload x machine width) under the race detector:
@@ -70,9 +70,11 @@ fleet-smoke:
 	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestMachineEnergyHandComputed' ./internal/fleet
 	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
 
-# Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block).
+# Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
+# then the placement index alone at 20,000 machines (allocs/op must be 0).
 bench-fleet:
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet2000x20000 -benchtime 5x
+	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkPlacer -benchtime 100000x
 
 # Distributed-backend differentials under the race detector: procpool vs
 # inproc byte-identity (2 and 4 worker subprocesses), journal-only

@@ -17,6 +17,7 @@ import (
 	"sharing/internal/alloc"
 	"sharing/internal/econ"
 	"sharing/internal/market"
+	"sharing/internal/workload"
 )
 
 // The load-test harness (-loadtest): stand up the real server in-process on
@@ -35,7 +36,33 @@ type loadTestOpts struct {
 	minRPS   float64
 	churn    bool
 	benches  []string
+	// phases is each benchmark surface's phase count; the churn client
+	// only asks for phases that exist.
+	phases map[string]int
 }
+
+// benchPhases returns the phase count of each benchmark's surface: the
+// workload profile's phases for simulator-backed surfaces. Closed-form
+// surfaces serve any phase index, so there the churn client cycles three.
+func benchPhases(benches []string, synthetic bool) (map[string]int, error) {
+	phases := make(map[string]int, len(benches))
+	for _, b := range benches {
+		if synthetic {
+			phases[b] = 3
+			continue
+		}
+		prof, err := workload.Lookup(b)
+		if err != nil {
+			return nil, err
+		}
+		phases[b] = prof.NumPhases()
+	}
+	return phases, nil
+}
+
+// churnPhase is the phase the churn client moves its i-th VM, running
+// bench, to.
+func (o *loadTestOpts) churnPhase(i int, bench string) int { return i % o.phases[bench] }
 
 // ltCase is one point of the bid workload; its request body is prebuilt so
 // the measurement loop only pays for the HTTP round trip.
@@ -179,7 +206,7 @@ func runLoadTest(srv *server, o loadTestOpts) error {
 				}
 				churnOps.Add(1)
 				if phased && i%2 == 0 {
-					if err := postJSON(client, base+"/v1/phase", phaseRequest{Name: name, Phase: i % 3}); err != nil {
+					if err := postJSON(client, base+"/v1/phase", phaseRequest{Name: name, Phase: o.churnPhase(i, bench)}); err != nil {
 						errs[c] = err
 						return
 					}

@@ -121,12 +121,17 @@ func main() {
 				benches = append(benches, fmt.Sprintf("lt-bench-%02d", i))
 			}
 		}
+		phases, err := benchPhases(benches, *synthetic)
+		if err != nil {
+			fatal(err)
+		}
 		if err := runLoadTest(srv, loadTestOpts{
 			duration: *duration,
 			clients:  *clients,
 			minRPS:   *minRPS,
 			churn:    *churn,
 			benches:  benches,
+			phases:   phases,
 		}); err != nil {
 			fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"sharing/internal/experiments"
 	"sharing/internal/fleet"
 	"sharing/internal/market"
+	"sharing/internal/workload"
 )
 
 // The daemon tests drive the real sharingd binary: TestMain re-execs this
@@ -297,5 +298,29 @@ func TestLoadTestHarness(t *testing.T) {
 	}
 	if sum.Epochs == 0 || sum.CacheHitRate <= 0.5 {
 		t.Fatalf("serving stats implausible: %+v", sum)
+	}
+}
+
+// TestChurnPhasesExist is the regression test for the simulator-backed
+// load test's churn client, which used to ask every benchmark for phase
+// i%3 and aborted with a 422 on the first single-phase one. Every phase
+// it now asks for must be one the workload can actually generate.
+func TestChurnPhasesExist(t *testing.T) {
+	benches := workload.Names()
+	phases, err := benchPhases(benches, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := loadTestOpts{benches: benches, phases: phases}
+	for i := 0; i < 4*len(benches); i++ {
+		bench := benches[i%len(benches)]
+		prof, err := workload.Lookup(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := o.churnPhase(i, bench)
+		if _, err := prof.GeneratePhase(ph, 64, 1); err != nil {
+			t.Errorf("churn VM %d (%s) asks for phase %d: %v", i, bench, ph, err)
+		}
 	}
 }

@@ -56,3 +56,57 @@ func testBenchParams() Params {
 		Benches:        testBenches,
 	}
 }
+
+// BenchmarkPlacer measures the placement index alone at the fleet
+// workload's scale: 20,000 64-Slice/128-bank machines, each op freeing the
+// oldest of a ring of leases and placing a new one (pick + alloc). The ring
+// holds 100,000 leases, the fleet workload's steady-state population (10,000
+// arrivals/s, mean lifetime 10 s), drawn from the (Slices, banks) mix its
+// adaptive-price run places: (1, 0) 39%, (8, 16) 24%, (8, 8) 21%, (8, 0) 11%,
+// (8, 32) 5% — about 41% of the Slices and 27% of the banks, with nothing
+// rejected. allocs/op must stay 0.
+func BenchmarkPlacer(b *testing.B) {
+	const machines, chipSlices, chipBanks = 20000, 64, 128
+	for _, policy := range []Placement{PlacePacked, PlaceSpread} {
+		b.Run(policy.String(), func(b *testing.B) {
+			p := newPlacer(machines, chipSlices, chipBanks, policy)
+			type lease struct{ m, slices, banks int }
+			h := uint64(1)
+			place := func() lease {
+				h++
+				slices, banks := 8, 0
+				switch r := splitmix64(h) % 100; {
+				case r < 39:
+					slices = 1
+				case r < 63:
+					banks = 16
+				case r < 84:
+					banks = 8
+				case r < 95:
+					// (8, 0)
+				default:
+					banks = 32
+				}
+				m := p.pick(slices, banks)
+				if m < 0 {
+					return lease{m: -1}
+				}
+				p.alloc(m, slices, banks)
+				return lease{m, slices, banks}
+			}
+			ring := make([]lease, 0, 100_000)
+			for len(ring) < cap(ring) {
+				ring = append(ring, place())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(ring)
+				if l := ring[j]; l.m >= 0 {
+					p.free(l.m, l.slices, l.banks)
+				}
+				ring[j] = place()
+			}
+		})
+	}
+}

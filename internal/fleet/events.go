@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The synthetic VM lifecycle stream. Arrivals are a Poisson process
 // (exponential inter-arrival times) and lifetimes are exponential, both
@@ -43,9 +40,11 @@ func unit(h uint64) float64 {
 
 // eventStream generates arrivals lazily and carries the departures the
 // placement barrier schedules. take returns every event due before a given
-// time in (time, seq) order; the content of the pending-departure set at each
-// barrier is itself deterministic (departures are scheduled only at barriers,
-// in event order), so the whole stream is shard-count-independent.
+// time in (time, seq) order by merging the arrivals, which are generated in
+// that order, with the due prefix of a min-heap of departures; the content of
+// the pending-departure heap at each barrier is itself deterministic
+// (departures are scheduled only at barriers, in event order), so the whole
+// stream is shard-count-independent.
 type eventStream struct {
 	seed     uint64
 	rate     float64 // arrivals per second
@@ -55,8 +54,9 @@ type eventStream struct {
 	nextIdx  int // index of the next arrival (drives the hash stream)
 	nextAt   float64
 	seq      int
-	pending  []event // scheduled departures, unordered
-	maxT     float64 // latest event time handed out
+	pending  departureHeap // scheduled departures
+	out      []event       // take's batch, reused across epochs
+	maxT     float64       // latest event time handed out
 }
 
 func newEventStream(seed uint64, rate, life float64, totalEvents int, benches []string) *eventStream {
@@ -89,50 +89,41 @@ func (s *eventStream) shape(i int) (string, int) {
 	return s.benches[h%uint64(len(s.benches))], 1 + int((h>>32)%3)
 }
 
-// take returns all events due strictly before t1, sorted by (time, seq).
+// take returns all events due strictly before t1, in (time, seq) order. The
+// batch is only valid until the next call.
 func (s *eventStream) take(t1 float64) []event {
-	var out []event
+	out := s.out[:0]
 	for s.arrivals > 0 && s.nextAt < t1 {
+		// Departures ordered before this arrival go first. Their seqs were
+		// assigned at earlier barriers, so on an exact time tie they win.
+		for len(s.pending) > 0 && s.pending.top().before(s.nextAt, s.seq) {
+			out = append(out, s.pending.pop().event())
+		}
 		i := s.nextIdx
 		bench, k := s.shape(i)
-		ev := event{
+		out = append(out, event{
 			t: s.nextAt, seq: s.seq, vmID: i, arrive: true,
 			bench: bench, k: k, depart: s.nextAt + s.lifetime(i),
-		}
-		out = append(out, ev)
+		})
 		s.seq++
 		s.arrivals--
 		s.nextIdx++
 		s.nextAt += s.interarrival(s.nextIdx)
 	}
-	// Collect due departures (scheduled at earlier barriers).
-	kept := s.pending[:0]
-	for _, ev := range s.pending {
-		if ev.t < t1 {
-			out = append(out, ev)
-		} else {
-			kept = append(kept, ev)
-		}
+	for len(s.pending) > 0 && s.pending.top().t < t1 {
+		out = append(out, s.pending.pop().event())
 	}
-	s.pending = kept
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].t != out[b].t {
-			return out[a].t < out[b].t
-		}
-		return out[a].seq < out[b].seq
-	})
-	for i := range out {
-		if out[i].t > s.maxT {
-			s.maxT = out[i].t
-		}
+	if n := len(out); n > 0 && out[n-1].t > s.maxT {
+		s.maxT = out[n-1].t
 	}
+	s.out = out
 	return out
 }
 
 // scheduleDeparture registers a placed VM's departure. Called only from the
 // placement barrier, in deterministic event order.
 func (s *eventStream) scheduleDeparture(vmID int, at float64) {
-	s.pending = append(s.pending, event{t: at, seq: s.seq, vmID: vmID})
+	s.pending.push(departure{t: at, seq: s.seq, vmID: vmID})
 	s.seq++
 }
 
@@ -141,3 +132,68 @@ func (s *eventStream) done() bool { return s.arrivals == 0 && len(s.pending) == 
 
 // end is the simulated end of the run: the latest event time delivered.
 func (s *eventStream) end() float64 { return s.maxT }
+
+// departure is a scheduled departure as the heap holds it: no string field,
+// so the garbage collector never scans the heap's backing array.
+type departure struct {
+	t    float64
+	seq  int
+	vmID int
+}
+
+// before reports whether d precedes the event at (t, seq).
+func (d *departure) before(t float64, seq int) bool {
+	return d.t < t || (d.t == t && d.seq < seq)
+}
+
+func (d departure) event() event { return event{t: d.t, seq: d.seq, vmID: d.vmID} }
+
+// departureHeap is a binary min-heap of departures keyed by (t, seq), a
+// total order, so pops come out in exactly the order a sort would give.
+// Hand-rolled rather than container/heap: the interface would box every
+// element; this reuses its backing array for the whole run.
+type departureHeap []departure
+
+func (h departureHeap) top() *departure { return &h[0] }
+
+//ssim:hotpath
+func (h *departureHeap) push(d departure) {
+	q := append(*h, d)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].before(q[p].t, q[p].seq) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+//ssim:hotpath
+func (h *departureHeap) pop() departure {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && q[l].before(q[m].t, q[m].seq) {
+			m = l
+		}
+		if r < n && q[r].before(q[m].t, q[m].seq) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}

@@ -232,11 +232,11 @@ type shard struct {
 }
 
 // machineOp is one state change applied to a machine during the parallel
-// apply phase.
+// apply phase. It carries the VM the barrier resolved, so the apply phase
+// never consults the live map.
 type machineOp struct {
 	t      float64
-	seq    int
-	vmID   int
+	vm     *VM
 	arrive bool // false = departure
 }
 
@@ -432,15 +432,16 @@ func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) []machineOp {
 			f.events.scheduleDeparture(ev.vmID, ev.depart)
 			f.rep.Placed++
 			f.rep.UtilityAdmitted += g.bid.Utility
-			ops = append(ops, machineOp{t: ev.t, seq: ev.seq, vmID: ev.vmID, arrive: true})
+			ops = append(ops, machineOp{t: ev.t, vm: vm, arrive: true})
 		} else {
 			vm, ok := f.live[ev.vmID]
 			if !ok {
 				continue // the arrival was rejected
 			}
 			f.place.free(vm.Machine, vm.Cfg.Slices, vm.Cfg.Banks())
+			delete(f.live, ev.vmID)
 			f.rep.Departed++
-			ops = append(ops, machineOp{t: ev.t, seq: ev.seq, vmID: ev.vmID})
+			ops = append(ops, machineOp{t: ev.t, vm: vm})
 		}
 	}
 	return ops
@@ -456,8 +457,7 @@ func (f *Fleet) applyOps(ops []machineOp) error {
 		f.shards[s].ops = f.shards[s].ops[:0]
 	}
 	for _, op := range ops {
-		vm := f.live[op.vmID]
-		sh := f.shards[vm.Machine%len(f.shards)]
+		sh := f.shards[op.vm.Machine%len(f.shards)]
 		sh.ops = append(sh.ops, op)
 	}
 	var wg sync.WaitGroup
@@ -470,24 +470,16 @@ func (f *Fleet) applyOps(ops []machineOp) error {
 		go func() {
 			defer wg.Done()
 			for _, op := range sh.ops {
-				vm := f.live[op.vmID]
-				m := &f.mach[vm.Machine]
+				m := &f.mach[op.vm.Machine]
 				if op.arrive {
-					m.admit(op.t, vm)
+					m.admit(op.t, op.vm)
 				} else {
-					m.evict(op.t, vm)
+					m.evict(op.t, op.vm)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	// Departed VMs leave the live set only after the parallel phase (the
-	// apply goroutines read f.live; the map must not mutate under them).
-	for _, op := range ops {
-		if !op.arrive {
-			delete(f.live, op.vmID)
-		}
-	}
 	return nil
 }
 

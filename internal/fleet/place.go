@@ -1,40 +1,57 @@
 package fleet
 
-import "sort"
+import "math/bits"
 
 // placer is the fleet's machine-choice structure: a bucket ladder indexed by
-// free Slices, each bucket holding its machine IDs in ascending order. pick
-// walks the ladder from the tightest viable bucket (best-fit/"packed") or
-// the loosest (worst-fit/"spread"); within a bucket the lowest machine ID
-// with enough free banks wins. Everything is integer state mutated only in
-// the sequential placement barrier, so placement is deterministic by
-// construction.
+// free Slices, each bucket a bitset over machine IDs plus its population
+// count, all bitsets in one slab. pick walks the ladder from the tightest
+// viable bucket (best-fit/"packed") or the loosest (worst-fit/"spread"),
+// skipping empty buckets by count; within a bucket the lowest machine ID
+// with enough free banks wins, and ascending bit order is ascending machine
+// ID. Moving a machine between buckets clears one bit and sets one, so alloc
+// and free cost O(1) whatever the fleet size. Everything is integer state
+// mutated only in the sequential placement barrier, so placement is
+// deterministic by construction.
 type placer struct {
 	policy     Placement
 	chipSlices int
-	freeS      []int   // free Slices per machine
-	freeB      []int   // free banks per machine
-	buckets    [][]int // machine IDs by free-Slice count, each ascending
+	words      int      // uint64 words per bucket bitset
+	freeS      []int    // free Slices per machine
+	freeB      []int    // free banks per machine
+	bits       []uint64 // bucket f's word w is bits[f*words+w]
+	count      []int    // machines per bucket
 	usedSlices int
 	usedBanks  int
 }
 
 func newPlacer(machines, chipSlices, chipBanks int, policy Placement) *placer {
+	words := (machines + 63) / 64
 	p := &placer{
 		policy:     policy,
 		chipSlices: chipSlices,
+		words:      words,
 		freeS:      make([]int, machines),
 		freeB:      make([]int, machines),
-		buckets:    make([][]int, chipSlices+1),
+		bits:       make([]uint64, (chipSlices+1)*words),
+		count:      make([]int, chipSlices+1),
 	}
-	all := make([]int, machines)
-	for m := range all {
-		all[m] = m
+	for m := range p.freeS {
 		p.freeS[m] = chipSlices
 		p.freeB[m] = chipBanks
 	}
-	p.buckets[chipSlices] = all
+	fill(p.bits[chipSlices*words:], machines)
+	p.count[chipSlices] = machines
 	return p
+}
+
+// fill sets the first n bits of set, which holds exactly ceil(n/64) words.
+func fill(set []uint64, n int) {
+	for w := range set {
+		set[w] = ^uint64(0)
+	}
+	if tail := n % 64; tail != 0 {
+		set[len(set)-1] = 1<<tail - 1
+	}
 }
 
 // pick returns the machine to place a (slices, banks) VCore on, or -1 if
@@ -57,10 +74,19 @@ func (p *placer) pick(slices, banks int) int {
 }
 
 // scan returns the lowest machine ID in bucket f with enough free banks.
+//
+//ssim:hotpath
 func (p *placer) scan(f, banks int) int {
-	for _, m := range p.buckets[f] {
-		if p.freeB[m] >= banks {
-			return m
+	if p.count[f] == 0 {
+		return -1
+	}
+	set := p.bits[f*p.words : (f+1)*p.words]
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			m := w<<6 | bits.TrailingZeros64(x)
+			if p.freeB[m] >= banks {
+				return m
+			}
 		}
 	}
 	return -1
@@ -83,15 +109,14 @@ func (p *placer) free(m, slices, banks int) {
 }
 
 // move reslots machine m into the bucket for its new free-Slice count.
+//
+//ssim:hotpath
 func (p *placer) move(m, newFree int) {
-	old := p.buckets[p.freeS[m]]
-	i := sort.SearchInts(old, m)
-	p.buckets[p.freeS[m]] = append(old[:i], old[i+1:]...)
-	b := p.buckets[newFree]
-	j := sort.SearchInts(b, m)
-	b = append(b, 0)
-	copy(b[j+1:], b[j:])
-	b[j] = m
-	p.buckets[newFree] = b
+	w, b := m>>6, uint64(1)<<(m&63)
+	old := p.freeS[m]
+	p.bits[old*p.words+w] &^= b
+	p.count[old]--
+	p.bits[newFree*p.words+w] |= b
+	p.count[newFree]++
 	p.freeS[m] = newFree
 }
