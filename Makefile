@@ -63,11 +63,12 @@ market-smoke:
 	$(GO) test -race ./internal/market
 
 # Fleet determinism differential (1 vs 2/4/8 shards, byte-identical
-# fingerprints under every policy combination) and the hand-computed energy
-# pin, under the race detector, then an acceptance-scale synthetic run
-# through the CLI: 2,000 machines / 20,000 VM lifecycle events.
+# fingerprints under every policy combination), the golden fingerprint pins
+# and the hand-computed energy pin, under the race detector, then an
+# acceptance-scale synthetic run through the CLI: 2,000 machines / 20,000 VM
+# lifecycle events.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestMachineEnergyHandComputed' ./internal/fleet
+	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed' ./internal/fleet
 	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),

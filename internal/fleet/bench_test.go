@@ -7,6 +7,7 @@ import "testing"
 // wall time, events/s, and the probe economy against the naive per-bid grid
 // sweep — land in BENCH_ssim.json's "fleet" block via `make bench-fleet`.
 func BenchmarkFleet2000x20000(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f, err := New(Params{
 			Machines:       2000,
@@ -70,7 +71,6 @@ func BenchmarkPlacer(b *testing.B) {
 	for _, policy := range []Placement{PlacePacked, PlaceSpread} {
 		b.Run(policy.String(), func(b *testing.B) {
 			p := newPlacer(machines, chipSlices, chipBanks, policy)
-			type lease struct{ m, slices, banks int }
 			h := uint64(1)
 			place := func() lease {
 				h++
@@ -89,10 +89,11 @@ func BenchmarkPlacer(b *testing.B) {
 				}
 				m := p.pick(slices, banks)
 				if m < 0 {
-					return lease{m: -1}
+					return lease{machine: -1}
 				}
-				p.alloc(m, slices, banks)
-				return lease{m, slices, banks}
+				l := lease{machine: m, slices: slices, banks: banks}
+				p.alloc(l)
+				return l
 			}
 			ring := make([]lease, 0, 100_000)
 			for len(ring) < cap(ring) {
@@ -102,8 +103,8 @@ func BenchmarkPlacer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				j := i % len(ring)
-				if l := ring[j]; l.m >= 0 {
-					p.free(l.m, l.slices, l.banks)
+				if l := ring[j]; l.machine >= 0 {
+					p.free(l)
 				}
 				ring[j] = place()
 			}

@@ -80,20 +80,20 @@ func (m *machine) accrue(t float64) {
 	m.lastT = t
 }
 
-// vmDynamicW returns a VM's dynamic power split into Slice and bank parts:
-// per-resource switching power scaled by the VM's measured activity factor
-// (IPC against the rented Slices' peak).
-func vmDynamicW(vm *VM) (sliceW, bankW float64) {
-	a := area.Activity(vm.Perf, vm.Cfg.Slices)
-	sliceW = float64(vm.Cfg.Slices) * area.SliceDynamicW() * a
-	bankW = float64(vm.Cfg.Banks()) * area.BankDynamicW() * a
+// vmDynamicW returns a leased VM's dynamic power split into Slice and bank
+// parts: per-resource switching power scaled by the VM's measured activity
+// factor (IPC against the rented Slices' peak).
+func vmDynamicW(l lease) (sliceW, bankW float64) {
+	a := area.Activity(l.perf, l.slices)
+	sliceW = float64(l.slices) * area.SliceDynamicW() * a
+	bankW = float64(l.banks) * area.BankDynamicW() * a
 	return sliceW, bankW
 }
 
 // admit settles energy to t and adds the VM's dynamic draw.
-func (m *machine) admit(t float64, vm *VM) {
+func (m *machine) admit(t float64, l lease) {
 	m.accrue(t)
-	s, b := vmDynamicW(vm)
+	s, b := vmDynamicW(l)
 	m.dynSliceW += s
 	m.dynBankW += b
 	m.vms++
@@ -101,9 +101,9 @@ func (m *machine) admit(t float64, vm *VM) {
 }
 
 // evict settles energy to t and removes the VM's dynamic draw.
-func (m *machine) evict(t float64, vm *VM) {
+func (m *machine) evict(t float64, l lease) {
 	m.accrue(t)
-	s, b := vmDynamicW(vm)
+	s, b := vmDynamicW(l)
 	m.dynSliceW -= s
 	m.dynBankW -= b
 	m.vms--

@@ -13,12 +13,22 @@ import "math"
 type event struct {
 	t      float64
 	seq    int
-	vmID   int
 	arrive bool
 	// Arrival-only payload.
-	bench  string
-	k      int     // utility exponent
+	bench  int     // position in Params.Benches
+	k      int     // utility exponent, 1..utilityExps
 	depart float64 // absolute departure time, if the VM places
+	lease  lease   // departure-only: what the VM held
+}
+
+// utilityExps is the number of utility exponents bids draw from.
+const utilityExps = 3
+
+// lease is what a placed VM holds on its machine: all its departure needs.
+// Pointer-free, so the GC never scans the departure heap that carries it.
+type lease struct {
+	machine, slices, banks int
+	perf                   float64 // measured IPC at the leased config
 }
 
 // splitmix64 is the SplitMix64 finalizer (see internal/sim/sample.go).
@@ -49,9 +59,9 @@ type eventStream struct {
 	seed     uint64
 	rate     float64 // arrivals per second
 	life     float64 // mean lifetime seconds
-	benches  []string
-	arrivals int // arrivals still to generate
-	nextIdx  int // index of the next arrival (drives the hash stream)
+	benches  int     // len(Params.Benches)
+	arrivals int     // arrivals still to generate
+	nextIdx  int     // index of the next arrival (drives the hash stream)
 	nextAt   float64
 	seq      int
 	pending  departureHeap // scheduled departures
@@ -59,7 +69,7 @@ type eventStream struct {
 	maxT     float64       // latest event time handed out
 }
 
-func newEventStream(seed uint64, rate, life float64, totalEvents int, benches []string) *eventStream {
+func newEventStream(seed uint64, rate, life float64, totalEvents, benches int) *eventStream {
 	s := &eventStream{
 		seed:     seed,
 		rate:     rate,
@@ -83,10 +93,10 @@ func (s *eventStream) lifetime(i int) float64 {
 	return -math.Log(unit(h)) * s.life
 }
 
-// shape draws arrival i's benchmark and utility exponent.
-func (s *eventStream) shape(i int) (string, int) {
+// shape draws arrival i's benchmark index and utility exponent.
+func (s *eventStream) shape(i int) (int, int) {
 	h := splitmix64(s.seed + 0x9e3779b97f4a7c15*uint64(i+1))
-	return s.benches[h%uint64(len(s.benches))], 1 + int((h>>32)%3)
+	return int(h % uint64(s.benches)), 1 + int((h>>32)%utilityExps)
 }
 
 // take returns all events due strictly before t1, in (time, seq) order. The
@@ -102,7 +112,7 @@ func (s *eventStream) take(t1 float64) []event {
 		i := s.nextIdx
 		bench, k := s.shape(i)
 		out = append(out, event{
-			t: s.nextAt, seq: s.seq, vmID: i, arrive: true,
+			t: s.nextAt, seq: s.seq, arrive: true,
 			bench: bench, k: k, depart: s.nextAt + s.lifetime(i),
 		})
 		s.seq++
@@ -120,10 +130,12 @@ func (s *eventStream) take(t1 float64) []event {
 	return out
 }
 
-// scheduleDeparture registers a placed VM's departure. Called only from the
-// placement barrier, in deterministic event order.
-func (s *eventStream) scheduleDeparture(vmID int, at float64) {
-	s.pending.push(departure{t: at, seq: s.seq, vmID: vmID})
+// scheduleDeparture registers a placed VM's departure, carrying its lease.
+// Called only from the placement barrier, in deterministic event order.
+//
+//ssim:hotpath
+func (s *eventStream) scheduleDeparture(at float64, l lease) {
+	s.pending.push(departure{t: at, seq: s.seq, lease: l})
 	s.seq++
 }
 
@@ -133,12 +145,11 @@ func (s *eventStream) done() bool { return s.arrivals == 0 && len(s.pending) == 
 // end is the simulated end of the run: the latest event time delivered.
 func (s *eventStream) end() float64 { return s.maxT }
 
-// departure is a scheduled departure as the heap holds it: no string field,
-// so the garbage collector never scans the heap's backing array.
+// departure is a scheduled departure as the heap holds it.
 type departure struct {
-	t    float64
-	seq  int
-	vmID int
+	t     float64
+	seq   int
+	lease lease
 }
 
 // before reports whether d precedes the event at (t, seq).
@@ -146,7 +157,7 @@ func (d *departure) before(t float64, seq int) bool {
 	return d.t < t || (d.t == t && d.seq < seq)
 }
 
-func (d departure) event() event { return event{t: d.t, seq: d.seq, vmID: d.vmID} }
+func (d departure) event() event { return event{t: d.t, seq: d.seq, lease: d.lease} }
 
 // departureHeap is a binary min-heap of departures keyed by (t, seq), a
 // total order, so pops come out in exactly the order a sort would give.

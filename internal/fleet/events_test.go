@@ -6,7 +6,8 @@ import (
 )
 
 // checkBatch fails unless the batch is strictly ordered by (t, seq) and
-// records every departure it delivers in seen.
+// records every departure it delivers in seen. The tests tag each scheduled
+// departure with a distinct lease machine, which identifies it.
 func checkBatch(t *testing.T, batch []event, seen map[int]int) {
 	t.Helper()
 	for i, ev := range batch {
@@ -18,7 +19,7 @@ func checkBatch(t *testing.T, batch []event, seen map[int]int) {
 			}
 		}
 		if !ev.arrive {
-			seen[ev.vmID]++
+			seen[ev.lease.machine]++
 		}
 	}
 }
@@ -29,14 +30,14 @@ func checkBatch(t *testing.T, batch []event, seen map[int]int) {
 // be strictly (t, seq)-ordered and every scheduled departure must come out
 // exactly once.
 func TestEventStreamTakeOrder(t *testing.T) {
-	s := newEventStream(11, 200, 0.5, 6000, testBenches)
+	s := newEventStream(11, 200, 0.5, 6000, len(testBenches))
 	h := uint64(99)
 	rnd := func() float64 {
 		h++
 		return unit(splitmix64(h))
 	}
 	seen := map[int]int{}
-	scheduled, nextID := 0, 1<<30 // departure IDs disjoint from arrival IDs
+	scheduled := 0
 	var lastDepart float64
 	t1 := 0.0
 	for !s.done() {
@@ -58,8 +59,7 @@ func TestEventStreamTakeOrder(t *testing.T) {
 			default:
 				at = ev.depart
 			}
-			s.scheduleDeparture(nextID, at)
-			nextID++
+			s.scheduleDeparture(at, lease{machine: scheduled})
 			scheduled++
 			lastDepart = at
 		}
@@ -79,11 +79,11 @@ func TestEventStreamTakeOrder(t *testing.T) {
 // after that instant must interleave by (t, seq): the earlier ones first,
 // the tied ones — which hold the smaller seqs — ahead of every arrival.
 func TestEventStreamZeroGapTies(t *testing.T) {
-	s := newEventStream(3, math.Inf(1), 1, 40, testBenches)
+	s := newEventStream(3, math.Inf(1), 1, 40, len(testBenches))
 	at := s.nextAt
 	times := []float64{at + 0.5, at, at - 1, at, at + 0.25, at - 1}
 	for i, d := range times {
-		s.scheduleDeparture(1000+i, d)
+		s.scheduleDeparture(d, lease{machine: 1000 + i})
 	}
 	seen := map[int]int{}
 	batch := s.take(at + 1)
@@ -103,7 +103,7 @@ func TestEventStreamZeroGapTies(t *testing.T) {
 			order = append(order, -1)
 			continue
 		}
-		order = append(order, ev.vmID)
+		order = append(order, ev.lease.machine)
 	}
 	want := []int{1002, 1005, 1001, 1003}
 	for i := 0; i < 20; i++ {

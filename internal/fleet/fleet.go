@@ -33,7 +33,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sharing/internal/econ"
@@ -178,19 +178,6 @@ func (p *Params) defaults() error {
 	return nil
 }
 
-// VM is one resident virtual machine.
-type VM struct {
-	ID      int
-	Bench   string
-	K       int // utility exponent
-	Cfg     econ.Config
-	Perf    float64 // measured IPC at Cfg
-	Utility float64 // objective score at admission
-	Machine int
-	Arrive  float64
-	Depart  float64
-}
-
 // Fleet is one datacenter simulation. Build with New, run with Run.
 type Fleet struct {
 	p      Params
@@ -199,22 +186,27 @@ type Fleet struct {
 	mach   []machine
 	place  *placer
 
-	// Epoch-synchronized pricing state: per (bench, K) warm starts, updated
-	// only at barriers in deterministic group order.
-	warm map[groupKey]econ.Config
+	// Pricing tables indexed by groupKey: warm holds each group's last
+	// optimum (updated only at barriers, in group order), slot its index
+	// in the epoch's groups (-1: none).
+	names []string // distinct bench names, sorted
+	rank  []int    // Params.Benches position -> index in names
+	warm  []econ.Config
+	slot  []int
 
 	events *eventStream
-	live   map[int]*VM // by VM ID
+	groups []pricingGroup // groupBids' batch, reused across epochs
+	ops    []machineOp    // placeEvents' batch, reused across epochs
 	prices econ.Market
 
 	rep Report
 }
 
-// groupKey identifies one pricing group: all bids in an epoch that share a
-// surface and utility are priced once.
-type groupKey struct {
-	bench string
-	k     int
+// groupKey identifies an arrival's pricing group: all bids in an epoch that
+// share a surface and utility are priced once. Ascending keys are the
+// deterministic group order, bench name then K.
+func (f *Fleet) groupKey(ev *event) int {
+	return f.rank[ev.bench]*utilityExps + ev.k - 1
 }
 
 // shard owns a machine partition and a pricing engine.
@@ -232,11 +224,10 @@ type shard struct {
 }
 
 // machineOp is one state change applied to a machine during the parallel
-// apply phase. It carries the VM the barrier resolved, so the apply phase
-// never consults the live map.
+// apply phase: the lease the barrier placed or released.
 type machineOp struct {
 	t      float64
-	vm     *VM
+	lease  lease
 	arrive bool // false = departure
 }
 
@@ -249,12 +240,21 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	names := slices.Clone(p.Benches)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	rank := make([]int, len(p.Benches))
+	for i, b := range p.Benches {
+		rank[i], _ = slices.BinarySearch(names, b)
+	}
 	f := &Fleet{
 		p:      p,
 		cache:  cache,
 		mach:   make([]machine, p.Machines),
-		warm:   make(map[groupKey]econ.Config),
-		live:   make(map[int]*VM),
+		names:  names,
+		rank:   rank,
+		warm:   make([]econ.Config, len(names)*utilityExps),
+		slot:   make([]int, len(names)*utilityExps),
 		prices: p.Market,
 	}
 	f.place = newPlacer(p.Machines, p.ChipSlices, p.ChipBanks, p.Place)
@@ -279,7 +279,7 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 		sh := f.shards[m%p.Shards]
 		sh.machines = append(sh.machines, m)
 	}
-	f.events = newEventStream(p.Seed, p.ArrivalsPerSec, p.MeanLifetime, p.Events, p.Benches)
+	f.events = newEventStream(p.Seed, p.ArrivalsPerSec, p.MeanLifetime, p.Events, len(p.Benches))
 	return f, nil
 }
 
@@ -319,7 +319,7 @@ func (f *Fleet) Run() (*Report, error) {
 			return nil, err
 		}
 		if f.p.AdaptivePrices {
-			f.adjustPrices(t1)
+			f.adjustPrices()
 		}
 		f.rep.Epochs++
 	}
@@ -327,35 +327,32 @@ func (f *Fleet) Run() (*Report, error) {
 	return &f.rep, nil
 }
 
-// groupBids collects the epoch's arrival bids into deterministic pricing
-// groups (sorted by bench, then K).
+// groupBids collects the epoch's arrival bids into pricing groups in
+// ascending key order (bench name, then K) and records each group's index
+// in f.slot.
 func (f *Fleet) groupBids(evs []event) []pricingGroup {
-	seen := make(map[groupKey]int)
-	var groups []pricingGroup
+	for key := range f.slot {
+		f.slot[key] = -1
+	}
 	for i := range evs {
-		ev := &evs[i]
-		if !ev.arrive {
-			continue
-		}
-		gk := groupKey{bench: ev.bench, k: ev.k}
-		if _, ok := seen[gk]; !ok {
-			seen[gk] = len(groups)
-			groups = append(groups, pricingGroup{key: gk})
+		if evs[i].arrive {
+			f.slot[f.groupKey(&evs[i])] = 0 // present; indexed below
 		}
 	}
-	sort.Slice(groups, func(a, b int) bool {
-		ga, gb := groups[a].key, groups[b].key
-		if ga.bench != gb.bench {
-			return ga.bench < gb.bench
+	groups := f.groups[:0]
+	for key, s := range f.slot {
+		if s == 0 {
+			f.slot[key] = len(groups)
+			groups = append(groups, pricingGroup{key: key})
 		}
-		return ga.k < gb.k
-	})
+	}
+	f.groups = groups
 	return groups
 }
 
 // pricingGroup is one (bench, utility) group priced once per epoch.
 type pricingGroup struct {
-	key groupKey
+	key int // groupKey
 	bid market.BidResult
 }
 
@@ -376,9 +373,10 @@ func (f *Fleet) priceGroups(groups []pricingGroup) error {
 			defer wg.Done()
 			for gi := sh.id; gi < len(groups); gi += len(f.shards) {
 				g := &groups[gi]
-				u := econ.Utility{K: g.key.k, Budget: econ.DefaultBudget}
+				bench := f.names[g.key/utilityExps]
+				u := econ.Utility{K: g.key%utilityExps + 1, Budget: econ.DefaultBudget}
 				start := f.warm[g.key] // zero Config on cold start: lattice midpoint
-				bid, err := sh.engine.PriceBidAt(g.key.bench, u, f.prices, start, f.objective(u, f.prices))
+				bid, err := sh.engine.PriceBidAt(bench, u, f.prices, start, f.objective(u, f.prices))
 				if err != nil {
 					sh.err = err
 					return
@@ -404,46 +402,35 @@ func (f *Fleet) priceGroups(groups []pricingGroup) error {
 // placeEvents runs the sequential placement barrier: events in (time, seq)
 // order against global machine capacity, emitting per-machine ops for the
 // parallel apply phase. Only integer capacity bookkeeping happens here; the
-// float energy integrals run shard-parallel in applyOps.
+// float energy integrals run shard-parallel in applyOps. Only a placed
+// arrival schedules a departure, and the departure carries its lease back.
+//
+//ssim:hotpath
 func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) []machineOp {
-	byKey := make(map[groupKey]*pricingGroup, len(groups))
-	for i := range groups {
-		byKey[groups[i].key] = &groups[i]
-	}
-	ops := make([]machineOp, 0, len(evs))
+	ops := f.ops[:0]
 	for i := range evs {
 		ev := &evs[i]
-		if ev.arrive {
-			g := byKey[groupKey{bench: ev.bench, k: ev.k}]
-			cfg := g.bid.Config
-			banks := cfg.Banks()
-			m := f.place.pick(cfg.Slices, banks)
-			if m < 0 {
-				f.rep.Rejected++
-				continue
-			}
-			f.place.alloc(m, cfg.Slices, banks)
-			vm := &VM{
-				ID: ev.vmID, Bench: ev.bench, K: ev.k,
-				Cfg: cfg, Perf: g.bid.Perf, Utility: g.bid.Utility,
-				Machine: m, Arrive: ev.t, Depart: ev.depart,
-			}
-			f.live[vm.ID] = vm
-			f.events.scheduleDeparture(ev.vmID, ev.depart)
-			f.rep.Placed++
-			f.rep.UtilityAdmitted += g.bid.Utility
-			ops = append(ops, machineOp{t: ev.t, vm: vm, arrive: true})
-		} else {
-			vm, ok := f.live[ev.vmID]
-			if !ok {
-				continue // the arrival was rejected
-			}
-			f.place.free(vm.Machine, vm.Cfg.Slices, vm.Cfg.Banks())
-			delete(f.live, ev.vmID)
+		if !ev.arrive {
+			f.place.free(ev.lease)
 			f.rep.Departed++
-			ops = append(ops, machineOp{t: ev.t, vm: vm})
+			ops = append(ops, machineOp{t: ev.t, lease: ev.lease})
+			continue
 		}
+		g := &groups[f.slot[f.groupKey(ev)]]
+		cfg := g.bid.Config
+		m := f.place.pick(cfg.Slices, cfg.Banks())
+		if m < 0 {
+			f.rep.Rejected++
+			continue
+		}
+		l := lease{machine: m, slices: cfg.Slices, banks: cfg.Banks(), perf: g.bid.Perf}
+		f.place.alloc(l)
+		f.events.scheduleDeparture(ev.depart, l)
+		f.rep.Placed++
+		f.rep.UtilityAdmitted += g.bid.Utility
+		ops = append(ops, machineOp{t: ev.t, lease: l, arrive: true})
 	}
+	f.ops = ops
 	return ops
 }
 
@@ -457,7 +444,7 @@ func (f *Fleet) applyOps(ops []machineOp) error {
 		f.shards[s].ops = f.shards[s].ops[:0]
 	}
 	for _, op := range ops {
-		sh := f.shards[op.vm.Machine%len(f.shards)]
+		sh := f.shards[op.lease.machine%len(f.shards)]
 		sh.ops = append(sh.ops, op)
 	}
 	var wg sync.WaitGroup
@@ -470,11 +457,11 @@ func (f *Fleet) applyOps(ops []machineOp) error {
 		go func() {
 			defer wg.Done()
 			for _, op := range sh.ops {
-				m := &f.mach[op.vm.Machine]
+				m := &f.mach[op.lease.machine]
 				if op.arrive {
-					m.admit(op.t, op.vm)
+					m.admit(op.t, op.lease)
 				} else {
-					m.evict(op.t, op.vm)
+					m.evict(op.t, op.lease)
 				}
 			}
 		}()
@@ -486,7 +473,7 @@ func (f *Fleet) applyOps(ops []machineOp) error {
 // adjustPrices ratchets the fleet price vector by utilization excess over a
 // target band — ClearMarket's asymmetric step at fleet granularity. It runs
 // at the barrier, from deterministic aggregate state.
-func (f *Fleet) adjustPrices(now float64) {
+func (f *Fleet) adjustPrices() {
 	totSlices := float64(f.p.Machines * f.p.ChipSlices)
 	totBanks := float64(f.p.Machines * f.p.ChipBanks)
 	const target = 0.75 // demand above this utilization raises prices

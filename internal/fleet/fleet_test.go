@@ -78,9 +78,9 @@ func TestFleetDeterminismAcrossShards(t *testing.T) {
 func TestMachineEnergyHandComputed(t *testing.T) {
 	var m machine
 	m.init(64, 128)
-	vm := &VM{Cfg: econ.Config{Slices: 4, CacheKB: 256}, Perf: 2.0} // activity 2.0/(4*1) = 0.5
-	m.admit(10, vm)
-	m.evict(20, vm)
+	l := lease{slices: 4, banks: 4, perf: 2.0} // 256 KB = 4 banks; activity 2.0/(4*1) = 0.5
+	m.admit(10, l)
+	m.evict(20, l)
 	m.accrue(30)
 
 	ssW := 64 * area.SliceStaticW() // chip Slice leakage when on
@@ -119,9 +119,9 @@ func TestMachineEnergyHandComputed(t *testing.T) {
 func TestMachineEnergyMonotonicAccrual(t *testing.T) {
 	var m machine
 	m.init(64, 128)
-	vm := &VM{Cfg: econ.Config{Slices: 4, CacheKB: 256}, Perf: 2.0}
-	m.admit(10, vm)
-	m.evict(5, vm) // backward: true departure predates the admit touch
+	l := lease{slices: 4, banks: 4, perf: 2.0}
+	m.admit(10, l)
+	m.evict(5, l) // backward: true departure predates the admit touch
 	if m.lastT != 10 {
 		t.Fatalf("lastT rewound to %v, want 10", m.lastT)
 	}
@@ -225,7 +225,7 @@ func TestFleetRejectsWhenFull(t *testing.T) {
 // its parameters — identical replay, seed sensitivity, ordering, and counts.
 func TestEventStreamDeterministic(t *testing.T) {
 	gen := func(seed uint64) []event {
-		s := newEventStream(seed, 100, 1, 400, testBenches)
+		s := newEventStream(seed, 100, 1, 400, len(testBenches))
 		var out []event
 		for i := 1.0; !s.done() && i < 1000; i++ {
 			out = append(out, s.take(i)...)
@@ -292,5 +292,32 @@ func TestParamValidation(t *testing.T) {
 	half.Market = econ.Market{BankCost: 0.1}
 	if _, err := New(half, SyntheticProber{}); err == nil {
 		t.Error("market with only BankCost accepted")
+	}
+}
+
+// TestFleetRunAllocsDoNotScaleWithEvents is the deterministic allocation
+// gate on the epoch loop: quadrupling the events of a run must add far
+// fewer allocations than it adds arrivals. What a run may allocate grows
+// with its epochs (pricing groups, phase goroutines) and, logarithmically,
+// with its peak backlog (buffer growth) — never once per VM.
+func TestFleetRunAllocsDoNotScaleWithEvents(t *testing.T) {
+	allocs := func(events int) float64 {
+		p := Params{
+			Machines:       2000,
+			Shards:         2,
+			Events:         events,
+			ArrivalsPerSec: 5000,
+			MeanLifetime:   1,
+			Seed:           7,
+			Benches:        testBenches,
+			AdaptivePrices: true,
+		}
+		return testing.AllocsPerRun(1, func() { runFleet(t, p) })
+	}
+	small, large := allocs(20000), allocs(80000)
+	added := (80000 - 20000) / 2 // arrivals
+	if grew := large - small; grew > float64(added)/20 {
+		t.Errorf("allocations grew by %.0f (%.0f -> %.0f) for %d added arrivals, want under %d",
+			grew, small, large, added, added/20)
 	}
 }

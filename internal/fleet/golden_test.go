@@ -2,31 +2,59 @@ package fleet
 
 import "testing"
 
-// TestFleetGoldenFingerprints pins the full fingerprints of two runs at a
-// scale where the placement index spans many 64-bit words (2,000 machines,
-// 20,000 events): packed placement under adaptive prices, and spread
-// placement, which touches every machine. The values were recorded from the
-// sorted-slice bucket ladder and linear-scan departure queue that the bitset
-// index and heap-merged stream replaced, so any change to which machine a
-// VCore lands on, or to the event order, shows up here byte for byte.
+// TestFleetGoldenFingerprints pins the full fingerprints of four runs.
+//
+// The first two run at a scale where the placement index spans many 64-bit
+// words (2,000 machines, 20,000 events): packed placement under adaptive
+// prices, and spread placement, which touches every machine. Their values
+// were recorded from the sorted-slice bucket ladder and linear-scan
+// departure queue that the bitset index and heap-merged stream replaced, so
+// any change to which machine a VCore lands on, or to the event order, shows
+// up here byte for byte.
+//
+// The last two pin the departure path. In short-lifetime, the mean lifetime
+// is a twentieth of an epoch, so most departures fall inside their
+// arrival's own epoch and are delivered one barrier late with their true,
+// earlier timestamp. In saturated, 20 machines cannot hold the offered
+// load, so many bids are rejected, and a rejected bid must never yield a
+// departure. Both were recorded from the fleet that tracked every resident
+// VM in a live map, before departures carried their lease.
 func TestFleetGoldenFingerprints(t *testing.T) {
 	cases := []struct {
-		name  string
-		place Placement
-		want  string
+		name string
+		mod  func(*Params)
+		want string
 	}{
-		{"packed-adaptive", PlacePacked, "" +
+		{"packed-adaptive", func(p *Params) { p.AdaptivePrices = true }, "" +
 			"machines=2000 epochs=86 events=20000 placed=10000 rejected=0 departed=10000 used=359 searches=360\n" +
 			"utility=1196798.8338571345 simsec=108.11391255885428\n" +
 			"energy=95072.657288675822/19053.368332487131/95072.657288675822/3676.0383409178021\n" +
 			"probes=328 surfaces=6 prices=0.13060114380750582/0.060981016257982017\n" +
 			"machinehash=8181c07b5187614f\n"},
-		{"spread", PlaceSpread, "" +
+		{"spread", func(p *Params) { p.Place = PlaceSpread }, "" +
 			"machines=2000 epochs=86 events=20000 placed=10000 rejected=0 departed=10000 used=2000 searches=360\n" +
 			"utility=959523.55852549127 simsec=108.11391255885428\n" +
 			"energy=214856.00397170294/18996.280599549616/214856.00397170294/3523.0151364630842\n" +
 			"probes=324 surfaces=6 prices=1/0.5\n" +
 			"machinehash=7583ced1bbf2606d\n"},
+		{"short-lifetime", func(p *Params) {
+			p.MeanLifetime = 0.05
+			p.AdaptivePrices = true
+		}, "" +
+			"machines=2000 epochs=21 events=20000 placed=10000 rejected=0 departed=10000 used=46 searches=360\n" +
+			"utility=1223958.6223579464 simsec=20.105683758328748\n" +
+			"energy=11028.872429846571/115.66766200892944/11028.872429846571/21.463815290982797\n" +
+			"probes=324 surfaces=6 prices=0.59598736364349825/0.29590789639212184\n" +
+			"machinehash=3e384af8ce0759f7\n"},
+		{"saturated", func(p *Params) {
+			p.Machines = 20
+			p.AdaptivePrices = true
+		}, "" +
+			"machines=20 epochs=72 events=11681 placed=1681 rejected=8319 departed=1681 used=20 searches=360\n" +
+			"utility=87656.916768820069 simsec=108.11391255885428\n" +
+			"energy=3639.0719816801688/1628.1519573969574/3639.0719816801688/214.85842937508556\n" +
+			"probes=348 surfaces=6 prices=0.72687517036491256/0.12159444954279411\n" +
+			"machinehash=11ba4a9fd4a3fba1\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -38,9 +66,8 @@ func TestFleetGoldenFingerprints(t *testing.T) {
 				MeanLifetime:   10,
 				Seed:           7,
 				Benches:        testBenches,
-				Place:          c.place,
-				AdaptivePrices: c.place == PlacePacked,
 			}
+			c.mod(&p)
 			if got := runFleet(t, p).Fingerprint(); got != c.want {
 				t.Errorf("fingerprint drifted:\n--- got\n%s--- want\n%s", got, c.want)
 			}

@@ -92,20 +92,20 @@ func (p *placer) scan(f, banks int) int {
 	return -1
 }
 
-// alloc commits a placement on machine m.
-func (p *placer) alloc(m, slices, banks int) {
-	p.move(m, p.freeS[m]-slices)
-	p.freeB[m] -= banks
-	p.usedSlices += slices
-	p.usedBanks += banks
+// alloc commits a placement.
+func (p *placer) alloc(l lease) {
+	p.move(l.machine, p.freeS[l.machine]-l.slices)
+	p.freeB[l.machine] -= l.banks
+	p.usedSlices += l.slices
+	p.usedBanks += l.banks
 }
 
-// free releases a departure's resources on machine m.
-func (p *placer) free(m, slices, banks int) {
-	p.move(m, p.freeS[m]+slices)
-	p.freeB[m] += banks
-	p.usedSlices -= slices
-	p.usedBanks -= banks
+// free releases a departure's resources.
+func (p *placer) free(l lease) {
+	p.move(l.machine, p.freeS[l.machine]+l.slices)
+	p.freeB[l.machine] += l.banks
+	p.usedSlices -= l.slices
+	p.usedBanks -= l.banks
 }
 
 // move reslots machine m into the bucket for its new free-Slice count.

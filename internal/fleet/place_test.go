@@ -61,7 +61,6 @@ func TestPlacerMatchesReference(t *testing.T) {
 	for _, policy := range []Placement{PlacePacked, PlaceSpread} {
 		for _, machines := range []int{1, 63, 64, 65, 130, 64*64 + 1} {
 			p := newPlacer(machines, chipSlices, chipBanks, policy)
-			type lease struct{ m, slices, banks int }
 			var live []lease
 			placed, rejected := 0, 0
 			h := uint64(machines)<<8 | uint64(policy)
@@ -83,14 +82,15 @@ func TestPlacerMatchesReference(t *testing.T) {
 						continue
 					}
 					placed++
-					p.alloc(got, slices, banks)
-					live = append(live, lease{got, slices, banks})
+					l := lease{machine: got, slices: slices, banks: banks}
+					p.alloc(l)
+					live = append(live, l)
 				} else {
 					i := rnd(len(live))
 					l := live[i]
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
-					p.free(l.m, l.slices, l.banks)
+					p.free(l)
 				}
 				if machines < 1000 || step%64 == 0 {
 					checkIndex(t, p, step)
