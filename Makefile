@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build vet test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke distrib-smoke serve-smoke check
+.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke distrib-smoke serve-smoke check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean, except the analyzer testdata fixtures
+# (some are deliberately unformatted) and the benchmark's build directory.
+# gofmt -l names each offending file; any name fails the gate.
+fmt-check:
+	@out=$$(find . \( -name testdata -o -name .bench_build -o -name .git \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -106,4 +113,4 @@ serve-smoke:
 	$(GO) test -count=1 ./cmd/sharingd
 	$(GO) run ./cmd/sharingd -loadtest -synthetic -duration 5s -clients 8 -min-rps 2000
 
-check: build vet test race race-parallel race-determinism lint market-smoke fleet-smoke distrib-smoke serve-smoke
+check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke distrib-smoke serve-smoke

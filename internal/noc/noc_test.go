@@ -190,6 +190,61 @@ func TestMeterCapacityPerCycle(t *testing.T) {
 	}
 }
 
+// TestMeterWindowAliasing pins the meter's window semantics: slots are
+// tagged per cycle over a 2048-cycle window, so a reservation one window
+// later takes over the slot and the older count is forgotten; a saturated
+// cycle rolls over to the next one; negative requests clamp to cycle 0;
+// Reset forgets every reservation; and widths beyond 16 bits are refused.
+func TestMeterWindowAliasing(t *testing.T) {
+	const window = 1 << meterBits
+	expect := func(m *Meter, at, want int64) {
+		t.Helper()
+		if got := m.Reserve(at); got != want {
+			t.Fatalf("Reserve(%d) = %d, want %d", at, got, want)
+		}
+	}
+
+	m := NewMeter(1)
+	expect(m, 5, 5)
+	expect(m, 5+window, 5+window) // same slot, newer cycle: not blocked
+	expect(m, 5, 5)               // the count for cycle 5 was forgotten
+	expect(m, 5, 6)               // cycle 5 is saturated again: roll over
+
+	m = NewMeter(2)
+	expect(m, 10, 10)
+	expect(m, 10, 10)
+	expect(m, 10, 11)
+	expect(m, 10, 11)
+	expect(m, 10, 12)
+	expect(m, window-1, window-1) // last slot of the window
+	expect(m, window-1, window-1)
+	expect(m, window-1, window) // rolls over into slot 0 of the next window
+
+	m = NewMeter(1)
+	expect(m, -7, 0)
+	expect(m, -1, 1)
+	expect(m, 0, 2)
+
+	m = NewMeter(1)
+	expect(m, 0, 0)
+	expect(m, 3, 3)
+	expect(m, 3+window, 3+window)
+	m.Reset()
+	expect(m, 0, 0)
+	expect(m, 3, 3)
+	expect(m, 3+window, 3+window)
+	expect(m, 3+window, 4+window)
+
+	// A slot packs cycle<<16 | count, so the width must fit in 16 bits.
+	NewMeter(1<<16 - 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("width 1<<16 accepted: its count would overflow into the cycle tag")
+		}
+	}()
+	NewMeter(1 << 16)
+}
+
 func TestMeterProperty(t *testing.T) {
 	// Reserve never returns a cycle earlier than requested, and per-cycle
 	// grants never exceed the width.

@@ -35,8 +35,10 @@ func benchTrace(b *testing.B, name string) *trace.MultiTrace {
 // BenchmarkMachineRun measures raw simulation wall-clock and allocation
 // behaviour on representative workloads: mcf and omnetpp are memory-bound
 // (long quiescent DRAM stalls the event-driven loop can skip), libquantum
-// is a streaming scan, and gobmk is compute-bound (near-zero skippable
-// cycles, so it bounds the bookkeeping overhead of the fast path).
+// is a streaming scan, gobmk is compute-bound (near-zero skippable
+// cycles, so it bounds the bookkeeping overhead of the fast path), and
+// dedup at 8 Slices / 512 KB is the multithreaded quantum loop at its
+// shortest banked quantum, the heaviest point of the sweep grid.
 func BenchmarkMachineRun(b *testing.B) {
 	cases := []struct {
 		bench   string
@@ -47,6 +49,7 @@ func BenchmarkMachineRun(b *testing.B) {
 		{"omnetpp", 4, 512},
 		{"libquantum", 2, 256},
 		{"gobmk", 4, 512},
+		{"dedup", 8, 512},
 	}
 	for _, c := range cases {
 		c := c

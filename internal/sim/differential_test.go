@@ -31,6 +31,7 @@ func TestEventDrivenMatchesStrictTick(t *testing.T) {
 		{"gobmk", 8, 512, 20000, 5},
 		{"sjeng", 3, 256, 15000, 6},
 		{"dedup", 2, 256, 12000, 7}, // multithreaded: barriers + invalidations
+		{"dedup", 8, 512, 12000, 8}, // banked quantum of ~7 cycles: carried wakes
 	}
 	for _, c := range cases {
 		c := c

@@ -432,6 +432,17 @@ type Machine struct {
 	// Quantum-merge scratch (reused across barriers, see mergeFabric).
 	opLists [][]vcore.FabricOp
 	opPos   []int
+
+	// wake[i] is engine i's NextWake as last computed in runEngineQuantum
+	// when it lay beyond the quantum edge: until then the engine is idle
+	// unless something outside it changes, so later quanta charge the idle
+	// span without stepping. Only the merge and the barrier release change
+	// an engine from outside, so mergeFabric lowers wake[i] to a delivered
+	// fill's cycle and a barrier release clears every wake, as does each
+	// runQuanta entry. A wake at or before a quantum's start is spent and
+	// ignored; 0 is the empty value. StrictTick never records one. Engine i
+	// owns index i during the private phases.
+	wake []int64
 }
 
 // Engines exposes the per-thread VCore engines (for golden-model checks).
@@ -524,6 +535,7 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 		}
 		mc.opLists = make([][]vcore.FabricOp, len(m.engines))
 		mc.opPos = make([]int, len(m.engines))
+		mc.wake = make([]int64, len(m.engines))
 	}
 	return mc, nil
 }

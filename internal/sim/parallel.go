@@ -40,6 +40,9 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 		maxCycles = 2_000_000_000
 	}
 	q := mc.quantum
+	// Sampled windows fast-forward the engines between calls, so a wake
+	// carried from the previous call no longer describes them.
+	clear(mc.wake)
 	var pool *quantumPool
 	if w := mc.workerCount(); w > 1 {
 		//ssim:nolint hotalloc: pool construction, once per run (or per sampled window)
@@ -115,6 +118,7 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 			for _, e := range m.engines {
 				e.ReleaseBarrier(tq - 1)
 			}
+			clear(mc.wake) // released engines resume fetch: their wakes moved
 			released = true
 		}
 		next := tq
@@ -150,8 +154,10 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 
 // runEngineQuantum advances engine i through the quantum [from, to) on
 // private state only, with the same event-driven idle skipping (clamped to
-// the quantum edge) as the direct loop. It reports whether the engine
-// performed any observable work in the quantum.
+// the quantum edge) as the direct loop. When an earlier quantum clamped the
+// engine's wake, the wake carried in mc.wake[i] lets it skip the idle
+// prefix of this one without stepping (see Machine.wake). It reports
+// whether the engine performed any observable work in the quantum.
 //
 //ssim:hotpath
 //ssim:parallel
@@ -159,7 +165,15 @@ func (mc *Machine) runEngineQuantum(i int, from, to int64, stop *windowStop) boo
 	e := mc.m.engines[i]
 	strict := mc.p.StrictTick
 	had := false
-	for now := from; now < to; {
+	now := from
+	if w := mc.wake[i]; w > from {
+		// Idle until w: charge the span a Step/NextWake pair would have
+		// found idle, exactly as the jump below does.
+		w = min(w, to)
+		e.AccountIdle(w-from, from-1)
+		now = w
+	}
+	for now < to {
 		if e.Done() || e.Err() != nil {
 			return had
 		}
@@ -177,6 +191,7 @@ func (mc *Machine) runEngineQuantum(i int, from, to int64, stop *windowStop) boo
 		}
 		w := e.NextWake(now)
 		if w > to {
+			mc.wake[i] = w
 			w = to
 		}
 		e.AccountIdle(w-now-1, now)
@@ -242,6 +257,7 @@ func (mc *Machine) mergeFabric() int {
 		case vcore.FabricLoad:
 			done := u.L2Load(op.At, op.From, op.Line)
 			m.engines[best].DeliverFill(done, int(op.Slice), op.Line, op.IFill, op.Ord)
+			mc.wake[best] = min(mc.wake[best], done)
 		case vcore.FabricStore:
 			// The drain latency was charged from the quantum-start
 			// directory state (StoreVisiblePeek); only the mutations —

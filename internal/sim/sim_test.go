@@ -161,6 +161,15 @@ func TestXMLConfigRejectsGarbage(t *testing.T) {
 	if _, err := c.Params(); err == nil {
 		t.Fatal("12-slice config accepted")
 	}
+	// 8 Slices x (400 ROB + 12 buffer) = 3296 in-flight instructions would
+	// alias slots of the engine's 2048-entry flight ring.
+	c, err := ParseConfig(strings.NewReader(`<ssim><slices>8</slices><robPerSlice>400</robPerSlice></ssim>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Params(); err == nil || !strings.Contains(err.Error(), "flight ring") {
+		t.Fatalf("oversized ROB override: err = %v, want the flight-ring bound", err)
+	}
 }
 
 func TestBankPlacementLatencyGrowsWithAllocation(t *testing.T) {

@@ -127,6 +127,10 @@ func (c *Config) Validate() error {
 	if c.IssueWindow < 1 || c.LSWindow < 1 || c.LSQSize < 1 || c.ROBPerSlice < 1 {
 		return fmt.Errorf("vcore: window/queue sizes must be >= 1")
 	}
+	if inflight := c.NumSlices * (c.ROBPerSlice + c.InstBufEntries); inflight > ringSize {
+		return fmt.Errorf("vcore: %d Slices x (ROB %d + instruction buffer %d) = %d instructions in flight exceeds the %d-entry flight ring",
+			c.NumSlices, c.ROBPerSlice, c.InstBufEntries, inflight, ringSize)
+	}
 	if c.LRFPerSlice < 1 || c.GlobalRegs < c.LRFPerSlice/2 {
 		return fmt.Errorf("vcore: register file sizing invalid (LRF %d, global %d)", c.LRFPerSlice, c.GlobalRegs)
 	}

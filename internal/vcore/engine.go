@@ -34,8 +34,10 @@ type Uncore interface {
 // unknown is the sentinel "not yet determined" timestamp.
 const unknown = math.MaxInt64 / 4
 
-// ring sizing: in-flight instructions are bounded by the total ROB
-// (8 Slices x 64 entries = 512), so a 2048-entry ring gives slack.
+// ring sizing: in-flight (fetched, uncommitted) instructions are bounded by
+// NumSlices*(ROBPerSlice+InstBufEntries) — 8*(64+12) = 608 at the paper's
+// defaults — and Config.Validate rejects configurations whose bound exceeds
+// the ring, where live instructions would alias one slot.
 const (
 	ringBits = 11
 	ringSize = 1 << ringBits
@@ -133,6 +135,16 @@ type Engine struct {
 	instBuf []seqFIFO
 	aluWin  [][]uint64
 	lsWin   [][]uint64
+	// aluRdy[k] and lsRdy[k] are lower bounds on readyAt over the entries
+	// of Slice k's windows whose operands are all resolved (pendingSrc ==
+	// 0); NeverWake when there is none. issue skips a window whose bound is
+	// in the future and NextWake reads the bound instead of the entries.
+	// A bound is lowered when an entry becomes operand-ready (dispatch,
+	// notifyWaiters) and set to the exact minimum by a pickReady scan that
+	// finds nothing. Issue and squash only remove entries, which keeps it a
+	// lower bound; a stale one costs at most one early wake.
+	aluRdy []int64
+	lsRdy  []int64
 
 	robCount   []int
 	lrfCount   []int
@@ -226,6 +238,8 @@ func New(cfg Config, tr *trace.Trace, pos []noc.Coord, opNet, sortNet *noc.Netwo
 		e.sbuf = append(e.sbuf, slice.NewStoreBuffer(cfg.StoreBufEntries))
 		e.aluWin = append(e.aluWin, make([]uint64, 0, cfg.IssueWindow))
 		e.lsWin = append(e.lsWin, make([]uint64, 0, cfg.LSWindow))
+		e.aluRdy = append(e.aluRdy, NeverWake)
+		e.lsRdy = append(e.lsRdy, NeverWake)
 	}
 	e.robCount = make([]int, n)
 	e.lrfCount = make([]int, n)
@@ -416,7 +430,10 @@ const NeverWake = int64(math.MaxInt64 / 2)
 // event queue (fills, drains, arrivals, completions), issue-window entries
 // whose operands become ready at a known future cycle, and timed front-end
 // bubbles. Everything else the engine does is a consequence of one of
-// those, so skipping straight to the minimum is cycle-exact.
+// those, so skipping straight to the minimum is cycle-exact. The issue
+// windows contribute through their ready bounds (aluRdy/lsRdy), so the
+// cost is O(Slices) however full the windows are; an empty window's bound
+// is NeverWake, which max with the unit's busy cycle keeps NeverWake.
 //
 //ssim:hotpath
 func (e *Engine) NextWake(now int64) int64 {
@@ -428,22 +445,11 @@ func (e *Engine) NextWake(now int64) int64 {
 		next = at
 	}
 	for k := 0; k < e.cfg.NumSlices; k++ {
-		aluB, lsB := e.aluBusy[k], e.lsBusy[k]
-		for _, seq := range e.aluWin[k] {
-			f := e.flight(seq)
-			if f.state == stInWindow && f.pendingSrc == 0 {
-				if c := maxi64(f.readyAt, aluB); c < next {
-					next = c
-				}
-			}
+		if c := maxi64(e.aluRdy[k], e.aluBusy[k]); c < next {
+			next = c
 		}
-		for _, seq := range e.lsWin[k] {
-			f := e.flight(seq)
-			if f.state == stInWindow && f.pendingSrc == 0 {
-				if c := maxi64(f.readyAt, lsB); c < next {
-					next = c
-				}
-			}
+		if c := maxi64(e.lsRdy[k], e.lsBusy[k]); c < next {
+			next = c
 		}
 	}
 	// The front end wakes when a redirect bubble expires, but only if no
@@ -622,36 +628,53 @@ func (e *Engine) commit(now int64) {
 // ---------------------------------------------------------------------------
 // Issue
 
+// issue issues at most one instruction per Slice from each window. A
+// window whose ready bound lies in the future holds nothing issuable, so
+// it is not scanned. For stores only the address operand gates issue (data
+// follows separately, §3.6): a memory op's pendingSrc counts address
+// dependences only.
 func (e *Engine) issue(now int64) {
 	for k := 0; k < e.cfg.NumSlices; k++ {
-		if e.aluBusy[k] <= now {
-			if seq, ok := pickReady(e.aluWin[k], e, now); ok {
+		if e.aluBusy[k] <= now && e.aluRdy[k] <= now {
+			if seq, ok := e.pickReady(e.aluWin[k], &e.aluRdy[k], now); ok {
 				e.issueALU(now, k, seq)
 			}
 		}
-		if e.lsBusy[k] <= now {
-			if seq, ok := pickReadyLS(e.lsWin[k], e, now); ok {
+		if e.lsBusy[k] <= now && e.lsRdy[k] <= now {
+			if seq, ok := e.pickReady(e.lsWin[k], &e.lsRdy[k], now); ok {
 				e.issueLS(now, k, seq)
 			}
 		}
 	}
 }
 
-// pickReady returns the oldest window entry whose operands are available.
-func pickReady(win []uint64, e *Engine, now int64) (uint64, bool) {
+// pickReady returns the oldest window entry whose operands are available
+// at now. When there is none it sets *bound, the window's ready bound, to
+// the exact earliest readyAt over the operand-ready entries (NeverWake if
+// there are none).
+func (e *Engine) pickReady(win []uint64, bound *int64, now int64) (uint64, bool) {
+	lo := NeverWake
 	for _, seq := range win {
 		f := e.flight(seq)
-		if f.state == stInWindow && f.pendingSrc == 0 && f.readyAt <= now {
-			return seq, true
+		if f.state == stInWindow && f.pendingSrc == 0 {
+			if f.readyAt <= now {
+				return seq, true
+			}
+			lo = min(lo, f.readyAt)
 		}
 	}
+	*bound = lo
 	return 0, false
 }
 
-// pickReadyLS is like pickReady; for stores only the address operand gates
-// issue (data follows separately, §3.6).
-func pickReadyLS(win []uint64, e *Engine, now int64) (uint64, bool) {
-	return pickReady(win, e, now) // pendingSrc for memory ops counts address deps only
+// operandReady lowers the ready bound of the window holding entry seq (in
+// Slice f.sl) once its last issue-gating operand has resolved.
+func (e *Engine) operandReady(seq uint64, f *instFlight) {
+	b := &e.aluRdy[f.sl]
+	if e.tr[seq].Op.IsMemory() {
+		b = &e.lsRdy[f.sl]
+	}
+	*b = min(*b, f.readyAt)
 }
 
 func (e *Engine) issueALU(now int64, k int, seq uint64) {
@@ -769,6 +792,9 @@ func (e *Engine) dispatch(now int64) {
 		f.readyAt = tR + 1
 		f.pendingSrc = 0
 		e.resolveOperands(seq, tR)
+		if f.pendingSrc == 0 {
+			e.operandReady(seq, f)
+		}
 		if isLS {
 			e.lsWin[k] = append(e.lsWin[k], seq)
 		} else {

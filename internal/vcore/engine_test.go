@@ -270,6 +270,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	full := DefaultConfig(4)
+	full.ROBPerSlice = 500 // exactly fills the flight ring
+	if err := full.Validate(); err != nil {
+		t.Fatalf("ring-filling config rejected: %v", err)
+	}
 	mutations := []func(*Config){
 		func(c *Config) { c.NumSlices = 0 },
 		func(c *Config) { c.FetchPerSlice = 0 },
@@ -284,6 +289,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.L1D.SizeBytes = 0 },
 		func(c *Config) { c.L1HitLatency = 0 },
 		func(c *Config) { c.L1I.LineSize = 7 },
+		// In-flight bound 4*(500+12) = 2048 fits the ring; one more does not.
+		func(c *Config) { c.ROBPerSlice = 501 },
+		func(c *Config) { c.NumSlices, c.ROBPerSlice = 8, 400 },
+		func(c *Config) { c.InstBufEntries = 2048 },
 	}
 	for i, m := range mutations {
 		c := DefaultConfig(4)

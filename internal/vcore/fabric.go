@@ -137,7 +137,7 @@ func (e *Engine) requestLine(at int64, k int, line uint64, ifill bool) {
 func (e *Engine) storeVisible(at int64, o int, line uint64) int64 {
 	if e.fabricBuf {
 		e.outbox = append(e.outbox, FabricOp{
-			Kind: FabricStore,
+			Kind:  FabricStore,
 			Slice: uint8(o), //ssim:nolint cyclemath: o is a Slice index, bounded by MaxSlices (8)
 			Cycle: e.tickNow, At: at, From: e.pos[o], Line: line,
 		})
@@ -153,7 +153,7 @@ func (e *Engine) storeVisible(at int64, o int, line uint64) int64 {
 func (e *Engine) writebackDirty(at int64, o int, line uint64) {
 	if e.fabricBuf {
 		e.outbox = append(e.outbox, FabricOp{
-			Kind: FabricWriteback,
+			Kind:  FabricWriteback,
 			Slice: uint8(o), //ssim:nolint cyclemath: o is a Slice index, bounded by MaxSlices (8)
 			Cycle: e.tickNow, At: at, From: e.pos[o], Line: line,
 		})

@@ -106,5 +106,8 @@ func (e *Engine) notifyWaiters(pSeq uint64) {
 			c.readyAt = avail
 		}
 		c.pendingSrc--
+		if c.pendingSrc == 0 {
+			e.operandReady(w.seq, c)
+		}
 	}
 }
