@@ -70,19 +70,22 @@ market-smoke:
 	$(GO) test -race ./internal/market
 
 # Fleet determinism differential (1 vs 2/4/8 shards, byte-identical
-# fingerprints under every policy combination), the golden fingerprint pins
-# and the hand-computed energy pin, under the race detector, then an
+# fingerprints under every policy combination), the golden fingerprint pins,
+# the hand-computed energy pin and the departure calendar's differential
+# against a sort-everything reference, under the race detector, then an
 # acceptance-scale synthetic run through the CLI: 2,000 machines / 20,000 VM
 # lifecycle events.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed' ./internal/fleet
+	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestCalendar' ./internal/fleet
 	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
-# then the placement index alone at 20,000 machines (allocs/op must be 0).
+# then the placement index and the departure calendar alone at the fleet
+# workload's scale (allocs/op must be 0 for both).
 bench-fleet:
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet2000x20000 -benchtime 5x
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkPlacer -benchtime 100000x
+	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkDepartureQueue -benchtime 1000000x
 
 # Distributed-backend differentials under the race detector: procpool vs
 # inproc byte-identity (2 and 4 worker subprocesses), journal-only

@@ -25,7 +25,7 @@ type event struct {
 const utilityExps = 3
 
 // lease is what a placed VM holds on its machine: all its departure needs.
-// Pointer-free, so the GC never scans the departure heap that carries it.
+// Pointer-free, so the GC never scans the departure calendar that carries it.
 type lease struct {
 	machine, slices, banks int
 	perf                   float64 // measured IPC at the leased config
@@ -51,10 +51,10 @@ func unit(h uint64) float64 {
 // eventStream generates arrivals lazily and carries the departures the
 // placement barrier schedules. take returns every event due before a given
 // time in (time, seq) order by merging the arrivals, which are generated in
-// that order, with the due prefix of a min-heap of departures; the content of
-// the pending-departure heap at each barrier is itself deterministic
-// (departures are scheduled only at barriers, in event order), so the whole
-// stream is shard-count-independent.
+// that order, with the due departures of an epoch-keyed calendar queue; the
+// calendar's content at each barrier is itself deterministic (departures are
+// scheduled only at barriers, in event order), so the whole stream is
+// shard-count-independent.
 type eventStream struct {
 	seed     uint64
 	rate     float64 // arrivals per second
@@ -64,18 +64,20 @@ type eventStream struct {
 	nextIdx  int     // index of the next arrival (drives the hash stream)
 	nextAt   float64
 	seq      int
-	pending  departureHeap // scheduled departures
-	out      []event       // take's batch, reused across epochs
-	maxT     float64       // latest event time handed out
+	pending  calendar // scheduled departures
+	out      []event  // take's batch, reused across epochs
+	maxT     float64  // latest event time handed out
 }
 
-func newEventStream(seed uint64, rate, life float64, totalEvents, benches int) *eventStream {
+// newEventStream builds the stream; epoch is the calendar's bucket width.
+func newEventStream(seed uint64, rate, life, epoch float64, totalEvents, benches int) *eventStream {
 	s := &eventStream{
 		seed:     seed,
 		rate:     rate,
 		life:     life,
 		benches:  benches,
 		arrivals: totalEvents / 2,
+		pending:  newCalendar(epoch),
 	}
 	s.nextAt = s.interarrival(0)
 	return s
@@ -106,9 +108,7 @@ func (s *eventStream) take(t1 float64) []event {
 	for s.arrivals > 0 && s.nextAt < t1 {
 		// Departures ordered before this arrival go first. Their seqs were
 		// assigned at earlier barriers, so on an exact time tie they win.
-		for len(s.pending) > 0 && s.pending.top().before(s.nextAt, s.seq) {
-			out = append(out, s.pending.pop().event())
-		}
+		out = s.departuresBefore(out, s.nextAt, s.seq)
 		i := s.nextIdx
 		bench, k := s.shape(i)
 		out = append(out, event{
@@ -120,13 +120,24 @@ func (s *eventStream) take(t1 float64) []event {
 		s.nextIdx++
 		s.nextAt += s.interarrival(s.nextIdx)
 	}
-	for len(s.pending) > 0 && s.pending.top().t < t1 {
-		out = append(out, s.pending.pop().event())
-	}
+	// Every seq is >= 0, so (t1, 0) admits exactly the departures before t1.
+	out = s.departuresBefore(out, t1, 0)
 	if n := len(out); n > 0 && out[n-1].t > s.maxT {
 		s.maxT = out[n-1].t
 	}
 	s.out = out
+	return out
+}
+
+// departuresBefore appends, in order, the pending departures that precede
+// (t, seq).
+//
+//ssim:hotpath
+func (s *eventStream) departuresBefore(out []event, t float64, seq int) []event {
+	for d := s.pending.next(t, seq); d != nil; d = s.pending.next(t, seq) {
+		out = append(out, d.event())
+		s.pending.pop()
+	}
 	return out
 }
 
@@ -139,13 +150,23 @@ func (s *eventStream) scheduleDeparture(at float64, l lease) {
 	s.seq++
 }
 
+// nextDue returns the time of the earliest event still to come, and false
+// once the stream is exhausted.
+func (s *eventStream) nextDue() (float64, bool) {
+	t, ok := s.pending.earliest()
+	if s.arrivals > 0 && (!ok || s.nextAt < t) {
+		return s.nextAt, true
+	}
+	return t, ok
+}
+
 // done reports whether the stream is exhausted.
-func (s *eventStream) done() bool { return s.arrivals == 0 && len(s.pending) == 0 }
+func (s *eventStream) done() bool { return s.arrivals == 0 && s.pending.n == 0 }
 
 // end is the simulated end of the run: the latest event time delivered.
 func (s *eventStream) end() float64 { return s.maxT }
 
-// departure is a scheduled departure as the heap holds it.
+// departure is a scheduled departure as the calendar holds it.
 type departure struct {
 	t     float64
 	seq   int
@@ -153,58 +174,11 @@ type departure struct {
 }
 
 // before reports whether d precedes the event at (t, seq).
-func (d *departure) before(t float64, seq int) bool {
-	return d.t < t || (d.t == t && d.seq < seq)
+func (d *departure) before(t float64, seq int) bool { return precedes(d.t, d.seq, t, seq) }
+
+// precedes is the (time, seq) order: whether (t0, seq0) comes before (t, seq).
+func precedes(t0 float64, seq0 int, t float64, seq int) bool {
+	return t0 < t || (t0 == t && seq0 < seq)
 }
 
 func (d departure) event() event { return event{t: d.t, seq: d.seq, lease: d.lease} }
-
-// departureHeap is a binary min-heap of departures keyed by (t, seq), a
-// total order, so pops come out in exactly the order a sort would give.
-// Hand-rolled rather than container/heap: the interface would box every
-// element; this reuses its backing array for the whole run.
-type departureHeap []departure
-
-func (h departureHeap) top() *departure { return &h[0] }
-
-//ssim:hotpath
-func (h *departureHeap) push(d departure) {
-	q := append(*h, d)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q[i].before(q[p].t, q[p].seq) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
-}
-
-//ssim:hotpath
-func (h *departureHeap) pop() departure {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && q[l].before(q[m].t, q[m].seq) {
-			m = l
-		}
-		if r < n && q[r].before(q[m].t, q[m].seq) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	*h = q
-	return top
-}

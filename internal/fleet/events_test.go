@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -30,7 +34,7 @@ func checkBatch(t *testing.T, batch []event, seen map[int]int) {
 // be strictly (t, seq)-ordered and every scheduled departure must come out
 // exactly once.
 func TestEventStreamTakeOrder(t *testing.T) {
-	s := newEventStream(11, 200, 0.5, 6000, len(testBenches))
+	s := newEventStream(11, 200, 0.5, 0.1, 6000, len(testBenches))
 	h := uint64(99)
 	rnd := func() float64 {
 		h++
@@ -79,7 +83,7 @@ func TestEventStreamTakeOrder(t *testing.T) {
 // after that instant must interleave by (t, seq): the earlier ones first,
 // the tied ones — which hold the smaller seqs — ahead of every arrival.
 func TestEventStreamZeroGapTies(t *testing.T) {
-	s := newEventStream(3, math.Inf(1), 1, 40, len(testBenches))
+	s := newEventStream(3, math.Inf(1), 1, 1, 40, len(testBenches))
 	at := s.nextAt
 	times := []float64{at + 0.5, at, at - 1, at, at + 0.25, at - 1}
 	for i, d := range times {
@@ -117,5 +121,238 @@ func TestEventStreamZeroGapTies(t *testing.T) {
 	}
 	if !s.done() {
 		t.Fatal("stream not done after its only batch")
+	}
+}
+
+// refStream is the sort-everything reference for eventStream: the same
+// arrival draws, and every pending departure in one plain slice, filtered
+// and fully sorted on each take.
+type refStream struct {
+	draw     *eventStream // used only for its per-index draws
+	arrivals int
+	nextIdx  int
+	nextAt   float64
+	seq      int
+	pending  []departure
+}
+
+func newRefStream(s *eventStream) *refStream {
+	return &refStream{draw: s, arrivals: s.arrivals, nextAt: s.interarrival(0)}
+}
+
+func (r *refStream) take(t1 float64) []event {
+	var out []event
+	for r.arrivals > 0 && r.nextAt < t1 {
+		i := r.nextIdx
+		bench, k := r.draw.shape(i)
+		out = append(out, event{
+			t: r.nextAt, seq: r.seq, arrive: true,
+			bench: bench, k: k, depart: r.nextAt + r.draw.lifetime(i),
+		})
+		r.seq++
+		r.arrivals--
+		r.nextIdx++
+		r.nextAt += r.draw.interarrival(r.nextIdx)
+	}
+	kept := r.pending[:0]
+	for _, d := range r.pending {
+		if d.t < t1 {
+			out = append(out, d.event())
+		} else {
+			kept = append(kept, d)
+		}
+	}
+	r.pending = kept
+	slices.SortFunc(out, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.seq, b.seq))
+	})
+	return out
+}
+
+func (r *refStream) schedule(at float64, l lease) {
+	r.pending = append(r.pending, departure{t: at, seq: r.seq, lease: l})
+	r.seq++
+}
+
+// nextDue is the earliest time still to come, or false when done.
+func (r *refStream) nextDue() (float64, bool) {
+	t, ok := math.Inf(1), false
+	if r.arrivals > 0 {
+		t, ok = r.nextAt, true
+	}
+	for _, d := range r.pending {
+		t, ok = min(t, d.t), true
+	}
+	return t, ok
+}
+
+// TestCalendarMatchesReference drives eventStream and the sort-everything
+// reference through adversarial schedules and requires identical batches
+// and identical next-due times. Departures tie exactly with the next
+// arrival, with an earlier departure and with a bucket boundary; fall due
+// already, or inside the bucket the stream is reading; and land on either
+// side of the calendar ring's horizon, or beyond it up to 10^6 bucket widths
+// out. Take boundaries follow
+// strides unaligned with the bucket width, some far shorter than it, some
+// leaping many buckets at once.
+func TestCalendarMatchesReference(t *testing.T) {
+	for _, c := range []struct{ w, rate, life float64 }{
+		{0.1, 300, 0.05}, {0.1, 300, 1}, {0.1, 300, 40},
+		{1, 300, 0.05}, {1, 300, 1}, {1, 300, 40},
+		{2.5, 300, 0.05}, {2.5, 300, 40},
+		// Narrow buckets, sparse arrivals: most lifetimes overflow the
+		// ring, and the ring empties between arrivals.
+		{0.001, 300, 40}, {0.0005, 30, 5},
+	} {
+		w, life := c.w, c.life
+		t.Run(fmt.Sprintf("w=%v/rate=%v/life=%v", w, c.rate, life), func(t *testing.T) {
+			s := newEventStream(5, c.rate, life, w, 3000, len(testBenches))
+			ref := newRefStream(newEventStream(5, c.rate, life, w, 3000, len(testBenches)))
+			h := uint64(w*1000 + life)
+			rnd := func() float64 {
+				h++
+				return unit(splitmix64(h))
+			}
+			strides := []float64{0.37 * w, 2.9 * w, 0.001 * w, w, 23.7 * w, 1500 * w}
+			t1, lastDepart, id := 0.0, 0.0, 0
+			for step := 0; !s.done(); step++ {
+				got, gok := s.nextDue()
+				want, wok := ref.nextDue()
+				if got != want || gok != wok {
+					t.Fatalf("step %d: nextDue (%v, %v), reference (%v, %v)", step, got, gok, want, wok)
+				}
+				if s.arrivals == 0 && rnd() < 0.3 {
+					t1 = max(t1, want) + rnd()*w // the next batch is never empty
+				} else {
+					t1 += strides[step%len(strides)] * (0.5 + rnd())
+				}
+				batch, refBatch := s.take(t1), ref.take(t1)
+				if !slices.Equal(batch, refBatch) {
+					t.Fatalf("step %d, t1=%v: batch of %d differs from the reference's %d:\n%v\n%v",
+						step, t1, len(batch), len(refBatch), batch, refBatch)
+				}
+				// No-advance rule: a bucket is absorbed only once due.
+				if head := s.pending.head; float64(head) > math.Floor(t1/w) {
+					t.Fatalf("step %d: take(%v) absorbed bucket %d, past the due bucket %v", step, t1, head, math.Floor(t1/w))
+				}
+				for _, ev := range batch {
+					if !ev.arrive {
+						continue
+					}
+					var at float64
+					switch r := rnd(); {
+					case r < 0.1:
+						at = s.nextAt // ties with the next arrival
+					case r < 0.2:
+						at = lastDepart // ties with an earlier departure
+					case r < 0.3:
+						at = math.Floor(ev.t/w+1) * w // on a bucket boundary
+					case r < 0.4:
+						at = ev.t - rnd()*w // already due
+					case r < 0.5:
+						at = math.Floor(t1/w)*w + rnd()*w // in the bucket being read
+					case r < 0.55:
+						at = ev.t + (1+3*rnd())*ringBuckets*w // beyond the ring
+					case r < 0.56:
+						at = ev.t + 1e6*w
+					case r < 0.62: // straddling the ring's horizon
+						at = (float64(s.pending.head+ringBuckets) + 2*rnd()) * w
+					default:
+						at = ev.depart
+					}
+					s.scheduleDeparture(at, lease{machine: id})
+					ref.schedule(at, lease{machine: id})
+					id++
+					lastDepart = at
+				}
+			}
+			if _, ok := ref.nextDue(); ok {
+				t.Fatal("stream done before the reference")
+			}
+		})
+	}
+}
+
+// TestCalendarScripted scripts states that random schedules rarely reach,
+// checking every take and next-due time against the reference:
+//   - horizon: a departure pushed just beyond the ring's horizon must move
+//     into the ring's last bucket as soon as the ring turns over it, before
+//     a later departure pushed straight into that bucket is taken;
+//   - overflow: with the ring empty, the earliest departure beyond it sits
+//     in the sorted overflow while a later one waits unsorted.
+func TestCalendarScripted(t *testing.T) {
+	const w, r = 1.0, ringBuckets
+	type step struct {
+		push bool
+		t    float64 // departure time, or take boundary
+	}
+	push := func(t float64) step { return step{true, t} }
+	take := func(t float64) step { return step{false, t} }
+	for _, c := range []struct {
+		name  string
+		steps []step
+	}{
+		{"horizon", []step{
+			push(0.5), push(r + 0.5), take(1),
+			push(r + 0.7), take(r + 1),
+		}},
+		{"overflow", []step{
+			push(0.5), push(r + 0.6), push(2.5 * r), take(1),
+			take(r + 1), // ring empty, far holds 2.5r
+			push(2.6 * r), take(2.5*r + 1), take(2.6*r + 1),
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newEventStream(1, 1, 1, w, 0, len(testBenches))
+			ref := newRefStream(newEventStream(1, 1, 1, w, 0, len(testBenches)))
+			for i, st := range c.steps {
+				if st.push {
+					s.scheduleDeparture(st.t, lease{machine: i})
+					ref.schedule(st.t, lease{machine: i})
+					continue
+				}
+				got, gok := s.nextDue()
+				want, wok := ref.nextDue()
+				if got != want || gok != wok {
+					t.Fatalf("step %d: nextDue (%v, %v), reference (%v, %v)", i, got, gok, want, wok)
+				}
+				if got, want := s.take(st.t), ref.take(st.t); !slices.Equal(got, want) {
+					t.Fatalf("step %d: take(%v) = %v, want %v", i, st.t, got, want)
+				}
+			}
+			if !s.done() {
+				t.Fatal("departures left over")
+			}
+		})
+	}
+}
+
+// TestCalendarFarFutureBounded steps epoch by epoch past a departure
+// scheduled 10^6 bucket widths ahead, as a Run without the empty-epoch skip
+// would: the calendar must neither allocate per empty epoch nor keep a
+// bucket per epoch, and must deliver the departure exactly once, on time.
+func TestCalendarFarFutureBounded(t *testing.T) {
+	const w = 0.5
+	s := newEventStream(1, 1, 1, w, 0, len(testBenches))
+	s.scheduleDeparture(w/3, lease{machine: 1})
+	s.scheduleDeparture(1e6*w+w/3, lease{machine: 2})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var got []event
+	for e := 0; !s.done(); e++ {
+		got = append(got, s.take(float64(e)*w+w)...)
+		if e > 1e6+1 {
+			t.Fatalf("departure not delivered by epoch %d", e)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("stepping 10^6 epochs allocated %d bytes", grew)
+	}
+	if len(s.pending.slab) > 2 {
+		t.Errorf("calendar holds %d chunks for 2 departures", len(s.pending.slab))
+	}
+	if len(got) != 2 || got[0].lease.machine != 1 || got[1].lease.machine != 2 || got[1].t != 1e6*w+w/3 {
+		t.Fatalf("delivered %+v", got)
 	}
 }

@@ -33,6 +33,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -88,14 +89,18 @@ type Params struct {
 	// ChipSlices and ChipBanks are each machine's rentable resources
 	// (the evaluated chip, 64 Slices + 128 banks, if 0).
 	ChipSlices, ChipBanks int
-	// Epoch is the simulated seconds per pricing/placement batch (1.0 if 0).
+	// Epoch is the simulated seconds per pricing/placement batch (1.0 if 0;
+	// NaN or ±Inf is an error). It is also the departure calendar's bucket
+	// width.
 	Epoch float64
 	// Events is the total number of VM lifecycle events (arrivals +
 	// departures) to simulate; arrivals stop once half are spent.
 	Events int
-	// ArrivalsPerSec is the mean VM arrival rate (Poisson; 100/s if 0).
+	// ArrivalsPerSec is the mean VM arrival rate (Poisson; 100/s if 0; NaN
+	// is an error, +Inf puts every arrival at one instant).
 	ArrivalsPerSec float64
-	// MeanLifetime is the mean VM lifetime in seconds (exponential; 60 if 0).
+	// MeanLifetime is the mean VM lifetime in seconds (exponential; 60 if 0;
+	// NaN or ±Inf is an error).
 	MeanLifetime float64
 	// Seed derives the whole synthetic event stream (1 if 0).
 	Seed uint64
@@ -129,6 +134,16 @@ func (p *Params) defaults() error {
 	}
 	if len(p.Benches) == 0 {
 		return fmt.Errorf("fleet: no benchmarks")
+	}
+	// A NaN or infinite epoch or lifetime, or a NaN rate, would stall the
+	// epoch loop; an infinite rate is legal (every arrival at one instant).
+	switch {
+	case math.IsNaN(p.Epoch) || math.IsInf(p.Epoch, 0):
+		return fmt.Errorf("fleet: Epoch is %v, want a finite number", p.Epoch)
+	case math.IsNaN(p.MeanLifetime) || math.IsInf(p.MeanLifetime, 0):
+		return fmt.Errorf("fleet: MeanLifetime is %v, want a finite number", p.MeanLifetime)
+	case math.IsNaN(p.ArrivalsPerSec):
+		return fmt.Errorf("fleet: ArrivalsPerSec is NaN")
 	}
 	if p.Shards <= 0 {
 		p.Shards = 1
@@ -279,7 +294,7 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 		sh := f.shards[m%p.Shards]
 		sh.machines = append(sh.machines, m)
 	}
-	f.events = newEventStream(p.Seed, p.ArrivalsPerSec, p.MeanLifetime, p.Events, len(p.Benches))
+	f.events = newEventStream(p.Seed, p.ArrivalsPerSec, p.MeanLifetime, p.Epoch, p.Events, len(p.Benches))
 	return f, nil
 }
 
@@ -303,13 +318,16 @@ func (f *Fleet) objective(u econ.Utility, m econ.Market) econ.Objective {
 func (f *Fleet) Run() (*Report, error) {
 	epoch := 0
 	for !f.events.done() {
-		t0 := float64(epoch) * f.p.Epoch
-		t1 := t0 + f.p.Epoch
-		evs := f.events.take(t1)
-		epoch++
-		if len(evs) == 0 {
-			continue
+		// Jump straight to the epoch holding the next event: an empty epoch
+		// would take nothing and count nothing, so skipping it is exact,
+		// and Run costs O(events), not O(simulated time / Epoch).
+		due, _ := f.events.nextDue()
+		var err error
+		if epoch, err = f.epochAfter(epoch, due); err != nil {
+			return nil, err
 		}
+		evs := f.events.take(f.epochEnd(epoch))
+		epoch++
 		groups := f.groupBids(evs)
 		if err := f.priceGroups(groups); err != nil {
 			return nil, err
@@ -325,6 +343,34 @@ func (f *Fleet) Run() (*Report, error) {
 	}
 	f.finalize()
 	return &f.rep, nil
+}
+
+// epochEnd is where epoch e's batch stops: events strictly before it.
+func (f *Fleet) epochEnd(e int) float64 { return float64(e)*f.p.Epoch + f.p.Epoch }
+
+// maxEpoch bounds the epoch index so float64(e) stays exact and the event
+// calendar's bucket index int(t/Epoch) cannot overflow.
+const maxEpoch = 1 << 53
+
+// epochAfter returns the first epoch from e on whose end exceeds t: the first
+// one whose batch holds an event due at t. epochEnd is monotone in e, so a
+// guess from t/Epoch is corrected by a step or two either way.
+func (f *Fleet) epochAfter(e int, t float64) (int, error) {
+	if f.epochEnd(e) > t {
+		return e, nil
+	}
+	q := t / f.p.Epoch
+	if !(q < maxEpoch) {
+		return 0, fmt.Errorf("fleet: an event at t=%v lies beyond %d epochs of %v s", t, maxEpoch, f.p.Epoch)
+	}
+	g := max(e, int(q)-1)
+	for g > e && f.epochEnd(g-1) > t {
+		g--
+	}
+	for f.epochEnd(g) <= t {
+		g++
+	}
+	return g, nil
 }
 
 // groupBids collects the epoch's arrival bids into pricing groups in

@@ -225,7 +225,7 @@ func TestFleetRejectsWhenFull(t *testing.T) {
 // its parameters — identical replay, seed sensitivity, ordering, and counts.
 func TestEventStreamDeterministic(t *testing.T) {
 	gen := func(seed uint64) []event {
-		s := newEventStream(seed, 100, 1, 400, len(testBenches))
+		s := newEventStream(seed, 100, 1, 1, 400, len(testBenches))
 		var out []event
 		for i := 1.0; !s.done() && i < 1000; i++ {
 			out = append(out, s.take(i)...)
@@ -292,6 +292,40 @@ func TestParamValidation(t *testing.T) {
 	half.Market = econ.Market{BankCost: 0.1}
 	if _, err := New(half, SyntheticProber{}); err == nil {
 		t.Error("market with only BankCost accepted")
+	}
+	// Each of these once made Run spin forever.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		mod  func(*Params)
+	}{
+		{"NaN Epoch", func(p *Params) { p.Epoch = nan }},
+		{"+Inf Epoch", func(p *Params) { p.Epoch = inf }},
+		{"-Inf Epoch", func(p *Params) { p.Epoch = -inf }},
+		{"NaN MeanLifetime", func(p *Params) { p.MeanLifetime = nan }},
+		{"+Inf MeanLifetime", func(p *Params) { p.MeanLifetime = inf }},
+		{"-Inf MeanLifetime", func(p *Params) { p.MeanLifetime = -inf }},
+		{"NaN ArrivalsPerSec", func(p *Params) { p.ArrivalsPerSec = nan }},
+	} {
+		p := Params{Machines: 4, Benches: testBenches}
+		c.mod(&p)
+		if _, err := New(p, SyntheticProber{}); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// A finite lifetime whose departures lie beyond the epoch counter's
+	// range is an error from Run, not a stall.
+	far, err := New(Params{Machines: 4, Events: 4, MeanLifetime: 1e300, Benches: testBenches}, SyntheticProber{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := far.Run(); err == nil {
+		t.Error("departures beyond 2^53 epochs accepted")
+	}
+	// An infinite arrival rate stays legal: every arrival at one instant.
+	p := Params{Machines: 4, Events: 40, ArrivalsPerSec: inf, Benches: testBenches}
+	if rep := runFleet(t, p); rep.Placed+rep.Rejected != 20 {
+		t.Errorf("+Inf ArrivalsPerSec: %d arrivals, want 20", rep.Placed+rep.Rejected)
 	}
 }
 
