@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke distrib-smoke serve-smoke check
+.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -79,9 +79,19 @@ fleet-smoke:
 	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestCalendar' ./internal/fleet
 	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
 
+# A short coverage-guided run of the placement-index fuzz target: decoded
+# alloc/free sequences on small fleets must keep pick equal to the
+# brute-force reference and the bitset index, summary level included,
+# consistent. A failing input lands in internal/fleet/testdata/fuzz, where
+# plain `go test` replays it. Minimizing a new input is capped at 2 s, so a
+# large-fleet input cannot spend the whole window being minimized.
+fuzz-smoke:
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzPlacer$$' -fuzztime 15s -fuzzminimizetime 2s
+
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet
-# workload's scale (allocs/op must be 0 for both).
+# workload's scale (allocs/op must be 0 for both; TestPlacerAllocsZero and
+# TestDepartureQueueAllocsZero pin it under `make test`).
 bench-fleet:
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet2000x20000 -benchtime 5x
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkPlacer -benchtime 100000x
@@ -116,4 +126,4 @@ serve-smoke:
 	$(GO) test -count=1 ./cmd/sharingd
 	$(GO) run ./cmd/sharingd -loadtest -synthetic -duration 5s -clients 8 -min-rps 2000
 
-check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke distrib-smoke serve-smoke
+check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke

@@ -36,21 +36,43 @@ func (e *EnergyBreakdown) add(o *EnergyBreakdown) {
 	e.BankDynamicJ += o.BankDynamicJ
 }
 
-// machine is one chip's occupancy and energy state. All mutation happens on
-// the owning shard in (time, seq) order, so the accrual sequence — and with
-// it every float result — is independent of the shard count.
+// chipPower is the fleet's one chip power model: every machine is the same
+// chip (Params.ChipSlices, ChipBanks), so its static draw on and parked, and
+// the per-resource dynamic watts, are computed once per fleet instead of on
+// every accrual. Each field is computed by the same float operations, in the
+// same order, as evaluating the area model per accrual would, so the energy
+// integrals match it bit for bit (TestChipPowerMatchesAreaModel).
+type chipPower struct {
+	sliceOnW, bankOnW         float64 // static watts of a powered chip
+	sliceParkedW, bankParkedW float64 // static watts of a parked chip
+	sliceDynW, bankDynW       float64 // one Slice's / bank's dynamic watts at full activity
+}
+
+func newChipPower(chipSlices, chipBanks int) chipPower {
+	sliceOnW := float64(chipSlices) * area.SliceStaticW()
+	bankOnW := float64(chipBanks) * area.BankStaticW()
+	return chipPower{
+		sliceOnW:     sliceOnW,
+		bankOnW:      bankOnW,
+		sliceParkedW: sliceOnW * area.ParkedLeakFrac,
+		bankParkedW:  bankOnW * area.ParkedLeakFrac,
+		sliceDynW:    area.SliceDynamicW(),
+		bankDynW:     area.BankDynamicW(),
+	}
+}
+
+// machine is one chip's occupancy and energy state, exactly one 64-byte
+// cache line. All mutation happens on the owning shard in (time, seq) order,
+// so the accrual sequence — and with it every float result — is independent
+// of the shard count.
 type machine struct {
-	slices, banks int
-	vms           int
 	// Dynamic power of the resident VMs, by component.
 	dynSliceW, dynBankW float64
 	lastT               float64
 	energy              EnergyBreakdown
-	everUsed            bool
-}
-
-func (m *machine) init(slices, banks int) {
-	m.slices, m.banks = slices, banks
+	// vms is bounded by the chip's Slices: every VM rents at least one.
+	vms      int32
+	everUsed bool
 }
 
 // accrue integrates the current power draw over [lastT, t). The integral is
@@ -61,17 +83,15 @@ func (m *machine) init(slices, banks int) {
 // takes effect at lastT instead.
 //
 //ssim:hotpath
-func (m *machine) accrue(t float64) {
+func (m *machine) accrue(t float64, pw *chipPower) {
 	dt := t - m.lastT
 	if dt <= 0 {
 		return
 	}
-	sliceStaticW := float64(m.slices) * area.SliceStaticW()
-	bankStaticW := float64(m.banks) * area.BankStaticW()
+	sliceStaticW, bankStaticW := pw.sliceOnW, pw.bankOnW
 	if m.vms == 0 {
 		// Parked: the chip is power-gated down to a leakage floor.
-		sliceStaticW *= area.ParkedLeakFrac
-		bankStaticW *= area.ParkedLeakFrac
+		sliceStaticW, bankStaticW = pw.sliceParkedW, pw.bankParkedW
 	}
 	m.energy.SliceStaticJ += sliceStaticW * dt
 	m.energy.BankStaticJ += bankStaticW * dt
@@ -83,17 +103,17 @@ func (m *machine) accrue(t float64) {
 // vmDynamicW returns a leased VM's dynamic power split into Slice and bank
 // parts: per-resource switching power scaled by the VM's measured activity
 // factor (IPC against the rented Slices' peak).
-func vmDynamicW(l lease) (sliceW, bankW float64) {
+func vmDynamicW(l lease, pw *chipPower) (sliceW, bankW float64) {
 	a := area.Activity(l.perf, l.slices)
-	sliceW = float64(l.slices) * area.SliceDynamicW() * a
-	bankW = float64(l.banks) * area.BankDynamicW() * a
+	sliceW = float64(l.slices) * pw.sliceDynW * a
+	bankW = float64(l.banks) * pw.bankDynW * a
 	return sliceW, bankW
 }
 
 // admit settles energy to t and adds the VM's dynamic draw.
-func (m *machine) admit(t float64, l lease) {
-	m.accrue(t)
-	s, b := vmDynamicW(l)
+func (m *machine) admit(t float64, l lease, pw *chipPower) {
+	m.accrue(t, pw)
+	s, b := vmDynamicW(l, pw)
 	m.dynSliceW += s
 	m.dynBankW += b
 	m.vms++
@@ -101,9 +121,9 @@ func (m *machine) admit(t float64, l lease) {
 }
 
 // evict settles energy to t and removes the VM's dynamic draw.
-func (m *machine) evict(t float64, l lease) {
-	m.accrue(t)
-	s, b := vmDynamicW(l)
+func (m *machine) evict(t float64, l lease, pw *chipPower) {
+	m.accrue(t, pw)
+	s, b := vmDynamicW(l, pw)
 	m.dynSliceW -= s
 	m.dynBankW -= b
 	m.vms--

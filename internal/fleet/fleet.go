@@ -199,6 +199,7 @@ type Fleet struct {
 	cache  *market.SurfaceCache
 	shards []*shard
 	mach   []machine
+	power  chipPower
 	place  *placer
 
 	// Pricing tables indexed by groupKey: warm holds each group's last
@@ -211,7 +212,6 @@ type Fleet struct {
 
 	events *eventStream
 	groups []pricingGroup // groupBids' batch, reused across epochs
-	ops    []machineOp    // placeEvents' batch, reused across epochs
 	prices econ.Market
 
 	rep Report
@@ -230,7 +230,8 @@ type shard struct {
 	engine *market.Engine
 	// machines this shard owns (machine ID m belongs to shard m % Shards).
 	machines []int
-	// scratch: per-epoch apply queue, indexed per machine at the barrier.
+	// ops is the epoch's apply queue, filed by the placement barrier in
+	// (time, seq) order and reused across epochs.
 	ops []machineOp
 	// energy totals for Report.PerShard, summed in within-shard machine
 	// order at finalize.
@@ -266,6 +267,7 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 		p:      p,
 		cache:  cache,
 		mach:   make([]machine, p.Machines),
+		power:  newChipPower(p.ChipSlices, p.ChipBanks),
 		names:  names,
 		rank:   rank,
 		warm:   make([]econ.Config, len(names)*utilityExps),
@@ -273,9 +275,6 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 		prices: p.Market,
 	}
 	f.place = newPlacer(p.Machines, p.ChipSlices, p.ChipBanks, p.Place)
-	for i := range f.mach {
-		f.mach[i].init(p.ChipSlices, p.ChipBanks)
-	}
 	f.shards = make([]*shard, p.Shards)
 	for s := range f.shards {
 		e, err := market.New(market.Params{
@@ -332,10 +331,8 @@ func (f *Fleet) Run() (*Report, error) {
 		if err := f.priceGroups(groups); err != nil {
 			return nil, err
 		}
-		ops := f.placeEvents(evs, groups)
-		if err := f.applyOps(ops); err != nil {
-			return nil, err
-		}
+		f.placeEvents(evs, groups)
+		f.applyOps()
 		if f.p.AdaptivePrices {
 			f.adjustPrices()
 		}
@@ -446,20 +443,24 @@ func (f *Fleet) priceGroups(groups []pricingGroup) error {
 }
 
 // placeEvents runs the sequential placement barrier: events in (time, seq)
-// order against global machine capacity, emitting per-machine ops for the
-// parallel apply phase. Only integer capacity bookkeeping happens here; the
-// float energy integrals run shard-parallel in applyOps. Only a placed
+// order against global machine capacity, filing each machine op straight
+// into its owning shard's queue for the parallel apply phase, so every queue
+// is in (time, seq) order. Only integer capacity bookkeeping happens here;
+// the float energy integrals run shard-parallel in applyOps. Only a placed
 // arrival schedules a departure, and the departure carries its lease back.
 //
 //ssim:hotpath
-func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) []machineOp {
-	ops := f.ops[:0]
+func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) {
+	for _, sh := range f.shards {
+		sh.ops = sh.ops[:0]
+	}
 	for i := range evs {
 		ev := &evs[i]
 		if !ev.arrive {
 			f.place.free(ev.lease)
 			f.rep.Departed++
-			ops = append(ops, machineOp{t: ev.t, lease: ev.lease})
+			sh := f.shards[ev.lease.machine%len(f.shards)]
+			sh.ops = append(sh.ops, machineOp{t: ev.t, lease: ev.lease})
 			continue
 		}
 		g := &groups[f.slot[f.groupKey(ev)]]
@@ -474,25 +475,17 @@ func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) []machineOp {
 		f.events.scheduleDeparture(ev.depart, l)
 		f.rep.Placed++
 		f.rep.UtilityAdmitted += g.bid.Utility
-		ops = append(ops, machineOp{t: ev.t, lease: l, arrive: true})
+		sh := f.shards[m%len(f.shards)]
+		sh.ops = append(sh.ops, machineOp{t: ev.t, lease: l, arrive: true})
 	}
-	f.ops = ops
-	return ops
 }
 
-// applyOps distributes the barrier's ops to their owning shards and applies
-// them in parallel: every op touches exactly one machine, machines belong to
-// exactly one shard, and each shard applies its ops in the barrier's
-// (time, seq) order — so the parallel apply is trivially deterministic.
-// Untouched machines are not visited at all (idle fast-forward).
-func (f *Fleet) applyOps(ops []machineOp) error {
-	for s := range f.shards {
-		f.shards[s].ops = f.shards[s].ops[:0]
-	}
-	for _, op := range ops {
-		sh := f.shards[op.lease.machine%len(f.shards)]
-		sh.ops = append(sh.ops, op)
-	}
+// applyOps applies the barrier's per-shard queues in parallel: every op
+// touches exactly one machine, machines belong to exactly one shard, and
+// each shard applies its ops in the barrier's (time, seq) order — so the
+// parallel apply is trivially deterministic. Untouched machines are not
+// visited at all (idle fast-forward).
+func (f *Fleet) applyOps() {
 	var wg sync.WaitGroup
 	for s := range f.shards {
 		sh := f.shards[s]
@@ -505,15 +498,14 @@ func (f *Fleet) applyOps(ops []machineOp) error {
 			for _, op := range sh.ops {
 				m := &f.mach[op.lease.machine]
 				if op.arrive {
-					m.admit(op.t, op.lease)
+					m.admit(op.t, op.lease, &f.power)
 				} else {
-					m.evict(op.t, op.lease)
+					m.evict(op.t, op.lease, &f.power)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return nil
 }
 
 // adjustPrices ratchets the fleet price vector by utilization excess over a
@@ -553,7 +545,7 @@ func (f *Fleet) finalize() {
 		go func() {
 			defer wg.Done()
 			for _, mi := range sh.machines {
-				f.mach[mi].accrue(end)
+				f.mach[mi].accrue(end, &f.power)
 			}
 			var e EnergyBreakdown
 			for _, mi := range sh.machines {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"sharing/internal/area"
 	"sharing/internal/econ"
@@ -77,11 +78,11 @@ func TestFleetDeterminismAcrossShards(t *testing.T) {
 // integral of the area power model to float precision.
 func TestMachineEnergyHandComputed(t *testing.T) {
 	var m machine
-	m.init(64, 128)
+	pw := newChipPower(64, 128)
 	l := lease{slices: 4, banks: 4, perf: 2.0} // 256 KB = 4 banks; activity 2.0/(4*1) = 0.5
-	m.admit(10, l)
-	m.evict(20, l)
-	m.accrue(30)
+	m.admit(10, l, &pw)
+	m.evict(20, l, &pw)
+	m.accrue(30, &pw)
 
 	ssW := 64 * area.SliceStaticW() // chip Slice leakage when on
 	bsW := 128 * area.BankStaticW()
@@ -118,14 +119,14 @@ func TestMachineEnergyHandComputed(t *testing.T) {
 // accrual.
 func TestMachineEnergyMonotonicAccrual(t *testing.T) {
 	var m machine
-	m.init(64, 128)
+	pw := newChipPower(64, 128)
 	l := lease{slices: 4, banks: 4, perf: 2.0}
-	m.admit(10, l)
-	m.evict(5, l) // backward: true departure predates the admit touch
+	m.admit(10, l, &pw)
+	m.evict(5, l, &pw) // backward: true departure predates the admit touch
 	if m.lastT != 10 {
 		t.Fatalf("lastT rewound to %v, want 10", m.lastT)
 	}
-	m.accrue(30)
+	m.accrue(30, &pw)
 
 	// The whole run must integrate exactly 30 s at the parked floor: [0, 10)
 	// parked before the admit, and — since the backward evict takes effect at
@@ -143,6 +144,44 @@ func TestMachineEnergyMonotonicAccrual(t *testing.T) {
 	if m.energy.SliceDynamicJ != 0 || m.energy.BankDynamicJ != 0 {
 		t.Errorf("dynamic energy %v/%v J over a zero-length residency, want 0",
 			m.energy.SliceDynamicJ, m.energy.BankDynamicJ)
+	}
+}
+
+// TestChipPowerMatchesAreaModel pins the precomputed power constants to the
+// per-call area-model expressions they replace, bit for bit: chipPower's
+// static watts are float64(chip size) * per-unit leakage, then (parked)
+// * ParkedLeakFrac, and vmDynamicW is slices * per-Slice dynamic watts *
+// activity, in that evaluation order. Equal operands in the same order give
+// equal results, so hoisting them keeps every energy integral — and every
+// fingerprint — byte-identical. It also pins machine at one 64-byte line.
+func TestChipPowerMatchesAreaModel(t *testing.T) {
+	same := func(name string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s = %v (%#x), area model %v (%#x)", name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, chip := range [][2]int{{64, 128}, {8, 16}, {1, 1}, {7, 3}} {
+		pw := newChipPower(chip[0], chip[1])
+		sliceW := float64(chip[0]) * area.SliceStaticW()
+		bankW := float64(chip[1]) * area.BankStaticW()
+		same("sliceOnW", pw.sliceOnW, sliceW)
+		same("bankOnW", pw.bankOnW, bankW)
+		sliceW *= area.ParkedLeakFrac
+		bankW *= area.ParkedLeakFrac
+		same("sliceParkedW", pw.sliceParkedW, sliceW)
+		same("bankParkedW", pw.bankParkedW, bankW)
+		same("sliceDynW", pw.sliceDynW, area.SliceDynamicW())
+		same("bankDynW", pw.bankDynW, area.BankDynamicW())
+		for _, l := range []lease{{slices: 4, banks: 4, perf: 2.0}, {slices: 1, perf: 0.37}, {slices: 8, banks: 32, perf: 9.1}, {slices: 3, banks: 7, perf: 1e-3}} {
+			a := area.Activity(l.perf, l.slices)
+			s, b := vmDynamicW(l, &pw)
+			same("vmDynamicW slice", s, float64(l.slices)*area.SliceDynamicW()*a)
+			same("vmDynamicW bank", b, float64(l.banks)*area.BankDynamicW()*a)
+		}
+	}
+	if size := unsafe.Sizeof(machine{}); size != 64 {
+		t.Errorf("machine is %d bytes, want one 64-byte cache line", size)
 	}
 }
 
