@@ -71,22 +71,27 @@ market-smoke:
 
 # Fleet determinism differential (1 vs 2/4/8 shards, byte-identical
 # fingerprints under every policy combination), the golden fingerprint pins,
-# the hand-computed energy pin and the departure calendar's differential
-# against a sort-everything reference, under the race detector, then an
+# the hand-computed energy pin, the event record's layout pin and the
+# departure calendar's differential against a sort-everything reference,
+# under the race detector, then an
 # acceptance-scale synthetic run through the CLI: 2,000 machines / 20,000 VM
 # lifecycle events.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestCalendar' ./internal/fleet
+	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestEventLayout|TestCalendar' ./internal/fleet
 	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
 
-# A short coverage-guided run of the placement-index fuzz target: decoded
-# alloc/free sequences on small fleets must keep pick equal to the
-# brute-force reference and the bitset index, summary level included,
-# consistent. A failing input lands in internal/fleet/testdata/fuzz, where
-# plain `go test` replays it. Minimizing a new input is capped at 2 s, so a
-# large-fleet input cannot spend the whole window being minimized.
+# Short coverage-guided runs of the fleet's fuzz targets, one per line since
+# -fuzz takes a single target. FuzzPlacer: decoded alloc/free sequences on
+# small fleets must keep pick equal to the brute-force reference and the
+# bitset index, summary level included, consistent. FuzzEventStream:
+# decoded departure schedules and takes must keep the event stream's
+# batches equal to the sort-everything reference's. A failing input lands in
+# internal/fleet/testdata/fuzz, where plain `go test` replays it. Minimizing
+# a new input is capped at 2 s, so a large input cannot spend the whole
+# window being minimized.
 fuzz-smoke:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzPlacer$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet

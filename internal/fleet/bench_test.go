@@ -73,7 +73,7 @@ func newDepartureChurn() *departureChurn {
 func (c *departureChurn) step() {
 	c.now += 1 / churnRate
 	c.h++
-	c.s.scheduleDeparture(c.now-math.Log(unit(splitmix64(c.h)))*churnLife, lease{machine: int(c.h % 20000)})
+	c.s.scheduleDeparture(c.now-math.Log(unit(splitmix64(c.h)))*churnLife, lease{machine: int32(c.h % 20000)})
 	c.s.take(c.now)
 }
 
@@ -144,7 +144,7 @@ func (c *placerChurn) place() lease {
 	if m < 0 {
 		return lease{machine: -1}
 	}
-	l := lease{machine: m, slices: slices, banks: banks}
+	l := newLease(m, slices, banks, 0)
 	c.p.alloc(l)
 	return l
 }

@@ -9,7 +9,7 @@ import (
 // (Brown, CACM 1988). Bucket b holds the departures with int(t/w) == b,
 // where w is the epoch length. A push appends to its bucket in O(1); the
 // first time the stream needs a bucket it sorts it by (t, seq) in linear
-// expected time (sortDepartures) and hands it out in order.
+// expected time (sortList) and hands it out in order.
 //
 // Concatenating the sorted buckets in index order gives exactly the (t, seq)
 // order: correctly rounded division is monotone, so t < t' implies
@@ -35,9 +35,11 @@ import (
 // finely a caller slices time, run never gets ahead of the stream and the
 // early path stays the exception.
 //
-// Departures are stored in fixed-size, pointer-free chunks recycled through
-// a free list, and the sorts work in reused buffers: once the pending
-// population peaks, pushing and taking allocate nothing.
+// Departures are stored as events in fixed-size, pointer-free chunks
+// recycled through a free list. A bucket is sorted straight out of its
+// chunks into a reused buffer, and a read copies due departures out as
+// they are: once the pending population peaks, pushing and taking allocate
+// nothing.
 type calendar struct {
 	w    float64 // bucket width: the epoch length
 	head int     // last bucket absorbed into run (-1 before the first)
@@ -52,29 +54,30 @@ type calendar struct {
 	far   sorted                   // beyond the ring, sorted
 
 	slab   []*chunk
-	link   []int       // link[k]: the chunk after slab[k] in its list
-	free   []int       // indices of unused chunks in slab
-	spare  []departure // merge's input, gathered from a list
-	added  []departure // merge's input, sorted
-	counts []int       // sort sub-bucket offsets
+	link   []int   // link[k]: the chunk after slab[k] in its list
+	free   []int   // indices of unused chunks in slab
+	added  []event // merge's input, sorted
+	counts []int   // sort sub-bucket offsets
 }
 
 const (
 	ringBuckets = 1024 // a power of two, so a bucket's slot is a mask
-	chunkCap    = 128  // departures per chunk: 6 KB
+	chunkCap    = 128  // departures per chunk: 4 KB
 )
 
-// chunk is a fixed-size, pointer-free block of departures: exactly 6 KB, a
-// Go size class, so the GC neither scans nor pads it.
-type chunk [chunkCap]departure
+// chunk is a fixed-size, pointer-free block of departures: exactly 4 KB, a
+// Go size class, so the GC neither scans nor pads it (TestEventLayout).
+type chunk [chunkCap]event
 
-// list is a FIFO of departures in chunks, with its (t, seq)-earliest entry.
+// list is a FIFO of departures in chunks, with its (t, seq)-earliest entry
+// and its latest time.
 type list struct {
 	first, last int // slab indices; meaningless while n == 0
 	fill        int // departures in the last chunk
 	n           int
 	minT        float64
 	minSeq      int
+	maxT        float64
 }
 
 // before reports whether the list's earliest departure precedes (t, seq).
@@ -82,18 +85,21 @@ func (l *list) before(t float64, seq int) bool { return precedes(l.minT, l.minSe
 
 // sorted is a run of departures in (t, seq) order, read from pos.
 type sorted struct {
-	d   []departure
+	d   []event
 	pos int
 }
 
 func (s *sorted) empty() bool { return s.pos == len(s.d) }
+
+// head is the next departure to read; s must not be empty.
+func (s *sorted) head() *event { return &s.d[s.pos] }
 
 func newCalendar(w float64) calendar { return calendar{w: w, head: -1} }
 
 // push schedules d.
 //
 //ssim:hotpath
-func (c *calendar) push(d departure) {
+func (c *calendar) push(d event) {
 	c.n++
 	c.place(d)
 }
@@ -103,7 +109,7 @@ func (c *calendar) push(d departure) {
 // integer conversion.
 //
 //ssim:hotpath
-func (c *calendar) place(d departure) {
+func (c *calendar) place(d event) {
 	q := d.t / c.w
 	switch {
 	case q < float64(c.head+1):
@@ -120,7 +126,7 @@ func (c *calendar) place(d departure) {
 // append adds d at the tail of l.
 //
 //ssim:hotpath
-func (c *calendar) append(l *list, d departure) {
+func (c *calendar) append(l *list, d event) {
 	if l.n == 0 || l.fill == chunkCap {
 		k := c.chunk()
 		if l.n == 0 {
@@ -132,8 +138,12 @@ func (c *calendar) append(l *list, d departure) {
 	}
 	c.slab[l.last][l.fill] = d
 	l.fill++
-	if l.n == 0 || d.before(l.minT, l.minSeq) {
+	if l.n == 0 {
+		l.minT, l.minSeq, l.maxT = d.t, d.seq, d.t
+	} else if d.before(l.minT, l.minSeq) {
 		l.minT, l.minSeq = d.t, d.seq
+	} else {
+		l.maxT = max(l.maxT, d.t)
 	}
 	l.n++
 }
@@ -156,50 +166,59 @@ func (c *calendar) refill() int {
 	return len(c.slab) - 1
 }
 
-// next returns the earliest pending departure if it precedes (t, seq), and
-// nil otherwise. It absorbs a bucket only when that bucket's earliest
-// departure precedes (t, seq), so it never sorts a bucket that is not due.
+// popBefore appends to out, in order, every pending departure that
+// precedes (t, seq), and returns out. It absorbs a bucket only when that
+// bucket's earliest departure precedes (t, seq), so it never sorts a bucket
+// that is not due. While late is empty, run's due prefix goes out in one
+// copy.
 //
 //ssim:hotpath
-func (c *calendar) next(t float64, seq int) *departure {
+func (c *calendar) popBefore(out []event, t float64, seq int) []event {
 	if c.early.n > 0 {
 		c.merge(&c.late, &c.early)
 	}
-	if c.run.empty() && c.late.empty() && !c.advance(t, seq) {
-		return nil
+	for {
+		if c.run.empty() && c.late.empty() && !c.advance(t, seq) {
+			return out
+		}
+		if c.late.empty() {
+			r := c.run.d[c.run.pos:]
+			i := 0
+			for i < len(r) && r[i].before(t, seq) {
+				i++
+			}
+			out = append(out, r[:i]...)
+			c.run.pos += i
+			c.n -= i
+			if i < len(r) {
+				return out
+			}
+			continue
+		}
+		s := c.first()
+		if !s.head().before(t, seq) {
+			return out
+		}
+		out = append(out, *s.head())
+		s.pos++
+		c.n--
 	}
-	if d := c.first(); d.before(t, seq) {
-		return d
-	}
-	return nil
 }
 
-// first returns the earlier of run's and late's heads; one is non-empty.
+// first returns whichever of run and late holds the earlier head; one of
+// them is non-empty.
 //
 //ssim:hotpath
-func (c *calendar) first() *departure {
+func (c *calendar) first() *sorted {
 	if c.late.empty() {
-		return &c.run.d[c.run.pos]
+		return &c.run
 	}
-	l := &c.late.d[c.late.pos]
 	if !c.run.empty() {
-		if r := &c.run.d[c.run.pos]; r.before(l.t, l.seq) {
-			return r
+		if l := c.late.head(); c.run.head().before(l.t, l.seq) {
+			return &c.run
 		}
 	}
-	return l
-}
-
-// pop removes the departure next returned.
-//
-//ssim:hotpath
-func (c *calendar) pop() {
-	if d := c.first(); !c.run.empty() && d == &c.run.d[c.run.pos] {
-		c.run.pos++
-	} else {
-		c.late.pos++
-	}
-	c.n--
+	return &c.late
 }
 
 // advance, called once run and late are exhausted, absorbs the first
@@ -252,7 +271,7 @@ func (c *calendar) firstBucket() (int, bool) {
 func (c *calendar) beyond() (float64, int, bool) {
 	t, seq, ok := c.over.minT, c.over.minSeq, c.over.n > 0
 	if !c.far.empty() {
-		if d := &c.far.d[c.far.pos]; !ok || d.before(t, seq) {
+		if d := c.far.head(); !ok || d.before(t, seq) {
 			t, seq, ok = d.t, d.seq, true
 		}
 	}
@@ -267,8 +286,8 @@ func (c *calendar) rebucket() {
 	if c.over.n > 0 && c.over.minT/c.w < lim {
 		c.merge(&c.far, &c.over)
 	}
-	for ; !c.far.empty() && c.far.d[c.far.pos].t/c.w < lim; c.far.pos++ {
-		c.place(c.far.d[c.far.pos])
+	for ; !c.far.empty() && c.far.head().t/c.w < lim; c.far.pos++ {
+		c.place(*c.far.head())
 	}
 }
 
@@ -280,22 +299,11 @@ func (c *calendar) rebucket() {
 //
 //ssim:hotpath
 func (c *calendar) merge(s *sorted, l *list) {
-	in := c.spare[:0]
-	k := l.first
-	for left := l.n; left > 0; {
-		m := min(left, chunkCap)
-		in = append(in, c.slab[k][:m]...)
-		left -= m
-		c.free = append(c.free, k)
-		k = c.link[k]
-	}
-	*l = list{}
-	c.spare = in
 	if s.empty() {
-		s.d, s.pos = c.sortDepartures(s.d[:0], in), 0
+		s.d, s.pos = c.sortList(s.d[:0], l), 0
 		return
 	}
-	add := c.sortDepartures(c.added[:0], in)
+	add := c.sortList(c.added[:0], l)
 	c.added = add
 	n := copy(s.d, s.d[s.pos:])
 	s.d, s.pos = append(s.d[:n], add...), 0
@@ -311,47 +319,51 @@ func (c *calendar) merge(s *sorted, l *list) {
 	}
 }
 
-// sortDepartures returns src in (t, seq) order, in dst's storage: one
-// distribution pass into len(src) sub-buckets spanning [min t, max t], then
-// an insertion sort within each sub-bucket. The sub-bucket index is
-// monotone in t, for the same reason bucket order is, so sorting within
-// sub-buckets sorts the whole. Departure times are arrival times plus
-// exponential lifetimes, spread smoothly over a bucket, so a sub-bucket
-// holds O(1) departures on average and the sort is linear in expectation.
-// Departures sharing one time arrive in seq order, which insertion sort
-// passes over in one comparison each.
+// sortList empties l into dst's storage in (t, seq) order and returns it,
+// reading l's chunks in place and returning them to the free list. One pass
+// counts the departures into l.n sub-buckets spanning [l.minT, l.maxT] (one
+// sub-bucket when that span is too narrow to divide), a second distributes
+// them, and an insertion sort orders each sub-bucket.
+// The sub-bucket index is monotone in t, for the same reason bucket order
+// is, so sorting within sub-buckets sorts the whole. Departure times are
+// arrival times plus exponential lifetimes, spread smoothly over a bucket,
+// so a sub-bucket holds O(1) departures on average and the sort is linear
+// in expectation. Departures sharing one time arrive in seq order, which
+// insertion sort passes over in one comparison each.
 //
 //ssim:hotpath
-func (c *calendar) sortDepartures(dst, src []departure) []departure {
-	dst = append(dst[:0], src...)
-	n := len(src)
-	if n < 2 {
-		return dst
-	}
-	lo, hi := src[0].t, src[0].t
-	for i := range src {
-		lo, hi = min(lo, src[i].t), max(hi, src[i].t)
-	}
-	scale := float64(n) / (hi - lo)
+func (c *calendar) sortList(dst []event, l *list) []event {
+	n := l.n
+	lo, scale := l.minT, float64(n)/(l.maxT-l.minT)
 	if !(scale <= math.MaxFloat64) { // every t equal, or too close to spread
-		insertionSort(dst)
-		return dst
+		scale = 0 // one sub-bucket: insertion sort alone
 	}
 	cnt := c.counts[:0]
 	for range n + 1 {
 		cnt = append(cnt, 0)
 	}
-	for i := range src {
-		cnt[min(int((src[i].t-lo)*scale), n-1)+1]++
+	for k, left := l.first, n; left > 0; k, left = c.link[k], left-chunkCap {
+		for _, d := range c.slab[k][:min(left, chunkCap)] {
+			cnt[min(int((d.t-lo)*scale), n-1)+1]++
+		}
 	}
 	for j := 1; j <= n; j++ {
 		cnt[j] += cnt[j-1] // cnt[j]: where sub-bucket j starts
 	}
-	for i := range src {
-		j := min(int((src[i].t-lo)*scale), n-1)
-		dst[cnt[j]] = src[i]
-		cnt[j]++ // ends as where sub-bucket j stops
+	dst = dst[:cap(dst)]
+	for len(dst) < n { // grows only while buckets reach a new peak size
+		dst = append(dst, event{})
 	}
+	dst = dst[:n]
+	for k, left := l.first, n; left > 0; k, left = c.link[k], left-chunkCap {
+		for _, d := range c.slab[k][:min(left, chunkCap)] {
+			j := min(int((d.t-lo)*scale), n-1)
+			dst[cnt[j]] = d
+			cnt[j]++ // ends as where sub-bucket j stops
+		}
+		c.free = append(c.free, k)
+	}
+	*l = list{}
 	start := 0
 	for _, end := range cnt[:n] {
 		if end-start > 1 {
@@ -366,7 +378,7 @@ func (c *calendar) sortDepartures(dst, src []departure) []departure {
 // insertionSort sorts r by (t, seq).
 //
 //ssim:hotpath
-func insertionSort(r []departure) {
+func insertionSort(r []event) {
 	for i := 1; i < len(r); i++ {
 		d := r[i]
 		j := i
@@ -382,7 +394,7 @@ func insertionSort(r []departure) {
 func (c *calendar) earliest() (float64, bool) {
 	t, ok := math.Inf(1), false
 	if !c.run.empty() || !c.late.empty() {
-		t, ok = c.first().t, true
+		t, ok = c.first().head().t, true
 	}
 	if c.early.n > 0 {
 		t, ok = min(t, c.early.minT), true

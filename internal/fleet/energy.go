@@ -104,7 +104,7 @@ func (m *machine) accrue(t float64, pw *chipPower) {
 // parts: per-resource switching power scaled by the VM's measured activity
 // factor (IPC against the rented Slices' peak).
 func vmDynamicW(l lease, pw *chipPower) (sliceW, bankW float64) {
-	a := area.Activity(l.perf, l.slices)
+	a := area.Activity(l.perf, int(l.slices))
 	sliceW = float64(l.slices) * pw.sliceDynW * a
 	bankW = float64(l.banks) * pw.bankDynW * a
 	return sliceW, bankW

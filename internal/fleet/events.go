@@ -9,26 +9,67 @@ import "math"
 // reason: no math/rand, no global state, so the stream is a pure function of
 // Params and identical across shard counts, platforms, and replays.
 
-// event is one VM lifecycle event in the global (time, seq) total order.
+// event is one VM lifecycle event in the global (time, seq) total order: a
+// pointer-free 32-byte record (TestEventLayout). The calendar's chunks,
+// take's batch and each shard's apply queue all hold it unchanged, so a due
+// departure reaches the barrier as one 32-byte copy.
+//
+// lease is the 16-byte payload. A departure carries the lease it releases.
+// An arrival carries its draw (see arrival), and an admission in an apply
+// queue the lease it takes; both complement the machine field, so a
+// negative machine marks an arriving VM wherever the record is.
 type event struct {
-	t      float64
-	seq    int
-	arrive bool
-	// Arrival-only payload.
-	bench  int     // position in Params.Benches
-	k      int     // utility exponent, 1..utilityExps
-	depart float64 // absolute departure time, if the VM places
-	lease  lease   // departure-only: what the VM held
+	t     float64
+	seq   int
+	lease lease
+}
+
+// arrival builds an arrival's record: ^bench in machine, the utility
+// exponent in slices, the absolute departure time (if the VM places) in
+// perf.
+func arrival(t float64, seq int, bench int32, k uint16, depart float64) event {
+	return event{t: t, seq: seq, lease: lease{machine: ^bench, slices: k, perf: depart}}
+}
+
+// admission is an apply queue's record of arrival a, placed as l.
+func admission(a *event, l lease) event {
+	l.machine = ^l.machine
+	return event{t: a.t, seq: a.seq, lease: l}
+}
+
+func (e *event) arrive() bool                   { return e.lease.machine < 0 }
+func (e *event) bench() int                     { return int(^e.lease.machine) } // position in Params.Benches
+func (e *event) k() int                         { return int(e.lease.slices) }   // utility exponent, 1..utilityExps
+func (e *event) depart() float64                { return e.lease.perf }
+func (e *event) before(t float64, seq int) bool { return precedes(e.t, e.seq, t, seq) }
+
+// precedes is the (time, seq) order: whether (t0, seq0) comes before (t, seq).
+func precedes(t0 float64, seq0 int, t float64, seq int) bool {
+	return t0 < t || (t0 == t && seq0 < seq)
 }
 
 // utilityExps is the number of utility exponents bids draw from.
 const utilityExps = 3
 
-// lease is what a placed VM holds on its machine: all its departure needs.
-// Pointer-free, so the GC never scans the departure calendar that carries it.
+// lease is what a placed VM holds on its machine: all its departure needs,
+// in 16 pointer-free bytes. Params validation keeps machine IDs within int32
+// and a chip's Slices and banks within uint16.
 type lease struct {
-	machine, slices, banks int
-	perf                   float64 // measured IPC at the leased config
+	machine       int32
+	slices, banks uint16
+	perf          float64 // measured IPC at the leased config
+}
+
+// newLease narrows a placement into a lease. Params.defaults bounds machine
+// IDs by math.MaxInt32 and chip sizes by math.MaxUint16, and a placed VCore
+// fits its chip, so the masks never drop a bit.
+func newLease(machine, slices, banks int, perf float64) lease {
+	return lease{
+		machine: int32(machine & math.MaxInt32),
+		slices:  uint16(slices & math.MaxUint16),
+		banks:   uint16(banks & math.MaxUint16),
+		perf:    perf,
+	}
 }
 
 // splitmix64 is the SplitMix64 finalizer (see internal/sim/sample.go).
@@ -96,9 +137,9 @@ func (s *eventStream) lifetime(i int) float64 {
 }
 
 // shape draws arrival i's benchmark index and utility exponent.
-func (s *eventStream) shape(i int) (int, int) {
+func (s *eventStream) shape(i int) (int32, uint16) {
 	h := splitmix64(s.seed + 0x9e3779b97f4a7c15*uint64(i+1))
-	return int(h % uint64(s.benches)), 1 + int((h>>32)%utilityExps)
+	return int32(h % uint64(s.benches)), uint16(1 + (h>>32)%utilityExps)
 }
 
 // take returns all events due strictly before t1, in (time, seq) order. The
@@ -108,36 +149,21 @@ func (s *eventStream) take(t1 float64) []event {
 	for s.arrivals > 0 && s.nextAt < t1 {
 		// Departures ordered before this arrival go first. Their seqs were
 		// assigned at earlier barriers, so on an exact time tie they win.
-		out = s.departuresBefore(out, s.nextAt, s.seq)
+		out = s.pending.popBefore(out, s.nextAt, s.seq)
 		i := s.nextIdx
 		bench, k := s.shape(i)
-		out = append(out, event{
-			t: s.nextAt, seq: s.seq, arrive: true,
-			bench: bench, k: k, depart: s.nextAt + s.lifetime(i),
-		})
+		out = append(out, arrival(s.nextAt, s.seq, bench, k, s.nextAt+s.lifetime(i)))
 		s.seq++
 		s.arrivals--
 		s.nextIdx++
 		s.nextAt += s.interarrival(s.nextIdx)
 	}
 	// Every seq is >= 0, so (t1, 0) admits exactly the departures before t1.
-	out = s.departuresBefore(out, t1, 0)
+	out = s.pending.popBefore(out, t1, 0)
 	if n := len(out); n > 0 && out[n-1].t > s.maxT {
 		s.maxT = out[n-1].t
 	}
 	s.out = out
-	return out
-}
-
-// departuresBefore appends, in order, the pending departures that precede
-// (t, seq).
-//
-//ssim:hotpath
-func (s *eventStream) departuresBefore(out []event, t float64, seq int) []event {
-	for d := s.pending.next(t, seq); d != nil; d = s.pending.next(t, seq) {
-		out = append(out, d.event())
-		s.pending.pop()
-	}
 	return out
 }
 
@@ -146,7 +172,7 @@ func (s *eventStream) departuresBefore(out []event, t float64, seq int) []event 
 //
 //ssim:hotpath
 func (s *eventStream) scheduleDeparture(at float64, l lease) {
-	s.pending.push(departure{t: at, seq: s.seq, lease: l})
+	s.pending.push(event{t: at, seq: s.seq, lease: l})
 	s.seq++
 }
 
@@ -165,20 +191,3 @@ func (s *eventStream) done() bool { return s.arrivals == 0 && s.pending.n == 0 }
 
 // end is the simulated end of the run: the latest event time delivered.
 func (s *eventStream) end() float64 { return s.maxT }
-
-// departure is a scheduled departure as the calendar holds it.
-type departure struct {
-	t     float64
-	seq   int
-	lease lease
-}
-
-// before reports whether d precedes the event at (t, seq).
-func (d *departure) before(t float64, seq int) bool { return precedes(d.t, d.seq, t, seq) }
-
-// precedes is the (time, seq) order: whether (t0, seq0) comes before (t, seq).
-func precedes(t0 float64, seq0 int, t float64, seq int) bool {
-	return t0 < t || (t0 == t && seq0 < seq)
-}
-
-func (d departure) event() event { return event{t: d.t, seq: d.seq, lease: d.lease} }

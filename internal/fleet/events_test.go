@@ -22,8 +22,8 @@ func checkBatch(t *testing.T, batch []event, seen map[int]int) {
 					i, ev.t, ev.seq, prev.t, prev.seq)
 			}
 		}
-		if !ev.arrive {
-			seen[ev.lease.machine]++
+		if !ev.arrive() {
+			seen[int(ev.lease.machine)]++
 		}
 	}
 }
@@ -49,7 +49,7 @@ func TestEventStreamTakeOrder(t *testing.T) {
 		batch := s.take(t1)
 		checkBatch(t, batch, seen)
 		for _, ev := range batch {
-			if !ev.arrive {
+			if !ev.arrive() {
 				continue
 			}
 			var at float64
@@ -61,9 +61,9 @@ func TestEventStreamTakeOrder(t *testing.T) {
 			case r < 0.5:
 				at = ev.t - rnd() // already due: delivered next batch
 			default:
-				at = ev.depart
+				at = ev.depart()
 			}
-			s.scheduleDeparture(at, lease{machine: scheduled})
+			s.scheduleDeparture(at, lease{machine: int32(scheduled)})
 			scheduled++
 			lastDepart = at
 		}
@@ -87,7 +87,7 @@ func TestEventStreamZeroGapTies(t *testing.T) {
 	at := s.nextAt
 	times := []float64{at + 0.5, at, at - 1, at, at + 0.25, at - 1}
 	for i, d := range times {
-		s.scheduleDeparture(d, lease{machine: 1000 + i})
+		s.scheduleDeparture(d, lease{machine: int32(1000 + i)})
 	}
 	seen := map[int]int{}
 	batch := s.take(at + 1)
@@ -100,14 +100,14 @@ func TestEventStreamZeroGapTies(t *testing.T) {
 	// arrivals, then 1004 and 1000.
 	var order []int
 	for _, ev := range batch {
-		if ev.arrive {
+		if ev.arrive() {
 			if ev.t != at {
 				t.Fatalf("arrival at %v, want every arrival at %v", ev.t, at)
 			}
 			order = append(order, -1)
 			continue
 		}
-		order = append(order, ev.lease.machine)
+		order = append(order, int(ev.lease.machine))
 	}
 	want := []int{1002, 1005, 1001, 1003}
 	for i := 0; i < 20; i++ {
@@ -133,7 +133,7 @@ type refStream struct {
 	nextIdx  int
 	nextAt   float64
 	seq      int
-	pending  []departure
+	pending  []event
 }
 
 func newRefStream(s *eventStream) *refStream {
@@ -145,10 +145,7 @@ func (r *refStream) take(t1 float64) []event {
 	for r.arrivals > 0 && r.nextAt < t1 {
 		i := r.nextIdx
 		bench, k := r.draw.shape(i)
-		out = append(out, event{
-			t: r.nextAt, seq: r.seq, arrive: true,
-			bench: bench, k: k, depart: r.nextAt + r.draw.lifetime(i),
-		})
+		out = append(out, arrival(r.nextAt, r.seq, bench, k, r.nextAt+r.draw.lifetime(i)))
 		r.seq++
 		r.arrivals--
 		r.nextIdx++
@@ -157,7 +154,7 @@ func (r *refStream) take(t1 float64) []event {
 	kept := r.pending[:0]
 	for _, d := range r.pending {
 		if d.t < t1 {
-			out = append(out, d.event())
+			out = append(out, d)
 		} else {
 			kept = append(kept, d)
 		}
@@ -170,7 +167,7 @@ func (r *refStream) take(t1 float64) []event {
 }
 
 func (r *refStream) schedule(at float64, l lease) {
-	r.pending = append(r.pending, departure{t: at, seq: r.seq, lease: l})
+	r.pending = append(r.pending, event{t: at, seq: r.seq, lease: l})
 	r.seq++
 }
 
@@ -236,7 +233,7 @@ func TestCalendarMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: take(%v) absorbed bucket %d, past the due bucket %v", step, t1, head, math.Floor(t1/w))
 				}
 				for _, ev := range batch {
-					if !ev.arrive {
+					if !ev.arrive() {
 						continue
 					}
 					var at float64
@@ -258,10 +255,10 @@ func TestCalendarMatchesReference(t *testing.T) {
 					case r < 0.62: // straddling the ring's horizon
 						at = (float64(s.pending.head+ringBuckets) + 2*rnd()) * w
 					default:
-						at = ev.depart
+						at = ev.depart()
 					}
-					s.scheduleDeparture(at, lease{machine: id})
-					ref.schedule(at, lease{machine: id})
+					s.scheduleDeparture(at, lease{machine: int32(id)})
+					ref.schedule(at, lease{machine: int32(id)})
 					id++
 					lastDepart = at
 				}
@@ -307,8 +304,8 @@ func TestCalendarScripted(t *testing.T) {
 			ref := newRefStream(newEventStream(1, 1, 1, w, 0, len(testBenches)))
 			for i, st := range c.steps {
 				if st.push {
-					s.scheduleDeparture(st.t, lease{machine: i})
-					ref.schedule(st.t, lease{machine: i})
+					s.scheduleDeparture(st.t, lease{machine: int32(i)})
+					ref.schedule(st.t, lease{machine: int32(i)})
 					continue
 				}
 				got, gok := s.nextDue()
@@ -367,4 +364,150 @@ func TestDepartureQueueAllocsZero(t *testing.T) {
 	if n := testing.AllocsPerRun(30_000, c.step); n != 0 {
 		t.Errorf("%v allocations per departure-queue op, want 0", n)
 	}
+}
+
+// Event-stream fuzz inputs: byte 0 picks the bucket width, byte 1 the
+// number of arrivals, and each later 3-byte group [op, x, y] is one step
+// with argument v = x | y<<8 (see FuzzEventStream).
+const (
+	fuzzPush  = iota // one departure at bucket(now) + int16(v)/16 widths; op bit 2: at the next arrival
+	fuzzBurst        // x+1 departures in bucket(now) + y; op bit 2: all at one time
+	fuzzTake         // take up to now + v/64 widths
+	fuzzFar          // one departure v ring lengths (v = 0: 10^6 widths) past now
+)
+
+// streamFuzzWidths are the bucket widths an input can pick.
+var streamFuzzWidths = [...]float64{1, 0.1, 0.3, 2.5}
+
+// streamFuzzMaxSteps and streamFuzzMaxPushes bound one exec: the reference
+// re-sorts its whole pending set on every take.
+const streamFuzzMaxSteps, streamFuzzMaxPushes = 1024, 4096
+
+// streamFuzzOp encodes one step.
+func streamFuzzOp(op byte, v int) []byte { return []byte{op, byte(v), byte(v >> 8)} }
+
+// FuzzEventStream decodes bytes into departure schedules and takes on an
+// eventStream and on refStream, the sort-everything reference, and demands
+// identical batches and next-due times after every take, then again once a
+// final take drains both. Departures land on a 1/16-width grid around the
+// bucket being read, so they tie exactly with each other and with bucket
+// boundaries, or exactly on the next arrival's time, fall due already or inside the bucket being read, and reach
+// past the ring on both sides; bursts fill one bucket to a chosen size,
+// optionally at a single time; far pushes go beyond the ring. The seeds
+// reach the chunk-direct sort's edges, so plain `go test` exercises them.
+func FuzzEventStream(f *testing.F) {
+	in := func(width, arrivals int, steps ...[]byte) []byte {
+		return append([]byte{byte(width), byte(arrivals)}, slices.Concat(steps...)...)
+	}
+	push := func(sixteenths int) []byte { return streamFuzzOp(fuzzPush, sixteenths&0xFFFF) }
+	burst := func(n, ahead int, sameT bool) []byte {
+		op := byte(fuzzBurst)
+		if sameT {
+			op |= 4
+		}
+		return []byte{op, byte(n - 1), byte(ahead)}
+	}
+	take := func(sixtyFourths int) []byte { return streamFuzzOp(fuzzTake, sixtyFourths) }
+	far := func(rings int) []byte { return streamFuzzOp(fuzzFar, rings) }
+	// Buckets of chunkCap-1, chunkCap and chunkCap+1 departures, each sorted
+	// by the spread path, then the same sizes at one time apiece (the
+	// insertion-sort fallback).
+	for _, sameT := range []bool{false, true} {
+		f.Add(in(0, 0,
+			burst(chunkCap-1, 1, sameT), burst(chunkCap, 2, sameT), burst(chunkCap+1, 3, sameT),
+			take(64), take(64), take(64), take(64), take(64)))
+	}
+	// Early and late: read into a bucket, then push behind the read point,
+	// into the bucket being read and on its boundaries, among arrivals;
+	// push ahead of the read point there twice, so the second push merges
+	// into a late run still unread; then a burst of chunkCap+1 into the
+	// bucket being read, which reaches the sort as a two-chunk early list.
+	f.Add(in(1, 40,
+		push(4), push(8), push(16), push(24), take(32),
+		push(-8), push(0), push(4), push(8), push(16), push(-40), take(8),
+		push(12), take(4), push(14), push(13), take(4),
+		burst(chunkCap+1, 0, false), push(12), take(16), take(64), take(640)))
+	// Overflow: departures past the ring, one 10^6 widths out, a burst on
+	// the ring's horizon, and takes that leap whole rings at once.
+	f.Add(in(2, 10,
+		far(1), far(3), far(0), push(ringBuckets*16+8), push(ringBuckets*16-8),
+		burst(chunkCap, 255, false), take(64), take(ringBuckets*64), push(-16), take(3*ringBuckets*64)))
+	// Ties with arrivals: departures at the next arrival's exact time must
+	// precede it, in the run read in bulk and in the late run alike.
+	atArrival := []byte{fuzzPush | 4, 0, 0}
+	f.Add(in(3, 255, burst(200, 0, false), take(1), push(0), take(1), burst(2, 0, true), take(64),
+		atArrival, atArrival, take(64), atArrival, take(1), atArrival, take(64)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		w := streamFuzzWidths[in[0]%byte(len(streamFuzzWidths))]
+		events := 2 * int(in[1])
+		s := newEventStream(5, 8/w, w, w, events, len(testBenches))
+		ref := newRefStream(newEventStream(5, 8/w, w, w, events, len(testBenches)))
+		now, pushed := 0.0, 0
+		schedule := func(at float64) {
+			s.scheduleDeparture(at, lease{machine: int32(pushed)})
+			ref.schedule(at, lease{machine: int32(pushed)})
+			pushed++
+		}
+		check := func(step int, t1 float64) {
+			got, gok := s.nextDue()
+			want, wok := ref.nextDue()
+			if gok != wok || gok && got != want {
+				t.Fatalf("step %d: nextDue (%v, %v), reference (%v, %v)", step, got, gok, want, wok)
+			}
+			if batch, refBatch := s.take(t1), ref.take(t1); !slices.Equal(batch, refBatch) {
+				t.Fatalf("step %d, t1=%v: batch of %d differs from the reference's %d:\n%v\n%v",
+					step, t1, len(batch), len(refBatch), batch, refBatch)
+			}
+			if head := s.pending.head; !math.IsInf(t1, 1) && float64(head) > math.Floor(t1/w) {
+				t.Fatalf("step %d: take(%v) absorbed bucket %d, past the due bucket %v", step, t1, head, math.Floor(t1/w))
+			}
+		}
+		ops := in[2:]
+		for step := 0; step < streamFuzzMaxSteps && len(ops) >= 3; step++ {
+			op, x, y := ops[0], ops[1], ops[2]
+			ops = ops[3:]
+			v := int(x) | int(y)<<8
+			base := math.Floor(now / w)
+			switch op % 4 {
+			case fuzzPush:
+				switch {
+				case pushed == streamFuzzMaxPushes:
+				case op&4 != 0 && s.arrivals > 0:
+					schedule(s.nextAt)
+				default:
+					schedule((base + float64(int16(v))/16) * w)
+				}
+			case fuzzBurst:
+				b := base + float64(y)
+				for range int(x) + 1 {
+					if pushed == streamFuzzMaxPushes {
+						break
+					}
+					frac := unit(splitmix64(uint64(pushed)))
+					if op&4 != 0 {
+						frac = 0.5
+					}
+					schedule((b + frac) * w)
+				}
+			case fuzzTake:
+				now += float64(v) / 64 * w
+				check(step, now)
+			case fuzzFar:
+				if pushed < streamFuzzMaxPushes {
+					ahead := float64(v) * ringBuckets
+					if v == 0 {
+						ahead = 1e6
+					}
+					schedule(now + ahead*w)
+				}
+			}
+		}
+		check(-1, math.Inf(1))
+		if !s.done() {
+			t.Fatal("stream not done after taking everything")
+		}
+	})
 }

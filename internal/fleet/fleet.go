@@ -81,41 +81,44 @@ func (p Placement) String() string {
 
 // Params configures a fleet run.
 type Params struct {
-	// Machines is the number of chips in the fleet.
+	// Machines is the number of chips in the fleet (at most math.MaxInt32).
 	Machines int
-	// Shards is the parallel shard count (1 if 0). Results are byte-identical
-	// for any value; see the determinism differential.
+	// Shards is the parallel shard count (1 if 0, at most Machines;
+	// negative is an error). Results are byte-identical for any value; see
+	// the determinism differential.
 	Shards int
 	// ChipSlices and ChipBanks are each machine's rentable resources
-	// (the evaluated chip, 64 Slices + 128 banks, if 0).
+	// (the evaluated chip, 64 Slices + 128 banks, if 0; at most 65535).
 	ChipSlices, ChipBanks int
 	// Epoch is the simulated seconds per pricing/placement batch (1.0 if 0;
-	// NaN or ±Inf is an error). It is also the departure calendar's bucket
-	// width.
+	// negative, NaN or ±Inf is an error). It is also the departure
+	// calendar's bucket width.
 	Epoch float64
 	// Events is the total number of VM lifecycle events (arrivals +
-	// departures) to simulate; arrivals stop once half are spent.
+	// departures) to simulate; arrivals stop once half are spent (1000 if
+	// 0; negative is an error).
 	Events int
-	// ArrivalsPerSec is the mean VM arrival rate (Poisson; 100/s if 0; NaN
-	// is an error, +Inf puts every arrival at one instant).
+	// ArrivalsPerSec is the mean VM arrival rate (Poisson; 100/s if 0;
+	// negative or NaN is an error, +Inf puts every arrival at one instant).
 	ArrivalsPerSec float64
 	// MeanLifetime is the mean VM lifetime in seconds (exponential; 60 if 0;
-	// NaN or ±Inf is an error).
+	// negative, NaN or ±Inf is an error).
 	MeanLifetime float64
 	// Seed derives the whole synthetic event stream (1 if 0).
 	Seed uint64
 	// Benches are the benchmark names bids draw from (round-robin with the
-	// utility rotation; required).
+	// utility rotation; required, and no name may be empty).
 	Benches []string
 	// Lattice axes for the pricing searches (experiments.StdSlices/StdCaches
 	// shaped defaults if nil).
 	Slices, CacheKB []int
-	// ProbeBudget bounds probes per search. Defaults to the lattice size,
-	// which disables the exhaustive fallback by construction: a search can
-	// never issue more distinct probes than the lattice holds, so whether a
-	// given search trips the budget can't depend on the engine-local memo
-	// state — the one search path whose outcome would otherwise vary with
-	// the group-to-shard assignment and break cross-shard-count identity.
+	// ProbeBudget bounds probes per search (negative is an error). Zero
+	// selects the lattice size, which disables the exhaustive fallback by
+	// construction: a search can never issue more distinct probes than the
+	// lattice holds, so whether a given search trips the budget can't depend
+	// on the engine-local memo state — the one search path whose outcome
+	// would otherwise vary with the group-to-shard assignment and break
+	// cross-shard-count identity.
 	ProbeBudget int
 	// Market is the price vector bids are scored at (Market2 if zero).
 	Market econ.Market
@@ -128,45 +131,64 @@ type Params struct {
 	AdaptivePrices bool
 }
 
+// defaults validates p and fills in the defaults. Zero selects a field's
+// default; any other value outside the field's range is an error.
 func (p *Params) defaults() error {
-	if p.Machines <= 0 {
+	switch {
+	case p.Machines <= 0:
 		return fmt.Errorf("fleet: no machines")
-	}
-	if len(p.Benches) == 0 {
+	case len(p.Benches) == 0:
 		return fmt.Errorf("fleet: no benchmarks")
+	}
+	if i := slices.Index(p.Benches, ""); i >= 0 {
+		return fmt.Errorf("fleet: Benches[%d] is an empty name", i)
 	}
 	// A NaN or infinite epoch or lifetime, or a NaN rate, would stall the
 	// epoch loop; an infinite rate is legal (every arrival at one instant).
+	// A lease holds its machine ID in an int32 and its Slices and banks in
+	// uint16s, so the fleet and its chips must fit those.
 	switch {
-	case math.IsNaN(p.Epoch) || math.IsInf(p.Epoch, 0):
-		return fmt.Errorf("fleet: Epoch is %v, want a finite number", p.Epoch)
-	case math.IsNaN(p.MeanLifetime) || math.IsInf(p.MeanLifetime, 0):
-		return fmt.Errorf("fleet: MeanLifetime is %v, want a finite number", p.MeanLifetime)
-	case math.IsNaN(p.ArrivalsPerSec):
-		return fmt.Errorf("fleet: ArrivalsPerSec is NaN")
+	case p.Machines > math.MaxInt32:
+		return fmt.Errorf("fleet: %d machines, want at most %d", p.Machines, math.MaxInt32)
+	case p.Shards < 0:
+		return fmt.Errorf("fleet: Shards is %d, want 0 (one shard) or more", p.Shards)
+	case p.ChipSlices < 0 || p.ChipSlices > math.MaxUint16:
+		return fmt.Errorf("fleet: ChipSlices is %d, want 0 (64) or up to %d", p.ChipSlices, math.MaxUint16)
+	case p.ChipBanks < 0 || p.ChipBanks > math.MaxUint16:
+		return fmt.Errorf("fleet: ChipBanks is %d, want 0 (128) or up to %d", p.ChipBanks, math.MaxUint16)
+	case !(p.Epoch >= 0) || math.IsInf(p.Epoch, 1):
+		return fmt.Errorf("fleet: Epoch is %v, want 0 (1 s) or a positive finite number", p.Epoch)
+	case p.Events < 0:
+		return fmt.Errorf("fleet: Events is %d, want 0 (1000) or more", p.Events)
+	case !(p.ArrivalsPerSec >= 0):
+		return fmt.Errorf("fleet: ArrivalsPerSec is %v, want 0 (100/s) or a positive number", p.ArrivalsPerSec)
+	case !(p.MeanLifetime >= 0) || math.IsInf(p.MeanLifetime, 1):
+		return fmt.Errorf("fleet: MeanLifetime is %v, want 0 (60 s) or a positive finite number", p.MeanLifetime)
+	case p.ProbeBudget < 0:
+		return fmt.Errorf("fleet: ProbeBudget is %d, want 0 (the lattice size) or more", p.ProbeBudget)
 	}
-	if p.Shards <= 0 {
+	if p.Shards == 0 {
 		p.Shards = 1
 	}
 	if p.Shards > p.Machines {
 		p.Shards = p.Machines
 	}
-	if p.ChipSlices <= 0 {
+	if p.ChipSlices == 0 {
 		p.ChipSlices = 64
 	}
-	if p.ChipBanks <= 0 {
+	if p.ChipBanks == 0 {
 		p.ChipBanks = 128
 	}
-	if p.Epoch <= 0 {
+	if p.Epoch == 0 {
 		p.Epoch = 1.0
 	}
-	if p.Events <= 0 {
+	if p.Events == 0 {
 		p.Events = 1000
 	}
-	if p.ArrivalsPerSec <= 0 {
+	if p.ArrivalsPerSec == 0 {
 		p.ArrivalsPerSec = 100
 	}
-	if p.MeanLifetime <= 0 {
+	if p.MeanLifetime == 0 {
 		p.MeanLifetime = 60
 	}
 	if p.Seed == 0 {
@@ -187,7 +209,7 @@ func (p *Params) defaults() error {
 		// step and ride the 0.001 clamp instead of erroring.
 		return fmt.Errorf("fleet: market %+v sets only one of SliceCost/BankCost; set both or neither", p.Market)
 	}
-	if p.ProbeBudget <= 0 {
+	if p.ProbeBudget == 0 {
 		p.ProbeBudget = len(p.Slices) * len(p.CacheKB)
 	}
 	return nil
@@ -221,7 +243,7 @@ type Fleet struct {
 // share a surface and utility are priced once. Ascending keys are the
 // deterministic group order, bench name then K.
 func (f *Fleet) groupKey(ev *event) int {
-	return f.rank[ev.bench]*utilityExps + ev.k - 1
+	return f.rank[ev.bench()]*utilityExps + ev.k() - 1
 }
 
 // shard owns a machine partition and a pricing engine.
@@ -231,20 +253,13 @@ type shard struct {
 	// machines this shard owns (machine ID m belongs to shard m % Shards).
 	machines []int
 	// ops is the epoch's apply queue, filed by the placement barrier in
-	// (time, seq) order and reused across epochs.
-	ops []machineOp
+	// (time, seq) order and reused across epochs: each departure as take
+	// delivered it, each admission as an arrival whose payload is its lease.
+	ops []event
 	// energy totals for Report.PerShard, summed in within-shard machine
 	// order at finalize.
 	energy EnergyBreakdown
 	err    error
-}
-
-// machineOp is one state change applied to a machine during the parallel
-// apply phase: the lease the barrier placed or released.
-type machineOp struct {
-	t      float64
-	lease  lease
-	arrive bool // false = departure
 }
 
 // New builds a fleet over the given prober (simulator-backed or synthetic).
@@ -378,7 +393,7 @@ func (f *Fleet) groupBids(evs []event) []pricingGroup {
 		f.slot[key] = -1
 	}
 	for i := range evs {
-		if evs[i].arrive {
+		if evs[i].arrive() {
 			f.slot[f.groupKey(&evs[i])] = 0 // present; indexed below
 		}
 	}
@@ -456,11 +471,11 @@ func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) {
 	}
 	for i := range evs {
 		ev := &evs[i]
-		if !ev.arrive {
+		if !ev.arrive() {
 			f.place.free(ev.lease)
 			f.rep.Departed++
-			sh := f.shards[ev.lease.machine%len(f.shards)]
-			sh.ops = append(sh.ops, machineOp{t: ev.t, lease: ev.lease})
+			sh := f.shards[int(ev.lease.machine)%len(f.shards)]
+			sh.ops = append(sh.ops, *ev)
 			continue
 		}
 		g := &groups[f.slot[f.groupKey(ev)]]
@@ -470,13 +485,13 @@ func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) {
 			f.rep.Rejected++
 			continue
 		}
-		l := lease{machine: m, slices: cfg.Slices, banks: cfg.Banks(), perf: g.bid.Perf}
+		l := newLease(m, cfg.Slices, cfg.Banks(), g.bid.Perf)
 		f.place.alloc(l)
-		f.events.scheduleDeparture(ev.depart, l)
+		f.events.scheduleDeparture(ev.depart(), l)
 		f.rep.Placed++
 		f.rep.UtilityAdmitted += g.bid.Utility
 		sh := f.shards[m%len(f.shards)]
-		sh.ops = append(sh.ops, machineOp{t: ev.t, lease: l, arrive: true})
+		sh.ops = append(sh.ops, admission(ev, l))
 	}
 }
 
@@ -495,12 +510,12 @@ func (f *Fleet) applyOps() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, op := range sh.ops {
-				m := &f.mach[op.lease.machine]
-				if op.arrive {
-					m.admit(op.t, op.lease, &f.power)
+			for i := range sh.ops {
+				op := &sh.ops[i]
+				if op.arrive() { // an admission: admit reads only the lease's size and IPC
+					f.mach[^op.lease.machine].admit(op.t, op.lease, &f.power)
 				} else {
-					m.evict(op.t, op.lease, &f.power)
+					f.mach[op.lease.machine].evict(op.t, op.lease, &f.power)
 				}
 			}
 		}()

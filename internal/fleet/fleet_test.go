@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -174,7 +176,7 @@ func TestChipPowerMatchesAreaModel(t *testing.T) {
 		same("sliceDynW", pw.sliceDynW, area.SliceDynamicW())
 		same("bankDynW", pw.bankDynW, area.BankDynamicW())
 		for _, l := range []lease{{slices: 4, banks: 4, perf: 2.0}, {slices: 1, perf: 0.37}, {slices: 8, banks: 32, perf: 9.1}, {slices: 3, banks: 7, perf: 1e-3}} {
-			a := area.Activity(l.perf, l.slices)
+			a := area.Activity(l.perf, int(l.slices))
 			s, b := vmDynamicW(l, &pw)
 			same("vmDynamicW slice", s, float64(l.slices)*area.SliceDynamicW()*a)
 			same("vmDynamicW bank", b, float64(l.banks)*area.BankDynamicW()*a)
@@ -183,6 +185,54 @@ func TestChipPowerMatchesAreaModel(t *testing.T) {
 	if size := unsafe.Sizeof(machine{}); size != 64 {
 		t.Errorf("machine is %d bytes, want one 64-byte cache line", size)
 	}
+}
+
+// TestEventLayout pins the one record the epoch loop moves: event is 32
+// bytes and lease 16, a calendar chunk is exactly one Go size class (so no
+// allocation rounds it up), and all three are pointer-free, so the GC never
+// scans the calendar, the epoch batch or an apply queue.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 32 {
+		t.Errorf("event is %d bytes, want 32", size)
+	}
+	if size := unsafe.Sizeof(lease{}); size != 16 {
+		t.Errorf("lease is %d bytes, want 16", size)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	size := uint32(unsafe.Sizeof(chunk{}))
+	class := false
+	for _, c := range ms.BySize {
+		class = class || c.Size == size
+	}
+	if !class {
+		t.Errorf("a chunk is %d bytes, not a Go size class", size)
+	}
+	for _, v := range []any{event{}, lease{}, chunk{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+}
+
+// pointerFree reports whether values of typ hold no pointers.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return typ.Len() == 0 || pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	}
+	return false
 }
 
 // TestFleetReportConsistency checks the report's internal arithmetic on a
@@ -297,8 +347,8 @@ func TestEventStreamDeterministic(t *testing.T) {
 			t.Fatalf("event %d out of order: %v after %v", i, ev.t, last)
 		}
 		last = ev.t
-		if ev.k < 1 || ev.k > 3 {
-			t.Fatalf("event %d: utility exponent %d", i, ev.k)
+		if ev.k() < 1 || ev.k() > 3 {
+			t.Fatalf("event %d: utility exponent %d", i, ev.k())
 		}
 	}
 }
@@ -332,7 +382,10 @@ func TestParamValidation(t *testing.T) {
 	if _, err := New(half, SyntheticProber{}); err == nil {
 		t.Error("market with only BankCost accepted")
 	}
-	// Each of these once made Run spin forever.
+	// The NaN and infinite cases once made Run spin forever. The negative
+	// ones once ran silently on defaults: only zero selects a default. The
+	// rest exceed what a lease's int32 machine ID and uint16 Slice and bank
+	// counts hold, or name no benchmark.
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
 		name string
@@ -341,10 +394,23 @@ func TestParamValidation(t *testing.T) {
 		{"NaN Epoch", func(p *Params) { p.Epoch = nan }},
 		{"+Inf Epoch", func(p *Params) { p.Epoch = inf }},
 		{"-Inf Epoch", func(p *Params) { p.Epoch = -inf }},
+		{"negative Epoch", func(p *Params) { p.Epoch = -1 }},
 		{"NaN MeanLifetime", func(p *Params) { p.MeanLifetime = nan }},
 		{"+Inf MeanLifetime", func(p *Params) { p.MeanLifetime = inf }},
 		{"-Inf MeanLifetime", func(p *Params) { p.MeanLifetime = -inf }},
+		{"negative MeanLifetime", func(p *Params) { p.MeanLifetime = -1 }},
 		{"NaN ArrivalsPerSec", func(p *Params) { p.ArrivalsPerSec = nan }},
+		{"-Inf ArrivalsPerSec", func(p *Params) { p.ArrivalsPerSec = -inf }},
+		{"negative ArrivalsPerSec", func(p *Params) { p.ArrivalsPerSec = -1 }},
+		{"negative Events", func(p *Params) { p.Events = -1 }},
+		{"negative Shards", func(p *Params) { p.Shards = -1 }},
+		{"negative ChipSlices", func(p *Params) { p.ChipSlices = -1 }},
+		{"negative ChipBanks", func(p *Params) { p.ChipBanks = -1 }},
+		{"negative ProbeBudget", func(p *Params) { p.ProbeBudget = -1 }},
+		{"Machines beyond int32", func(p *Params) { p.Machines = math.MaxInt32 + 1 }},
+		{"ChipSlices beyond uint16", func(p *Params) { p.ChipSlices = math.MaxUint16 + 1 }},
+		{"ChipBanks beyond uint16", func(p *Params) { p.ChipBanks = math.MaxUint16 + 1 }},
+		{"empty bench name", func(p *Params) { p.Benches = []string{"hmmer", "", "gobmk"} }},
 	} {
 		p := Params{Machines: 4, Benches: testBenches}
 		c.mod(&p)
@@ -360,6 +426,10 @@ func TestParamValidation(t *testing.T) {
 	}
 	if _, err := far.Run(); err == nil {
 		t.Error("departures beyond 2^53 epochs accepted")
+	}
+	// The largest chip a lease can describe is legal.
+	if _, err := New(Params{Machines: 4, ChipSlices: math.MaxUint16, ChipBanks: math.MaxUint16, Benches: testBenches}, SyntheticProber{}); err != nil {
+		t.Errorf("65535-Slice, 65535-bank chips rejected: %v", err)
 	}
 	// An infinite arrival rate stays legal: every arrival at one instant.
 	p := Params{Machines: 4, Events: 40, ArrivalsPerSec: inf, Benches: testBenches}

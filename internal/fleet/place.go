@@ -107,18 +107,20 @@ func (p *placer) scan(f, banks int) int {
 
 // alloc commits a placement.
 func (p *placer) alloc(l lease) {
-	p.move(l.machine, p.freeS[l.machine]-l.slices)
-	p.freeB[l.machine] -= l.banks
-	p.usedSlices += l.slices
-	p.usedBanks += l.banks
+	m, slices, banks := int(l.machine), int(l.slices), int(l.banks)
+	p.move(m, p.freeS[m]-slices)
+	p.freeB[m] -= banks
+	p.usedSlices += slices
+	p.usedBanks += banks
 }
 
 // free releases a departure's resources.
 func (p *placer) free(l lease) {
-	p.move(l.machine, p.freeS[l.machine]+l.slices)
-	p.freeB[l.machine] += l.banks
-	p.usedSlices -= l.slices
-	p.usedBanks -= l.banks
+	m, slices, banks := int(l.machine), int(l.slices), int(l.banks)
+	p.move(m, p.freeS[m]+slices)
+	p.freeB[m] += banks
+	p.usedSlices -= slices
+	p.usedBanks -= banks
 }
 
 // move reslots machine m into the bucket for its new free-Slice count,

@@ -91,7 +91,7 @@ func (h *placerHarness) alloc(step, slices, banks int) {
 		return
 	}
 	h.placed++
-	l := lease{machine: got, slices: slices, banks: banks}
+	l := newLease(got, slices, banks, 0)
 	h.p.alloc(l)
 	h.live = append(h.live, l)
 }
