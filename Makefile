@@ -62,12 +62,12 @@ lint-strict:
 	exit $$status
 
 # Incremental-vs-grid differential on a 3-profile cross-section under the
-# race detector: the exactness contract of the online market engine (see
-# DESIGN.md, "Incremental optimum search") plus the churn byte-identity
-# tests of internal/market.
+# race detector: the exactness contract of the allocation core's search (see
+# DESIGN.md, "Incremental optimum search") plus the core's churn
+# byte-identity and probe-economy tests.
 market-smoke:
 	$(GO) test -race -short -run 'TestIncrementalBidMatchesGrid|TestTable6IncrementalMatchesBatch|TestChurnScenarioRuns' ./internal/experiments
-	$(GO) test -race ./internal/market
+	$(GO) test -race -run 'TestChurnByteIdentical|TestChurnProbeEconomy|TestPriceBidWarm' ./internal/alloc
 
 # Fleet determinism differential (1 vs 2/4/8 shards, byte-identical
 # fingerprints under every policy combination), the golden fingerprint pins,
@@ -80,18 +80,23 @@ fleet-smoke:
 	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestEventLayout|TestCalendar' ./internal/fleet
 	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
 
-# Short coverage-guided runs of the fleet's fuzz targets, one per line since
-# -fuzz takes a single target. FuzzPlacer: decoded alloc/free sequences on
-# small fleets must keep pick equal to the brute-force reference and the
-# bitset index, summary level included, consistent. FuzzEventStream:
-# decoded departure schedules and takes must keep the event stream's
-# batches equal to the sort-everything reference's. A failing input lands in
-# internal/fleet/testdata/fuzz, where plain `go test` replays it. Minimizing
-# a new input is capped at 2 s, so a large input cannot spend the whole
-# window being minimized.
+# Short coverage-guided runs of the fuzz targets, one per line since -fuzz
+# takes a single target. FuzzPlacer: decoded alloc/free sequences on small
+# fleets must keep pick equal to the brute-force reference and the bitset
+# index, summary level included, consistent. FuzzEventStream: decoded
+# departure schedules and takes must keep the event stream's batches equal
+# to the sort-everything reference's. FuzzReadRequest/FuzzReadResult: the
+# procpool's SREQ/SRES worker frames must never panic, an accepted frame
+# must re-encode to its own bytes, and an oversized length prefix or any
+# truncation must be an error. A failing input lands in the package's
+# testdata/fuzz, where plain `go test` replays it. Minimizing a new input is
+# capped at 2 s, so a large input cannot spend the whole window being
+# minimized.
 fuzz-smoke:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzPlacer$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadResult$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet

@@ -1,7 +1,7 @@
 // Command fleet runs the sharded datacenter simulator: a churning stream of
-// VM bids priced in O(probes) through shared-surface market engines, placed
-// onto thousands of simulated sharing-architecture chips, with per-Slice and
-// per-L2-bank energy accounting.
+// VM bids priced in O(probes) through the allocation core's shared surfaces,
+// placed onto thousands of simulated sharing-architecture chips, with
+// per-Slice and per-L2-bank energy accounting.
 //
 // By default probes run the actual cycle-level simulator through the
 // experiments Runner (with its results cache and sampled mode); -synthetic

@@ -4,10 +4,10 @@
 // static fixed architecture), Fig. 16 (gain vs a heterogeneous machine), and
 // Fig. 17 (datacenter big/small-core mixes).
 //
-// With -incremental, table4 and table6 are priced through the online
-// incremental market engine (internal/market) in O(probes) per bid instead
+// With -incremental, table4 and table6 are priced through the allocation
+// core (internal/alloc) by incremental search in O(probes) per bid instead
 // of O(grid); -churn runs an arrival/departure/phase-change scenario through
-// the same engine and reports the marginal cost of every event.
+// the same core and reports the marginal cost of every event.
 //
 // Usage:
 //
@@ -25,9 +25,9 @@ import (
 	"os/signal"
 	"strings"
 
+	"sharing/internal/alloc"
 	"sharing/internal/econ"
 	"sharing/internal/experiments"
-	"sharing/internal/market"
 	"sharing/internal/plot"
 )
 
@@ -43,9 +43,9 @@ func main() {
 		shards      = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
 		resume      = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
 		quiet       = flag.Bool("q", false, "suppress per-run progress")
-		incremental = flag.Bool("incremental", false, "price table4/table6 bids via the incremental engine (O(probes) per bid)")
-		churn       = flag.Bool("churn", false, "run the churn scenario through the incremental engine and report per-event costs")
-		probeBudget = flag.Int("probe-budget", 0, "probes per search before the exhaustive fallback (0 = default)")
+		incremental = flag.Bool("incremental", false, "price table4/table6 bids by incremental search (O(probes) per bid)")
+		churn       = flag.Bool("churn", false, "run the churn scenario through the allocation core and report per-event costs")
+		probeBudget = flag.Int("probe-budget", 0, "probes per search before the exhaustive fallback (0 = lattice size, fallback disabled)")
 	)
 	flag.Parse()
 
@@ -108,10 +108,10 @@ func main() {
 			})
 		}
 		fmt.Print(experiments.RenderSeries(
-			"Churn scenario - marginal cost per market event (incremental engine)",
+			"Churn scenario - marginal cost per market event (incremental search)",
 			[]string{"event", "customer", "target", "probes", "simruns", "iters", "totalU"}, out))
 		fmt.Printf("total: %d simulator runs vs %d for per-event grid recomputation (%d surfaces x %d points); %d re-auctions\n",
-			rep.SimRuns, rep.GridSimRuns, rep.Stats.Surfaces, rep.GridSimRuns/maxInt(rep.Stats.Surfaces, 1), rep.Stats.Reauctions)
+			rep.SimRuns, rep.GridSimRuns, rep.Stats.Surfaces, rep.GridSimRuns/max(rep.Stats.Surfaces, 1), rep.Stats.Epochs)
 		if err := r.Save(); err != nil {
 			fatal(err)
 		}
@@ -130,7 +130,7 @@ func main() {
 		var rows []experiments.OptimaRow
 		var err error
 		if *incremental {
-			var st market.Stats
+			var st alloc.Stats
 			rows, st, err = experiments.Table4Incremental(r, names, *probeBudget)
 			if err == nil {
 				defer printEconomy(st, r)
@@ -151,7 +151,7 @@ func main() {
 	case "table6":
 		var rows []experiments.MarketOptimaRow
 		if *incremental {
-			var st market.Stats
+			var st alloc.Stats
 			var err error
 			rows, st, err = experiments.Table6Incremental(r, names, *probeBudget)
 			if err != nil {
@@ -285,11 +285,11 @@ func main() {
 	}
 }
 
-// printEconomy reports the incremental engine's probe economy against the
+// printEconomy reports the incremental searches' probe economy against the
 // batch baseline of one full grid sweep per surface.
-func printEconomy(st market.Stats, r *experiments.Runner) {
+func printEconomy(st alloc.Stats, r *experiments.Runner) {
 	fmt.Printf("incremental: %d searches, %d probes (%d simulator runs) vs %d grid measurements for %d surfaces; %d fallbacks\n",
-		st.Searches, st.Probes, r.SimRuns(), st.GridProbes, st.Surfaces, st.Fallbacks)
+		st.Searches, st.CacheMisses, r.SimRuns(), st.GridProbes, st.Surfaces, st.Fallbacks)
 }
 
 // stopOrFatal handles an experiment error. A graceful interrupt (the
@@ -304,13 +304,6 @@ func stopOrFatal(r *experiments.Runner, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "market: interrupted after %d simulations; completed measurements saved - rerun with -resume to continue\n", r.SimRuns())
 	os.Exit(130)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -24,7 +24,7 @@ import (
 // a loopback port, drive it with concurrent keep-alive HTTP clients for a
 // fixed window, and report sustained throughput and client-observed
 // latency. Correctness rides along end to end: every bid response is
-// DeepEqual-checked against a sequential engine pricing the same bid over
+// DeepEqual-checked against a sequential allocator pricing the same bid over
 // the same surfaces, an optional churn goroutine exercises the membership
 // endpoints throughout, and the run ends with the sequential-replay
 // verification of the final clearing. The numbers it prints feed the
@@ -93,14 +93,12 @@ func runLoadTest(srv *server, o loadTestOpts) error {
 
 	// Build the workload and its sequential reference: every (bench,
 	// utility, market) combination, priced by a fresh single-goroutine
-	// engine sharing the allocator's surface cache. The warm-up doubles as
-	// the cache fill, so the measured window is the steady serving state.
+	// allocator sharing the served allocator's surface cache. The warm-up
+	// doubles as the cache fill, so the measured window is the steady
+	// serving state.
 	p := a.Params()
-	ref, err := market.New(market.Params{
-		Slices: p.Slices, CacheKB: p.CacheKB, ProbeBudget: p.ProbeBudget,
-		Supply: p.Supply, Tol: p.Tol, MaxIter: p.MaxIter,
-		Surfaces: a.Cache(),
-	}, nil)
+	p.Surfaces = a.Cache()
+	ref, err := alloc.New(p, nil)
 	if err != nil {
 		return err
 	}
@@ -111,10 +109,7 @@ func runLoadTest(srv *server, o loadTestOpts) error {
 				if _, err := a.PriceBid(bench, u, m); err != nil {
 					return fmt.Errorf("loadtest warm-up %s: %w", bench, err)
 				}
-				// PriceBidAt with the fixed zero start is the engine's pure
-				// pricing path — the same function of (surface, prices,
-				// utility) the allocator computes.
-				want, err := ref.PriceBidAt(bench, u, m, econ.Config{}, nil)
+				want, err := ref.PriceBid(bench, u, m)
 				if err != nil {
 					return err
 				}
@@ -135,7 +130,7 @@ func runLoadTest(srv *server, o loadTestOpts) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

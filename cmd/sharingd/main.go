@@ -143,7 +143,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 
 	// Ctrl-C drains instead of killing: stop accepting, let in-flight
 	// requests (and their simulations) finish, checkpoint the results

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"reflect"
@@ -145,7 +146,7 @@ func post(url string, v, out any) error {
 
 // TestDaemonEndpointsAndDrain boots a synthetic-surface daemon, walks every
 // endpoint over real HTTP — checking the served bid against an in-test
-// sequential engine pricing the same request over the same closed-form
+// sequential allocator pricing the same request over the same closed-form
 // surfaces — then SIGINTs it and verifies the graceful drain: the drain
 // banner, the final op accounting line, and a zero exit.
 func TestDaemonEndpointsAndDrain(t *testing.T) {
@@ -170,14 +171,14 @@ func TestDaemonEndpointsAndDrain(t *testing.T) {
 	// supply defaults as main(), crossing a process and JSON boundary.
 	u := econ.Utility2()
 	m := econ.Market2()
-	ref, err := market.New(market.Params{
+	ref, err := alloc.New(alloc.Params{
 		Slices: experiments.StdSlices, CacheKB: experiments.StdCaches,
 		Supply: econ.Supply{Slices: 64, Banks: 128},
 	}, fleet.SyntheticProber{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.PriceBidAt("smoke-bench", u, m, econ.Config{}, nil)
+	want, err := ref.PriceBid("smoke-bench", u, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +323,79 @@ func TestChurnPhasesExist(t *testing.T) {
 		if _, err := prof.GeneratePhase(ph, 64, 1); err != nil {
 			t.Errorf("churn VM %d (%s) asks for phase %d: %v", i, bench, ph, err)
 		}
+	}
+}
+
+// newTestServer serves a synthetic-surface allocator in process.
+func newTestServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	a, err := alloc.New(alloc.Params{
+		Slices: experiments.StdSlices, CacheKB: experiments.StdCaches,
+		Supply: econ.Supply{Slices: 64, Banks: 128},
+	}, fleet.SyntheticProber{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(a))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// status POSTs a raw body and returns the response status.
+func status(t *testing.T, url string, body io.Reader) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestInvalidEconomicsRejected: economics the allocator refuses are a 400
+// on every endpoint that carries them, never an admitted resident or a
+// priced bid, while the wire's zero values still select the defaults.
+func TestInvalidEconomicsRejected(t *testing.T) {
+	ts := newTestServer(t)
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"bid k negative", "/v1/bid", `{"bench":"b","k":-1}`, http.StatusBadRequest},
+		{"bid budget negative", "/v1/bid", `{"bench":"b","budget":-5}`, http.StatusBadRequest},
+		{"bid slice cost negative", "/v1/bid", `{"bench":"b","market":{"sliceCost":-1,"bankCost":1}}`, http.StatusBadRequest},
+		{"bid bank cost negative", "/v1/bid", `{"bench":"b","market":{"sliceCost":1,"bankCost":-2}}`, http.StatusBadRequest},
+		{"bid both costs negative", "/v1/bid", `{"bench":"b","market":{"sliceCost":-1,"bankCost":-1}}`, http.StatusBadRequest},
+		{"arrive budget negative", "/v1/arrive", `{"name":"vm","bench":"b","budget":-5}`, http.StatusBadRequest},
+		{"arrive k negative", "/v1/arrive", `{"name":"vm","bench":"b","k":-3}`, http.StatusBadRequest},
+		{"bid zero k and budget", "/v1/bid", `{"bench":"b","k":0,"budget":0}`, http.StatusOK},
+		{"bid zero costs", "/v1/bid", `{"bench":"b","market":{"sliceCost":0,"bankCost":0}}`, http.StatusOK},
+	} {
+		if got := status(t, ts.URL+c.path, strings.NewReader(c.body)); got != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, got, c.want)
+		}
+	}
+	var mkt marketReply
+	getJSON(t, ts.URL+"/v1/market", &mkt)
+	if len(mkt.VMs) != 0 {
+		t.Fatalf("refused arrivals joined the market: %+v", mkt.VMs)
+	}
+}
+
+// TestBodyLimit: a POST body over the 1 MB cap is a 413, and the server
+// keeps serving: the next bid succeeds.
+func TestBodyLimit(t *testing.T) {
+	ts := newTestServer(t)
+	huge := `{"bench":"` + strings.Repeat("x", 2<<20) + `"}`
+	if got := status(t, ts.URL+"/v1/bid", strings.NewReader(huge)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MB body: status %d, want 413", got)
+	}
+	var br market.BidResult
+	if err := post(ts.URL+"/v1/bid", bidRequest{Bench: "b", K: 2}, &br); err != nil {
+		t.Fatalf("bid after an oversized body: %v", err)
+	}
+	if br.VCores <= 0 {
+		t.Fatalf("bid after an oversized body: %+v", br)
 	}
 }

@@ -2,12 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sharing/internal/alloc"
 	"sharing/internal/econ"
@@ -18,6 +20,29 @@ import (
 // and reads ride the allocator's lock-free paths, membership ops its
 // group-commit queue — so the server needs no locking of its own beyond
 // per-endpoint request counters.
+
+// Transport limits. Every POST body is capped (413 past the cap), and both
+// http.Servers (the daemon's and the load-test harness's) bound how long a
+// client may take to send its headers and request and how long an idle
+// keep-alive connection is held, so a slow or stalled client cannot pin a
+// connection forever. No write timeout: a bid on a cold surface runs the
+// simulator before it answers.
+const (
+	maxBodyBytes      = 1 << 20
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the transport limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // httpCounters counts requests per endpoint (exposed via /v1/stats and
 // /debug/vars).
@@ -91,8 +116,9 @@ func publishExpvar(s *server) {
 }
 
 // marketSpec selects the prices a bid is evaluated at: a named paper market
-// (Market1..Market3), explicit per-resource costs, or — when absent — the
-// allocator's current clearing prices.
+// (Market1..Market3), explicit per-resource costs, or — when absent, or
+// both costs 0 — the allocator's current clearing prices. Explicit costs
+// are validated by the allocator (a negative one is a 400).
 type marketSpec struct {
 	Name      string  `json:"name,omitempty"`
 	SliceCost float64 `json:"sliceCost,omitempty"`
@@ -111,7 +137,7 @@ func (sp *marketSpec) resolve(a *alloc.Allocator) (econ.Market, error) {
 		}
 		return econ.Market{}, fmt.Errorf("unknown market %q", sp.Name)
 	}
-	if sp.SliceCost > 0 || sp.BankCost > 0 {
+	if sp.SliceCost != 0 || sp.BankCost != 0 {
 		return econ.Market{Name: "custom", SliceCost: sp.SliceCost, BankCost: sp.BankCost}, nil
 	}
 	return a.Prices(), nil
@@ -124,6 +150,9 @@ type bidRequest struct {
 	Market *marketSpec `json:"market,omitempty"`
 }
 
+// utility maps the wire's zero values to the defaults (K 1, the default
+// budget); anything else goes to the allocator as sent, which refuses
+// economics with no meaning.
 func (r *bidRequest) utility() econ.Utility {
 	u := econ.Utility{K: r.K, Budget: r.Budget}
 	if u.K == 0 {
@@ -204,7 +233,7 @@ func (s *server) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	br, err := s.a.PriceBid(req.Bench, req.utility(), m)
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, err)
+		s.fail(w, opStatus(err), err)
 		return
 	}
 	s.reply(w, br)
@@ -219,7 +248,7 @@ func (s *server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	bid := bidRequest{K: req.K, Budget: req.Budget}
 	rc, err := s.a.Arrive(req.Name, req.Bench, bid.utility())
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, err)
+		s.fail(w, opStatus(err), err)
 		return
 	}
 	s.reply(w, s.receiptReply(rc))
@@ -295,10 +324,25 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, statsReply{Alloc: s.a.Stats(), HTTP: s.http.snapshot()})
 }
 
+// opStatus maps an allocator error to its status: 400 for economics the
+// core refuses, 422 for a well-formed request it cannot serve.
+func opStatus(err error) int {
+	if errors.Is(err, alloc.ErrInvalid) {
+		return http.StatusBadRequest
+	}
+	return http.StatusUnprocessableEntity
+}
+
+// decode reads one JSON request body of at most maxBodyBytes: 413 past the
+// cap, 400 for anything malformed.
 func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+			return false
+		}
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}

@@ -1,9 +1,9 @@
-// Package alloc is the concurrent-safe allocation library behind the
-// sharing-as-a-service control plane (ROADMAP item 1; cmd/sharingd is the
-// HTTP face). It refactors the batch-shaped pricing machinery — one
-// goroutine, one lock, one bid at a time (internal/market.Engine) — into an
-// Allocator that many goroutines drive simultaneously at thousands of bids
-// per second:
+// Package alloc is the one market core: every bid the repository prices —
+// the sharded fleet simulator's epoch groups, the experiments drivers'
+// incremental tables and churn scenario, and the sharingd daemon's requests
+// (cmd/sharingd is the HTTP face) — goes through an Allocator. One goroutine
+// driving it is the degenerate case of many goroutines driving it at
+// thousands of bids per second:
 //
 //   - The hot read side is the lock-free market.SurfaceCache snapshot path:
 //     a warm bid's probes are one atomic load plus one map lookup each, no
@@ -11,15 +11,17 @@
 //     mutex, so a thundering herd on a new benchmark costs one simulator
 //     run per configuration.
 //
-//   - Per-bid search state is goroutine-local and every search is PURE:
-//     each one checks out a pooled econ.Optimizer, Reset so its memo is
-//     empty, and ascends from the same fixed lattice start — the sharded
-//     fleet's PriceBidAt purity precedent. The incremental search is only
-//     guaranteed to equal the exhaustive argmax on basin-shaped surfaces;
-//     from a fixed start over memoized surface data its result is a pure
-//     function of (surface, prices, utility) on ANY surface, which is the
-//     property concurrency actually needs. Warm-start hints were rejected
-//     here deliberately: a racy hint would make bid results depend on
+//   - There is one search, and it is PURE in its explicit inputs: surface,
+//     objective, prices and start. Each search checks out a pooled
+//     econ.Optimizer, Reset so its memo is empty, and ascends from the start
+//     its caller passes. The fleet passes each pricing group's
+//     epoch-synchronized previous optimum; everyone else passes the fixed
+//     lattice start (econ.Config{}, the midpoint). The incremental search is
+//     only guaranteed to equal the exhaustive argmax on basin-shaped
+//     surfaces; over memoized surface data its result is a pure function of
+//     those inputs on ANY surface, which is the property concurrency actually
+//     needs. Hidden warm starts (a surface's or a customer's last optimum)
+//     were rejected deliberately: a racy hint would make results depend on
 //     scheduling whenever a surface is not basin-shaped.
 //
 //   - Market clearing is batched: Arrive/Depart/Reconfigure submit ops to a
@@ -32,19 +34,21 @@
 // Determinism: a concurrent run's outcome is reflect.DeepEqual-identical to
 // a sequential one-op-at-a-time serialization of the same committed op
 // stream (see ReplaySequential and the race tests). The argument has two
-// halves. Bids are pure functions of (surface, prices, utility) — fixed
-// start, Reset-fresh memo, immutable cache snapshots — so concurrent bids
-// equal sequential from-scratch pricings of the same requests. Clearing is
-// leader-serialized AND built from pure responses: ops commit in a total
-// order (the op log), each epoch's single reprice runs ClearMarketWith over
-// residents in arrival order from the standard starting prices, and every
-// resident response is the same pure search — so a clearing's outcome
+// halves. Bids are pure functions of (surface, objective, prices, start) —
+// Reset-fresh memo, immutable cache snapshots — so concurrent bids equal
+// sequential pricings of the same requests. Clearing is leader-serialized
+// AND built from pure responses: ops commit in a total order (the op log),
+// each epoch's single reprice runs ClearMarketWith over residents in arrival
+// order from the standard starting prices, and every resident response is
+// the same pure search from the fixed start — so a clearing's outcome
 // depends only on the resident set it covers, never on how many ops were
 // batched into the epoch that produced it (DESIGN.md §8).
 package alloc
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -54,6 +58,13 @@ import (
 
 // WholeProgram marks a bid or resident running its whole benchmark.
 const WholeProgram = market.WholeProgram
+
+// ErrInvalid marks economics the core refuses at its boundary: a utility
+// exponent below 1, a budget that is not a finite positive number, or a
+// negative or non-finite price. Any of them would admit a customer whose
+// utility has the wrong sign or no value into the search and the
+// tatonnement.
+var ErrInvalid = errors.New("alloc: invalid economics")
 
 // Params configures an Allocator.
 type Params struct {
@@ -68,7 +79,9 @@ type Params struct {
 	// also makes FellBack receipts impossible rather than merely
 	// deterministic.
 	ProbeBudget int
-	// Supply is the chip's rentable resources for market clearing.
+	// Supply is the chip's rentable resources for market clearing. Zero
+	// makes a pricing-only allocator (the fleet, the table drivers): bids
+	// price as usual and membership ops are refused.
 	Supply econ.Supply
 	// Tol and MaxIter are the tatonnement parameters (econ.ClearMarketWith
 	// defaults if 0).
@@ -126,7 +139,8 @@ type Allocator struct {
 // is only ever invoked by the epoch leader (inside the batch reprice), so
 // its fields need no lock. last/warm track the resident's most recent
 // optimum for the published view and the phase-change reconfiguration plan;
-// they deliberately do NOT seed searches (purity, see the package comment).
+// they deliberately do NOT seed searches, which start from the fixed lattice
+// start (purity, see the package comment).
 type resident struct {
 	a      *Allocator
 	name   string
@@ -144,7 +158,7 @@ func (r *resident) BidderName() string { return r.name }
 // Respond implements econ.Bidder by a pure goroutine-local search at
 // prices m.
 func (r *resident) Respond(m econ.Market) (econ.Config, float64, float64, error) {
-	res, err := r.a.search(r.key(), nil, r.util, m)
+	res, err := r.a.search(r.key(), r.util, m, econ.Config{}, nil)
 	if err != nil {
 		return econ.Config{}, 0, 0, err
 	}
@@ -161,15 +175,12 @@ func (r *resident) key() surfKey { return surfKey{bench: r.bench, phase: r.phase
 
 // New builds an Allocator over the given lattice and prober. With
 // p.Surfaces set, prober may be nil: all probes go through the shared
-// cache.
+// cache. A zero p.Supply builds a pricing-only allocator.
 func New(p Params, prober market.Prober) (*Allocator, error) {
-	if len(p.Slices) == 0 || len(p.CacheKB) == 0 {
-		return nil, fmt.Errorf("alloc: empty lattice axes")
-	}
 	if _, err := econ.NewOptimizer(p.Slices, p.CacheKB); err != nil {
 		return nil, fmt.Errorf("alloc: %w", err)
 	}
-	if p.Supply.Slices <= 0 {
+	if p.Supply.Slices < 0 || p.Supply.Banks < 0 {
 		return nil, fmt.Errorf("alloc: invalid supply %+v", p.Supply)
 	}
 	cache := p.Surfaces
@@ -207,32 +218,23 @@ func New(p Params, prober market.Prober) (*Allocator, error) {
 func (a *Allocator) LatticeSize() int { return a.lattice }
 
 // Params returns the allocator's resolved parameters (ProbeBudget defaulted
-// to the lattice size). Callers building a sequential reference engine pair
-// it with Cache() to share the probe economy.
+// to the lattice size). Callers building a sequential reference allocator
+// pair it with Cache() to share the probe economy.
 func (a *Allocator) Params() Params { return a.p }
 
 // Cache returns the shared surface memo (for wiring several consumers onto
 // one probe economy, and for the cache hit/miss telemetry).
 func (a *Allocator) Cache() *market.SurfaceCache { return a.cache }
 
-// probeFn routes one surface's probes through the shared cache, counting
-// lookups for the hit/miss telemetry.
-func (a *Allocator) probeFn(k surfKey) econ.ProbeFn {
-	return func(cfg econ.Config) (float64, error) {
-		a.stats.probeLookups.Add(1)
-		return a.cache.Probe(k.bench, k.phase, cfg)
-	}
-}
-
-// search runs one pure, goroutine-local search: a pooled Reset-fresh
-// Optimizer ascending from the fixed lattice start (econ.Config{} resolves
-// to the midpoint), probing through the lock-free cache. A nil obj scores
+// search is the core's one search: a pooled Reset-fresh Optimizer ascending
+// from start (econ.Config{}, or any off-lattice start, resolves to the
+// lattice midpoint), probing through the lock-free cache. A nil obj scores
 // configurations by utility at prices m. The result is a deterministic
-// function of (surface, obj, prices) — independent of scheduling, pool
-// history, and every other request in flight.
+// function of (surface, obj, prices, start) — independent of scheduling,
+// pool history, and every other request in flight.
 //
 //ssim:parallel
-func (a *Allocator) search(k surfKey, obj econ.Objective, u econ.Utility, m econ.Market) (econ.SearchResult, error) {
+func (a *Allocator) search(k surfKey, u econ.Utility, m econ.Market, start econ.Config, obj econ.Objective) (econ.SearchResult, error) {
 	if k.phase != WholeProgram && !a.cache.Phased() {
 		return econ.SearchResult{}, fmt.Errorf("alloc: prober cannot measure phases (bench %s phase %d)", k.bench, k.phase)
 	}
@@ -240,7 +242,10 @@ func (a *Allocator) search(k surfKey, obj econ.Objective, u econ.Utility, m econ
 		obj = func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
 	}
 	opt := a.opts.Get().(*econ.Optimizer)
-	res, err := opt.Search(obj, m, econ.Config{}, a.probeFn(k))
+	res, err := opt.Search(obj, m, start, a.cache.Surface(k.bench, k.phase).Probe)
+	// A Reset-fresh optimizer calls the cache once per distinct
+	// configuration, so its probe count is the search's cache lookups.
+	a.stats.probeLookups.Add(int64(opt.Probes()))
 	opt.Reset()
 	a.opts.Put(opt)
 	if err != nil {
@@ -253,35 +258,36 @@ func (a *Allocator) search(k surfKey, obj econ.Objective, u econ.Utility, m econ
 	return res, nil
 }
 
-// PriceBid prices one stand-alone bid: the utility-maximizing configuration
-// for the benchmark at prices m. It is the serving hot path — entirely
-// lock-free against a warm cache — and does not touch market membership.
+// PriceBid prices one stand-alone bid from the fixed lattice start: the
+// utility-maximizing configuration for the benchmark at prices m. It is the
+// serving hot path — entirely lock-free against a warm cache — and does not
+// touch market membership.
 //
 //ssim:parallel
 func (a *Allocator) PriceBid(bench string, u econ.Utility, m econ.Market) (market.BidResult, error) {
-	return a.priceBid(surfKey{bench: bench, phase: WholeProgram}, nil, u, m)
+	return a.PriceBidAt(bench, u, m, econ.Config{}, nil)
 }
 
-// PriceBidObjective is PriceBid with an explicit scoring objective (e.g.
-// the fleet's utility-per-watt); a nil obj means utility at prices m.
+// PriceBidAt prices one bid from an explicit start with an optional
+// objective override (nil = utility at prices m; the fleet passes its
+// utility-per-watt scheduling objective). The result is a pure function of
+// (surface, objective, prices, start): the fleet relies on it to stay
+// byte-identical across shard counts, pricing every group from its
+// epoch-synchronized previous optimum.
 //
 //ssim:parallel
-func (a *Allocator) PriceBidObjective(bench string, u econ.Utility, m econ.Market, obj econ.Objective) (market.BidResult, error) {
-	return a.priceBid(surfKey{bench: bench, phase: WholeProgram}, obj, u, m)
-}
-
-//ssim:parallel
-func (a *Allocator) priceBid(k surfKey, obj econ.Objective, u econ.Utility, m econ.Market) (market.BidResult, error) {
+func (a *Allocator) PriceBidAt(bench string, u econ.Utility, m econ.Market, start econ.Config, obj econ.Objective) (market.BidResult, error) {
+	if err := checkBid(u, m); err != nil {
+		return market.BidResult{}, err
+	}
 	a.stats.inflight.Add(1)
 	defer a.stats.inflight.Add(-1)
-	res, err := a.search(k, obj, u, m)
+	res, err := a.search(surfKey{bench: bench, phase: WholeProgram}, u, m, start, obj)
 	if err != nil {
 		return market.BidResult{}, err
 	}
 	a.stats.bids.Add(1)
 	cost := m.Cost(res.Best)
-	// Warm is always false: allocator searches never warm-start (purity).
-	// Cache warmth is visible in aggregate via Stats().CacheMisses instead.
 	br := market.BidResult{
 		Config: res.Best, Perf: res.Perf, Utility: res.Score, Cost: cost,
 		Probes: res.Probes, FellBack: res.FellBack,
@@ -290,6 +296,32 @@ func (a *Allocator) priceBid(k surfKey, obj econ.Objective, u econ.Utility, m ec
 		br.VCores = u.Budget / cost
 	}
 	return br, nil
+}
+
+// checkUtility rejects a utility the economics cannot score: K < 1, or a
+// budget that is not a finite positive number.
+func checkUtility(u econ.Utility) error {
+	if u.K < 1 {
+		return fmt.Errorf("%w: utility exponent k = %d, want 1 or more", ErrInvalid, u.K)
+	}
+	if !(u.Budget > 0) || math.IsInf(u.Budget, 1) {
+		return fmt.Errorf("%w: budget %v, want a finite value above 0", ErrInvalid, u.Budget)
+	}
+	return nil
+}
+
+// checkBid is checkUtility plus the prices: each cost must be finite and
+// not negative.
+func checkBid(u econ.Utility, m econ.Market) error {
+	if err := checkUtility(u); err != nil {
+		return err
+	}
+	for _, c := range [2]float64{m.SliceCost, m.BankCost} {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("%w: market %q prices (%v, %v), want finite values of 0 or more", ErrInvalid, m.Name, m.SliceCost, m.BankCost)
+		}
+	}
+	return nil
 }
 
 // Prices returns the current market price vector: the last clearing's

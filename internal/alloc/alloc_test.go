@@ -1,7 +1,9 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -97,6 +99,9 @@ func grid(perf func(econ.Config) float64) econ.Grid {
 
 var testSupply = econ.Supply{Slices: 64, Banks: 64}
 
+// raceEnabled reports a -race build (set in race_enabled_test.go).
+var raceEnabled bool
+
 func testParams() Params {
 	return Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply}
 }
@@ -149,18 +154,28 @@ func TestPriceBidExact(t *testing.T) {
 
 // TestPriceBidObjective checks the explicit-objective entry point: an
 // objective that scores pure performance must pick the performance argmax,
-// not the utility one.
+// and one that scores 1/cost the cheapest configuration, not the utility
+// optimum — from the fixed start and from an explicit one alike.
 func TestPriceBidObjective(t *testing.T) {
 	a, _ := newAlloc(t)
 	m := econ.Market2()
-	obj := func(perf float64, cfg econ.Config) float64 { return perf }
-	br, err := a.PriceBidObjective("slicey", econ.Utility1(), m, obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := econ.Config{Slices: 8, CacheKB: 8192} // slicey peaks at max everything
-	if br.Config != want {
-		t.Fatalf("objective override: got %+v, want %+v", br.Config, want)
+	perf := func(perf float64, cfg econ.Config) float64 { return perf }
+	frugal := func(perf float64, cfg econ.Config) float64 { return 1 / m.Cost(cfg) }
+	for _, start := range []econ.Config{{}, {Slices: 7, CacheKB: 4096}, {Slices: 1, CacheKB: 64}} {
+		br, err := a.PriceBidAt("slicey", econ.Utility1(), m, start, perf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (econ.Config{Slices: 8, CacheKB: 8192}); br.Config != want { // slicey peaks at max everything
+			t.Fatalf("performance objective from %v: got %+v, want %+v", start, br.Config, want)
+		}
+		br, err = a.PriceBidAt("slicey", econ.Utility1(), m, start, frugal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (econ.Config{Slices: 1, CacheKB: 0}); br.Config != want {
+			t.Fatalf("frugal objective from %v: got %+v, want %+v", start, br.Config, want)
+		}
 	}
 }
 
@@ -261,6 +276,9 @@ func TestMembershipErrors(t *testing.T) {
 	if _, err := a.Reconfigure("ghost", 1); err == nil {
 		t.Fatal("absent phase change must fail")
 	}
+	if _, err := a.PriceBid("nope", econ.Utility1(), econ.Market2()); err == nil {
+		t.Fatal("unknown benchmark must fail")
+	}
 
 	// A failed op must leave the committed state untouched.
 	if got := len(a.Log()); got != 1 {
@@ -320,8 +338,9 @@ func TestEpochRollback(t *testing.T) {
 	}
 }
 
-// TestSharedSurfaceCache wires an Allocator and a sequential Engine onto one
-// SurfaceCache and checks they agree and share the probe economy.
+// TestSharedSurfaceCache wires two allocators onto one SurfaceCache and
+// checks they agree and share the probe economy: the second prices the same
+// bid without a single new prober call.
 func TestSharedSurfaceCache(t *testing.T) {
 	fp := &raceProber{}
 	cache, err := market.NewSurfaceCache(fp)
@@ -334,7 +353,7 @@ func TestSharedSurfaceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := market.New(market.Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply, Surfaces: cache}, nil)
+	b, err := New(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,27 +363,140 @@ func TestSharedSurfaceCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := fp.calls.Load()
-	be, err := e.PriceBid("cachey", econ.Utility3(), m)
+	bb, err := b.PriceBid("cachey", econ.Utility3(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(NormalizeBid(ba), NormalizeBid(be)) {
-		t.Fatalf("shared-cache bid mismatch:\nalloc  %+v\nengine %+v", ba, be)
+	if !reflect.DeepEqual(ba, bb) {
+		t.Fatalf("shared-cache bid mismatch:\n a %+v\n b %+v", ba, bb)
 	}
 	if fp.calls.Load() != calls {
-		t.Fatalf("engine re-probed %d points the allocator already cached", fp.calls.Load()-calls)
+		t.Fatalf("second allocator re-probed %d points the first already cached", fp.calls.Load()-calls)
 	}
 }
 
-// TestNewValidation checks constructor failure modes.
+// TestNewValidation checks constructor failure modes, and that a zero
+// supply builds a pricing-only allocator: bids price, membership ops are
+// refused.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Params{CacheKB: tCaches, Supply: testSupply}, &raceProber{}); err == nil {
 		t.Fatal("empty slice axis must fail")
 	}
-	if _, err := New(Params{Slices: tSlices, CacheKB: tCaches}, &raceProber{}); err == nil {
-		t.Fatal("zero supply must fail")
+	if _, err := New(Params{Slices: []int{2, 1}, CacheKB: tCaches, Supply: testSupply}, &raceProber{}); err == nil {
+		t.Fatal("descending slice axis must fail")
+	}
+	if _, err := New(Params{Slices: tSlices, CacheKB: tCaches, Supply: econ.Supply{Slices: -1}}, &raceProber{}); err == nil {
+		t.Fatal("negative supply must fail")
 	}
 	if _, err := New(testParams(), nil); err == nil {
 		t.Fatal("nil prober without shared cache must fail")
+	}
+
+	a, err := New(Params{Slices: tSlices, CacheKB: tCaches}, &raceProber{})
+	if err != nil {
+		t.Fatalf("zero supply (pricing only) must be accepted: %v", err)
+	}
+	if _, err := a.PriceBid("cachey", econ.Utility1(), econ.Market2()); err != nil {
+		t.Fatalf("pricing-only allocator refused a bid: %v", err)
+	}
+	if _, err := a.Arrive("vm1", "cachey", econ.Utility1()); err == nil {
+		t.Fatal("arrival without supply must fail")
+	}
+	if _, err := a.Depart("vm1"); err == nil {
+		t.Fatal("departure without supply must fail")
+	}
+	if _, err := a.Reconfigure("vm1", 1); err == nil {
+		t.Fatal("phase change without supply must fail")
+	}
+	if got := len(a.Log()); got != 0 {
+		t.Fatalf("refused ops reached the journal: %d records", got)
+	}
+}
+
+// TestInvalidEconomics is the boundary table: every entry point that takes
+// a utility or prices refuses economics with no meaning — K below 1, a
+// budget that is not a finite positive number, a negative or non-finite
+// price — with ErrInvalid, and the refusal leaves no trace in the market.
+func TestInvalidEconomics(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	u, m := econ.Utility2(), econ.Market2()
+	cases := []struct {
+		name string
+		u    econ.Utility
+		m    econ.Market
+		// market reports a bad price: only the bid entry points take one.
+		market bool
+	}{
+		{name: "k zero", u: econ.Utility{K: 0, Budget: u.Budget}, m: m},
+		{name: "k negative", u: econ.Utility{K: -2, Budget: u.Budget}, m: m},
+		{name: "budget zero", u: econ.Utility{K: 2, Budget: 0}, m: m},
+		{name: "budget negative", u: econ.Utility{K: 2, Budget: -5}, m: m},
+		{name: "budget NaN", u: econ.Utility{K: 2, Budget: nan}, m: m},
+		{name: "budget +Inf", u: econ.Utility{K: 2, Budget: inf}, m: m},
+		{name: "budget -Inf", u: econ.Utility{K: 2, Budget: -inf}, m: m},
+		{name: "slice cost negative", u: u, m: econ.Market{Name: "custom", SliceCost: -1, BankCost: 1}, market: true},
+		{name: "bank cost negative", u: u, m: econ.Market{Name: "custom", SliceCost: 1, BankCost: -0.5}, market: true},
+		{name: "slice cost NaN", u: u, m: econ.Market{Name: "custom", SliceCost: nan, BankCost: 1}, market: true},
+		{name: "bank cost +Inf", u: u, m: econ.Market{Name: "custom", SliceCost: 1, BankCost: inf}, market: true},
+	}
+	a, fp := newAlloc(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := a.PriceBid("cachey", c.u, c.m); !errors.Is(err, ErrInvalid) {
+				t.Errorf("PriceBid: got %v, want ErrInvalid", err)
+			}
+			if _, err := a.PriceBidAt("cachey", c.u, c.m, econ.Config{Slices: 2, CacheKB: 256}, nil); !errors.Is(err, ErrInvalid) {
+				t.Errorf("PriceBidAt: got %v, want ErrInvalid", err)
+			}
+			if c.market {
+				return
+			}
+			if _, err := a.Arrive("vm-"+c.name, "cachey", c.u); !errors.Is(err, ErrInvalid) {
+				t.Errorf("Arrive: got %v, want ErrInvalid", err)
+			}
+		})
+	}
+	if calls := fp.calls.Load(); calls != 0 {
+		t.Fatalf("refused requests cost %d probes", calls)
+	}
+	if st := a.Stats(); st.Bids != 0 || st.Searches != 0 || st.Ops != 0 || len(a.Log()) != 0 {
+		t.Fatalf("refused requests left a trace: %+v", st)
+	}
+	// A zero price is free, not invalid: the bid still prices.
+	if _, err := a.PriceBid("cachey", u, econ.Market{Name: "free banks", SliceCost: 1}); err != nil {
+		t.Fatalf("zero bank cost refused: %v", err)
+	}
+}
+
+// TestPriceBidAllocsZero pins the warm-bid allocation bound: once the
+// surface is cached and the optimizer pool is warm, a bid costs no heap
+// allocation — in PriceBid's fixed-start shape and in the fleet's shape,
+// PriceBidAt with an explicit start and objective.
+func TestPriceBidAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	a, _ := newAlloc(t)
+	u, m := econ.Utility2(), econ.Market2()
+	start := econ.Config{Slices: 3, CacheKB: 512}
+	obj := func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) / float64(cfg.Slices) }
+	var err error
+	for _, c := range []struct {
+		name string
+		bid  func()
+	}{
+		{"PriceBid", func() { _, err = a.PriceBid("mixed", u, m) }},
+		{"PriceBidAt", func() { _, err = a.PriceBidAt("mixed", u, m, start, obj) }},
+	} {
+		c.bid() // warm the surface and the pool
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, c.bid); n != 0 {
+			t.Errorf("warm %s: %v allocs per bid, want 0", c.name, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

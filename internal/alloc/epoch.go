@@ -91,8 +91,13 @@ type OpRecord struct {
 }
 
 // Arrive adds a customer to the market and returns the receipt of the
-// epoch that admitted it. Concurrent arrivals coalesce into one reprice.
+// epoch that admitted it. Concurrent arrivals coalesce into one reprice. A
+// utility the economics cannot score fails with ErrInvalid before it
+// reaches the queue.
 func (a *Allocator) Arrive(name, bench string, u econ.Utility) (Receipt, error) {
+	if err := checkUtility(u); err != nil {
+		return Receipt{}, err
+	}
 	return a.submit(&op{kind: opArrive, name: name, bench: bench, util: u, phase: WholeProgram})
 }
 
@@ -111,8 +116,12 @@ func (a *Allocator) Reconfigure(name string, phase int) (Receipt, error) {
 }
 
 // submit enqueues o and either leads the epoch loop or waits for a leader
-// to commit it.
+// to commit it. A pricing-only allocator (zero supply) has no market to
+// clear and refuses every membership op.
 func (a *Allocator) submit(o *op) (Receipt, error) {
+	if a.p.Supply.Slices <= 0 {
+		return Receipt{}, fmt.Errorf("alloc: %s %q: no supply to clear a market over (pricing-only allocator)", o.kind, o.name)
+	}
 	o.done = make(chan struct{})
 	a.stats.inflight.Add(1)
 	defer a.stats.inflight.Add(-1)
@@ -168,10 +177,10 @@ func (a *Allocator) runEpoch(batch []*op) {
 		// The epoch's reprice failed (e.g. a probe refused during drain).
 		// The epoch aborts: membership changes are reversed in LIFO order so
 		// the op journal, resident state, and published view stay mutually
-		// consistent — a failed op never happened, exactly as in the
-		// sequential engine. (Residents' warm-start fields touched by the
-		// aborted tatonnement are left as-is: search exactness makes warm
-		// starts irrelevant to results.)
+		// consistent — a failed op never happened. (Residents' last
+		// optima touched by the aborted tatonnement are left as-is: they
+		// feed only the published view and reconfiguration plans, never a
+		// search.)
 		for i := len(committed) - 1; i >= 0; i-- {
 			committed[i].undo()
 			committed[i].err = clearErr
@@ -270,8 +279,8 @@ func (a *Allocator) apply(o *op, seq uint64) error {
 
 // reprice runs the epoch's single tatonnement over residents in arrival
 // order. The trajectory starts from the standard area prices with the
-// standard step schedule, and every response is an exact search, so the
-// outcome is byte-identical to a sequential engine's clearing over the
+// standard step schedule, and every response is the same pure search, so
+// the outcome is byte-identical to a one-op-at-a-time clearing over the
 // same resident set.
 func (a *Allocator) reprice() (*econ.ClearingResult, error) {
 	bidders := make([]econ.Bidder, len(a.order))

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sharing/internal/econ"
-	"sharing/internal/fleet"
 	"sharing/internal/market"
 )
 
@@ -37,23 +36,19 @@ func bidWorkload() []bidCase {
 }
 
 // TestConcurrentBidsMatchSequential hammers PriceBid from many goroutines
-// and checks every single result against a from-scratch sequential pricing
-// of the same bid — warm hints, pooled optimizers, and scheduling must not
-// change a single byte of the allocation-relevant fields.
+// and checks every single result against a sequential pricing of the same
+// bid on a fresh allocator — pooled optimizers, a shared cache filling
+// under fire, and scheduling must not change a single byte of the
+// allocation-relevant fields.
 func TestConcurrentBidsMatchSequential(t *testing.T) {
 	cases := bidWorkload()
 
-	// Sequential reference, fresh engine, computed up front.
-	e, err := market.New(market.Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply}, &raceProber{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Sequential reference: one goroutine, fresh allocator, computed up
+	// front.
+	ref, _ := newAlloc(t)
 	want := make([]market.BidResult, len(cases))
 	for i, c := range cases {
-		// The engine's pure pricing path (fixed zero start) — the same
-		// function the allocator computes; PriceBid's engine-local warm
-		// starts would be a weaker reference on non-basin surfaces.
-		br, err := e.PriceBidAt(c.bench, c.u, c.m, econ.Config{}, nil)
+		br, err := ref.PriceBid(c.bench, c.u, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +97,9 @@ func TestConcurrentBidsMatchSequential(t *testing.T) {
 
 // TestConcurrentChurnReplay runs mixed arrive/depart/phase-change churn plus
 // concurrent bid traffic from many goroutines, then replays the committed op
-// log through the single-goroutine engine and demands a DeepEqual-identical
-// final clearing — the library's headline determinism contract.
+// log one op per epoch through a fresh allocator and demands a
+// DeepEqual-identical final clearing — the core's headline determinism
+// contract.
 func TestConcurrentChurnReplay(t *testing.T) {
 	a, _ := newAlloc(t)
 	benches := []string{"cachey", "slicey", "mixed"}
@@ -185,81 +181,6 @@ func TestConcurrentChurnReplay(t *testing.T) {
 	}
 	if st.Coalesced != st.Ops-st.Epochs {
 		t.Fatalf("coalescing arithmetic: %+v", st)
-	}
-}
-
-// TestPurityOnNonBasinSurfaces is the regression test for the purity
-// decision. The closed-form fleet surfaces are NOT all basin-shaped, so a
-// hill-climb's converged optimum can depend on its start; had bids
-// warm-started from racy hints, concurrent results would have depended on
-// scheduling. With the fixed start, every concurrent bid must match the
-// engine's pure PriceBidAt pricing of the same request — on every surface,
-// repeatably.
-func TestPurityOnNonBasinSurfaces(t *testing.T) {
-	prober := fleet.SyntheticProber{}
-	cache, err := market.NewSurfaceCache(prober)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testParams()
-	p.Surfaces = cache
-	a, err := New(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := market.New(market.Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply, Surfaces: cache}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var cases []bidCase
-	for i := 0; i < 16; i++ {
-		bench := fmt.Sprintf("syn-%02d", i)
-		for _, u := range econ.Utilities() {
-			for _, m := range econ.Markets() {
-				cases = append(cases, bidCase{bench, u, m})
-			}
-		}
-	}
-	want := make([]market.BidResult, len(cases))
-	for i, c := range cases {
-		br, err := ref.PriceBidAt(c.bench, c.u, c.m, econ.Config{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = NormalizeBid(br)
-	}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < 2*len(cases); r++ {
-				i := (g*31 + r) % len(cases)
-				c := cases[i]
-				br, err := a.PriceBid(c.bench, c.u, c.m)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := NormalizeBid(br); !reflect.DeepEqual(got, want[i]) {
-					errs <- fmt.Errorf("%s/%s/%s: concurrent %+v != pure sequential %+v",
-						c.bench, c.m.Name, c.u, got, want[i])
-					return
-				}
-			}
-			errs <- nil
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

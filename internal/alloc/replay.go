@@ -14,8 +14,8 @@ import (
 // reprice per op, the fully serialized execution batching is supposed to be
 // equivalent to — must reach a reflect.DeepEqual-identical final clearing.
 //
-// Why this holds: every search is pure (fixed start, Reset-fresh memo,
-// memoized surface data), so a clearing's outcome is a function of the
+// Why this holds: every resident response is the same pure search (fixed
+// start, Reset-fresh memo, memoized surface data), so a clearing's outcome is a function of the
 // resident set it covers and nothing else. The batched run and the
 // serialized run apply the same ops in the same order, so they end with the
 // same resident set — and therefore the same final clearing, regardless of
@@ -88,13 +88,11 @@ func (a *Allocator) Verify() (*econ.ClearingResult, error) {
 }
 
 // NormalizeBid strips the execution-telemetry fields from a bid result —
-// probe count (depends on what the shared cache already held), warm flag,
-// and fallback marker — leaving the allocation-relevant fields that must be
-// DeepEqual-identical between concurrent serving and a sequential
-// from-scratch pricing of the same bid.
+// probe count and fallback marker — leaving the allocation-relevant fields
+// that must be DeepEqual-identical between concurrent serving and a
+// sequential pricing of the same bid.
 func NormalizeBid(br market.BidResult) market.BidResult {
 	br.Probes = 0
-	br.Warm = false
 	br.FellBack = false
 	return br
 }

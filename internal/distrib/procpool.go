@@ -15,7 +15,7 @@ import (
 // Environment contract between the procpool and the sweep-facing commands:
 // a command launched with WorkerEnv=1 must serve the SREQ/SRES worker loop
 // on stdin/stdout instead of parsing its own flags (experiments.MaybeWorker
-// implements that re-exec hook; cmd/simworker is the standalone worker).
+// implements that re-exec hook, so every such command is its own worker).
 const (
 	// WorkerEnv marks a subprocess as a simulation worker.
 	WorkerEnv = "SSIM_WORKER"

@@ -106,8 +106,7 @@ func ClearMarket(customers []Customer, supply Supply, tol float64, maxIter int) 
 // ClearMarketWith is ClearMarket over abstract Bidders. The price
 // trajectory depends only on the sequence of responses, so a probe-driven
 // bidder whose responses match a grid bidder's yields a byte-identical
-// ClearingResult — the property the incremental market engine's churn tests
-// assert.
+// ClearingResult — the property the allocation core's churn tests assert.
 func ClearMarketWith(bidders []Bidder, supply Supply, tol float64, maxIter int) (*ClearingResult, error) {
 	if len(bidders) == 0 {
 		return nil, fmt.Errorf("econ: no customers")

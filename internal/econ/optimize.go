@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Incremental optimum search (the online market engine's core). The batch
+// Incremental optimum search (the allocation core's one search). The batch
 // drivers find each customer's utility-maximizing VCore by sweeping the full
 // (Slices x CacheKB) measurement grid — fine for regenerating figures,
 // hopeless for pricing a stream of bids. This file searches the utility
@@ -41,7 +41,8 @@ const DefaultProbeBudget = 60
 
 // Optimizer searches utility/metric surfaces over a fixed configuration
 // lattice, memoizing every probed performance value. It is NOT safe for
-// concurrent use; the market engine serializes searches per benchmark.
+// concurrent use; the allocation core (internal/alloc) pools one per
+// in-flight search.
 type Optimizer struct {
 	slices []int // ascending Slice axis
 	caches []int // ascending CacheKB axis
@@ -49,7 +50,10 @@ type Optimizer struct {
 	// (DefaultProbeBudget if 0).
 	Budget int
 
-	memo   map[Config]float64
+	// The probe memo is dense over the lattice: vals[i*len(caches)+j] holds
+	// P(slices[i], caches[j]) when bit i*len(caches)+j of have is set.
+	vals   []float64
+	have   []uint64
 	probes int // cumulative memo misses (actual ProbeFn calls)
 }
 
@@ -70,10 +74,12 @@ func NewOptimizer(slices, caches []int) (*Optimizer, error) {
 			return nil, fmt.Errorf("econ: cache axis not ascending: %v", caches)
 		}
 	}
+	n := len(slices) * len(caches)
 	o := &Optimizer{
 		slices: append([]int(nil), slices...),
 		caches: append([]int(nil), caches...),
-		memo:   make(map[Config]float64, len(slices)*len(caches)),
+		vals:   make([]float64, n),
+		have:   make([]uint64, (n+63)/64),
 	}
 	return o, nil
 }
@@ -94,23 +100,20 @@ func (o *Optimizer) Probes() int { return o.probes }
 // pooled instance served the previous search — while the actual measurement
 // memoization lives in the shared, concurrency-safe market.SurfaceCache.
 func (o *Optimizer) Reset() {
-	clear(o.memo)
+	clear(o.have)
 	o.probes = 0
-}
-
-// Known returns the memoized performance for cfg, if it has been probed.
-func (o *Optimizer) Known(cfg Config) (float64, bool) {
-	p, ok := o.memo[cfg]
-	return p, ok
 }
 
 // Grid returns a copy of every memoized measurement as a Grid — the partial
 // performance surface the searches have explored so far.
 func (o *Optimizer) Grid() Grid {
-	g := make(Grid, len(o.memo))
-	//ssim:nolint maprange: copying one map into another keyed by the same key is order-independent
-	for c, p := range o.memo {
-		g[c] = p
+	g := make(Grid)
+	for i, s := range o.slices {
+		for j, kb := range o.caches {
+			if x := i*len(o.caches) + j; o.have[x/64]&(1<<(x%64)) != 0 {
+				g[Config{Slices: s, CacheKB: kb}] = o.vals[x]
+			}
+		}
 	}
 	return g
 }
@@ -145,11 +148,14 @@ func (o *Optimizer) budget() int {
 	return DefaultProbeBudget
 }
 
-// perf returns the memoized or freshly probed performance of cfg, counting
-// the probe against limit (math.MaxInt disables the cap).
-func (o *Optimizer) perf(cfg Config, probe ProbeFn, spent *int, limit int) (float64, error) {
-	if p, ok := o.memo[cfg]; ok {
-		return p, nil
+// perf returns the memoized or freshly probed performance of cfg, lattice
+// point (i, j), counting the probe against limit (math.MaxInt disables the
+// cap).
+func (o *Optimizer) perf(i, j int, cfg Config, probe ProbeFn, spent *int, limit int) (float64, error) {
+	x := i*len(o.caches) + j
+	bit := uint64(1) << (x % 64)
+	if o.have[x/64]&bit != 0 {
+		return o.vals[x], nil
 	}
 	if *spent >= limit {
 		return 0, errBudget
@@ -158,7 +164,8 @@ func (o *Optimizer) perf(cfg Config, probe ProbeFn, spent *int, limit int) (floa
 	if err != nil {
 		return 0, err
 	}
-	o.memo[cfg] = p
+	o.vals[x] = p
+	o.have[x/64] |= bit
 	o.probes++
 	*spent++
 	return p, nil
@@ -207,7 +214,7 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 	limit := o.budget()
 	score := func(i, j int) (Config, float64, float64, error) {
 		cfg := Config{Slices: o.slices[i], CacheKB: o.caches[j]}
-		p, err := o.perf(cfg, probe, &spent, limit)
+		p, err := o.perf(i, j, cfg, probe, &spent, limit)
 		if err != nil {
 			return cfg, 0, 0, err
 		}
@@ -302,7 +309,7 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 	for i := range o.slices {
 		for j := range o.caches {
 			cfg := Config{Slices: o.slices[i], CacheKB: o.caches[j]}
-			p, perr := o.perf(cfg, probe, &spent, math.MaxInt)
+			p, perr := o.perf(i, j, cfg, probe, &spent, math.MaxInt)
 			if perr != nil {
 				return SearchResult{}, perr
 			}

@@ -2,17 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sharing/internal/alloc"
 	"sharing/internal/econ"
 	"sharing/internal/hypervisor"
-	"sharing/internal/market"
 	"sharing/internal/workload"
 )
 
-// This file is the bridge between the online market engine (internal/market)
-// and the simulator: a RunnerProber turns optimizer probes into Runner
+// This file is the bridge between the allocation core (internal/alloc) and
+// the simulator: a RunnerProber turns search probes into Runner
 // measurements — behind the content-addressed results cache, the
 // singleflight collapse, and (when enabled) sampled simulation — plus the
 // incremental counterparts of the batch table drivers and the churn
@@ -43,30 +43,11 @@ func (p RunnerProber) ProbePhase(bench string, phase int, cfg econ.Config) (floa
 	return m.IPC(), nil
 }
 
-// NewEngine builds a market engine over the standard lattice, probing
-// through r. Supply defaults to the evaluated chip (64 Slices, 8 MB of L2)
-// when zero; probeBudget 0 means econ.DefaultProbeBudget.
-func NewEngine(r *Runner, supply econ.Supply, probeBudget int) (*market.Engine, error) {
-	if supply.Slices == 0 && supply.Banks == 0 {
-		supply = econ.Supply{Slices: 64, Banks: 128}
-	}
-	return market.New(market.Params{
-		Slices:      StdSlices,
-		CacheKB:     StdCaches,
-		ProbeBudget: probeBudget,
-		Supply:      supply,
-	}, RunnerProber{R: r})
-}
-
-// NewAllocator builds a concurrent-safe allocator (internal/alloc) over the
-// standard lattice, probing through r — the serving counterpart of
-// NewEngine, used by cmd/sharingd. Supply and probeBudget default as in
-// NewEngine (probeBudget 0 further defaults to the lattice size inside
-// alloc.New, disabling the exhaustive fallback).
+// NewAllocator builds an allocator (internal/alloc) over the standard
+// lattice, probing through r. A zero supply makes a pricing-only allocator
+// (the table drivers); probeBudget 0 means the lattice size, which disables
+// the exhaustive fallback.
 func NewAllocator(r *Runner, supply econ.Supply, probeBudget int) (*alloc.Allocator, error) {
-	if supply.Slices == 0 && supply.Banks == 0 {
-		supply = econ.Supply{Slices: 64, Banks: 128}
-	}
 	return alloc.New(alloc.Params{
 		Slices:      StdSlices,
 		CacheKB:     StdCaches,
@@ -77,62 +58,62 @@ func NewAllocator(r *Runner, supply econ.Supply, probeBudget int) (*alloc.Alloca
 
 // Table4Incremental reproduces Table 4 (perf^k/area optima) by incremental
 // search: Metric under k equals Utility_k under area prices (Market2) up to
-// the constant budget factor, with the same tie-break, so three warm bids
-// per benchmark replace the 72-point sweep.
-func Table4Incremental(r *Runner, names []string, probeBudget int) ([]OptimaRow, market.Stats, error) {
+// the constant budget factor, with the same tie-break, so three bids per
+// benchmark replace the 72-point sweep.
+func Table4Incremental(r *Runner, names []string, probeBudget int) ([]OptimaRow, alloc.Stats, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	e, err := NewEngine(r, econ.Supply{}, probeBudget)
+	a, err := NewAllocator(r, econ.Supply{}, probeBudget)
 	if err != nil {
-		return nil, market.Stats{}, err
+		return nil, alloc.Stats{}, err
 	}
 	var rows []OptimaRow
 	for _, b := range names {
 		row := OptimaRow{Bench: b}
 		for _, u := range econ.Utilities() {
-			bid, err := e.PriceBid(b, u, econ.Market2())
+			bid, err := a.PriceBid(b, u, econ.Market2())
 			if err != nil {
-				return nil, market.Stats{}, err
+				return nil, alloc.Stats{}, err
 			}
 			row.Best[u.K-1] = bid.Config
 		}
 		rows = append(rows, row)
 	}
-	return rows, e.Stats(), nil
+	return rows, a.Stats(), nil
 }
 
 // Table6Incremental reproduces Table 6 (per-market, per-utility optimal
-// VCores) by pricing 9 bids per benchmark through the incremental engine
-// instead of sweeping 72-point grids. It returns the rows and the engine's
-// probe-economy statistics.
-func Table6Incremental(r *Runner, names []string, probeBudget int) ([]MarketOptimaRow, market.Stats, error) {
+// VCores) by pricing 9 bids per benchmark through the allocation core
+// instead of sweeping 72-point grids. It returns the rows and the
+// allocator's probe-economy statistics.
+func Table6Incremental(r *Runner, names []string, probeBudget int) ([]MarketOptimaRow, alloc.Stats, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	e, err := NewEngine(r, econ.Supply{}, probeBudget)
+	a, err := NewAllocator(r, econ.Supply{}, probeBudget)
 	if err != nil {
-		return nil, market.Stats{}, err
+		return nil, alloc.Stats{}, err
 	}
 	var rows []MarketOptimaRow
 	for _, b := range names {
 		row := MarketOptimaRow{Bench: b}
 		for mi, m := range econ.Markets() {
 			for _, u := range econ.Utilities() {
-				bid, err := e.PriceBid(b, u, m)
+				bid, err := a.PriceBid(b, u, m)
 				if err != nil {
-					return nil, market.Stats{}, err
+					return nil, alloc.Stats{}, err
 				}
 				row.Best[mi][u.K-1] = bid.Config
 			}
 		}
 		rows = append(rows, row)
 	}
-	return rows, e.Stats(), nil
+	return rows, a.Stats(), nil
 }
 
 // IncrementalPhaseTable is one metric's dynamic schedule from the
@@ -192,10 +173,10 @@ type ChurnEvent struct {
 	Bench    string
 	K        int
 	Phase    int
-	// Probes and SimRuns are the marginal optimizer probes and actual
+	// Probes and SimRuns are the marginal surface-cache misses and actual
 	// simulator executions this event cost; Iterations is the tatonnement
 	// round count of the re-clearing.
-	Probes     int
+	Probes     int64
 	SimRuns    int64
 	Iterations int
 	// TotalUtility is the market's total utility after the event.
@@ -205,7 +186,7 @@ type ChurnEvent struct {
 // ChurnReport summarizes one churn scenario run.
 type ChurnReport struct {
 	Events []ChurnEvent
-	Stats  market.Stats
+	Stats  alloc.Stats
 	// SimRuns is the total simulator executions across the scenario;
 	// GridSimRuns is what the batch path would have run for the same
 	// surfaces (one full sweep each).
@@ -214,49 +195,53 @@ type ChurnReport struct {
 }
 
 // ChurnScenario drives a deterministic arrival/departure/phase-change
-// sequence over the named benchmarks through the incremental engine:
-// every benchmark arrives as a customer (utilities rotating U1..U3), every
-// second customer departs, the departed half re-arrives (riding the warm
-// memos), and — when gcc is among the benchmarks — its customer steps
-// through two program phases to exercise per-phase reconfiguration.
+// sequence over the named benchmarks through the allocation core, one op
+// per epoch: every benchmark arrives as a customer (utilities rotating
+// U1..U3), every second customer departs, the departed half re-arrives
+// (riding the memoized surfaces), and — when gcc is among the benchmarks —
+// its customer steps through two program phases to exercise per-phase
+// reconfiguration.
 func ChurnScenario(r *Runner, names []string, supply econ.Supply, probeBudget int) (*ChurnReport, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	e, err := NewEngine(r, supply, probeBudget)
+	a, err := NewAllocator(r, supply, probeBudget)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ChurnReport{}
-	// recordDelta reports each event's marginal probe and simulator cost as
-	// the delta against the previous event's cumulative counters.
-	cumProbes, cumRuns := 0, int64(0)
-	recordDelta := func(action, cust, bench string, k, phase int, res *econ.ClearingResult, err error) error {
+	// record reports each event's marginal probe and simulator cost as the
+	// delta against the previous event's cumulative counters.
+	var cumProbes, cumRuns int64
+	record := func(action, cust, bench string, k, phase int, rc alloc.Receipt, err error) error {
 		if err != nil {
 			return err
 		}
-		st := e.Stats()
+		st := a.Stats()
 		ev := ChurnEvent{
 			Action: action, Customer: cust, Bench: bench, K: k, Phase: phase,
-			Probes:  st.Probes - cumProbes,
+			Probes:  st.CacheMisses - cumProbes,
 			SimRuns: r.SimRuns() - cumRuns,
 		}
-		cumProbes, cumRuns = st.Probes, r.SimRuns()
-		if res != nil {
-			ev.Iterations = res.Iterations
-			ev.TotalUtility = res.TotalUtility
+		cumProbes, cumRuns = st.CacheMisses, r.SimRuns()
+		if rc.Result != nil {
+			ev.Iterations = rc.Result.Iterations
+			ev.TotalUtility = rc.Result.TotalUtility
 		}
 		rep.Events = append(rep.Events, ev)
 		return nil
 	}
-	// Arrivals: one customer per benchmark, rotating utility families.
-	for i, b := range names {
+	arrive := func(i int, b string) error {
 		u := econ.Utilities()[i%3]
 		cust := fmt.Sprintf("cust-%s", b)
-		res, err := e.Arrive(cust, b, u)
-		if err := recordDelta("arrive", cust, b, u.K, market.WholeProgram, res, err); err != nil {
+		rc, err := a.Arrive(cust, b, u)
+		return record("arrive", cust, b, u.K, alloc.WholeProgram, rc, err)
+	}
+	// Arrivals: one customer per benchmark, rotating utility families.
+	for i, b := range names {
+		if err := arrive(i, b); err != nil {
 			return nil, err
 		}
 	}
@@ -266,8 +251,8 @@ func ChurnScenario(r *Runner, names []string, supply econ.Supply, probeBudget in
 			continue
 		}
 		cust := fmt.Sprintf("cust-%s", b)
-		res, err := e.Depart(cust)
-		if err := recordDelta("depart", cust, b, 0, market.WholeProgram, res, err); err != nil {
+		rc, err := a.Depart(cust)
+		if err := record("depart", cust, b, 0, alloc.WholeProgram, rc, err); err != nil {
 			return nil, err
 		}
 	}
@@ -276,28 +261,21 @@ func ChurnScenario(r *Runner, names []string, supply econ.Supply, probeBudget in
 		if i%2 == 1 {
 			continue
 		}
-		u := econ.Utilities()[i%3]
-		cust := fmt.Sprintf("cust-%s", b)
-		res, err := e.Arrive(cust, b, u)
-		if err := recordDelta("arrive", cust, b, u.K, market.WholeProgram, res, err); err != nil {
+		if err := arrive(i, b); err != nil {
 			return nil, err
 		}
 	}
 	// Phase churn on gcc, when present.
-	for _, b := range names {
-		if b != "gcc" {
-			continue
-		}
-		cust := "cust-gcc"
+	if slices.Contains(names, "gcc") {
 		for _, ph := range []int{0, 1} {
-			res, _, err := e.SetPhase(cust, ph)
-			if err := recordDelta("phase", cust, b, 0, ph, res, err); err != nil {
+			rc, err := a.Reconfigure("cust-gcc", ph)
+			if err := record("phase", "cust-gcc", "gcc", 0, ph, rc, err); err != nil {
 				return nil, err
 			}
 		}
 	}
-	rep.Stats = e.Stats()
+	rep.Stats = a.Stats()
 	rep.SimRuns = r.SimRuns()
-	rep.GridSimRuns = rep.Stats.Surfaces * e.LatticeSize()
+	rep.GridSimRuns = rep.Stats.GridProbes
 	return rep, nil
 }

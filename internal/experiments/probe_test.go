@@ -19,11 +19,11 @@ func diffProfiles(t *testing.T) []string {
 	return workload.Names()
 }
 
-// TestIncrementalBidMatchesGrid is the exactness guard of ISSUE 6: for every
-// workload profile, market, and utility family, the incremental engine's bid
-// must land on the identical configuration and utility as the full-grid
-// sweep — while the warm-bid stream issues >= 10x fewer simulator runs than
-// the 47+-point grid (72 here).
+// TestIncrementalBidMatchesGrid is the exactness guard of the allocation
+// core: for every workload profile, market, and utility family, the pure
+// fixed-start bid must land on the identical configuration and utility as
+// the full-grid sweep — while the warm re-bid stream issues >= 10x fewer
+// simulator runs than the 47+-point grid (72 here).
 func TestIncrementalBidMatchesGrid(t *testing.T) {
 	names := diffProfiles(t)
 
@@ -34,10 +34,10 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Engine side: a fresh runner so SimRuns counts the incremental path's
-	// real simulator work.
+	// Allocator side: a fresh runner so SimRuns counts the incremental
+	// path's real simulator work.
 	rE := tiny(t)
-	e, err := NewEngine(rE, econ.Supply{}, 0)
+	a, err := NewAllocator(rE, econ.Supply{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 	for _, b := range names {
 		for _, m := range econ.Markets() {
 			for _, u := range econ.Utilities() {
-				bid, err := e.PriceBid(b, u, m)
+				bid, err := a.PriceBid(b, u, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,18 +67,15 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 	}
 
 	// Second pass: the warm bid stream. Every surface is memoized, so the
-	// whole pass must cost (close to) zero simulator runs; the issue's gate
-	// is >= 10x under the grid per warm bid.
+	// whole pass must cost (close to) zero simulator runs; the gate is
+	// >= 10x under the grid per warm bid.
 	warmBids := 0
 	for _, b := range names {
 		for _, m := range econ.Markets() {
 			for _, u := range econ.Utilities() {
-				bid, err := e.PriceBid(b, u, m)
+				bid, err := a.PriceBid(b, u, m)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !bid.Warm {
-					t.Errorf("%s/%s/U%d: repeat bid not warm", b, m.Name, u.K)
 				}
 				wantCfg, _ := u.Best(m, suite[b])
 				if bid.Config != wantCfg {
@@ -94,9 +91,9 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 		t.Errorf("warm bids averaged %.2f sim runs each, gate is <= %.1f (10x under the %d-point grid)",
 			float64(warmRuns)/float64(warmBids), float64(lattice)/10, lattice)
 	}
-	st := e.Stats()
+	st := a.Stats()
 	t.Logf("profiles=%d coldRuns=%d warmRuns=%d (%d warm bids) grid=%d probes=%d fallbacks=%d",
-		len(names), coldRuns, warmRuns, warmBids, gridRuns, st.Probes, st.Fallbacks)
+		len(names), coldRuns, warmRuns, warmBids, gridRuns, st.CacheMisses, st.Fallbacks)
 }
 
 // TestTable6IncrementalMatchesBatch: the incremental Table 6 rows must equal
@@ -117,8 +114,8 @@ func TestTable6IncrementalMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(inc, batch) {
 		t.Fatalf("incremental Table 6 differs from batch\n inc: %+v\nbatch: %+v", inc, batch)
 	}
-	if st.Probes > st.GridProbes {
-		t.Fatalf("incremental Table 6 probed %d > grid %d", st.Probes, st.GridProbes)
+	if st.CacheMisses > int64(st.GridProbes) {
+		t.Fatalf("incremental Table 6 probed %d > grid %d", st.CacheMisses, st.GridProbes)
 	}
 }
 
@@ -178,14 +175,13 @@ func TestChurnScenarioRuns(t *testing.T) {
 	if len(rep.Events) != 9 {
 		t.Fatalf("%d events, want 9: %+v", len(rep.Events), rep.Events)
 	}
-	var probes int
-	var runs int64
+	var probes, runs int64
 	for _, ev := range rep.Events {
 		probes += ev.Probes
 		runs += ev.SimRuns
 	}
-	if probes != rep.Stats.Probes {
-		t.Fatalf("event probes %d != stats %d", probes, rep.Stats.Probes)
+	if probes != rep.Stats.CacheMisses {
+		t.Fatalf("event probes %d != stats %d", probes, rep.Stats.CacheMisses)
 	}
 	if runs != rep.SimRuns {
 		t.Fatalf("event sim runs %d != total %d", runs, rep.SimRuns)
@@ -208,13 +204,13 @@ func TestChurnScenarioRuns(t *testing.T) {
 	if rep.SimRuns > int64(rep.GridSimRuns) {
 		t.Errorf("churn ran %d simulations, above the %d grid ceiling", rep.SimRuns, rep.GridSimRuns)
 	}
-	t.Logf("churn: %d events, %d sim runs vs %d grid, %d reauctions",
-		len(rep.Events), rep.SimRuns, rep.GridSimRuns, rep.Stats.Reauctions)
+	t.Logf("churn: %d events, %d sim runs vs %d grid, %d epochs",
+		len(rep.Events), rep.SimRuns, rep.GridSimRuns, rep.Stats.Epochs)
 }
 
 // TestChurnByteIdenticalVsScratchSim: the full-stack churn identity — the
-// engine over the real simulator must produce allocations byte-identical to
-// from-scratch clearing over measured grids, including mid-stream churn.
+// allocator over the real simulator must produce allocations byte-identical
+// to from-scratch clearing over measured grids, including mid-stream churn.
 func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple grid sweeps")
@@ -229,17 +225,18 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	}
 
 	rE := tiny(t)
-	e, err := NewEngine(rE, supply, 0)
+	a, err := NewAllocator(rE, supply, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Arrive("a", "mcf", econ.Utility1()); err != nil {
+	if _, err := a.Arrive("a", "mcf", econ.Utility1()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Arrive("b", "sjeng", econ.Utility3())
+	rc, err := a.Arrive("b", "sjeng", econ.Utility3())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := rc.Result
 	want, err := econ.ClearMarket([]econ.Customer{
 		{Name: "a", Grid: suite["mcf"], Utility: econ.Utility1()},
 		{Name: "b", Grid: suite["sjeng"], Utility: econ.Utility3()},
@@ -252,10 +249,11 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	}
 
 	// Departure: the survivor's from-scratch clearing must match too.
-	got2, err := e.Depart("b")
+	rc, err = a.Depart("b")
 	if err != nil {
 		t.Fatal(err)
 	}
+	got2 := rc.Result
 	want2, err := econ.ClearMarket([]econ.Customer{
 		{Name: "a", Grid: suite["mcf"], Utility: econ.Utility1()},
 	}, supply, 0, 0)
@@ -268,31 +266,31 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 }
 
 // BenchmarkIncrementalBid measures one warm bid through the full stack
-// (engine + runner cache): the steady-state cost of pricing a customer.
+// (allocator + runner cache): the steady-state cost of pricing a customer.
 func BenchmarkIncrementalBid(b *testing.B) {
 	r := NewRunner()
 	r.TraceLen = 8000
 	r.Seed = 7
-	e, err := NewEngine(r, econ.Supply{}, 0)
+	a, err := NewAllocator(r, econ.Supply{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Warm the surface.
-	if _, err := e.PriceBid("mcf", econ.Utility2(), econ.Market2()); err != nil {
+	if _, err := a.PriceBid("mcf", econ.Utility2(), econ.Market2()); err != nil {
 		b.Fatal(err)
 	}
-	runsBefore, probesBefore := r.SimRuns(), e.Stats().Probes
+	runsBefore, lookupsBefore := r.SimRuns(), a.Stats().ProbeLookups
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := econ.Utilities()[i%3]
 		m := econ.Markets()[i%3]
-		if _, err := e.PriceBid("mcf", u, m); err != nil {
+		if _, err := a.PriceBid("mcf", u, m); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	st := e.Stats()
-	b.ReportMetric(float64(st.Probes-probesBefore)/float64(b.N), "probes/bid")
+	st := a.Stats()
+	b.ReportMetric(float64(st.ProbeLookups-lookupsBefore)/float64(b.N), "lookups/bid")
 	b.ReportMetric(float64(r.SimRuns()-runsBefore)/float64(b.N), "simruns/bid")
 }
 
@@ -319,35 +317,35 @@ func BenchmarkMarketChurn(b *testing.B) {
 	r.TraceLen = 8000
 	r.Seed = 7
 	supply := econ.Supply{Slices: 64, Banks: 128}
-	e, err := NewEngine(r, supply, 0)
+	a, err := NewAllocator(r, supply, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Residents + a first churn round to warm every surface.
-	if _, err := e.Arrive("r1", "mcf", econ.Utility1()); err != nil {
+	if _, err := a.Arrive("r1", "mcf", econ.Utility1()); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Arrive("r2", "sjeng", econ.Utility3()); err != nil {
+	if _, err := a.Arrive("r2", "sjeng", econ.Utility3()); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Arrive("churner", "astar", econ.Utility2()); err != nil {
+	if _, err := a.Arrive("churner", "astar", econ.Utility2()); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Depart("churner"); err != nil {
+	if _, err := a.Depart("churner"); err != nil {
 		b.Fatal(err)
 	}
-	runsBefore, probesBefore := r.SimRuns(), e.Stats().Probes
+	runsBefore, lookupsBefore := r.SimRuns(), a.Stats().ProbeLookups
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Arrive("churner", "astar", econ.Utility2()); err != nil {
+		if _, err := a.Arrive("churner", "astar", econ.Utility2()); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Depart("churner"); err != nil {
+		if _, err := a.Depart("churner"); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	st := e.Stats()
-	b.ReportMetric(float64(st.Probes-probesBefore)/float64(b.N), "probes/churn")
+	st := a.Stats()
+	b.ReportMetric(float64(st.ProbeLookups-lookupsBefore)/float64(b.N), "lookups/churn")
 	b.ReportMetric(float64(r.SimRuns()-runsBefore)/float64(b.N), "simruns/churn")
 }

@@ -57,7 +57,7 @@ func ServeWorker(r *Runner, in io.Reader, out io.Writer) error {
 // procpool marker environment variable is set: it serves the frame loop on
 // stdin/stdout and exits. The sweep-facing commands call it first thing in
 // main, which lets the procpool backend re-exec whatever binary is already
-// running as its worker — no separately installed cmd/simworker needed.
+// running as its worker — there is no separate worker binary.
 func MaybeWorker() {
 	//ssim:nolint detrand: process-role dispatch only; the env var selects worker mode, it never reaches a simulation result
 	if os.Getenv(distrib.WorkerEnv) != "1" {
@@ -67,7 +67,7 @@ func MaybeWorker() {
 	//ssim:nolint detrand: worker trace-cache location is wall-clock/IO plumbing; results derive only from request fields
 	r.TraceCacheDir = os.Getenv(distrib.WorkerTraceCacheEnv)
 	if err := ServeWorker(r, os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "simworker:", err)
+		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)

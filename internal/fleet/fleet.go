@@ -17,12 +17,13 @@
 //     construction.
 //
 //   - Batched, warm-started pricing. Arrivals in an epoch are grouped by
-//     (benchmark, utility); each group is priced once via a per-shard
-//     market.Engine warm-started from the group's previous-epoch optimum,
-//     and every engine shares one market.SurfaceCache, so a configuration
-//     any shard ever probed is a lock-free hit for all. After the first
-//     epoch a stationary market prices bids with zero new probes — O(probes)
-//     per distinct surface, not O(grid) per bid.
+//     (benchmark, utility); the shards price the groups in parallel, each
+//     once, through one shared alloc.Allocator with the group's
+//     previous-epoch optimum as the explicit start. Every search probes
+//     through the allocator's market.SurfaceCache, so a configuration any
+//     shard ever probed is a lock-free hit for all. After the first epoch a
+//     stationary market prices bids with zero new probes — O(probes) per
+//     distinct surface, not O(grid) per bid.
 //
 //   - Wholesale idle fast-forward. A machine's energy integral is advanced
 //     lazily, only when an event touches it (or once at the end of the run):
@@ -37,6 +38,7 @@ import (
 	"slices"
 	"sync"
 
+	"sharing/internal/alloc"
 	"sharing/internal/econ"
 	"sharing/internal/market"
 )
@@ -115,10 +117,7 @@ type Params struct {
 	// ProbeBudget bounds probes per search (negative is an error). Zero
 	// selects the lattice size, which disables the exhaustive fallback by
 	// construction: a search can never issue more distinct probes than the
-	// lattice holds, so whether a given search trips the budget can't depend
-	// on the engine-local memo state — the one search path whose outcome
-	// would otherwise vary with the group-to-shard assignment and break
-	// cross-shard-count identity.
+	// lattice holds.
 	ProbeBudget int
 	// Market is the price vector bids are scored at (Market2 if zero).
 	Market econ.Market
@@ -209,16 +208,13 @@ func (p *Params) defaults() error {
 		// step and ride the 0.001 clamp instead of erroring.
 		return fmt.Errorf("fleet: market %+v sets only one of SliceCost/BankCost; set both or neither", p.Market)
 	}
-	if p.ProbeBudget == 0 {
-		p.ProbeBudget = len(p.Slices) * len(p.CacheKB)
-	}
 	return nil
 }
 
 // Fleet is one datacenter simulation. Build with New, run with Run.
 type Fleet struct {
 	p      Params
-	cache  *market.SurfaceCache
+	alloc  *alloc.Allocator
 	shards []*shard
 	mach   []machine
 	power  chipPower
@@ -246,10 +242,9 @@ func (f *Fleet) groupKey(ev *event) int {
 	return f.rank[ev.bench()]*utilityExps + ev.k() - 1
 }
 
-// shard owns a machine partition and a pricing engine.
+// shard owns a machine partition and prices its share of the groups.
 type shard struct {
-	id     int
-	engine *market.Engine
+	id int
 	// machines this shard owns (machine ID m belongs to shard m % Shards).
 	machines []int
 	// ops is the epoch's apply queue, filed by the placement barrier in
@@ -267,7 +262,8 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 	if err := p.defaults(); err != nil {
 		return nil, err
 	}
-	cache, err := market.NewSurfaceCache(prober)
+	// A pricing-only allocator: no supply, so no market of its own to clear.
+	a, err := alloc.New(alloc.Params{Slices: p.Slices, CacheKB: p.CacheKB, ProbeBudget: p.ProbeBudget}, prober)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +276,7 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 	}
 	f := &Fleet{
 		p:      p,
-		cache:  cache,
+		alloc:  a,
 		mach:   make([]machine, p.Machines),
 		power:  newChipPower(p.ChipSlices, p.ChipBanks),
 		names:  names,
@@ -292,17 +288,7 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 	f.place = newPlacer(p.Machines, p.ChipSlices, p.ChipBanks, p.Place)
 	f.shards = make([]*shard, p.Shards)
 	for s := range f.shards {
-		e, err := market.New(market.Params{
-			Slices:      p.Slices,
-			CacheKB:     p.CacheKB,
-			ProbeBudget: p.ProbeBudget,
-			Supply:      econ.Supply{Slices: p.ChipSlices, Banks: p.ChipBanks},
-			Surfaces:    cache,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		f.shards[s] = &shard{id: s, engine: e}
+		f.shards[s] = &shard{id: s}
 	}
 	for m := 0; m < p.Machines; m++ {
 		sh := f.shards[m%p.Shards]
@@ -415,10 +401,9 @@ type pricingGroup struct {
 }
 
 // priceGroups prices every group, fanning groups across shards in parallel.
-// Each search is a pure function of (surface, prices, warm start, objective)
-// — PriceBidAt never touches engine-local warm state — so the outcome is
-// independent of the group-to-shard assignment, and the shared SurfaceCache
-// collapses duplicate probes across shards.
+// Each search is a pure function of (surface, objective, prices, start), so
+// the outcome is independent of the group-to-shard assignment, and the
+// allocator's shared SurfaceCache collapses duplicate probes across shards.
 func (f *Fleet) priceGroups(groups []pricingGroup) error {
 	if len(groups) == 0 {
 		return nil
@@ -434,7 +419,7 @@ func (f *Fleet) priceGroups(groups []pricingGroup) error {
 				bench := f.names[g.key/utilityExps]
 				u := econ.Utility{K: g.key%utilityExps + 1, Budget: econ.DefaultBudget}
 				start := f.warm[g.key] // zero Config on cold start: lattice midpoint
-				bid, err := sh.engine.PriceBidAt(bench, u, f.prices, start, f.objective(u, f.prices))
+				bid, err := f.alloc.PriceBidAt(bench, u, f.prices, start, f.objective(u, f.prices))
 				if err != nil {
 					sh.err = err
 					return
@@ -589,8 +574,9 @@ func (f *Fleet) finalize() {
 	f.rep.Shards = len(f.shards)
 	f.rep.Events = f.rep.Placed + f.rep.Rejected + f.rep.Departed
 	f.rep.SimSeconds = end
-	f.rep.UniqueProbes = f.cache.Unique()
-	f.rep.Surfaces = f.cache.NumSurfaces()
+	cache := f.alloc.Cache()
+	f.rep.UniqueProbes = cache.Unique()
+	f.rep.Surfaces = cache.NumSurfaces()
 	f.rep.GridProbes = f.rep.Surfaces * len(f.p.Slices) * len(f.p.CacheKB)
 	f.rep.NaiveGridProbes = (f.rep.Placed + f.rep.Rejected) * len(f.p.Slices) * len(f.p.CacheKB)
 	f.rep.FinalPrices = f.prices

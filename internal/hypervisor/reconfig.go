@@ -7,12 +7,12 @@ import (
 )
 
 // Incremental VM reconfiguration. The batch experiment path rebuilds a
-// machine from scratch for every configuration; the online market engine
-// instead reshapes a running VM between phases or re-auctions, touching only
+// machine from scratch for every configuration; the online market (the
+// allocation core, internal/alloc) instead reshapes a running VM between phases or re-auctions, touching only
 // the marginal resources: grown VCores extend their Slice runs in place,
 // shrunk ones release their tails, and the bank set grows or shrinks around
 // the VM's Slice centroid. A ReconfigPlan prices the transition so the
-// market engine can charge the paper's reconfiguration penalties (Table 7)
+// market can charge the paper's reconfiguration penalties (Table 7)
 // to the dynamic schedule.
 
 // ReconfigPlan describes the marginal fabric operations of one VM reshape.

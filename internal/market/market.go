@@ -1,36 +1,21 @@
-// Package market is the online incremental market engine: it prices a
-// *stream* of bids against the economic model of §2/§5.6-§5.10 in
-// O(simulator probes) per bid instead of O(measurement grid).
+// Package market is the probe economy behind the online market: the shared,
+// concurrency-safe SurfaceCache of measured performance values P(bench[,
+// phase], cfg), the Prober interfaces it measures through, and the BidResult
+// every pricing path returns.
 //
 // The batch path (internal/experiments + internal/econ) regenerates the
 // paper's tables by sweeping every benchmark over the full
 // (Slices x CacheKB) lattice and then optimizing over the measured grid.
 // That is the right shape for figures and the wrong shape for a provider
-// pricing arrivals one at a time — the ROADMAP's "millions of customers"
-// target cannot afford 72 simulator runs per bid. This package keeps one
-// econ.Optimizer per performance surface (benchmark, or benchmark phase)
-// and answers each bid by warm-started greedy ascent: the search starts
-// from the customer's previous optimum (or the surface's last known one),
-// probes only the configurations it visits, and memoizes every measurement,
-// so repeat and neighboring bids converge in a handful of probes — most of
-// them memo hits costing no simulator work at all.
-//
-// Churn (arrivals, departures, phase changes) re-clears the market through
-// econ.ClearMarketWith with probe-driven bidders. The tatonnement trajectory
-// depends only on the bidders' responses, and the incremental search
-// resolves every optimum and tie exactly as the exhaustive sweep does, so
-// the resulting allocations are byte-identical to recomputing from scratch
-// with full grids (asserted by the churn tests) while only the marginal,
-// never-probed configurations cost simulator runs.
+// pricing arrivals one at a time (§2, §5.6-§5.10). The allocation core
+// (internal/alloc) prices each bid by incremental search instead, probing
+// only the configurations the search visits; this package memoizes those
+// probes once for every consumer — the fleet simulator, the experiments
+// drivers and the sharingd daemon — so a configuration anyone has probed is
+// a lock-free hit for all.
 package market
 
-import (
-	"fmt"
-	"sync"
-
-	"sharing/internal/econ"
-	"sharing/internal/hypervisor"
-)
+import "sharing/internal/econ"
 
 // Prober supplies the measured performance P(c) of one benchmark at one
 // configuration. experiments.RunnerProber adapts the sweeping Runner (and
@@ -50,51 +35,6 @@ type PhaseProber interface {
 // WholeProgram marks a customer running its whole benchmark (no phase).
 const WholeProgram = -1
 
-// Params configures an Engine.
-type Params struct {
-	// Slices and CacheKB are the configuration lattice axes
-	// (experiments.StdSlices / StdCaches for the paper's grid).
-	Slices, CacheKB []int
-	// ProbeBudget bounds probes per search before the exhaustive fallback
-	// (econ.DefaultProbeBudget if 0).
-	ProbeBudget int
-	// Supply is the chip's rentable resources for market clearing.
-	Supply econ.Supply
-	// Tol and MaxIter are the tatonnement parameters (econ.ClearMarketWith
-	// defaults if 0).
-	Tol     float64
-	MaxIter int
-	// Surfaces, when set, routes every probe through a shared SurfaceCache,
-	// so several engines — one per fleet shard — share one probe economy:
-	// a configuration any engine has probed is a lock-free hit for all. The
-	// engine's own prober may then be nil (the cache's prober is used).
-	Surfaces *SurfaceCache
-}
-
-// Stats aggregates the engine's probe economy.
-type Stats struct {
-	// Searches counts optimum searches issued (one per PriceBid and per
-	// customer response during a clearing round).
-	Searches int
-	// Probes counts simulator probes issued (optimizer memo misses). Every
-	// other configuration lookup during a search was a memo hit.
-	Probes int
-	// Fallbacks counts searches that exhausted their probe budget and
-	// completed by exhaustive sweep.
-	Fallbacks int
-	// Reauctions counts market clearings (arrivals, departures, phase
-	// changes each trigger one).
-	Reauctions int
-	// Surfaces counts the distinct performance surfaces (benchmark or
-	// benchmark phase) probed so far.
-	Surfaces int
-	// GridProbes is the simulator cost of the batch alternative: one full
-	// lattice sweep per surface. Probes/GridProbes is the engine's probe
-	// economy; the differential tests require it to stay well under 1/10
-	// on warm bid streams.
-	GridProbes int
-}
-
 // BidResult is the outcome of pricing one bid.
 type BidResult struct {
 	Config  econ.Config
@@ -102,347 +42,15 @@ type BidResult struct {
 	Utility float64 // utility at the bid's prices
 	Cost    float64 // price of one VCore at Config
 	VCores  float64 // fractional VCores the budget affords
-	// Probes is the simulator probes this bid issued; Warm reports that the
-	// search warm-started from a cached optimum of the same surface.
+	// Probes is the configurations this bid's search looked up; FellBack
+	// reports that it exhausted its probe budget and finished by sweep.
 	Probes   int
-	Warm     bool
 	FellBack bool
 }
-
-// ReconfigEvent reports one per-phase reconfiguration applied through the
-// hypervisor's incremental path.
-type ReconfigEvent struct {
-	Customer string
-	From, To econ.Config
-	Plan     hypervisor.ReconfigPlan
-}
-
-// customer is one resident market participant. It implements econ.Bidder by
-// warm-started incremental search; Respond is only invoked with the engine
-// lock held (the tatonnement runs inside engine calls).
-type customer struct {
-	e     *Engine
-	name  string
-	bench string
-	phase int // WholeProgram or a phase index
-	util  econ.Utility
-	last  econ.Config // previous optimum: the warm start
-	warm  bool
-}
-
-// BidderName implements econ.Bidder.
-func (c *customer) BidderName() string { return c.name }
-
-// Respond implements econ.Bidder by incremental search at prices m.
-func (c *customer) Respond(m econ.Market) (econ.Config, float64, float64, error) {
-	res, err := c.e.search(c.surface(), c.util, m, c.last, c.warm, nil)
-	if err != nil {
-		return econ.Config{}, 0, 0, err
-	}
-	c.last, c.warm = res.Best, true
-	cost := m.Cost(res.Best)
-	vcores := 0.0
-	if cost > 0 {
-		vcores = c.util.Budget / cost
-	}
-	return res.Best, vcores, res.Score, nil
-}
-
-func (c *customer) surface() surfaceKey { return surfaceKey{bench: c.bench, phase: c.phase} }
 
 // surfaceKey identifies one performance surface: a benchmark, or one phase
 // of it.
 type surfaceKey struct {
 	bench string
 	phase int
-}
-
-// Engine is the online market engine. All methods are safe for concurrent
-// use; internally a single lock serializes searches, so probe memoization
-// is race-free.
-type Engine struct {
-	p      Params
-	prober Prober
-
-	mu        sync.Mutex
-	surfaces  map[surfaceKey]*surface
-	customers []*customer // arrival order, the clearing's bidder order
-	byName    map[string]*customer
-	cleared   *econ.ClearingResult
-	stats     Stats
-}
-
-// surface is one benchmark's (or phase's) search state: the optimizer with
-// its probe memo, and the last optimum found on it by anyone — the warm
-// start for cold customers ("best cached/neighbor configuration").
-type surface struct {
-	opt      *econ.Optimizer
-	lastBest econ.Config
-	haveBest bool
-}
-
-// New builds an Engine over the given lattice and prober. With p.Surfaces
-// set, prober may be nil: all probes go through the shared cache.
-func New(p Params, prober Prober) (*Engine, error) {
-	if prober == nil && p.Surfaces == nil {
-		return nil, fmt.Errorf("market: nil prober")
-	}
-	if len(p.Slices) == 0 || len(p.CacheKB) == 0 {
-		return nil, fmt.Errorf("market: empty lattice axes")
-	}
-	// Validate the axes once by building a throwaway optimizer.
-	if _, err := econ.NewOptimizer(p.Slices, p.CacheKB); err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
-	return &Engine{
-		p:        p,
-		prober:   prober,
-		surfaces: make(map[surfaceKey]*surface),
-		byName:   make(map[string]*customer),
-	}, nil
-}
-
-// LatticeSize returns the probe cost of one exhaustive grid sweep.
-func (e *Engine) LatticeSize() int { return len(e.p.Slices) * len(e.p.CacheKB) }
-
-func (e *Engine) surfaceFor(k surfaceKey) (*surface, error) {
-	if s, ok := e.surfaces[k]; ok {
-		return s, nil
-	}
-	if k.phase != WholeProgram && !e.canPhase() {
-		return nil, fmt.Errorf("market: prober cannot measure phases (bench %s phase %d)", k.bench, k.phase)
-	}
-	opt, err := econ.NewOptimizer(e.p.Slices, e.p.CacheKB)
-	if err != nil {
-		return nil, err
-	}
-	opt.Budget = e.p.ProbeBudget
-	s := &surface{opt: opt}
-	e.surfaces[k] = s
-	return s, nil
-}
-
-// canPhase reports whether this engine can measure phase surfaces.
-func (e *Engine) canPhase() bool {
-	if e.p.Surfaces != nil {
-		return e.p.Surfaces.Phased()
-	}
-	_, ok := e.prober.(PhaseProber)
-	return ok
-}
-
-// probeFn returns the ProbeFn routing to the shared cache or the right
-// prober method.
-func (e *Engine) probeFn(k surfaceKey) econ.ProbeFn {
-	if c := e.p.Surfaces; c != nil {
-		return func(cfg econ.Config) (float64, error) { return c.Probe(k.bench, k.phase, cfg) }
-	}
-	if k.phase == WholeProgram {
-		return func(cfg econ.Config) (float64, error) { return e.prober.Probe(k.bench, cfg) }
-	}
-	pp := e.prober.(PhaseProber) // surfaceFor validated this
-	return func(cfg econ.Config) (float64, error) { return pp.ProbePhase(k.bench, k.phase, cfg) }
-}
-
-// search runs one warm-started incremental search; the caller holds e.mu.
-// A nil obj scores configurations by utility at prices m; a non-nil obj
-// overrides the objective (the fleet's utility-per-watt scheduling).
-func (e *Engine) search(k surfaceKey, u econ.Utility, m econ.Market, start econ.Config, warm bool, obj econ.Objective) (econ.SearchResult, error) {
-	s, err := e.surfaceFor(k)
-	if err != nil {
-		return econ.SearchResult{}, err
-	}
-	if !warm && s.haveBest {
-		start = s.lastBest // neighbor warm start: the surface's last optimum
-	}
-	if obj == nil {
-		obj = func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
-	}
-	res, err := s.opt.Search(obj, m, start, e.probeFn(k))
-	if err != nil {
-		return econ.SearchResult{}, err
-	}
-	s.lastBest, s.haveBest = res.Best, true
-	e.stats.Searches++
-	e.stats.Probes += res.Probes
-	if res.FellBack {
-		e.stats.Fallbacks++
-	}
-	return res, nil
-}
-
-// PriceBid prices one stand-alone bid: the utility-maximizing configuration
-// for the benchmark under the given prices. The search warm-starts from the
-// benchmark surface's last known optimum, if any.
-func (e *Engine) PriceBid(bench string, u econ.Utility, m econ.Market) (BidResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := surfaceKey{bench: bench, phase: WholeProgram}
-	warm := false
-	if s, ok := e.surfaces[k]; ok && s.haveBest {
-		warm = true
-	}
-	res, err := e.search(k, u, m, econ.Config{}, false, nil)
-	if err != nil {
-		return BidResult{}, err
-	}
-	cost := m.Cost(res.Best)
-	br := BidResult{
-		Config: res.Best, Perf: res.Perf, Utility: res.Score, Cost: cost,
-		Probes: res.Probes, Warm: warm, FellBack: res.FellBack,
-	}
-	if cost > 0 {
-		br.VCores = u.Budget / cost
-	}
-	return br, nil
-}
-
-// PriceBidAt prices one bid from an explicit warm-start configuration with
-// an optional objective override (nil = utility at prices m). Unlike
-// PriceBid it never consults the engine-local "last optimum" state, so the
-// result is a pure function of (surface, prices, start, objective) — the
-// property the fleet simulator relies on to stay byte-identical across shard
-// counts: every shard prices the same bid from the same epoch-synchronized
-// start and must get the same answer regardless of which engine runs it.
-func (e *Engine) PriceBidAt(bench string, u econ.Utility, m econ.Market, start econ.Config, obj econ.Objective) (BidResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := surfaceKey{bench: bench, phase: WholeProgram}
-	res, err := e.search(k, u, m, start, true, obj)
-	if err != nil {
-		return BidResult{}, err
-	}
-	cost := m.Cost(res.Best)
-	br := BidResult{
-		Config: res.Best, Perf: res.Perf, Utility: res.Score, Cost: cost,
-		Probes: res.Probes, Warm: true, FellBack: res.FellBack,
-	}
-	if cost > 0 {
-		br.VCores = u.Budget / cost
-	}
-	return br, nil
-}
-
-// Arrive adds a customer and re-clears the market. Only configurations the
-// new customer's search visits for the first time cost simulator probes;
-// every resident customer re-responds from its memoized surface.
-func (e *Engine) Arrive(name, bench string, u econ.Utility) (*econ.ClearingResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.byName[name]; ok {
-		return nil, fmt.Errorf("market: customer %q already present", name)
-	}
-	c := &customer{e: e, name: name, bench: bench, phase: WholeProgram, util: u}
-	if s, ok := e.surfaces[c.surface()]; ok && s.haveBest {
-		// Warm-start the newcomer from the surface's last optimum.
-		c.last, c.warm = s.lastBest, true
-	}
-	e.customers = append(e.customers, c)
-	e.byName[name] = c
-	return e.reclear()
-}
-
-// Depart removes a customer and re-clears the market among the remaining
-// ones (nil result when the market empties). The departed customer's probe
-// memo stays: a returning or similar customer re-prices for free.
-func (e *Engine) Depart(name string) (*econ.ClearingResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("market: no customer %q", name)
-	}
-	delete(e.byName, name)
-	for i := range e.customers {
-		if e.customers[i] == c {
-			e.customers = append(e.customers[:i], e.customers[i+1:]...)
-			break
-		}
-	}
-	if len(e.customers) == 0 {
-		e.cleared = nil
-		return nil, nil
-	}
-	return e.reclear()
-}
-
-// SetPhase switches a customer to a new program phase and re-clears the
-// market. The new phase's search warm-starts from the customer's current
-// configuration (consecutive phases have similar working sets), and the
-// resulting transition is priced through the hypervisor's incremental
-// reconfiguration path.
-func (e *Engine) SetPhase(name string, phase int) (*econ.ClearingResult, ReconfigEvent, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.byName[name]
-	if !ok {
-		return nil, ReconfigEvent{}, fmt.Errorf("market: no customer %q", name)
-	}
-	// canPhase, not a direct prober assertion: a shared-cache engine has a
-	// nil prober and measures phases through the cache when its underlying
-	// prober can.
-	if !e.canPhase() {
-		return nil, ReconfigEvent{}, fmt.Errorf("market: prober cannot measure phases")
-	}
-	from := c.last
-	hadCfg := c.warm
-	c.phase = phase
-	// Keep c.last/c.warm: the previous phase's optimum is the warm start.
-	res, err := e.reclear()
-	if err != nil {
-		return nil, ReconfigEvent{}, err
-	}
-	ev := ReconfigEvent{Customer: name, From: from, To: c.last}
-	if hadCfg {
-		ev.Plan = hypervisor.PlanReconfig(from.Slices, from.CacheKB, c.last.Slices, c.last.CacheKB)
-	}
-	return res, ev, nil
-}
-
-// reclear runs the tatonnement over the resident customers; the caller
-// holds e.mu. The trajectory is the same as econ.ClearMarket's over full
-// grids: it starts from area prices with the same step schedule, and every
-// response resolves identically, so the outcome is byte-identical to the
-// batch computation.
-func (e *Engine) reclear() (*econ.ClearingResult, error) {
-	e.stats.Reauctions++
-	bidders := make([]econ.Bidder, len(e.customers))
-	for i, c := range e.customers {
-		bidders[i] = c
-	}
-	res, err := econ.ClearMarketWith(bidders, e.p.Supply, e.p.Tol, e.p.MaxIter)
-	if err != nil {
-		return nil, err
-	}
-	e.cleared = res
-	return res, nil
-}
-
-// Result returns the latest clearing result (nil before the first arrival
-// or after the market empties).
-func (e *Engine) Result() *econ.ClearingResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cleared
-}
-
-// Customers returns the resident customer names in arrival order.
-func (e *Engine) Customers() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, len(e.customers))
-	for i, c := range e.customers {
-		out[i] = c.name
-	}
-	return out
-}
-
-// Stats returns a snapshot of the engine's probe economy.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.stats
-	st.Surfaces = len(e.surfaces)
-	st.GridProbes = st.Surfaces * e.LatticeSize()
-	return st
 }

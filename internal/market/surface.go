@@ -9,21 +9,23 @@ import (
 )
 
 // SurfaceCache is a shared, concurrency-safe memo of probed performance
-// values P(bench[, phase], cfg), designed for many market engines — one per
-// fleet shard — to share one probe economy. A configuration any shard has
-// ever probed is a hit for every other shard.
+// values P(bench[, phase], cfg), designed for every search — the fleet's
+// shards, the daemon's concurrent bids, the experiments drivers — to share one
+// probe economy. A configuration any search has ever probed is a hit for
+// every other.
 //
 // The hot path (a probe hit) takes no lock at all: each surface publishes an
 // immutable map snapshot through an atomic pointer, and readers do one atomic
 // load plus one map lookup. Misses are rare after warm-up and serialize on a
-// per-surface mutex that doubles as the singleflight: concurrent shards
+// per-surface mutex that doubles as the singleflight: concurrent searches
 // asking for the same unprobed configuration produce one prober call, and the
 // copy-on-write republish makes the new value visible to subsequent lock-free
-// readers. The race detector covers this structure via the shard-sharing
-// tests (TestSurfaceCacheSharedAcrossEngines and the fleet differential).
+// readers. The race detector covers this structure via the sharing tests
+// (TestSurfaceCacheSharedAcrossEngines, TestSurfaceCacheServerLoad, the
+// allocator's race tests and the fleet differential).
 //
 // Determinism: probe values are deterministic functions of (surface, cfg), so
-// although *which* shard pays a miss depends on scheduling, the memo contents
+// although *which* search pays a miss depends on scheduling, the memo contents
 // and the deterministic Unique count — the union of configurations any search
 // visited — do not.
 type SurfaceCache struct {
@@ -68,14 +70,27 @@ func (c *SurfaceCache) memoFor(k surfaceKey) *surfaceMemo {
 	return m.(*surfaceMemo)
 }
 
-// Probe returns the memoized or freshly measured performance of cfg on the
-// given surface (phase WholeProgram for whole-benchmark surfaces). Hits are
-// lock-free.
+// Surface is one surface of a SurfaceCache, resolved once so that a search
+// probing it many times skips the surface lookup on every probe.
+type Surface struct {
+	c   *SurfaceCache
+	key surfaceKey
+	m   *surfaceMemo
+}
+
+// Surface resolves the handle of the given surface (phase WholeProgram for
+// a whole-benchmark surface).
+func (c *SurfaceCache) Surface(bench string, phase int) Surface {
+	k := surfaceKey{bench: bench, phase: phase}
+	return Surface{c: c, key: k, m: c.memoFor(k)}
+}
+
+// Probe returns the memoized or freshly measured performance of cfg on this
+// surface. Hits are lock-free.
 //
 //ssim:parallel
-func (c *SurfaceCache) Probe(bench string, phase int, cfg econ.Config) (float64, error) {
-	k := surfaceKey{bench: bench, phase: phase}
-	m := c.memoFor(k)
+func (s Surface) Probe(cfg econ.Config) (float64, error) {
+	c, m, bench, phase := s.c, s.m, s.key.bench, s.key.phase
 	if vals := m.vals.Load(); vals != nil {
 		if p, ok := (*vals)[cfg]; ok {
 			return p, nil

@@ -10,8 +10,51 @@ import (
 	"sharing/internal/econ"
 )
 
-// atomicProber serves the synthetic surfaces with a race-safe call counter
-// (the plain fakeProber's counter is for single-threaded tests).
+var (
+	tSlices = []int{1, 2, 3, 4, 5, 6, 7, 8}
+	tCaches = []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
+)
+
+// Synthetic per-benchmark performance surfaces, shaped like the paper's
+// regimes (Fig. 12): mcf-like cache lovers, sjeng-like compute lovers.
+var benchPerf = map[string]func(econ.Config) float64{
+	"cachey": func(c econ.Config) float64 {
+		return 0.3 + 1.8*float64(c.CacheKB)/(float64(c.CacheKB)+700)
+	},
+	"slicey": func(c econ.Config) float64 {
+		s := float64(c.Slices)
+		return 0.25 * s * (1 + 0.05*float64(c.CacheKB)/8192)
+	},
+	"mixed": func(c econ.Config) float64 {
+		s := float64(c.Slices)
+		kb := float64(c.CacheKB)
+		return (s / (s + 1)) * (0.4 + kb/(kb+400))
+	},
+}
+
+// fakeProber serves the synthetic surfaces, phases included.
+type fakeProber struct{}
+
+func (fakeProber) Probe(bench string, cfg econ.Config) (float64, error) {
+	fn, ok := benchPerf[bench]
+	if !ok {
+		return 0, fmt.Errorf("no bench %q", bench)
+	}
+	return fn(cfg), nil
+}
+
+func (f fakeProber) ProbePhase(bench string, phase int, cfg econ.Config) (float64, error) {
+	return f.Probe(bench, cfg)
+}
+
+// nonPhaseProber implements only Prober.
+type nonPhaseProber struct{}
+
+func (nonPhaseProber) Probe(bench string, cfg econ.Config) (float64, error) {
+	return benchPerf["mixed"](cfg), nil
+}
+
+// atomicProber serves the synthetic surfaces with a race-safe call counter.
 type atomicProber struct {
 	calls atomic.Int64
 }
@@ -25,74 +68,80 @@ func (f *atomicProber) Probe(bench string, cfg econ.Config) (float64, error) {
 	return fn(cfg), nil
 }
 
-// TestSurfaceCacheSharedAcrossEngines is the shard-sharing contract: many
-// engines over one SurfaceCache, hammered concurrently, must (a) be
-// race-clean (this package runs under -race in make market-smoke), (b) agree
-// bid-for-bid with an unshared engine, and (c) never probe one (surface,
-// configuration) point twice.
+// TestSurfaceCacheSharedAcrossEngines is the sharing contract: many search
+// engines (one econ.Optimizer per goroutine, Reset per search as in
+// internal/alloc) over one SurfaceCache, hammered concurrently, must (a) be
+// race-clean (this package runs under -race in make serve-smoke), (b) agree
+// search-for-search with an engine over a private cache, and (c) never probe
+// one (surface, configuration) point twice.
 func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 	fp := &atomicProber{}
 	cache, err := NewSurfaceCache(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nEngines = 4
-	engines := make([]*Engine, nEngines)
-	for i := range engines {
-		engines[i], err = New(Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply, Surfaces: cache}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	private, err := NewSurfaceCache(&atomicProber{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Reference: a lone engine with a private prober.
-	ref, _ := newEngine(t)
-
 	benches := []string{"cachey", "slicey", "mixed"}
 	type bidKey struct {
 		bench string
 		k     int
 		mi    int
 	}
-	want := make(map[bidKey]BidResult)
+	search := func(opt *econ.Optimizer, c *SurfaceCache, bench string, u econ.Utility, m econ.Market) (econ.SearchResult, error) {
+		defer opt.Reset()
+		obj := func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
+		return opt.Search(obj, m, econ.Config{}, func(cfg econ.Config) (float64, error) {
+			return c.Surface(bench, WholeProgram).Probe(cfg)
+		})
+	}
+	newOpt := func() *econ.Optimizer {
+		opt, err := econ.NewOptimizer(tSlices, tCaches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt
+	}
+	ref := newOpt()
+	want := make(map[bidKey]econ.SearchResult)
 	for _, b := range benches {
 		for _, u := range econ.Utilities() {
 			for mi, m := range econ.Markets() {
-				br, err := ref.PriceBidAt(b, u, m, econ.Config{}, nil)
+				res, err := search(ref, private, b, u, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[bidKey{b, u.K, mi}] = br
+				want[bidKey{b, u.K, mi}] = res
 			}
 		}
 	}
 
+	const nEngines = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, nEngines*len(want))
-	for i := range engines {
+	for i := 0; i < nEngines; i++ {
+		opt := newOpt()
 		wg.Add(1)
-		go func(e *Engine) {
+		go func() {
 			defer wg.Done()
 			for _, b := range benches {
 				for _, u := range econ.Utilities() {
 					for mi, m := range econ.Markets() {
-						br, err := e.PriceBidAt(b, u, m, econ.Config{}, nil)
+						res, err := search(opt, cache, b, u, m)
 						if err != nil {
 							errs <- err
 							return
 						}
-						w := want[bidKey{b, u.K, mi}]
-						// Probe counts are engine-local (each engine's
-						// optimizer keeps its own memo); everything the
-						// customer sees must match.
-						br.Probes, w.Probes = 0, 0
-						if !reflect.DeepEqual(br, w) {
-							errs <- fmt.Errorf("%s U%d market%d: shared %+v != unshared %+v", b, u.K, mi+1, br, w)
+						if w := want[bidKey{b, u.K, mi}]; !reflect.DeepEqual(res, w) {
+							errs <- fmt.Errorf("%s U%d market%d: shared %+v != private %+v", b, u.K, mi+1, res, w)
 							return
 						}
 					}
 				}
 			}
-		}(engines[i])
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -107,8 +156,8 @@ func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 	if got := fp.calls.Load(); got != cache.Misses() {
 		t.Errorf("prober calls %d != cache misses %d", got, cache.Misses())
 	}
-	if max := len(benches) * len(tSlices) * len(tCaches); cache.Unique() > max {
-		t.Errorf("unique probes %d > lattice bound %d", cache.Unique(), max)
+	if cache.Unique() != private.Unique() {
+		t.Errorf("shared cache holds %d points, the private reference %d", cache.Unique(), private.Unique())
 	}
 	if cache.NumSurfaces() != len(benches) {
 		t.Errorf("surfaces = %d, want %d", cache.NumSurfaces(), len(benches))
@@ -125,7 +174,7 @@ func TestSurfaceCacheKnown(t *testing.T) {
 	if _, ok := cache.Known("cachey", WholeProgram, cfg); ok {
 		t.Fatal("Known hit before any probe")
 	}
-	p, err := cache.Probe("cachey", WholeProgram, cfg)
+	p, err := cache.Surface("cachey", WholeProgram).Probe(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,49 +187,37 @@ func TestSurfaceCacheKnown(t *testing.T) {
 	}
 }
 
-// TestSurfaceCachePhaseCapability: a phase probe through a cache over a
-// non-phase prober must fail, and an engine sharing that cache must refuse
-// phase surfaces the same way an unshared engine does.
+// TestSurfaceCachePhaseCapability: a cache over a non-phase prober must
+// report it cannot serve phase surfaces and refuse a phase probe, while
+// whole-program probes still work.
 func TestSurfaceCachePhaseCapability(t *testing.T) {
 	cache, err := NewSurfaceCache(nonPhaseProber{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Probe("x", 0, econ.Config{Slices: 1}); err == nil {
+	if cache.Phased() {
+		t.Fatal("cache over a non-phase prober claims phases")
+	}
+	if _, err := cache.Surface("x", 0).Probe(econ.Config{Slices: 1}); err == nil {
 		t.Fatal("phase probe through non-phase prober accepted")
 	}
-	e, err := New(Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply, Surfaces: cache}, nil)
+	if _, err := cache.Surface("x", WholeProgram).Probe(econ.Config{Slices: 1}); err != nil {
+		t.Fatal(err)
+	}
+	phased, err := NewSurfaceCache(fakeProber{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Arrive("c1", "x", econ.Utility1()); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.SetPhase("c1", 0); err == nil {
-		t.Fatal("phase change through non-phase shared cache accepted")
+	if !phased.Phased() {
+		t.Fatal("cache over a PhaseProber denies phases")
 	}
 }
 
-// TestPriceBidAtObjectiveOverride: a custom objective (here 1/cost — the
-// cheapest valid configuration) must steer the search.
-func TestPriceBidAtObjectiveOverride(t *testing.T) {
-	e, _ := newEngine(t)
-	m := econ.Market2()
-	frugal := func(perf float64, cfg econ.Config) float64 { return 1 / m.Cost(cfg) }
-	br, err := e.PriceBidAt("slicey", econ.Utility1(), m, econ.Config{}, frugal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := econ.Config{Slices: 1, CacheKB: 0}
-	if br.Config != want {
-		t.Fatalf("frugal objective chose %v, want %v", br.Config, want)
-	}
-}
-
-// TestNewRequiresProberOrCache pins the constructor contract.
+// TestNewRequiresProberOrCache pins the constructor contract: there is no
+// probe economy without a prober to fill it.
 func TestNewRequiresProberOrCache(t *testing.T) {
-	if _, err := New(Params{Slices: tSlices, CacheKB: tCaches}, nil); err == nil {
-		t.Fatal("nil prober without a shared cache accepted")
+	if _, err := NewSurfaceCache(nil); err == nil {
+		t.Fatal("cache without a prober accepted")
 	}
 }
 
@@ -208,7 +245,7 @@ func TestSurfaceCacheServerLoad(t *testing.T) {
 			for _, s := range tSlices {
 				for _, kb := range tCaches {
 					cfg := econ.Config{Slices: s, CacheKB: kb}
-					got, err := cache.Probe("cachey", WholeProgram, cfg)
+					got, err := cache.Surface("cachey", WholeProgram).Probe(cfg)
 					if err != nil {
 						errs <- err
 						return
@@ -237,7 +274,7 @@ func TestSurfaceCacheServerLoad(t *testing.T) {
 			for _, s := range tSlices {
 				for _, kb := range tCaches {
 					cfg := econ.Config{Slices: s, CacheKB: kb}
-					got, err := cache.Probe(bench, WholeProgram, cfg)
+					got, err := cache.Surface(bench, WholeProgram).Probe(cfg)
 					if err != nil {
 						errs <- err
 						return

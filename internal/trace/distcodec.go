@@ -40,12 +40,17 @@ import (
 //	id       uvarint
 //	status   byte (0 = ok, 1 = error)
 //	error:   uvarint length + message bytes (status 1; no further fields)
-//	ok:      cycles svarint, insts uvarint, flags byte (bit0 = sampled),
+//	ok:      cycles svarint, insts uvarint, sampled byte (0 or 1),
 //	         windows uvarint, relCI95 float64 bits as fixed 8-byte LE
 //
 // The length prefix makes frames self-delimiting, so a reader never blocks
 // inside a half-written record: a torn frame (killed worker) surfaces as a
 // short read of the envelope, which the pool treats as a worker crash.
+//
+// Decoding is canonical: a reader accepts exactly the bytes a writer
+// produces for some value — minimal varints, 0/1 flag bytes, no bytes past
+// the last field — so an accepted frame re-encodes to itself and a
+// corrupted one is never silently read as a neighbouring value.
 
 const (
 	reqMagic = "SREQ"
@@ -202,15 +207,15 @@ func ReadRequest(r io.Reader) (SimRequest, error) {
 	req.Seed = d.s()
 	req.OpNetW = int(d.u())
 	req.Quantum = int(d.u())
-	if d.byte() != 0 {
+	if d.flag() {
 		req.SampleEnabled = true
 		req.SampleWindow = int(d.u())
 		req.SamplePeriod = int(d.u())
 		req.SampleWarmup = int(d.s())
 		req.SampleSeed = d.s()
 	}
-	if d.err != nil {
-		return SimRequest{}, fmt.Errorf("%w: request payload: %v", ErrBadTrace, d.err)
+	if err := d.finish(); err != nil {
+		return SimRequest{}, fmt.Errorf("%w: request payload: %v", ErrBadTrace, err)
 	}
 	return req, nil
 }
@@ -254,10 +259,10 @@ func ReadResult(r io.Reader) (SimResult, error) {
 		return SimResult{}, d.fail(fmt.Errorf("unsupported result codec version %d", v))
 	}
 	res.ID = d.u()
-	if d.byte() != 0 {
+	if d.flag() {
 		res.Err = string(d.bytes(1 << 16))
-		if d.err != nil {
-			return SimResult{}, fmt.Errorf("%w: result payload: %v", ErrBadTrace, d.err)
+		if err := d.finish(); err != nil {
+			return SimResult{}, fmt.Errorf("%w: result payload: %v", ErrBadTrace, err)
 		}
 		if res.Err == "" {
 			return SimResult{}, fmt.Errorf("%w: result error frame with empty message", ErrBadTrace)
@@ -266,15 +271,15 @@ func ReadResult(r io.Reader) (SimResult, error) {
 	}
 	res.Cycles = d.s()
 	res.Insts = d.u()
-	res.Sampled = d.byte()&1 != 0
+	res.Sampled = d.flag()
 	res.Windows = int(d.u())
 	var ci [8]byte
 	if _, err := io.ReadFull(br, ci[:]); err != nil && d.err == nil {
 		d.err = err
 	}
 	res.RelCI95 = math.Float64frombits(binary.LittleEndian.Uint64(ci[:]))
-	if d.err != nil {
-		return SimResult{}, fmt.Errorf("%w: result payload: %v", ErrBadTrace, d.err)
+	if err := d.finish(); err != nil {
+		return SimResult{}, fmt.Errorf("%w: result payload: %v", ErrBadTrace, err)
 	}
 	return res, nil
 }
@@ -286,26 +291,42 @@ type frameDecoder struct {
 	err error
 }
 
+// u reads a minimal uvarint: an overlong encoding (trailing 0x80 groups)
+// is an error, not a second spelling of the same value.
 func (d *frameDecoder) u() uint64 {
 	if d.err != nil {
 		return 0
 	}
+	before := d.r.Len()
 	v, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		d.err = err
+		return 0
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	if before-d.r.Len() != binary.PutUvarint(tmp[:], v) {
+		d.err = fmt.Errorf("non-minimal varint for %d", v)
 	}
 	return v
 }
 
+// s reads a minimal zig-zag varint (binary.PutVarint's encoding).
 func (d *frameDecoder) s() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.u()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.err = err
+	return x
+}
+
+// flag reads a 0/1 byte.
+func (d *frameDecoder) flag() bool {
+	b := d.byte()
+	if b > 1 && d.err == nil {
+		d.err = fmt.Errorf("flag byte %d, want 0 or 1", b)
 	}
-	return v
+	return b == 1 && d.err == nil
 }
 
 func (d *frameDecoder) byte() byte {
@@ -334,6 +355,15 @@ func (d *frameDecoder) bytes(limit uint64) []byte {
 		return nil
 	}
 	return b
+}
+
+// finish returns the latched error, or an error for payload bytes left
+// past the last field.
+func (d *frameDecoder) finish() error {
+	if d.err == nil && d.r.Len() != 0 {
+		d.err = fmt.Errorf("%d trailing payload bytes", d.r.Len())
+	}
+	return d.err
 }
 
 func (d *frameDecoder) fail(err error) error {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -175,6 +176,99 @@ func BenchmarkResultCodec(b *testing.B) {
 		}
 		if _, err := ReadResult(&buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// frameSeeds returns the encoded frames of the round-trip cases above,
+// written by write, plus each one cut short and with its length prefix
+// raised past maxFramePayload: the corpus both fuzz targets start from.
+func frameSeeds[T any](t testing.TB, write func(io.Writer, T) error, vals ...T) [][]byte {
+	var seeds [][]byte
+	for _, v := range vals {
+		var buf bytes.Buffer
+		if err := write(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		huge := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(huge[4:8], maxFramePayload+1)
+		seeds = append(seeds, raw, raw[:len(raw)-1], huge)
+	}
+	return seeds
+}
+
+// checkFrame is the property both fuzz targets share. A frame read must not
+// panic. When it is accepted, the bytes it consumed must declare a payload
+// within maxFramePayload, re-encode to exactly themselves, and fail to
+// decode when cut anywhere short — with ErrBadTrace, never the clean
+// io.EOF of a stream that ended at a frame boundary.
+func checkFrame[T any](t *testing.T, data []byte, read func(io.Reader) (T, error), write func(io.Writer, T) error) {
+	r := bytes.NewReader(data)
+	v, err := read(r)
+	if err != nil {
+		return
+	}
+	frame := data[:len(data)-r.Len()]
+	if n := binary.LittleEndian.Uint32(frame[4:8]); n > maxFramePayload {
+		t.Fatalf("accepted a frame declaring %d payload bytes, over the %d limit", n, maxFramePayload)
+	}
+	var buf bytes.Buffer
+	if err := write(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), frame) {
+		t.Fatalf("accepted frame re-encodes differently:\n read %x\nwrote %x", frame, buf.Bytes())
+	}
+	for cut := 1; cut < len(frame); cut++ {
+		if _, err := read(bytes.NewReader(frame[:cut])); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("frame cut to %d of %d bytes: got %v, want ErrBadTrace", cut, len(frame), err)
+		}
+	}
+}
+
+func FuzzReadRequest(f *testing.F) {
+	for _, s := range frameSeeds(f, WriteRequest, sampleRequest(),
+		SimRequest{ID: 0, Bench: "gcc", Phase: 3, Slices: 1, CacheKB: 0, TraceLen: 8000, Seed: -7}) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkFrame(t, data, ReadRequest, WriteRequest) })
+}
+
+func FuzzReadResult(f *testing.F) {
+	for _, s := range frameSeeds(f, WriteResult, sampleResult(),
+		SimResult{ID: 9, Cycles: 100, Insts: 80}, SimResult{ID: 1, Err: "unknown benchmark \"nope\""}) {
+		f.Add(s)
+	}
+	f.Add([]byte("SREQ\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) { checkFrame(t, data, ReadResult, WriteResult) })
+}
+
+// TestNonCanonicalFramesRejected pins the decoder's canonical form with one
+// hand-made frame per alternative spelling the fuzz targets would find.
+func TestNonCanonicalFramesRejected(t *testing.T) {
+	frame := func(magic string, payload ...byte) []byte {
+		out := append([]byte(magic), 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(out[4:], uint32(len(payload)))
+		return append(out, payload...)
+	}
+	// A valid ok result: version 1, id 9, status 0, cycles 100 (zig-zag
+	// 200 = 0xc8 0x01), insts 80, not sampled, 0 windows, CI 0.
+	ok := []byte{1, 9, 0, 0xc8, 0x01, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := ReadResult(bytes.NewReader(frame(resMagic, ok...))); err != nil {
+		t.Fatalf("canonical frame refused: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"overlong id", append([]byte{1, 0x89, 0x00}, ok[2:]...)},
+		{"status 2", append([]byte{1, 9, 2}, ok[3:]...)},
+		{"sampled 3", append(append([]byte{}, ok[:6]...), append([]byte{3}, ok[7:]...)...)},
+		{"trailing byte", append(append([]byte{}, ok...), 0)},
+	} {
+		if _, err := ReadResult(bytes.NewReader(frame(resMagic, c.payload...))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: got %v, want ErrBadTrace", c.name, err)
 		}
 	}
 }
