@@ -88,15 +88,18 @@ fleet-smoke:
 # to the sort-everything reference's. FuzzReadRequest/FuzzReadResult: the
 # procpool's SREQ/SRES worker frames must never panic, an accepted frame
 # must re-encode to its own bytes, and an oversized length prefix or any
-# truncation must be an error. A failing input lands in the package's
-# testdata/fuzz, where plain `go test` replays it. Minimizing a new input is
-# capped at 2 s, so a large input cannot spend the whole window being
-# minimized.
+# truncation must be an error. FuzzRead: the binary trace decoder behind
+# the runner's disk trace cache must never panic, and an accepted trace
+# must survive a Write/Read round trip unchanged. A failing input lands in
+# the package's testdata/fuzz, where plain `go test` replays it. Minimizing
+# a new input is capped at 2 s, so a large input cannot spend the whole
+# window being minimized.
 fuzz-smoke:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzPlacer$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadResult$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet

@@ -13,7 +13,7 @@
 //
 //	market -exp table4 -results results/perf.json
 //	market -exp fig15  -results results/perf.json
-//	market -exp table6 -incremental -probe-budget 60
+//	market -exp table6 -incremental
 //	market -churn -bench gcc,mcf,sjeng
 package main
 
@@ -45,7 +45,6 @@ func main() {
 		quiet       = flag.Bool("q", false, "suppress per-run progress")
 		incremental = flag.Bool("incremental", false, "price table4/table6 bids by incremental search (O(probes) per bid)")
 		churn       = flag.Bool("churn", false, "run the churn scenario through the allocation core and report per-event costs")
-		probeBudget = flag.Int("probe-budget", 0, "probes per search before the exhaustive fallback (0 = lattice size, fallback disabled)")
 	)
 	flag.Parse()
 
@@ -91,7 +90,7 @@ func main() {
 	}
 
 	if *churn {
-		rep, err := experiments.ChurnScenario(r, names, econ.Supply{Slices: 64, Banks: 128}, *probeBudget)
+		rep, err := experiments.ChurnScenario(r, names, econ.Supply{Slices: 64, Banks: 128})
 		if err != nil {
 			stopOrFatal(r, err)
 		}
@@ -131,7 +130,7 @@ func main() {
 		var err error
 		if *incremental {
 			var st alloc.Stats
-			rows, st, err = experiments.Table4Incremental(r, names, *probeBudget)
+			rows, st, err = experiments.Table4Incremental(r, names)
 			if err == nil {
 				defer printEconomy(st, r)
 			}
@@ -153,7 +152,7 @@ func main() {
 		if *incremental {
 			var st alloc.Stats
 			var err error
-			rows, st, err = experiments.Table6Incremental(r, names, *probeBudget)
+			rows, st, err = experiments.Table6Incremental(r, names)
 			if err != nil {
 				stopOrFatal(r, err)
 			}
@@ -288,8 +287,8 @@ func main() {
 // printEconomy reports the incremental searches' probe economy against the
 // batch baseline of one full grid sweep per surface.
 func printEconomy(st alloc.Stats, r *experiments.Runner) {
-	fmt.Printf("incremental: %d searches, %d probes (%d simulator runs) vs %d grid measurements for %d surfaces; %d fallbacks\n",
-		st.Searches, st.CacheMisses, r.SimRuns(), st.GridProbes, st.Surfaces, st.Fallbacks)
+	fmt.Printf("incremental: %d searches, %d probes (%d simulator runs) vs %d grid measurements for %d surfaces\n",
+		st.Searches, st.CacheMisses, r.SimRuns(), st.GridProbes, st.Surfaces)
 }
 
 // stopOrFatal handles an experiment error. A graceful interrupt (the

@@ -12,7 +12,7 @@
 //	POST /v1/depart  {"name"}                           leave the market
 //	POST /v1/phase   {"name","phase"}                   program phase change
 //	GET  /v1/vm?name=                                   one VM's allocation
-//	GET  /v1/market                                     market snapshot
+//	GET  /v1/market                                     market snapshot, clearing convergence
 //	GET  /v1/stats                                      serving telemetry
 //	GET  /healthz, /debug/vars, /debug/pprof/*
 //
@@ -48,18 +48,17 @@ import (
 func main() {
 	experiments.MaybeWorker()
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		synthetic   = flag.Bool("synthetic", false, "closed-form surfaces instead of simulator probes")
-		n           = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread (simulator probes)")
-		seed        = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
-		results     = flag.String("results", "", "JSON results cache (reused across runs)")
-		traceCache  = flag.String("tracecache", "", "directory for the binary trace cache (reused across runs)")
-		backend     = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		shards      = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
-		probeBudget = flag.Int("probe-budget", 0, "probes per search before the exhaustive fallback (0 = lattice size, fallback disabled)")
-		supSlices   = flag.Int("supply-slices", 64, "chip supply: rentable Slices")
-		supBanks    = flag.Int("supply-banks", 128, "chip supply: rentable 64KB L2 banks")
-		quiet       = flag.Bool("q", false, "suppress per-run progress")
+		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
+		synthetic  = flag.Bool("synthetic", false, "closed-form surfaces instead of simulator probes")
+		n          = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread (simulator probes)")
+		seed       = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
+		results    = flag.String("results", "", "JSON results cache (reused across runs)")
+		traceCache = flag.String("tracecache", "", "directory for the binary trace cache (reused across runs)")
+		backend    = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
+		shards     = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
+		supSlices  = flag.Int("supply-slices", 64, "chip supply: rentable Slices")
+		supBanks   = flag.Int("supply-banks", 128, "chip supply: rentable 64KB L2 banks")
+		quiet      = flag.Bool("q", false, "suppress per-run progress")
 
 		// Load-test harness (implies an in-process server; -addr ignored).
 		loadtest = flag.Bool("loadtest", false, "run the load-test harness against an in-process server and exit")
@@ -82,7 +81,7 @@ func main() {
 	if *synthetic {
 		a, err = alloc.New(alloc.Params{
 			Slices: experiments.StdSlices, CacheKB: experiments.StdCaches,
-			ProbeBudget: *probeBudget, Supply: supply,
+			Supply: supply,
 		}, fleet.SyntheticProber{})
 	} else {
 		r = experiments.NewRunner()
@@ -103,7 +102,7 @@ func main() {
 		if err = r.Load(); err != nil {
 			fatal(err)
 		}
-		a, err = experiments.NewAllocator(r, supply, *probeBudget)
+		a, err = experiments.NewAllocator(r, supply)
 	}
 	if err != nil {
 		fatal(err)

@@ -214,7 +214,7 @@ func TestDaemonEndpointsAndDrain(t *testing.T) {
 	}
 	var mkt marketReply
 	getJSON(t, base+"/v1/market", &mkt)
-	if mkt.Epoch != 2 || len(mkt.VMs) != 1 || mkt.TotalU <= 0 {
+	if mkt.Epoch != 2 || len(mkt.VMs) != 1 || mkt.TotalU <= 0 || !mkt.Converged {
 		t.Fatalf("market snapshot: %+v", mkt)
 	}
 	if err := post(base+"/v1/depart", nameRequest{Name: "vm1"}, &rc); err != nil {
@@ -329,16 +329,41 @@ func TestChurnPhasesExist(t *testing.T) {
 // newTestServer serves a synthetic-surface allocator in process.
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	a, err := alloc.New(alloc.Params{
-		Slices: experiments.StdSlices, CacheKB: experiments.StdCaches,
-		Supply: econ.Supply{Slices: 64, Banks: 128},
-	}, fleet.SyntheticProber{})
+	return newTestServerWith(t, alloc.Params{Supply: econ.Supply{Slices: 64, Banks: 128}})
+}
+
+// newTestServerWith is newTestServer with p's supply and tatonnement
+// parameters over the standard lattice.
+func newTestServerWith(t *testing.T, p alloc.Params) *httptest.Server {
+	t.Helper()
+	p.Slices, p.CacheKB = experiments.StdSlices, experiments.StdCaches
+	a, err := alloc.New(p, fleet.SyntheticProber{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newServer(a))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// TestMarketReportsUnconverged: a clearing stopped by the tatonnement's
+// round cap, with demand far over a one-Slice supply, is published with
+// "converged": false rather than passed off as a clearing; an empty market
+// reports true.
+func TestMarketReportsUnconverged(t *testing.T) {
+	ts := newTestServerWith(t, alloc.Params{Supply: econ.Supply{Slices: 1, Banks: 1}, MaxIter: 2})
+	var mkt marketReply
+	getJSON(t, ts.URL+"/v1/market", &mkt)
+	if !mkt.Converged {
+		t.Fatalf("empty market reports unconverged: %+v", mkt)
+	}
+	if err := post(ts.URL+"/v1/arrive", arriveRequest{Name: "vm1", Bench: "b", K: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, ts.URL+"/v1/market", &mkt)
+	if len(mkt.VMs) != 1 || mkt.Converged {
+		t.Fatalf("capped clearing published as converged: %+v", mkt)
+	}
 }
 
 // status POSTs a raw body and returns the response status.

@@ -293,23 +293,26 @@ func (s *server) handleVM(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, st)
 }
 
-// marketReply is the published market snapshot.
+// marketReply is the published market snapshot. Converged is false when
+// the last clearing stopped at its round cap with the least-oversold prices
+// it saw; an empty market has nothing to clear and reports true.
 type marketReply struct {
-	Epoch  uint64         `json:"epoch"`
-	Prices econ.Market    `json:"prices"`
-	TotalU float64        `json:"totalUtility"`
-	VMs    []alloc.VMStat `json:"vms"`
+	Epoch     uint64         `json:"epoch"`
+	Prices    econ.Market    `json:"prices"`
+	TotalU    float64        `json:"totalUtility"`
+	Converged bool           `json:"converged"`
+	VMs       []alloc.VMStat `json:"vms"`
 }
 
 func (s *server) handleMarket(w http.ResponseWriter, r *http.Request) {
 	s.http.market.Add(1)
 	v := s.a.Snapshot()
-	rep := marketReply{Epoch: v.Epoch, Prices: s.a.Prices(), VMs: v.VMs}
+	rep := marketReply{Epoch: v.Epoch, Prices: s.a.Prices(), Converged: true, VMs: v.VMs}
 	if rep.VMs == nil {
 		rep.VMs = []alloc.VMStat{}
 	}
 	if v.Result != nil {
-		rep.TotalU = v.Result.TotalUtility
+		rep.TotalU, rep.Converged = v.Result.TotalUtility, v.Result.Converged
 	}
 	s.reply(w, rep)
 }

@@ -17,10 +17,10 @@
 //     its caller passes. The fleet passes each pricing group's
 //     epoch-synchronized previous optimum; everyone else passes the fixed
 //     lattice start (econ.Config{}, the midpoint). The incremental search is
-//     only guaranteed to equal the exhaustive argmax on basin-shaped
-//     surfaces; over memoized surface data its result is a pure function of
-//     those inputs on ANY surface, which is the property concurrency actually
-//     needs. Hidden warm starts (a surface's or a customer's last optimum)
+//     not guaranteed to equal the exhaustive argmax (the grid differentials
+//     measure where it does); over memoized surface data its result is a
+//     pure function of those inputs on ANY surface, which is the property
+//     concurrency actually needs. Hidden warm starts (a surface's or a customer's last optimum)
 //     were rejected deliberately: a racy hint would make results depend on
 //     scheduling whenever a surface is not basin-shaped.
 //
@@ -71,14 +71,6 @@ type Params struct {
 	// Slices and CacheKB are the configuration lattice axes
 	// (experiments.StdSlices / StdCaches for the paper's grid).
 	Slices, CacheKB []int
-	// ProbeBudget bounds probes per search before the exhaustive fallback.
-	// It defaults to the lattice size, which disables the fallback by
-	// construction (a search cannot issue more distinct probes than the
-	// lattice holds): searches are Reset-fresh, so any budget is
-	// deterministic per (surface, prices, start), but the lattice default
-	// also makes FellBack receipts impossible rather than merely
-	// deterministic.
-	ProbeBudget int
 	// Supply is the chip's rentable resources for market clearing. Zero
 	// makes a pricing-only allocator (the fleet, the table drivers): bids
 	// price as usual and membership ops are refused.
@@ -191,14 +183,10 @@ func New(p Params, prober market.Prober) (*Allocator, error) {
 			return nil, fmt.Errorf("alloc: %w", err)
 		}
 	}
-	lattice := len(p.Slices) * len(p.CacheKB)
-	if p.ProbeBudget <= 0 {
-		p.ProbeBudget = lattice
-	}
 	a := &Allocator{
 		p:         p,
 		cache:     cache,
-		lattice:   lattice,
+		lattice:   len(p.Slices) * len(p.CacheKB),
 		residents: make(map[string]*resident),
 	}
 	a.opts.New = func() any {
@@ -207,7 +195,6 @@ func New(p Params, prober market.Prober) (*Allocator, error) {
 			// The axes were validated in New; this cannot fail.
 			panic(err)
 		}
-		o.Budget = a.p.ProbeBudget
 		return o
 	}
 	a.view.Store(&View{Prices: econ.Market2()})
@@ -217,9 +204,8 @@ func New(p Params, prober market.Prober) (*Allocator, error) {
 // LatticeSize returns the probe cost of one exhaustive grid sweep.
 func (a *Allocator) LatticeSize() int { return a.lattice }
 
-// Params returns the allocator's resolved parameters (ProbeBudget defaulted
-// to the lattice size). Callers building a sequential reference allocator
-// pair it with Cache() to share the probe economy.
+// Params returns the allocator's parameters. Callers building a sequential
+// reference allocator pair it with Cache() to share the probe economy.
 func (a *Allocator) Params() Params { return a.p }
 
 // Cache returns the shared surface memo (for wiring several consumers onto
@@ -252,9 +238,6 @@ func (a *Allocator) search(k surfKey, u econ.Utility, m econ.Market, start econ.
 		return econ.SearchResult{}, err
 	}
 	a.stats.searches.Add(1)
-	if res.FellBack {
-		a.stats.fallbacks.Add(1)
-	}
 	return res, nil
 }
 
@@ -290,7 +273,7 @@ func (a *Allocator) PriceBidAt(bench string, u econ.Utility, m econ.Market, star
 	cost := m.Cost(res.Best)
 	br := market.BidResult{
 		Config: res.Best, Perf: res.Perf, Utility: res.Score, Cost: cost,
-		Probes: res.Probes, FellBack: res.FellBack,
+		Probes: res.Probes,
 	}
 	if cost > 0 {
 		br.VCores = u.Budget / cost

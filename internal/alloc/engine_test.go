@@ -1,4 +1,4 @@
-package market_test
+package alloc_test
 
 import (
 	"fmt"
@@ -9,8 +9,8 @@ import (
 	"sharing/internal/market"
 )
 
-// The market engine is internal/alloc's Allocator; these tests drive it
-// through a shared SurfaceCache, the way the fleet and sharingd do.
+// These tests drive the Allocator (the market engine) through a shared
+// market.SurfaceCache, the way the fleet and sharingd do.
 
 var (
 	eSlices = []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -107,8 +107,8 @@ func TestSetPhaseRequiresPhaseProber(t *testing.T) {
 }
 
 // TestPriceBidAtObjectiveOverride: a custom objective (here 1/cost — the
-// cheapest valid configuration) must steer the search, and the points it
-// probed must land in the shared cache.
+// cheapest valid configuration) must steer the search, and the point it
+// chose must land in the shared cache: probing it again is a hit.
 func TestPriceBidAtObjectiveOverride(t *testing.T) {
 	cache := sharedCache(t, surfaces{})
 	e := newEngine(t, cache)
@@ -122,7 +122,11 @@ func TestPriceBidAtObjectiveOverride(t *testing.T) {
 	if br.Config != want {
 		t.Fatalf("frugal objective chose %v, want %v", br.Config, want)
 	}
-	if p, ok := cache.Known("slicey", market.WholeProgram, want); !ok || p != br.Perf {
-		t.Fatalf("shared cache holds (%v, %v) at the chosen point, want (%v, true)", p, ok, br.Perf)
+	misses := cache.Misses()
+	if p, err := cache.Surface("slicey", market.WholeProgram).Probe(want); err != nil || p != br.Perf {
+		t.Fatalf("shared cache probe at the chosen point = (%v, %v), want (%v, nil)", p, err, br.Perf)
+	}
+	if cache.Misses() != misses {
+		t.Fatalf("probing the chosen point missed the shared cache: misses %d -> %d", misses, cache.Misses())
 	}
 }

@@ -87,12 +87,11 @@ func (a *Allocator) Verify() (*econ.ClearingResult, error) {
 	return want, nil
 }
 
-// NormalizeBid strips the execution-telemetry fields from a bid result —
-// probe count and fallback marker — leaving the allocation-relevant fields
-// that must be DeepEqual-identical between concurrent serving and a
-// sequential pricing of the same bid.
+// NormalizeBid strips the execution-telemetry field from a bid result —
+// the probe count — leaving the allocation-relevant fields that must be
+// DeepEqual-identical between concurrent serving and a sequential pricing
+// of the same bid.
 func NormalizeBid(br market.BidResult) market.BidResult {
 	br.Probes = 0
-	br.FellBack = false
 	return br
 }

@@ -13,7 +13,6 @@ type counters struct {
 	ops          atomic.Int64
 	coalesced    atomic.Int64
 	searches     atomic.Int64
-	fallbacks    atomic.Int64
 	probeLookups atomic.Int64
 	inflight     atomic.Int64
 }
@@ -33,9 +32,11 @@ type Stats struct {
 	Epochs    int64 `json:"epochs"`
 	Ops       int64 `json:"ops"`
 	Coalesced int64 `json:"coalesced"`
-	// Searches counts optimum searches (bids plus tatonnement responses);
-	// Fallbacks the ones that exhausted their probe budget.
-	Searches  int64 `json:"searches"`
+	// Searches counts optimum searches (bids plus tatonnement responses).
+	Searches int64 `json:"searches"`
+	// Fallbacks is always 0: the search has no exhaustive fallback. The
+	// field stays only because perfbench's alloc.fallbacks counter still
+	// reads it.
 	Fallbacks int64 `json:"fallbacks"`
 	// ProbeLookups counts configuration lookups issued to the shared
 	// surface cache; CacheMisses the ones that cost a prober call
@@ -71,7 +72,6 @@ func (a *Allocator) Stats() Stats {
 		Ops:          a.stats.ops.Load(),
 		Coalesced:    a.stats.coalesced.Load(),
 		Searches:     a.stats.searches.Load(),
-		Fallbacks:    a.stats.fallbacks.Load(),
 		ProbeLookups: a.stats.probeLookups.Load(),
 		CacheMisses:  a.cache.Misses(),
 		InFlight:     a.stats.inflight.Load(),

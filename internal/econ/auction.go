@@ -67,8 +67,14 @@ type Supply struct {
 type ClearingResult struct {
 	// Prices is the market-clearing price vector.
 	Prices Market
-	// Iterations is the number of tatonnement rounds used.
+	// Iterations is the tatonnement round whose prices were returned: the
+	// clearing round when Converged, else the least-oversold round seen,
+	// which can be below maxIter.
 	Iterations int
+	// Converged reports that demand fell within tolerance of supply. False
+	// means the round cap ran out and Prices are the least-oversold prices
+	// observed, at which some resource may be over-demanded.
+	Converged bool
 	// Allocations holds each customer's chosen configuration and VCore
 	// count at the clearing prices, in input order.
 	Allocations []Allocation
@@ -92,9 +98,10 @@ type Allocation struct {
 // supply=demand equality need not exist (demand jumps at price thresholds);
 // the provider's actual constraint is only that nothing is OVER-demanded,
 // so the auction stops once every resource's demand is within tol above its
-// supply (idle capacity is allowed), or after maxIter rounds. Demand is
-// declared in fractional VCores, which is the paper's time-multiplexed
-// leasing: renting 2.5 VCores means 2 full-time and one half-time.
+// supply (idle capacity is allowed), or after maxIter rounds, in which case
+// the result has Converged false. Demand is declared in fractional VCores,
+// which is the paper's time-multiplexed leasing: renting 2.5 VCores means 2
+// full-time and one half-time.
 func ClearMarket(customers []Customer, supply Supply, tol float64, maxIter int) (*ClearingResult, error) {
 	bidders := make([]Bidder, len(customers))
 	for i := range customers {
@@ -144,7 +151,12 @@ func ClearMarketWith(bidders []Bidder, supply Supply, tol float64, maxIter int) 
 			exB = 1 // zero supply: keep raising the price until demand dies
 		}
 		if exS <= tol && exB <= tol {
-			return clearingAt(bidders, m, it, sliceD, bankD)
+			res, err := clearingAt(bidders, m, it, sliceD, bankD)
+			if err != nil {
+				return nil, err
+			}
+			res.Converged = true
+			return res, nil
 		}
 		// Discrete demand can limit-cycle around the clearing point;
 		// remember the least-oversold prices seen so far.
@@ -170,8 +182,8 @@ func ClearMarketWith(bidders []Bidder, supply Supply, tol float64, maxIter int) 
 		m.BankCost = adjust(m.BankCost, exB)
 	}
 	// No exact clearing point within maxIter (discrete configurations can
-	// make one impossible): return the least-oversold prices observed; the
-	// caller can inspect demand vs supply.
+	// make one impossible): return the least-oversold prices observed,
+	// marked unconverged; the caller can inspect demand vs supply.
 	res, err := clearingAt(bidders, best, bestIt, 0, 0)
 	if err != nil {
 		return nil, err

@@ -41,6 +41,34 @@ func TestClearMarketBalancesDemand(t *testing.T) {
 	}
 }
 
+// TestClearMarketConverged: a clearing that meets supply within tolerance
+// reports Converged; one stopped by the round cap, with demand far over
+// supply, reports that it did not converge instead of passing its
+// least-oversold prices off as a clearing.
+func TestClearMarketConverged(t *testing.T) {
+	res, err := ClearMarket(auctionCustomers(), Supply{Slices: 64, Banks: 64}, 0.05, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("normal clearing reports unconverged: %+v", res)
+	}
+	capped, err := ClearMarket(auctionCustomers(), Supply{Slices: 1, Banks: 1}, 0.05, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Converged {
+		t.Fatalf("clearing stopped by a 2-round cap reports converged: %+v", capped)
+	}
+	if capped.Iterations < 1 || capped.Iterations > 2 {
+		t.Fatalf("capped clearing returned round %d, want 1 or 2", capped.Iterations)
+	}
+	if capped.SliceDemand <= 1.05 && capped.BankDemand <= 1.05 {
+		t.Fatalf("capped clearing is within tolerance (slices %.2f, banks %.2f): the cap was not what stopped it",
+			capped.SliceDemand, capped.BankDemand)
+	}
+}
+
 func TestClearMarketScarcityRaisesPrices(t *testing.T) {
 	// Halving the supply must raise at least one clearing price.
 	rich, err := ClearMarket(auctionCustomers(), Supply{Slices: 256, Banks: 256}, 0.05, 0)

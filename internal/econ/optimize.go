@@ -1,9 +1,6 @@
 package econ
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Incremental optimum search (the allocation core's one search). The batch
 // drivers find each customer's utility-maximizing VCore by sweeping the full
@@ -14,10 +11,11 @@ import (
 // lattice, probing the simulator only for configurations the search actually
 // visits. The surfaces of §5.7 (Fig. 14) are unimodal in practice — utility
 // rises toward a single interior peak and falls off with over-provisioning —
-// so the ascent converges in a handful of probes; when the assumption fails,
-// a bounded probe budget triggers the exhaustive-sweep escape hatch, so the
-// search is never wrong, only occasionally as slow as the grid (see
-// DESIGN.md, "Incremental optimum search").
+// so the ascent converges in a handful of probes. The search is not exact
+// by construction: on a surface with a basin neither ascent starts in it can
+// stop short of the grid optimum. Its exactness on the paper's surfaces is
+// measured by the differential tests against the full grid (see DESIGN.md,
+// "Incremental optimum search").
 
 // ProbeFn returns the measured performance P(c) of one configuration. A
 // probe may be expensive (a simulator run) or cheap (a results-cache hit);
@@ -30,15 +28,6 @@ type ProbeFn func(Config) (float64, error)
 // pricing) and Metric (perf^k/area, phase scheduling).
 type Objective func(perf float64, cfg Config) float64
 
-// DefaultProbeBudget bounds the probes one Search may issue before falling
-// back to the exhaustive sweep. A converging cold search on the standard
-// 8x9 lattice — two ascents (warm start + frugal corner) with their cross
-// checks — measures at most ~50 probes over the synthetic surface family
-// (mean ~37); warm searches on a memoized surface use <= ~8. A search still
-// probing past this many misses is evidence the surface is not basin-shaped
-// and exactness demands the sweep.
-const DefaultProbeBudget = 60
-
 // Optimizer searches utility/metric surfaces over a fixed configuration
 // lattice, memoizing every probed performance value. It is NOT safe for
 // concurrent use; the allocation core (internal/alloc) pools one per
@@ -46,9 +35,6 @@ const DefaultProbeBudget = 60
 type Optimizer struct {
 	slices []int // ascending Slice axis
 	caches []int // ascending CacheKB axis
-	// Budget is the per-Search probe cap before the exhaustive fallback
-	// (DefaultProbeBudget if 0).
-	Budget int
 
 	// The probe memo is dense over the lattice: vals[i*len(caches)+j] holds
 	// P(slices[i], caches[j]) when bit i*len(caches)+j of have is set.
@@ -92,73 +78,41 @@ func (o *Optimizer) LatticeSize() int { return len(o.slices) * len(o.caches) }
 // misses) over the Optimizer's lifetime.
 func (o *Optimizer) Probes() int { return o.probes }
 
-// Reset clears the probe memo and counters, keeping the axes and budget.
+// Reset clears the probe memo and counters, keeping the axes.
 // It exists for goroutine-local reuse: the concurrent allocation library
 // (internal/alloc) pools Optimizers and resets one per search, so every
-// search starts from an empty memo — its probe count and budget behavior
-// are then a pure function of (surface, prices, start), never of which
-// pooled instance served the previous search — while the actual measurement
-// memoization lives in the shared, concurrency-safe market.SurfaceCache.
+// search starts from an empty memo — its probe count is then a pure
+// function of (surface, prices, start), never of which pooled instance
+// served the previous search — while the actual measurement memoization
+// lives in the shared, concurrency-safe market.SurfaceCache.
 func (o *Optimizer) Reset() {
 	clear(o.have)
 	o.probes = 0
 }
 
-// Grid returns a copy of every memoized measurement as a Grid — the partial
-// performance surface the searches have explored so far.
-func (o *Optimizer) Grid() Grid {
-	g := make(Grid)
-	for i, s := range o.slices {
-		for j, kb := range o.caches {
-			if x := i*len(o.caches) + j; o.have[x/64]&(1<<(x%64)) != 0 {
-				g[Config{Slices: s, CacheKB: kb}] = o.vals[x]
-			}
-		}
-	}
-	return g
-}
-
 // SearchResult reports one incremental optimum search.
 type SearchResult struct {
-	// Best is the score-maximizing configuration on the lattice, with ties
-	// resolved by PreferOnTie — identical to what the exhaustive sweep
-	// (Utility.Best / BestByMetric over the full grid) returns.
+	// Best is the better of the two ascents' optima, with ties resolved by
+	// PreferOnTie. The grid differentials check that it equals what the
+	// exhaustive sweep (Utility.Best / BestByMetric over the full grid)
+	// returns; on a surface with a basin neither ascent reaches, it does
+	// not.
 	Best Config
 	// Perf is the measured performance at Best; Score is its objective value.
 	Perf, Score float64
 	// Probes counts the ProbeFn calls this search issued (memo hits are
-	// free). A warm-started converging search issues at most ~8; an
-	// exhaustive fallback up to LatticeSize().
+	// free): at most LatticeSize(), and at most ~8 for a warm-started
+	// search over a memoized region.
 	Probes int
-	// Steps counts ascent moves taken from the start configuration.
-	Steps int
-	// FellBack reports that the probe budget was exhausted and the search
-	// completed by exhaustive sweep (the escape hatch for non-unimodal
-	// surfaces).
-	FellBack bool
-}
-
-// errBudget signals budget exhaustion internally.
-var errBudget = fmt.Errorf("econ: probe budget exhausted")
-
-func (o *Optimizer) budget() int {
-	if o.Budget > 0 {
-		return o.Budget
-	}
-	return DefaultProbeBudget
 }
 
 // perf returns the memoized or freshly probed performance of cfg, lattice
-// point (i, j), counting the probe against limit (math.MaxInt disables the
-// cap).
-func (o *Optimizer) perf(i, j int, cfg Config, probe ProbeFn, spent *int, limit int) (float64, error) {
+// point (i, j).
+func (o *Optimizer) perf(i, j int, cfg Config, probe ProbeFn) (float64, error) {
 	x := i*len(o.caches) + j
 	bit := uint64(1) << (x % 64)
 	if o.have[x/64]&bit != 0 {
 		return o.vals[x], nil
-	}
-	if *spent >= limit {
-		return 0, errBudget
 	}
 	p, err := probe(cfg)
 	if err != nil {
@@ -167,7 +121,6 @@ func (o *Optimizer) perf(i, j int, cfg Config, probe ProbeFn, spent *int, limit 
 	o.vals[x] = p
 	o.have[x/64] |= bit
 	o.probes++
-	*spent++
 	return p, nil
 }
 
@@ -200,21 +153,19 @@ func axisIndex(axis []int, v int) int {
 // by cost, so whenever P grows sublinearly the surface splits into two
 // basins — a performance basin near the warm start and a frugal basin near
 // the cheap corner — and a single ascent started in one cannot see the
-// other. The two ascents anchor both basins; the cross check catches
-// axis-aligned ridges; anything still missed is caught by the differential
-// tests and, at runtime, by the budget fallback.
+// other. The two ascents anchor both basins and the cross check catches
+// axis-aligned ridges. A basin neither ascent reaches is missed: the
+// differential tests against the full grid are what measure exactness.
 func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeFn) (SearchResult, error) {
 	si := axisIndex(o.slices, start.Slices)
 	ci := axisIndex(o.caches, start.CacheKB)
 	if si < 0 || ci < 0 {
 		si, ci = len(o.slices)/2, len(o.caches)/2
 	}
-	var res SearchResult
-	spent := 0
-	limit := o.budget()
+	probes0 := o.probes
 	score := func(i, j int) (Config, float64, float64, error) {
 		cfg := Config{Slices: o.slices[i], CacheKB: o.caches[j]}
-		p, err := o.perf(i, j, cfg, probe, &spent, limit)
+		p, err := o.perf(i, j, cfg, probe)
 		if err != nil {
 			return cfg, 0, 0, err
 		}
@@ -251,7 +202,6 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 			}
 			if bi != si || bj != ci {
 				si, ci, cur, curP, curV = bi, bj, best, bestP, bestV
-				res.Steps++
 				continue
 			}
 			// Converged: cross check — line-search the full row and column
@@ -279,46 +229,21 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 				return cur, curP, curV, nil
 			}
 			si, ci, cur, curP, curV = mi, mj, best, bestP, bestV
-			res.Steps++
 		}
 	}
 	cur, curP, curV, err := ascend(si, ci)
-	if err == nil && (si != 0 || ci != 0) {
+	if err != nil {
+		return SearchResult{}, err
+	}
+	if si != 0 || ci != 0 {
 		// Second start at the cheapest corner to anchor the frugal basin.
-		var fr Config
-		var frP, frV float64
-		fr, frP, frV, err = ascend(0, 0)
-		if err == nil && Better(tie, frV, fr, curV, cur) {
+		fr, frP, frV, err := ascend(0, 0)
+		if err != nil {
+			return SearchResult{}, err
+		}
+		if Better(tie, frV, fr, curV, cur) {
 			cur, curP, curV = fr, frP, frV
 		}
 	}
-	if err == nil {
-		res.Best, res.Perf, res.Score, res.Probes = cur, curP, curV, spent
-		return res, nil
-	}
-	if err != errBudget {
-		return SearchResult{}, err
-	}
-	// Escape hatch: the budget ran out before convergence — the surface is
-	// not unimodal enough for the ascent. Sweep the whole lattice through
-	// the memo (configurations the climb already probed are free), so the
-	// result is exact at worst-case O(lattice) cost.
-	res.FellBack = true
-	best, bestP, bestV := Config{}, 0.0, math.Inf(-1)
-	ok := false
-	for i := range o.slices {
-		for j := range o.caches {
-			cfg := Config{Slices: o.slices[i], CacheKB: o.caches[j]}
-			p, perr := o.perf(i, j, cfg, probe, &spent, math.MaxInt)
-			if perr != nil {
-				return SearchResult{}, perr
-			}
-			v := obj(p, cfg)
-			if !ok || Better(tie, v, cfg, bestV, best) {
-				best, bestP, bestV, ok = cfg, p, v, true
-			}
-		}
-	}
-	res.Best, res.Perf, res.Score, res.Probes = best, bestP, bestV, spent
-	return res, nil
+	return SearchResult{Best: cur, Perf: curP, Score: curV, Probes: o.probes - probes0}, nil
 }

@@ -149,45 +149,6 @@ func TestSearchWarmStartProbeEconomy(t *testing.T) {
 	}
 }
 
-// TestSearchBudgetFallback: a deliberately multimodal objective must trip
-// the probe budget and still return the exact sweep optimum via the escape
-// hatch.
-func TestSearchBudgetFallback(t *testing.T) {
-	// Two sharp utility islands in opposite corners; greedy ascent from the
-	// midpoint cannot see either.
-	perf := func(c Config) float64 {
-		if c.Slices == 8 && c.CacheKB == 8192 {
-			return 40
-		}
-		if c.Slices == 1 && c.CacheKB == 0 {
-			return 3
-		}
-		if (c.Slices+c.CacheKB/64)%2 == 0 {
-			return 0.1
-		}
-		return 0.09
-	}
-	g := latticeGrid(perf)
-	m, u := Market2(), Utility1()
-	wantCfg, wantU := u.Best(m, g)
-	obj := func(p float64, cfg Config) float64 { return u.Value(m, p, cfg) }
-	opt, _ := NewOptimizer(optSlices, optCaches)
-	opt.Budget = 12
-	res, err := opt.Search(obj, m, Config{}, func(cfg Config) (float64, error) { return perf(cfg), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FellBack {
-		t.Fatal("multimodal surface under a tight budget must fall back to the sweep")
-	}
-	if res.Best != wantCfg || res.Score != wantU {
-		t.Fatalf("fallback inexact: %v (%.6f) != %v (%.6f)", res.Best, res.Score, wantCfg, wantU)
-	}
-	if res.Probes != opt.LatticeSize() {
-		t.Fatalf("fallback probed %d, want the whole %d-point lattice", res.Probes, opt.LatticeSize())
-	}
-}
-
 func TestSearchProbeErrorPropagates(t *testing.T) {
 	opt, _ := NewOptimizer(optSlices, optCaches)
 	boom := fmt.Errorf("simulator exploded")
@@ -235,8 +196,5 @@ func TestOptimizerMemoSharedAcrossObjectives(t *testing.T) {
 	}
 	if total > opt.LatticeSize() {
 		t.Fatalf("nine bids on one surface probed %d > lattice %d: memo not shared", total, opt.LatticeSize())
-	}
-	if g := opt.Grid(); len(g) != opt.Probes() {
-		t.Fatalf("partial grid has %d entries, want %d", len(g), opt.Probes())
 	}
 }

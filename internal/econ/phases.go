@@ -139,8 +139,6 @@ type IncrementalPhaseSchedule struct {
 	// phases have similar working sets, so each phase's search warm-starts
 	// from the previous phase's optimum and converges in a few probes.
 	Probes []int
-	// FellBack counts phases whose search used the exhaustive escape hatch.
-	FellBack int
 	// ReconfigCycles is the total hypervisor reconfiguration cost charged
 	// across phase transitions.
 	ReconfigCycles int64
@@ -150,18 +148,16 @@ type IncrementalPhaseSchedule struct {
 }
 
 // IncrementalPhaseAnalysis computes the dynamic schedule of PhaseAnalysis
-// without measuring full per-phase grids: phase 0 starts the search at the
-// lattice midpoint (or warmStart, when the caller has one — e.g. the
-// program's whole-run optimum), and each later phase warm-starts from the
-// previous phase's choice. The chosen configurations are identical to
-// PhaseAnalysis's (both optimize Metric under the Better tie-break over the
-// same lattice); the differential tests in econ and experiments pin that.
-func IncrementalPhaseAnalysis(nPhases, k int, opt *Optimizer, warmStart Config, probe PhaseProbeFn, reconfig ReconfigCostFn) (*IncrementalPhaseSchedule, error) {
+// without measuring full per-phase grids: each phase is searched over the
+// lattice slices x caches (strictly ascending, non-empty axes), phase 0
+// from the lattice midpoint (or warmStart, when the caller has one — e.g.
+// the program's whole-run optimum) and each later phase warm-started from
+// the previous phase's choice. Both optimize Metric under the Better
+// tie-break over the same lattice; the differential tests in econ and
+// experiments check that the chosen configurations equal PhaseAnalysis's.
+func IncrementalPhaseAnalysis(nPhases, k int, slices, caches []int, warmStart Config, probe PhaseProbeFn, reconfig ReconfigCostFn) (*IncrementalPhaseSchedule, error) {
 	if nPhases <= 0 {
 		return nil, fmt.Errorf("econ: no phases")
-	}
-	if opt == nil {
-		return nil, fmt.Errorf("econ: nil optimizer")
 	}
 	sched := &IncrementalPhaseSchedule{
 		K:        k,
@@ -178,11 +174,10 @@ func IncrementalPhaseAnalysis(nPhases, k int, opt *Optimizer, warmStart Config, 
 		// Each phase is a distinct performance surface, so it gets a fresh
 		// memo over the shared axes; the warm start is what carries
 		// cross-phase locality.
-		po, err := NewOptimizer(opt.slices, opt.caches)
+		po, err := NewOptimizer(slices, caches)
 		if err != nil {
 			return nil, err
 		}
-		po.Budget = opt.Budget
 		var phInsts uint64
 		phCycles := make(map[Config]int64)
 		res, err := po.Search(obj, tie, start, func(cfg Config) (float64, error) {
@@ -202,9 +197,6 @@ func IncrementalPhaseAnalysis(nPhases, k int, opt *Optimizer, warmStart Config, 
 		}
 		sched.PerPhase[ph] = res.Best
 		sched.Probes[ph] = res.Probes
-		if res.FellBack {
-			sched.FellBack++
-		}
 		insts[ph] = phInsts
 		cycles[ph] = phCycles[res.Best]
 		start = res.Best

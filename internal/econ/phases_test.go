@@ -184,12 +184,8 @@ func TestIncrementalPhaseAnalysisMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := NewOptimizer(slices, caches)
-		if err != nil {
-			t.Fatal(err)
-		}
 		probes := 0
-		inc, err := IncrementalPhaseAnalysis(len(phases), k, opt, Config{},
+		inc, err := IncrementalPhaseAnalysis(len(phases), k, slices, caches, Config{},
 			func(ph int, cfg Config) (uint64, int64, error) {
 				probes++
 				return phases[ph].Insts, phases[ph].Cycles[cfg], nil
@@ -215,21 +211,21 @@ func TestIncrementalPhaseAnalysisMatchesBatch(t *testing.T) {
 				t.Logf("k=%d phase %d probed %d (> cold %d): warm start not helping", k, i, inc.Probes[i], inc.Probes[0])
 			}
 		}
-		t.Logf("k=%d: %d probes vs %d grid measurements (%.1fx), fellback=%d", k, probes, full, float64(full)/float64(probes), inc.FellBack)
+		t.Logf("k=%d: %d probes vs %d grid measurements (%.1fx)", k, probes, full, float64(full)/float64(probes))
 	}
 }
 
 // TestIncrementalPhaseAnalysisErrors covers the input validation.
 func TestIncrementalPhaseAnalysisErrors(t *testing.T) {
-	opt, _ := NewOptimizer([]int{1, 2}, []int{0, 64})
+	slices, caches := []int{1, 2}, []int{0, 64}
 	probe := func(ph int, cfg Config) (uint64, int64, error) { return 1, 1, nil }
-	if _, err := IncrementalPhaseAnalysis(0, 1, opt, Config{}, probe, noReconfig); err == nil {
+	if _, err := IncrementalPhaseAnalysis(0, 1, slices, caches, Config{}, probe, noReconfig); err == nil {
 		t.Fatal("zero phases accepted")
 	}
-	if _, err := IncrementalPhaseAnalysis(1, 1, nil, Config{}, probe, noReconfig); err == nil {
-		t.Fatal("nil optimizer accepted")
+	if _, err := IncrementalPhaseAnalysis(1, 1, nil, caches, Config{}, probe, noReconfig); err == nil {
+		t.Fatal("empty slice axis accepted")
 	}
-	if _, err := IncrementalPhaseAnalysis(1, 1, opt, Config{},
+	if _, err := IncrementalPhaseAnalysis(1, 1, slices, caches, Config{},
 		func(ph int, cfg Config) (uint64, int64, error) { return 1, 0, nil }, noReconfig); err == nil {
 		t.Fatal("non-positive cycles accepted")
 	}

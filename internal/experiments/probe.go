@@ -45,14 +45,12 @@ func (p RunnerProber) ProbePhase(bench string, phase int, cfg econ.Config) (floa
 
 // NewAllocator builds an allocator (internal/alloc) over the standard
 // lattice, probing through r. A zero supply makes a pricing-only allocator
-// (the table drivers); probeBudget 0 means the lattice size, which disables
-// the exhaustive fallback.
-func NewAllocator(r *Runner, supply econ.Supply, probeBudget int) (*alloc.Allocator, error) {
+// (the table drivers).
+func NewAllocator(r *Runner, supply econ.Supply) (*alloc.Allocator, error) {
 	return alloc.New(alloc.Params{
-		Slices:      StdSlices,
-		CacheKB:     StdCaches,
-		ProbeBudget: probeBudget,
-		Supply:      supply,
+		Slices:  StdSlices,
+		CacheKB: StdCaches,
+		Supply:  supply,
 	}, RunnerProber{R: r})
 }
 
@@ -60,13 +58,13 @@ func NewAllocator(r *Runner, supply econ.Supply, probeBudget int) (*alloc.Alloca
 // search: Metric under k equals Utility_k under area prices (Market2) up to
 // the constant budget factor, with the same tie-break, so three bids per
 // benchmark replace the 72-point sweep.
-func Table4Incremental(r *Runner, names []string, probeBudget int) ([]OptimaRow, alloc.Stats, error) {
+func Table4Incremental(r *Runner, names []string) ([]OptimaRow, alloc.Stats, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	a, err := NewAllocator(r, econ.Supply{}, probeBudget)
+	a, err := NewAllocator(r, econ.Supply{})
 	if err != nil {
 		return nil, alloc.Stats{}, err
 	}
@@ -89,13 +87,13 @@ func Table4Incremental(r *Runner, names []string, probeBudget int) ([]OptimaRow,
 // VCores) by pricing 9 bids per benchmark through the allocation core
 // instead of sweeping 72-point grids. It returns the rows and the
 // allocator's probe-economy statistics.
-func Table6Incremental(r *Runner, names []string, probeBudget int) ([]MarketOptimaRow, alloc.Stats, error) {
+func Table6Incremental(r *Runner, names []string) ([]MarketOptimaRow, alloc.Stats, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	a, err := NewAllocator(r, econ.Supply{}, probeBudget)
+	a, err := NewAllocator(r, econ.Supply{})
 	if err != nil {
 		return nil, alloc.Stats{}, err
 	}
@@ -153,11 +151,7 @@ func Table7Incremental(r *Runner) ([]IncrementalPhaseTable, error) {
 	}
 	var out []IncrementalPhaseTable
 	for k := 1; k <= 3; k++ {
-		opt, err := econ.NewOptimizer(StdSlices, StdCaches)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := econ.IncrementalPhaseAnalysis(nPhases, k, opt, econ.Config{}, probe, reconf)
+		sched, err := econ.IncrementalPhaseAnalysis(nPhases, k, StdSlices, StdCaches, econ.Config{}, probe, reconf)
 		if err != nil {
 			return nil, err
 		}
@@ -201,13 +195,13 @@ type ChurnReport struct {
 // (riding the memoized surfaces), and — when gcc is among the benchmarks —
 // its customer steps through two program phases to exercise per-phase
 // reconfiguration.
-func ChurnScenario(r *Runner, names []string, supply econ.Supply, probeBudget int) (*ChurnReport, error) {
+func ChurnScenario(r *Runner, names []string, supply econ.Supply) (*ChurnReport, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	a, err := NewAllocator(r, supply, probeBudget)
+	a, err := NewAllocator(r, supply)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 	// Allocator side: a fresh runner so SimRuns counts the incremental
 	// path's real simulator work.
 	rE := tiny(t)
-	a, err := NewAllocator(rE, econ.Supply{}, 0)
+	a, err := NewAllocator(rE, econ.Supply{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 			float64(warmRuns)/float64(warmBids), float64(lattice)/10, lattice)
 	}
 	st := a.Stats()
-	t.Logf("profiles=%d coldRuns=%d warmRuns=%d (%d warm bids) grid=%d probes=%d fallbacks=%d",
-		len(names), coldRuns, warmRuns, warmBids, gridRuns, st.CacheMisses, st.Fallbacks)
+	t.Logf("profiles=%d coldRuns=%d warmRuns=%d (%d warm bids) grid=%d probes=%d",
+		len(names), coldRuns, warmRuns, warmBids, gridRuns, st.CacheMisses)
 }
 
 // TestTable6IncrementalMatchesBatch: the incremental Table 6 rows must equal
@@ -107,7 +107,7 @@ func TestTable6IncrementalMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := Table6(suite)
-	inc, st, err := Table6Incremental(r, names, 0)
+	inc, st, err := Table6Incremental(r, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTable7IncrementalMatchesBatch(t *testing.T) {
 func TestChurnScenarioRuns(t *testing.T) {
 	r := tiny(t)
 	names := []string{"gcc", "mcf", "sjeng"}
-	rep, err := ChurnScenario(r, names, econ.Supply{Slices: 64, Banks: 128}, 0)
+	rep, err := ChurnScenario(r, names, econ.Supply{Slices: 64, Banks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	}
 
 	rE := tiny(t)
-	a, err := NewAllocator(rE, supply, 0)
+	a, err := NewAllocator(rE, supply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func BenchmarkIncrementalBid(b *testing.B) {
 	r := NewRunner()
 	r.TraceLen = 8000
 	r.Seed = 7
-	a, err := NewAllocator(r, econ.Supply{}, 0)
+	a, err := NewAllocator(r, econ.Supply{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkMarketChurn(b *testing.B) {
 	r.TraceLen = 8000
 	r.Seed = 7
 	supply := econ.Supply{Slices: 64, Banks: 128}
-	a, err := NewAllocator(r, supply, 0)
+	a, err := NewAllocator(r, supply)
 	if err != nil {
 		b.Fatal(err)
 	}

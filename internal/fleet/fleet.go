@@ -114,11 +114,6 @@ type Params struct {
 	// Lattice axes for the pricing searches (experiments.StdSlices/StdCaches
 	// shaped defaults if nil).
 	Slices, CacheKB []int
-	// ProbeBudget bounds probes per search (negative is an error). Zero
-	// selects the lattice size, which disables the exhaustive fallback by
-	// construction: a search can never issue more distinct probes than the
-	// lattice holds.
-	ProbeBudget int
 	// Market is the price vector bids are scored at (Market2 if zero).
 	Market econ.Market
 	// Objective is the pricing objective; Place the machine-choice policy.
@@ -163,8 +158,6 @@ func (p *Params) defaults() error {
 		return fmt.Errorf("fleet: ArrivalsPerSec is %v, want 0 (100/s) or a positive number", p.ArrivalsPerSec)
 	case !(p.MeanLifetime >= 0) || math.IsInf(p.MeanLifetime, 1):
 		return fmt.Errorf("fleet: MeanLifetime is %v, want 0 (60 s) or a positive finite number", p.MeanLifetime)
-	case p.ProbeBudget < 0:
-		return fmt.Errorf("fleet: ProbeBudget is %d, want 0 (the lattice size) or more", p.ProbeBudget)
 	}
 	if p.Shards == 0 {
 		p.Shards = 1
@@ -263,7 +256,7 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 		return nil, err
 	}
 	// A pricing-only allocator: no supply, so no market of its own to clear.
-	a, err := alloc.New(alloc.Params{Slices: p.Slices, CacheKB: p.CacheKB, ProbeBudget: p.ProbeBudget}, prober)
+	a, err := alloc.New(alloc.Params{Slices: p.Slices, CacheKB: p.CacheKB}, prober)
 	if err != nil {
 		return nil, err
 	}

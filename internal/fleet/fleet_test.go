@@ -406,7 +406,6 @@ func TestParamValidation(t *testing.T) {
 		{"negative Shards", func(p *Params) { p.Shards = -1 }},
 		{"negative ChipSlices", func(p *Params) { p.ChipSlices = -1 }},
 		{"negative ChipBanks", func(p *Params) { p.ChipBanks = -1 }},
-		{"negative ProbeBudget", func(p *Params) { p.ProbeBudget = -1 }},
 		{"Machines beyond int32", func(p *Params) { p.Machines = math.MaxInt32 + 1 }},
 		{"ChipSlices beyond uint16", func(p *Params) { p.ChipSlices = math.MaxUint16 + 1 }},
 		{"ChipBanks beyond uint16", func(p *Params) { p.ChipBanks = math.MaxUint16 + 1 }},

@@ -42,10 +42,8 @@ type BidResult struct {
 	Utility float64 // utility at the bid's prices
 	Cost    float64 // price of one VCore at Config
 	VCores  float64 // fractional VCores the budget affords
-	// Probes is the configurations this bid's search looked up; FellBack
-	// reports that it exhausted its probe budget and finished by sweep.
-	Probes   int
-	FellBack bool
+	// Probes is the configurations this bid's search looked up.
+	Probes int
 }
 
 // surfaceKey identifies one performance surface: a benchmark, or one phase

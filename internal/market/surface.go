@@ -20,9 +20,10 @@ import (
 // per-surface mutex that doubles as the singleflight: concurrent searches
 // asking for the same unprobed configuration produce one prober call, and the
 // copy-on-write republish makes the new value visible to subsequent lock-free
-// readers. The race detector covers this structure via the sharing tests
-// (TestSurfaceCacheSharedAcrossEngines, TestSurfaceCacheServerLoad, the
-// allocator's race tests and the fleet differential).
+// readers. The race detector covers this structure via the sharing tests:
+// TestSurfaceCacheSharedAcrossEngines and TestSurfaceCacheServerLoad here,
+// TestSharedSurfaceCache and the race tests in internal/alloc, and the
+// fleet's shard-count differential.
 //
 // Determinism: probe values are deterministic functions of (surface, cfg), so
 // although *which* search pays a miss depends on scheduling, the memo contents
@@ -135,20 +136,6 @@ func (s Surface) Probe(cfg econ.Config) (float64, error) {
 	m.vals.Store(&next)
 	c.unique.Add(1)
 	return p, nil
-}
-
-// Known returns the memoized value for cfg on the given surface, if present,
-// without probing. Lock-free.
-//
-//ssim:parallel
-func (c *SurfaceCache) Known(bench string, phase int, cfg econ.Config) (float64, bool) {
-	if m, ok := c.surfaces.Load(surfaceKey{bench: bench, phase: phase}); ok {
-		if vals := m.(*surfaceMemo).vals.Load(); vals != nil {
-			p, ok := (*vals)[cfg]
-			return p, ok
-		}
-	}
-	return 0, false
 }
 
 // Unique returns the number of distinct (surface, configuration) points ever

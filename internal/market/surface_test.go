@@ -164,29 +164,6 @@ func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestSurfaceCacheKnown checks the lock-free read-back path.
-func TestSurfaceCacheKnown(t *testing.T) {
-	cache, err := NewSurfaceCache(&atomicProber{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := econ.Config{Slices: 2, CacheKB: 128}
-	if _, ok := cache.Known("cachey", WholeProgram, cfg); ok {
-		t.Fatal("Known hit before any probe")
-	}
-	p, err := cache.Surface("cachey", WholeProgram).Probe(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := cache.Known("cachey", WholeProgram, cfg)
-	if !ok || got != p {
-		t.Fatalf("Known = (%v, %v), want (%v, true)", got, ok, p)
-	}
-	if cache.Unique() != 1 {
-		t.Fatalf("unique = %d, want 1", cache.Unique())
-	}
-}
-
 // TestSurfaceCachePhaseCapability: a cache over a non-phase prober must
 // report it cannot serve phase surfaces and refuse a phase probe, while
 // whole-program probes still work.
@@ -265,8 +242,8 @@ func TestSurfaceCacheServerLoad(t *testing.T) {
 		t.Fatalf("herd misses %d, want exactly one sweep %d", cache.Misses(), lattice)
 	}
 
-	// Mixed load: cold sweeps of other surfaces racing warm re-probes and
-	// lock-free Known readers.
+	// Mixed load: cold sweeps of other surfaces racing warm re-probes, each
+	// point read back through a second, lock-free probe.
 	for _, bench := range []string{"slicey", "mixed", "cachey"} {
 		wg.Add(1)
 		go func(bench string) {
@@ -283,8 +260,8 @@ func TestSurfaceCacheServerLoad(t *testing.T) {
 						errs <- fmt.Errorf("%s %v: got %v want %v", bench, cfg, got, want)
 						return
 					}
-					if v, ok := cache.Known(bench, WholeProgram, cfg); !ok || v != got {
-						errs <- fmt.Errorf("%s %v: Known=(%v,%v) after Probe=%v", bench, cfg, v, ok, got)
+					if v, err := cache.Surface(bench, WholeProgram).Probe(cfg); err != nil || v != got {
+						errs <- fmt.Errorf("%s %v: re-probe=(%v,%v) after Probe=%v", bench, cfg, v, err, got)
 						return
 					}
 				}

@@ -37,6 +37,10 @@ const magic = "STRC"
 
 const codecVersion = 1
 
+// maxInitialInsts caps the per-thread capacity Read preallocates from an
+// instruction count it has not yet seen records for (~3 MB of isa.Inst).
+const maxInitialInsts = 1 << 16
+
 // ErrBadTrace is returned (wrapped) for any malformed trace input.
 var ErrBadTrace = errors.New("trace: malformed trace data")
 
@@ -178,7 +182,10 @@ func Read(r io.Reader) (*MultiTrace, error) {
 		if err != nil || n > 1<<31 {
 			return nil, fmt.Errorf("%w: instruction count", ErrBadTrace)
 		}
-		t := &Trace{Name: string(name), Insts: make([]isa.Inst, 0, n)}
+		// n comes from the input: trust it only up to maxInitialInsts and
+		// let append grow the rest as records actually arrive, so a short
+		// input cannot make Read allocate for 2^31 instructions.
+		t := &Trace{Name: string(name), Insts: make([]isa.Inst, 0, min(n, maxInitialInsts))}
 		var prevPC, prevAddr uint64
 		for k := uint64(0); k < n; k++ {
 			opb, err := br.ReadByte()

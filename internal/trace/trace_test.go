@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,4 +205,55 @@ func TestSingle(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadHostileInstructionCount: a 12-byte header that claims 2^31
+// instructions and then ends must be rejected as ErrBadTrace without
+// allocating for the claimed count (~96 GiB of isa.Inst).
+func TestReadHostileInstructionCount(t *testing.T) {
+	hostile := []byte("STRC\x01\x00\x01\x80\x80\x80\x80\x08") // version 1, no name, 1 thread, 2^31 insts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("hostile header: got %v, want ErrBadTrace", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+		t.Fatalf("hostile 12-byte header allocated %d bytes", d)
+	}
+}
+
+// FuzzRead: the trace decoder must never panic, and any input it accepts
+// must survive a Write/Read round trip unchanged.
+func FuzzRead(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []*MultiTrace{randTrace(rng, "seed", 40, 1), randTrace(rng, "mt", 12, 3)} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("STRC\x01\x00\x01\x80\x80\x80\x80\x08"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Read(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("rejection %v does not wrap ErrBadTrace", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("accepted trace does not re-encode: %v", err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", again, m)
+		}
+	})
 }
