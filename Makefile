@@ -90,7 +90,11 @@ fleet-smoke:
 # must re-encode to its own bytes, and an oversized length prefix or any
 # truncation must be an error. FuzzRead: the binary trace decoder behind
 # the runner's disk trace cache must never panic, and an accepted trace
-# must survive a Write/Read round trip unchanged. A failing input lands in
+# must survive a Write/Read round trip unchanged. FuzzSurfaceCache: decoded
+# (surface, phase, configuration) probe sequences, on and off the lattice,
+# must match a map reference: values equal the prober's, off-lattice and
+# unsupported phase probes are refused, and Unique and Misses both equal the
+# number of distinct points probed. A failing input lands in
 # the package's testdata/fuzz, where plain `go test` replays it. Minimizing
 # a new input is capped at 2 s, so a large input cannot spend the whole
 # window being minimized.
@@ -100,6 +104,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadResult$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet

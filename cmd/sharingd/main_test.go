@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +46,8 @@ func sharingdCmd(args ...string) *exec.Cmd {
 // startDaemon launches sharingd on a kernel-assigned loopback port and
 // returns the base URL once the listening line appears on stderr, plus a
 // function that delivers SIGINT and collects (exit error, full stderr).
+// The daemon is killed and reaped when the test ends, so a test that fails
+// before calling stop leaves no process behind.
 func startDaemon(t *testing.T, args ...string) (string, func() (error, string)) {
 	t.Helper()
 	cmd := sharingdCmd(append([]string{"-addr", "127.0.0.1:0"}, args...)...)
@@ -55,6 +58,16 @@ func startDaemon(t *testing.T, args ...string) (string, func() (error, string)) 
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	var waitOnce sync.Once
+	var waitErr error
+	wait := func() error {
+		waitOnce.Do(func() { waitErr = cmd.Wait() })
+		return waitErr
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill() // fails harmlessly once the daemon has exited
+		wait()
+	})
 
 	lines := make(chan string, 64)
 	go func() {
@@ -72,7 +85,7 @@ func startDaemon(t *testing.T, args ...string) (string, func() (error, string)) 
 		select {
 		case line, ok := <-lines:
 			if !ok {
-				cmd.Wait()
+				wait()
 				t.Fatalf("sharingd exited before listening; stderr:\n%s", tail.String())
 			}
 			fmt.Fprintln(&tail, line)
@@ -88,7 +101,7 @@ func startDaemon(t *testing.T, args ...string) (string, func() (error, string)) 
 	stop := func() (error, string) {
 		cmd.Process.Signal(os.Interrupt)
 		done := make(chan error, 1)
-		go func() { done <- cmd.Wait() }()
+		go func() { done <- wait() }()
 		for {
 			select {
 			case line, ok := <-lines:

@@ -5,22 +5,22 @@
 // driving it is the degenerate case of many goroutines driving it at
 // thousands of bids per second:
 //
-//   - The hot read side is the lock-free market.SurfaceCache snapshot path:
-//     a warm bid's probes are one atomic load plus one map lookup each, no
-//     lock anywhere. Cold probes singleflight on the cache's per-surface
-//     mutex, so a thundering herd on a new benchmark costs one simulator
-//     run per configuration.
+//   - The hot read side is the lock-free market.SurfaceCache: a warm bid's
+//     probes are one presence-bit load plus one value load each, no lock
+//     anywhere. Cold probes singleflight on the cache's per-surface mutex,
+//     so a thundering herd on a new benchmark costs one simulator run per
+//     configuration.
 //
-//   - There is one search, and it is PURE in its explicit inputs: surface,
-//     objective, prices and start. Each search checks out a pooled
-//     econ.Optimizer, Reset so its memo is empty, and ascends from the start
-//     its caller passes. The fleet passes each pricing group's
-//     epoch-synchronized previous optimum; everyone else passes the fixed
-//     lattice start (econ.Config{}, the midpoint). The incremental search is
-//     not guaranteed to equal the exhaustive argmax (the grid differentials
-//     measure where it does); over memoized surface data its result is a
-//     pure function of those inputs on ANY surface, which is the property
-//     concurrency actually needs. Hidden warm starts (a surface's or a customer's last optimum)
+//   - There is one search, econ.Lattice.Search, and it is PURE in its
+//     explicit inputs: surface, objective, prices and start. It keeps no
+//     state between calls and ascends from the start its caller passes.
+//     The fleet passes each pricing group's epoch-synchronized previous
+//     optimum; everyone else passes the fixed lattice start (econ.Config{},
+//     the midpoint). The incremental search is not guaranteed to equal the
+//     exhaustive argmax (the grid differentials measure where it does);
+//     over memoized surface data its result is a pure function of those
+//     inputs on ANY surface, which is the property concurrency actually
+//     needs. Hidden warm starts (a surface's or a customer's last optimum)
 //     were rejected deliberately: a racy hint would make results depend on
 //     scheduling whenever a surface is not basin-shaped.
 //
@@ -35,7 +35,7 @@
 // a sequential one-op-at-a-time serialization of the same committed op
 // stream (see ReplaySequential and the race tests). The argument has two
 // halves. Bids are pure functions of (surface, objective, prices, start) —
-// Reset-fresh memo, immutable cache snapshots — so concurrent bids equal
+// a stateless search over memoized surface values — so concurrent bids equal
 // sequential pricings of the same requests. Clearing is leader-serialized
 // AND built from pure responses: ops commit in a total order (the op log),
 // each epoch's single reprice runs ClearMarketWith over residents in arrival
@@ -80,8 +80,8 @@ type Params struct {
 	Tol     float64
 	MaxIter int
 	// Surfaces, when set, is a shared probe memo (e.g. one cache shared
-	// with a fleet simulation); prober may then be nil. When nil, New
-	// builds a private cache over prober.
+	// with a fleet simulation) over the lattice Slices x CacheKB; prober
+	// may then be nil. When nil, New builds a private cache over prober.
 	Surfaces *market.SurfaceCache
 }
 
@@ -95,12 +95,8 @@ type surfKey struct {
 // for concurrent use; PriceBid and the read-side snapshot methods take no
 // lock at all on the warm path.
 type Allocator struct {
-	p       Params
-	cache   *market.SurfaceCache
-	lattice int
-
-	// opts pools goroutine-local search state; every Get is Reset-fresh.
-	opts sync.Pool
+	p     Params
+	cache *market.SurfaceCache
 
 	// view is the immutable market snapshot published at each epoch commit;
 	// readers load it lock-free.
@@ -147,8 +143,7 @@ type resident struct {
 // BidderName implements econ.Bidder.
 func (r *resident) BidderName() string { return r.name }
 
-// Respond implements econ.Bidder by a pure goroutine-local search at
-// prices m.
+// Respond implements econ.Bidder by a pure search at prices m.
 func (r *resident) Respond(m econ.Market) (econ.Config, float64, float64, error) {
 	res, err := r.a.search(r.key(), r.util, m, econ.Config{}, nil)
 	if err != nil {
@@ -167,9 +162,11 @@ func (r *resident) key() surfKey { return surfKey{bench: r.bench, phase: r.phase
 
 // New builds an Allocator over the given lattice and prober. With
 // p.Surfaces set, prober may be nil: all probes go through the shared
-// cache. A zero p.Supply builds a pricing-only allocator.
+// cache, which must be over the same lattice. A zero p.Supply builds a
+// pricing-only allocator.
 func New(p Params, prober market.Prober) (*Allocator, error) {
-	if _, err := econ.NewOptimizer(p.Slices, p.CacheKB); err != nil {
+	lat, err := econ.NewLattice(p.Slices, p.CacheKB)
+	if err != nil {
 		return nil, fmt.Errorf("alloc: %w", err)
 	}
 	if p.Supply.Slices < 0 || p.Supply.Banks < 0 {
@@ -177,32 +174,24 @@ func New(p Params, prober market.Prober) (*Allocator, error) {
 	}
 	cache := p.Surfaces
 	if cache == nil {
-		var err error
-		cache, err = market.NewSurfaceCache(prober)
+		cache, err = market.NewSurfaceCache(lat, prober)
 		if err != nil {
 			return nil, fmt.Errorf("alloc: %w", err)
 		}
+	} else if !cache.Lattice().Equal(lat) {
+		return nil, fmt.Errorf("alloc: shared surface cache is over a different lattice than %v x %v", p.Slices, p.CacheKB)
 	}
 	a := &Allocator{
 		p:         p,
 		cache:     cache,
-		lattice:   len(p.Slices) * len(p.CacheKB),
 		residents: make(map[string]*resident),
-	}
-	a.opts.New = func() any {
-		o, err := econ.NewOptimizer(a.p.Slices, a.p.CacheKB)
-		if err != nil {
-			// The axes were validated in New; this cannot fail.
-			panic(err)
-		}
-		return o
 	}
 	a.view.Store(&View{Prices: econ.Market2()})
 	return a, nil
 }
 
 // LatticeSize returns the probe cost of one exhaustive grid sweep.
-func (a *Allocator) LatticeSize() int { return a.lattice }
+func (a *Allocator) LatticeSize() int { return a.cache.Lattice().Size() }
 
 // Params returns the allocator's parameters. Callers building a sequential
 // reference allocator pair it with Cache() to share the probe economy.
@@ -212,12 +201,12 @@ func (a *Allocator) Params() Params { return a.p }
 // one probe economy, and for the cache hit/miss telemetry).
 func (a *Allocator) Cache() *market.SurfaceCache { return a.cache }
 
-// search is the core's one search: a pooled Reset-fresh Optimizer ascending
-// from start (econ.Config{}, or any off-lattice start, resolves to the
-// lattice midpoint), probing through the lock-free cache. A nil obj scores
+// search is the core's one search: the lattice search ascending from start
+// (econ.Config{}, or any off-lattice start, resolves to the lattice
+// midpoint), probing through the lock-free cache. A nil obj scores
 // configurations by utility at prices m. The result is a deterministic
-// function of (surface, obj, prices, start) — independent of scheduling,
-// pool history, and every other request in flight.
+// function of (surface, obj, prices, start) — independent of scheduling and
+// of every other request in flight.
 //
 //ssim:parallel
 func (a *Allocator) search(k surfKey, u econ.Utility, m econ.Market, start econ.Config, obj econ.Objective) (econ.SearchResult, error) {
@@ -227,16 +216,13 @@ func (a *Allocator) search(k surfKey, u econ.Utility, m econ.Market, start econ.
 	if obj == nil {
 		obj = func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
 	}
-	opt := a.opts.Get().(*econ.Optimizer)
-	res, err := opt.Search(obj, m, start, a.cache.Surface(k.bench, k.phase).Probe)
-	// A Reset-fresh optimizer calls the cache once per distinct
-	// configuration, so its probe count is the search's cache lookups.
-	a.stats.probeLookups.Add(int64(opt.Probes()))
-	opt.Reset()
-	a.opts.Put(opt)
+	res, err := a.cache.Lattice().Search(obj, m, start, a.cache.Surface(k.bench, k.phase).Probe)
 	if err != nil {
 		return econ.SearchResult{}, err
 	}
+	// The cache lookups a search accounts for are its distinct
+	// configurations.
+	a.stats.probeLookups.Add(int64(res.Probes))
 	a.stats.searches.Add(1)
 	return res, nil
 }

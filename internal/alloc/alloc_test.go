@@ -99,9 +99,6 @@ func grid(perf func(econ.Config) float64) econ.Grid {
 
 var testSupply = econ.Supply{Slices: 64, Banks: 64}
 
-// raceEnabled reports a -race build (set in race_enabled_test.go).
-var raceEnabled bool
-
 func testParams() Params {
 	return Params{Slices: tSlices, CacheKB: tCaches, Supply: testSupply}
 }
@@ -337,7 +334,11 @@ func TestEpochRollback(t *testing.T) {
 // bid without a single new prober call.
 func TestSharedSurfaceCache(t *testing.T) {
 	fp := &raceProber{}
-	cache, err := market.NewSurfaceCache(fp)
+	lat, err := econ.NewLattice(tSlices, tCaches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := market.NewSurfaceCache(lat, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +385,19 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(testParams(), nil); err == nil {
 		t.Fatal("nil prober without shared cache must fail")
+	}
+	small, err := econ.NewLattice(tSlices, tCaches[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := market.NewSurfaceCache(small, &raceProber{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mismatched := testParams()
+	mismatched.Surfaces = other
+	if _, err := New(mismatched, nil); err == nil {
+		t.Fatal("shared cache over a different lattice must fail")
 	}
 
 	a, err := New(Params{Slices: tSlices, CacheKB: tCaches}, &raceProber{})
@@ -463,13 +477,11 @@ func TestInvalidEconomics(t *testing.T) {
 }
 
 // TestPriceBidAllocsZero pins the warm-bid allocation bound: once the
-// surface is cached and the optimizer pool is warm, a bid costs no heap
-// allocation — in PriceBid's fixed-start shape and in the fleet's shape,
-// PriceBidAt with an explicit start and objective.
+// surface is cached, a bid costs no heap allocation — in PriceBid's
+// fixed-start shape and in the fleet's shape, PriceBidAt with an explicit
+// start and objective. The search holds no pooled state, so the bound holds
+// under the race detector too.
 func TestPriceBidAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	a, _ := newAlloc(t)
 	u, m := econ.Utility2(), econ.Market2()
 	start := econ.Config{Slices: 3, CacheKB: 512}
@@ -482,7 +494,7 @@ func TestPriceBidAllocsZero(t *testing.T) {
 		{"PriceBid", func() { _, err = a.PriceBid("mixed", u, m) }},
 		{"PriceBidAt", func() { _, err = a.PriceBidAt("mixed", u, m, start, obj) }},
 	} {
-		c.bid() // warm the surface and the pool
+		c.bid() // warm the surface
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,11 @@ func newEngine(t *testing.T, cache *market.SurfaceCache) *alloc.Allocator {
 
 func sharedCache(t *testing.T, p market.Prober) *market.SurfaceCache {
 	t.Helper()
-	c, err := market.NewSurfaceCache(p)
+	lat, err := econ.NewLattice(eSlices, eCaches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := market.NewSurfaceCache(lat, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // equivalent to — must reach a reflect.DeepEqual-identical final clearing.
 //
 // Why this holds: every resident response is the same pure search (fixed
-// start, Reset-fresh memo, memoized surface data), so a clearing's outcome is a function of the
-// resident set it covers and nothing else. The batched run and the
+// start, stateless search, memoized surface data), so a clearing's outcome
+// is a function of the resident set it covers and nothing else. The batched run and the
 // serialized run apply the same ops in the same order, so they end with the
 // same resident set — and therefore the same final clearing, regardless of
 // how ops were grouped into epochs along the way. The race tests and the
@@ -58,15 +58,7 @@ func ReplaySequential(p Params, prober market.Prober, log []OpRecord) (*econ.Cle
 // published view with reflect.DeepEqual. It returns the replayed result on
 // success so callers can report it.
 func VerifySequential(a *Allocator, prober market.Prober) (*econ.ClearingResult, error) {
-	want, err := ReplaySequential(a.p, prober, a.Log())
-	if err != nil {
-		return nil, err
-	}
-	got := a.Snapshot().Result
-	if !reflect.DeepEqual(got, want) {
-		return nil, fmt.Errorf("alloc: concurrent clearing diverged from sequential replay:\n got %+v\nwant %+v", got, want)
-	}
-	return want, nil
+	return verify(a, a.p, prober)
 }
 
 // Verify is VerifySequential for callers that no longer hold the prober
@@ -76,7 +68,13 @@ func VerifySequential(a *Allocator, prober market.Prober) (*econ.ClearingResult,
 func (a *Allocator) Verify() (*econ.ClearingResult, error) {
 	p := a.p
 	p.Surfaces = a.cache
-	want, err := ReplaySequential(p, nil, a.Log())
+	return verify(a, p, nil)
+}
+
+// verify replays a's op log through a fresh allocator built from p and
+// prober and compares the final clearings.
+func verify(a *Allocator, p Params, prober market.Prober) (*econ.ClearingResult, error) {
+	want, err := ReplaySequential(p, prober, a.Log())
 	if err != nil {
 		return nil, err
 	}

@@ -38,9 +38,10 @@ type Stats struct {
 	// field stays only because perfbench's alloc.fallbacks counter still
 	// reads it.
 	Fallbacks int64 `json:"fallbacks"`
-	// ProbeLookups counts configuration lookups issued to the shared
-	// surface cache; CacheMisses the ones that cost a prober call
-	// (simulator work). ProbeLookups - CacheMisses were served lock-free.
+	// ProbeLookups counts the distinct configurations each search looked
+	// up in the shared surface cache (a search's revisits are not
+	// counted); CacheMisses the ones that cost a prober call (simulator
+	// work). ProbeLookups - CacheMisses were served lock-free.
 	ProbeLookups int64 `json:"probeLookups"`
 	CacheMisses  int64 `json:"cacheMisses"`
 	// InFlight is the current gauge of requests inside the Allocator.
@@ -79,6 +80,6 @@ func (a *Allocator) Stats() Stats {
 		Epoch:        v.Epoch,
 		Surfaces:     a.cache.NumSurfaces(),
 		UniquePoints: a.cache.Unique(),
-		GridProbes:   a.cache.NumSurfaces() * a.lattice,
+		GridProbes:   a.cache.NumSurfaces() * a.LatticeSize(),
 	}
 }

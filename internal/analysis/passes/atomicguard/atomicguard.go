@@ -9,8 +9,8 @@
 //     ones and the race detector only catches it when both sides actually
 //     collide. SSim's own convention — the typed atomic.Int64/Pointer
 //     wrappers, as in the quantum pool's epoch/done counters and the
-//     SurfaceCache snapshot — makes this mistake unrepresentable; the pass
-//     enforces the same property for code still on the free functions.
+//     SurfaceCache's value slots — makes this mistake unrepresentable; the
+//     pass enforces the same property for code still on the free functions.
 //
 //   - Copies of lock-bearing values: a sync.Mutex, RWMutex, WaitGroup,
 //     Once, Cond, Map, or typed sync/atomic value (or any struct or array

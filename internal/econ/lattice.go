@@ -18,9 +18,10 @@ import "fmt"
 // "Incremental optimum search").
 
 // ProbeFn returns the measured performance P(c) of one configuration. A
-// probe may be expensive (a simulator run) or cheap (a results-cache hit);
-// the Optimizer memoizes probed values so each configuration is requested at
-// most once per Optimizer lifetime.
+// probe may be expensive (a simulator run) or cheap (a results-cache hit).
+// The search keeps no memo and calls the probe on every visit; a caller
+// whose probe is expensive memoizes behind it (market.SurfaceCache, the
+// dense memo every allocation search probes through).
 type ProbeFn func(Config) (float64, error)
 
 // Objective scores a configuration given its measured performance. The two
@@ -28,66 +29,78 @@ type ProbeFn func(Config) (float64, error)
 // pricing) and Metric (perf^k/area, phase scheduling).
 type Objective func(perf float64, cfg Config) float64
 
-// Optimizer searches utility/metric surfaces over a fixed configuration
-// lattice, memoizing every probed performance value. It is NOT safe for
-// concurrent use; the allocation core (internal/alloc) pools one per
-// in-flight search.
-type Optimizer struct {
-	slices []int // ascending Slice axis
-	caches []int // ascending CacheKB axis
+// Config.Valid (Equation 3) admits 1-8 Slices and 0-8 MB of L2 in 64 KB
+// banks, so a lattice has at most 8 x 129 = 1,032 points.
+const (
+	maxSlices      = 8
+	maxBanks       = 8192 / 64
+	maxLatticeSize = maxSlices * (maxBanks + 1)
+)
 
-	// The probe memo is dense over the lattice: vals[i*len(caches)+j] holds
-	// P(slices[i], caches[j]) when bit i*len(caches)+j of have is set.
-	vals   []float64
-	have   []uint64
-	probes int // cumulative memo misses (actual ProbeFn calls)
+// Lattice is the (Slices x CacheKB) configuration lattice the search runs
+// over (experiments.StdSlices x StdCaches is the paper's). It is immutable
+// and validated once, by NewLattice. Point (i, j) — slices[i] Slices,
+// caches[j] KB — has the dense index i*len(caches)+j, which is also its
+// slot in market.SurfaceCache's memo.
+type Lattice struct {
+	slices, caches []int
+	// sliceAt[s] and cacheAt[kb/64] are the axis positions of s Slices and
+	// kb KB plus one; 0 marks a value off the axis. The two tables encode
+	// the axes completely, so they are also what Equal compares.
+	sliceAt [maxSlices + 1]int
+	cacheAt [maxBanks + 1]int
 }
 
-// NewOptimizer builds an Optimizer over the given axes. The axes must be
-// strictly ascending and non-empty (the standard lattice is
-// experiments.StdSlices x experiments.StdCaches).
-func NewOptimizer(slices, caches []int) (*Optimizer, error) {
+// NewLattice builds the lattice over the given axes. Both must be non-empty
+// and strictly ascending, and every point must be a valid configuration.
+func NewLattice(slices, caches []int) (*Lattice, error) {
 	if len(slices) == 0 || len(caches) == 0 {
-		return nil, fmt.Errorf("econ: empty optimizer axis")
+		return nil, fmt.Errorf("econ: empty lattice axis")
 	}
-	for i := 1; i < len(slices); i++ {
-		if slices[i] <= slices[i-1] {
+	l := &Lattice{slices: append([]int(nil), slices...), caches: append([]int(nil), caches...)}
+	for i, s := range slices {
+		if i > 0 && s <= slices[i-1] {
 			return nil, fmt.Errorf("econ: slice axis not ascending: %v", slices)
 		}
+		if !(Config{Slices: s}).Valid() {
+			return nil, fmt.Errorf("econ: slice axis %v: %d Slices is not a valid configuration", slices, s)
+		}
+		l.sliceAt[s] = i + 1
 	}
-	for i := 1; i < len(caches); i++ {
-		if caches[i] <= caches[i-1] {
+	for j, kb := range caches {
+		if j > 0 && kb <= caches[j-1] {
 			return nil, fmt.Errorf("econ: cache axis not ascending: %v", caches)
 		}
+		if !(Config{Slices: 1, CacheKB: kb}).Valid() {
+			return nil, fmt.Errorf("econ: cache axis %v: %d KB is not a valid configuration", caches, kb)
+		}
+		l.cacheAt[kb/64] = j + 1
 	}
-	n := len(slices) * len(caches)
-	o := &Optimizer{
-		slices: append([]int(nil), slices...),
-		caches: append([]int(nil), caches...),
-		vals:   make([]float64, n),
-		have:   make([]uint64, (n+63)/64),
-	}
-	return o, nil
+	return l, nil
 }
 
-// LatticeSize returns the number of configurations on the lattice — the
-// probe cost of one exhaustive sweep.
-func (o *Optimizer) LatticeSize() int { return len(o.slices) * len(o.caches) }
+// Size returns the number of configurations on the lattice — the probe cost
+// of one exhaustive sweep.
+func (l *Lattice) Size() int { return len(l.slices) * len(l.caches) }
 
-// Probes returns the cumulative number of ProbeFn calls issued (memo
-// misses) over the Optimizer's lifetime.
-func (o *Optimizer) Probes() int { return o.probes }
+// Index returns the dense index of cfg, and false when cfg is not a point
+// of the lattice.
+//
+//ssim:hotpath
+func (l *Lattice) Index(cfg Config) (int, bool) {
+	if !cfg.Valid() {
+		return 0, false
+	}
+	i, j := l.sliceAt[cfg.Slices], l.cacheAt[cfg.CacheKB/64]
+	if i == 0 || j == 0 {
+		return 0, false
+	}
+	return (i-1)*len(l.caches) + j - 1, true
+}
 
-// Reset clears the probe memo and counters, keeping the axes.
-// It exists for goroutine-local reuse: the concurrent allocation library
-// (internal/alloc) pools Optimizers and resets one per search, so every
-// search starts from an empty memo — its probe count is then a pure
-// function of (surface, prices, start), never of which pooled instance
-// served the previous search — while the actual measurement memoization
-// lives in the shared, concurrency-safe market.SurfaceCache.
-func (o *Optimizer) Reset() {
-	clear(o.have)
-	o.probes = 0
+// Equal reports whether l and o have the same axes.
+func (l *Lattice) Equal(o *Lattice) bool {
+	return l.sliceAt == o.sliceAt && l.cacheAt == o.cacheAt
 }
 
 // SearchResult reports one incremental optimum search.
@@ -100,40 +113,10 @@ type SearchResult struct {
 	Best Config
 	// Perf is the measured performance at Best; Score is its objective value.
 	Perf, Score float64
-	// Probes counts the ProbeFn calls this search issued (memo hits are
-	// free): at most LatticeSize(), and at most ~8 for a warm-started
-	// search over a memoized region.
+	// Probes counts the distinct configurations the search visited: at most
+	// Size(). It is the number of lookups a memo behind the probe serves
+	// (revisits within the search do not count).
 	Probes int
-}
-
-// perf returns the memoized or freshly probed performance of cfg, lattice
-// point (i, j).
-func (o *Optimizer) perf(i, j int, cfg Config, probe ProbeFn) (float64, error) {
-	x := i*len(o.caches) + j
-	bit := uint64(1) << (x % 64)
-	if o.have[x/64]&bit != 0 {
-		return o.vals[x], nil
-	}
-	p, err := probe(cfg)
-	if err != nil {
-		return 0, err
-	}
-	o.vals[x] = p
-	o.have[x/64] |= bit
-	o.probes++
-	return p, nil
-}
-
-// axisIndex returns the position of v on axis, or -1.
-//
-//ssim:hotpath
-func axisIndex(axis []int, v int) int {
-	for i, x := range axis {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // Search finds the objective-maximizing configuration on the lattice,
@@ -156,18 +139,27 @@ func axisIndex(axis []int, v int) int {
 // other. The two ascents anchor both basins and the cross check catches
 // axis-aligned ridges. A basin neither ascent reaches is missed: the
 // differential tests against the full grid are what measure exactness.
-func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeFn) (SearchResult, error) {
-	si := axisIndex(o.slices, start.Slices)
-	ci := axisIndex(o.caches, start.CacheKB)
-	if si < 0 || ci < 0 {
-		si, ci = len(o.slices)/2, len(o.caches)/2
+//
+// The search is a pure function of its arguments. Its only state is a
+// visited bitset on the stack, which counts SearchResult.Probes.
+func (l *Lattice) Search(obj Objective, tie Market, start Config, probe ProbeFn) (SearchResult, error) {
+	nc := len(l.caches)
+	x, ok := l.Index(start)
+	if !ok {
+		x = len(l.slices)/2*nc + nc/2
 	}
-	probes0 := o.probes
+	si, ci := x/nc, x%nc
+	var seen [(maxLatticeSize + 63) / 64]uint64
+	probes := 0
 	score := func(i, j int) (Config, float64, float64, error) {
-		cfg := Config{Slices: o.slices[i], CacheKB: o.caches[j]}
-		p, err := o.perf(i, j, cfg, probe)
+		cfg := Config{Slices: l.slices[i], CacheKB: l.caches[j]}
+		p, err := probe(cfg)
 		if err != nil {
 			return cfg, 0, 0, err
+		}
+		if k := i*nc + j; seen[k/64]&(1<<(k%64)) == 0 {
+			seen[k/64] |= 1 << (k % 64)
+			probes++
 		}
 		return cfg, p, obj(p, cfg), nil
 	}
@@ -188,7 +180,7 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 						continue
 					}
 					ni, nj := si+di, ci+dj
-					if ni < 0 || ni >= len(o.slices) || nj < 0 || nj >= len(o.caches) {
+					if ni < 0 || ni >= len(l.slices) || nj < 0 || nj >= nc {
 						continue
 					}
 					cfg, p, v, serr := score(ni, nj)
@@ -207,7 +199,7 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 			// Converged: cross check — line-search the full row and column
 			// through the candidate; resume the ascent on any improvement.
 			mi, mj := si, ci
-			for j := range o.caches {
+			for j := range l.caches {
 				cfg, p, v, serr := score(si, j)
 				if serr != nil {
 					return cfg, 0, 0, serr
@@ -216,7 +208,7 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 					mi, mj, best, bestP, bestV = si, j, cfg, p, v
 				}
 			}
-			for i := range o.slices {
+			for i := range l.slices {
 				cfg, p, v, serr := score(i, ci)
 				if serr != nil {
 					return cfg, 0, 0, serr
@@ -245,5 +237,5 @@ func (o *Optimizer) Search(obj Objective, tie Market, start Config, probe ProbeF
 			cur, curP, curV = fr, frP, frV
 		}
 	}
-	return SearchResult{Best: cur, Perf: curP, Score: curV, Probes: o.probes - probes0}, nil
+	return SearchResult{Best: cur, Perf: curP, Score: curV, Probes: probes}, nil
 }

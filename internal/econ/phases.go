@@ -164,6 +164,10 @@ func IncrementalPhaseAnalysis(nPhases, k int, slices, caches []int, warmStart Co
 		PerPhase: make([]Config, nPhases),
 		Probes:   make([]int, nPhases),
 	}
+	lat, err := NewLattice(slices, caches)
+	if err != nil {
+		return nil, err
+	}
 	tie := Market2()
 	obj := func(perf float64, cfg Config) float64 { return Metric(k, perf, cfg) }
 	// The per-phase cycle counts behind the chosen configs, for the GME.
@@ -171,16 +175,16 @@ func IncrementalPhaseAnalysis(nPhases, k int, slices, caches []int, warmStart Co
 	cycles := make([]int64, nPhases)
 	start := warmStart
 	for ph := 0; ph < nPhases; ph++ {
-		// Each phase is a distinct performance surface, so it gets a fresh
-		// memo over the shared axes; the warm start is what carries
-		// cross-phase locality.
-		po, err := NewOptimizer(slices, caches)
-		if err != nil {
-			return nil, err
-		}
+		// Each phase is a distinct performance surface, so it gets its own
+		// memo; the warm start is what carries cross-phase locality. The
+		// memo answers the search's revisits, so probe runs once per
+		// distinct configuration.
 		var phInsts uint64
-		phCycles := make(map[Config]int64)
-		res, err := po.Search(obj, tie, start, func(cfg Config) (float64, error) {
+		phCycles := make(map[Config]phaseRun)
+		res, err := lat.Search(obj, tie, start, func(cfg Config) (float64, error) {
+			if r, ok := phCycles[cfg]; ok {
+				return r.perf, nil
+			}
 			n, cyc, perr := probe(ph, cfg)
 			if perr != nil {
 				return 0, perr
@@ -189,8 +193,9 @@ func IncrementalPhaseAnalysis(nPhases, k int, slices, caches []int, warmStart Co
 				return 0, fmt.Errorf("econ: phase %d %v: non-positive cycles %d", ph, cfg, cyc)
 			}
 			phInsts = n
-			phCycles[cfg] = cyc
-			return float64(n) / float64(cyc), nil
+			r := phaseRun{cycles: cyc, perf: float64(n) / float64(cyc)}
+			phCycles[cfg] = r
+			return r.perf, nil
 		})
 		if err != nil {
 			return nil, err
@@ -198,7 +203,7 @@ func IncrementalPhaseAnalysis(nPhases, k int, slices, caches []int, warmStart Co
 		sched.PerPhase[ph] = res.Best
 		sched.Probes[ph] = res.Probes
 		insts[ph] = phInsts
-		cycles[ph] = phCycles[res.Best]
+		cycles[ph] = phCycles[res.Best].cycles
 		start = res.Best
 	}
 	// Dynamic GME with reconfiguration charged when the config changes,
@@ -215,6 +220,13 @@ func IncrementalPhaseAnalysis(nPhases, k int, slices, caches []int, warmStart Co
 	}
 	sched.DynGME = GME(dyn)
 	return sched, nil
+}
+
+// phaseRun is one probed phase measurement: its cycles and the performance
+// the search scored.
+type phaseRun struct {
+	cycles int64
+	perf   float64
 }
 
 func sortConfigs(cs []Config) []Config {

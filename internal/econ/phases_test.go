@@ -201,6 +201,15 @@ func TestIncrementalPhaseAnalysisMatchesBatch(t *testing.T) {
 		if inc.DynGME != batch.DynGME {
 			t.Fatalf("k=%d: incremental DynGME %v != batch %v", k, inc.DynGME, batch.DynGME)
 		}
+		// The phase memo answers the search's revisits: the probe runs
+		// once per distinct configuration each phase's search visits.
+		sum := 0
+		for _, n := range inc.Probes {
+			sum += n
+		}
+		if sum != probes {
+			t.Fatalf("k=%d: %d probe calls for %d distinct configurations", k, probes, sum)
+		}
 		full := len(phases) * len(slices) * len(caches)
 		if probes >= full {
 			t.Fatalf("k=%d: incremental issued %d probes, no better than %d full-grid measurements", k, probes, full)

@@ -563,7 +563,7 @@ func (r *Runner) runLocal(req trace.SimRequest) (trace.SimResult, error) {
 // rest wait on the leader's done channel and then read the cache. Without
 // this, a grid sweep racing a figure driver over overlapping configurations
 // would burn a backend slot per duplicate on identical multi-second
-// simulations. Optimizer probes and grid sweeps both land here, so every
+// simulations. Search probes and grid sweeps both land here, so every
 // execution path shares one backend dispatch seam.
 func (r *Runner) measure(k key) (Measurement, error) {
 	ks := k.String()

@@ -19,11 +19,12 @@
 //   - Batched, warm-started pricing. Arrivals in an epoch are grouped by
 //     (benchmark, utility); the shards price the groups in parallel, each
 //     once, through one shared alloc.Allocator with the group's
-//     previous-epoch optimum as the explicit start. Every search probes
-//     through the allocator's market.SurfaceCache, so a configuration any
-//     shard ever probed is a lock-free hit for all. After the first epoch a
-//     stationary market prices bids with zero new probes — O(probes) per
-//     distinct surface, not O(grid) per bid.
+//     previous-epoch optimum as the explicit start. Every search is the one
+//     stateless econ.Lattice.Search, and it probes through the allocator's
+//     market.SurfaceCache, the one dense memo over the lattice, so a
+//     configuration any shard ever probed is a lock-free hit for all. After
+//     the first epoch a stationary market prices bids with zero new probes
+//     — O(probes) per distinct surface, not O(grid) per bid.
 //
 //   - Wholesale idle fast-forward. A machine's energy integral is advanced
 //     lazily, only when an event touches it (or once at the end of the run):

@@ -2,27 +2,29 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"sharing/internal/econ"
 )
 
-// SurfaceCache is a shared, concurrency-safe memo of probed performance
-// values P(bench[, phase], cfg), designed for every search — the fleet's
-// shards, the daemon's concurrent bids, the experiments drivers — to share one
-// probe economy. A configuration any search has ever probed is a hit for
-// every other.
+// SurfaceCache is the shared, concurrency-safe memo of probed performance
+// values P(bench[, phase], cfg) over one econ.Lattice, and the only probe
+// memo the searches have: the fleet's shards, the daemon's concurrent bids
+// and the experiments drivers all probe through it, and a configuration any
+// search has ever probed is a hit for every other.
 //
-// The hot path (a probe hit) takes no lock at all: each surface publishes an
-// immutable map snapshot through an atomic pointer, and readers do one atomic
-// load plus one map lookup. Misses are rare after warm-up and serialize on a
-// per-surface mutex that doubles as the singleflight: concurrent searches
-// asking for the same unprobed configuration produce one prober call, and the
-// copy-on-write republish makes the new value visible to subsequent lock-free
-// readers. The race detector covers this structure via the sharing tests:
-// TestSurfaceCacheSharedAcrossEngines and TestSurfaceCacheServerLoad here,
-// TestSharedSurfaceCache and the race tests in internal/alloc, and the
+// Each surface is stored densely, once, when it is first touched: one atomic
+// value slot per lattice point (at the point's Lattice.Index) plus an atomic
+// presence bitset. A hit takes no lock: one bit load and one value load.
+// A miss serializes on a per-surface mutex that doubles as the singleflight:
+// concurrent searches asking for the same unprobed configuration produce one
+// prober call, which fills its slot and then sets its presence bit, so a
+// lock-free reader that sees the bit sees the value. Nothing is ever
+// republished. The race detector covers this structure via the sharing
+// tests: TestSurfaceCacheSharedAcrossEngines and TestSurfaceCacheServerLoad
+// here, TestSharedSurfaceCache and the race tests in internal/alloc, and the
 // fleet's shard-count differential.
 //
 // Determinism: probe values are deterministic functions of (surface, cfg), so
@@ -30,28 +32,37 @@ import (
 // and the deterministic Unique count — the union of configurations any search
 // visited — do not.
 type SurfaceCache struct {
+	lat    *econ.Lattice
 	prober Prober
 
 	surfaces sync.Map     // surfaceKey -> *surfaceMemo
-	unique   atomic.Int64 // memoized entries across all surfaces
-	misses   atomic.Int64 // prober calls issued (>= unique only on races, never: mu serializes)
+	unique   atomic.Int64 // filled slots across all surfaces
 	nsurf    atomic.Int64 // distinct surfaces touched
 }
 
-// surfaceMemo is one surface's memo: an immutable published snapshot plus a
-// mutex serializing misses.
+// surfaceMemo is one surface's dense memo: vals[x] holds the Float64bits of
+// the value at lattice index x once bit x of have is set. mu serializes
+// misses.
 type surfaceMemo struct {
-	vals atomic.Pointer[map[econ.Config]float64]
+	vals []atomic.Uint64
+	have []atomic.Uint64
 	mu   sync.Mutex
 }
 
-// NewSurfaceCache builds a shared cache over the given prober.
-func NewSurfaceCache(prober Prober) (*SurfaceCache, error) {
+// NewSurfaceCache builds a shared cache of the surfaces over lat, measured
+// through prober.
+func NewSurfaceCache(lat *econ.Lattice, prober Prober) (*SurfaceCache, error) {
+	if lat == nil {
+		return nil, fmt.Errorf("market: nil lattice")
+	}
 	if prober == nil {
 		return nil, fmt.Errorf("market: nil prober")
 	}
-	return &SurfaceCache{prober: prober}, nil
+	return &SurfaceCache{lat: lat, prober: prober}, nil
 }
+
+// Lattice returns the lattice the cache's surfaces are stored over.
+func (c *SurfaceCache) Lattice() *econ.Lattice { return c.lat }
 
 // Phased reports whether the underlying prober can measure phases, i.e.
 // whether per-phase surfaces can be served through this cache.
@@ -64,7 +75,11 @@ func (c *SurfaceCache) memoFor(k surfaceKey) *surfaceMemo {
 	if m, ok := c.surfaces.Load(k); ok {
 		return m.(*surfaceMemo)
 	}
-	m, loaded := c.surfaces.LoadOrStore(k, &surfaceMemo{})
+	n := c.lat.Size()
+	m, loaded := c.surfaces.LoadOrStore(k, &surfaceMemo{
+		vals: make([]atomic.Uint64, n),
+		have: make([]atomic.Uint64, (n+63)/64),
+	})
 	if !loaded {
 		c.nsurf.Add(1)
 	}
@@ -87,24 +102,25 @@ func (c *SurfaceCache) Surface(bench string, phase int) Surface {
 }
 
 // Probe returns the memoized or freshly measured performance of cfg on this
-// surface. Hits are lock-free.
+// surface. Hits are lock-free. A configuration off the cache's lattice is
+// an error.
 //
 //ssim:parallel
 func (s Surface) Probe(cfg econ.Config) (float64, error) {
 	c, m, bench, phase := s.c, s.m, s.key.bench, s.key.phase
-	if vals := m.vals.Load(); vals != nil {
-		if p, ok := (*vals)[cfg]; ok {
-			return p, nil
-		}
+	x, ok := c.lat.Index(cfg)
+	if !ok {
+		return 0, fmt.Errorf("market: %v is not on the lattice (bench %s)", cfg, bench)
+	}
+	word, bit := &m.have[x/64], uint64(1)<<(x%64)
+	if word.Load()&bit != 0 {
+		return math.Float64frombits(m.vals[x].Load()), nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Re-check under the lock: a concurrent miss may have published it.
-	old := m.vals.Load()
-	if old != nil {
-		if p, ok := (*old)[cfg]; ok {
-			return p, nil
-		}
+	// Re-check under the lock: a concurrent miss may have filled it.
+	if word.Load()&bit != 0 {
+		return math.Float64frombits(m.vals[x].Load()), nil
 	}
 	var p float64
 	var err error
@@ -120,20 +136,9 @@ func (s Surface) Probe(cfg econ.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.misses.Add(1)
-	// Copy-on-write republish; readers only ever see complete snapshots.
-	var next map[econ.Config]float64
-	if old == nil {
-		next = map[econ.Config]float64{cfg: p}
-	} else {
-		next = make(map[econ.Config]float64, len(*old)+1)
-		//ssim:nolint maprange: copying one map into another keyed by the same key is order-independent
-		for k, v := range *old {
-			next[k] = v
-		}
-		next[cfg] = p
-	}
-	m.vals.Store(&next)
+	// Value first, then the presence bit; only mu holders write have.
+	m.vals[x].Store(math.Float64bits(p))
+	word.Store(word.Load() | bit)
 	c.unique.Add(1)
 	return p, nil
 }
@@ -145,9 +150,9 @@ func (s Surface) Probe(cfg econ.Config) (float64, error) {
 // does not depend on which shard ran which search.
 func (c *SurfaceCache) Unique() int { return int(c.unique.Load()) }
 
-// Misses returns the prober calls issued (equals Unique: the per-surface
-// mutex singleflights concurrent misses).
-func (c *SurfaceCache) Misses() int64 { return c.misses.Load() }
+// Misses returns the prober calls that filled a slot: one per unique point,
+// since the per-surface mutex singleflights concurrent misses.
+func (c *SurfaceCache) Misses() int64 { return c.unique.Load() }
 
 // NumSurfaces returns the distinct surfaces touched so far.
 func (c *SurfaceCache) NumSurfaces() int { return int(c.nsurf.Load()) }

@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,26 @@ var (
 	tSlices = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	tCaches = []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 )
+
+// testLattice is the standard lattice, tSlices x tCaches.
+func testLattice(t testing.TB) *econ.Lattice {
+	t.Helper()
+	lat, err := econ.NewLattice(tSlices, tCaches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lat
+}
+
+// newCache builds a cache over the standard lattice.
+func newCache(t testing.TB, p Prober) *SurfaceCache {
+	t.Helper()
+	c, err := NewSurfaceCache(testLattice(t), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // Synthetic per-benchmark performance surfaces, shaped like the paper's
 // regimes (Fig. 12): mcf-like cache lovers, sjeng-like compute lovers.
@@ -29,6 +50,17 @@ var benchPerf = map[string]func(econ.Config) float64{
 		s := float64(c.Slices)
 		kb := float64(c.CacheKB)
 		return (s / (s + 1)) * (0.4 + kb/(kb+400))
+	},
+	"balanced": func(c econ.Config) float64 {
+		s := float64(c.Slices)
+		kb := float64(c.CacheKB)
+		return (s / (s + 2)) * (0.5 + kb/(kb+512))
+	},
+	"interior": func(c econ.Config) float64 {
+		// Peaks at moderate resources; over-provisioning wastes budget.
+		s := float64(c.Slices)
+		kb := float64(c.CacheKB)
+		return math.Sqrt(s) * (1 - math.Exp(-(kb+64)/400))
 	},
 }
 
@@ -68,48 +100,32 @@ func (f *atomicProber) Probe(bench string, cfg econ.Config) (float64, error) {
 	return fn(cfg), nil
 }
 
-// TestSurfaceCacheSharedAcrossEngines is the sharing contract: many search
-// engines (one econ.Optimizer per goroutine, Reset per search as in
-// internal/alloc) over one SurfaceCache, hammered concurrently, must (a) be
-// race-clean (this package runs under -race in make serve-smoke), (b) agree
-// search-for-search with an engine over a private cache, and (c) never probe
-// one (surface, configuration) point twice.
+// TestSurfaceCacheSharedAcrossEngines is the sharing contract: many
+// goroutines running the stateless lattice search (as internal/alloc does)
+// over one SurfaceCache, hammered concurrently, must (a) be race-clean (this
+// package runs under -race in make serve-smoke), (b) agree search-for-search
+// with searches over a private cache, and (c) never probe one (surface,
+// configuration) point twice.
 func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 	fp := &atomicProber{}
-	cache, err := NewSurfaceCache(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	private, err := NewSurfaceCache(&atomicProber{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := newCache(t, fp)
+	private := newCache(t, &atomicProber{})
+	lat := cache.Lattice()
 	benches := []string{"cachey", "slicey", "mixed"}
 	type bidKey struct {
 		bench string
 		k     int
 		mi    int
 	}
-	search := func(opt *econ.Optimizer, c *SurfaceCache, bench string, u econ.Utility, m econ.Market) (econ.SearchResult, error) {
-		defer opt.Reset()
+	search := func(c *SurfaceCache, bench string, u econ.Utility, m econ.Market) (econ.SearchResult, error) {
 		obj := func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
-		return opt.Search(obj, m, econ.Config{}, func(cfg econ.Config) (float64, error) {
-			return c.Surface(bench, WholeProgram).Probe(cfg)
-		})
+		return lat.Search(obj, m, econ.Config{}, c.Surface(bench, WholeProgram).Probe)
 	}
-	newOpt := func() *econ.Optimizer {
-		opt, err := econ.NewOptimizer(tSlices, tCaches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return opt
-	}
-	ref := newOpt()
 	want := make(map[bidKey]econ.SearchResult)
 	for _, b := range benches {
 		for _, u := range econ.Utilities() {
 			for mi, m := range econ.Markets() {
-				res, err := search(ref, private, b, u, m)
+				res, err := search(private, b, u, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,14 +138,13 @@ func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, nEngines*len(want))
 	for i := 0; i < nEngines; i++ {
-		opt := newOpt()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for _, b := range benches {
 				for _, u := range econ.Utilities() {
 					for mi, m := range econ.Markets() {
-						res, err := search(opt, cache, b, u, m)
+						res, err := search(cache, b, u, m)
 						if err != nil {
 							errs <- err
 							return
@@ -168,10 +183,7 @@ func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 // report it cannot serve phase surfaces and refuse a phase probe, while
 // whole-program probes still work.
 func TestSurfaceCachePhaseCapability(t *testing.T) {
-	cache, err := NewSurfaceCache(nonPhaseProber{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := newCache(t, nonPhaseProber{})
 	if cache.Phased() {
 		t.Fatal("cache over a non-phase prober claims phases")
 	}
@@ -181,20 +193,19 @@ func TestSurfaceCachePhaseCapability(t *testing.T) {
 	if _, err := cache.Surface("x", WholeProgram).Probe(econ.Config{Slices: 1}); err != nil {
 		t.Fatal(err)
 	}
-	phased, err := NewSurfaceCache(fakeProber{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !phased.Phased() {
+	if !newCache(t, fakeProber{}).Phased() {
 		t.Fatal("cache over a PhaseProber denies phases")
 	}
 }
 
 // TestNewRequiresProberOrCache pins the constructor contract: there is no
-// probe economy without a prober to fill it.
+// probe economy without a prober to fill it and a lattice to store it over.
 func TestNewRequiresProberOrCache(t *testing.T) {
-	if _, err := NewSurfaceCache(nil); err == nil {
+	if _, err := NewSurfaceCache(testLattice(t), nil); err == nil {
 		t.Fatal("cache without a prober accepted")
+	}
+	if _, err := NewSurfaceCache(nil, fakeProber{}); err == nil {
+		t.Fatal("cache without a lattice accepted")
 	}
 }
 
@@ -206,10 +217,7 @@ func TestNewRequiresProberOrCache(t *testing.T) {
 // (surface, configuration), no matter how many goroutines want it).
 func TestSurfaceCacheServerLoad(t *testing.T) {
 	fp := &atomicProber{}
-	cache, err := NewSurfaceCache(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := newCache(t, fp)
 
 	// Thundering herd: every goroutine sweeps the SAME cold surface.
 	const herd = 8
