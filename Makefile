@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke check
+.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke check
 
 build:
 	$(GO) build ./...
@@ -94,7 +94,10 @@ fleet-smoke:
 # (surface, phase, configuration) probe sequences, on and off the lattice,
 # must match a map reference: values equal the prober's, off-lattice and
 # unsupported phase probes are refused, and Unique and Misses both equal the
-# number of distinct points probed. A failing input lands in
+# number of distinct points probed. FuzzParseConfig: the XML machine
+# configuration decoder must never panic, accepted parameters must pass
+# Validate and fit the flight ring, and a WriteConfig/ParseConfig round trip
+# must give equal Params. A failing input lands in
 # the package's testdata/fuzz, where plain `go test` replays it. Minimizing
 # a new input is capped at 2 s, so a large input cannot spend the whole
 # window being minimized.
@@ -105,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadResult$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet
@@ -144,4 +148,15 @@ serve-smoke:
 	$(GO) test -count=1 ./cmd/sharingd
 	$(GO) run ./cmd/sharingd -loadtest -synthetic -duration 5s -clients 8 -min-rps 2000
 
-check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke
+# Benchmark correctness gate: one short untraced run of each perfbench
+# workload on seeds 0-3. Each run checks its results against the digests
+# recorded in perfbench/expected.json, and its last line must report
+# correct=true and failed=0. Timings are printed but never gated.
+perf-smoke:
+	@for w in sweep fleet; do for s in 0 1 2 3; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 2>/dev/null | tail -n 1); \
+		echo "$$w seed $$s: $$line"; \
+		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; *) echo "perf-smoke: $$w seed $$s is not correct=true, failed=0"; exit 1;; esac; \
+	done; done
+
+check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke

@@ -164,25 +164,29 @@ func (o Op) IsStore() bool { return o == OpStore }
 // target, and memory operations carry their effective address; the timing
 // simulator predicts/speculates and then checks against these fields exactly
 // as a trace-driven simulator replays a GEM5 trace.
+//
+// Fields are ordered widest first, so an Inst packs into 40 bytes with no
+// interior padding (TestInstLayout pins it): traces are the largest
+// per-run input the simulator holds.
 type Inst struct {
 	// PC is the instruction's program counter (byte address).
 	PC uint64
+	// Imm is the immediate operand for AddI and the address offset for
+	// Load/Store (effective address = value(Src1) + Imm).
+	Imm int64
+	// Addr is the effective byte address for loads and stores.
+	Addr uint64
+	// Target is the resolved next-PC for taken branches and jumps.
+	Target uint64
 	// Op is the opcode.
 	Op Op
 	// Dest is the destination register, if Op.HasDest().
 	Dest Reg
 	// Src1 and Src2 are register sources; meaningful per Op.NumSrc().
 	Src1, Src2 Reg
-	// Imm is the immediate operand for AddI and the address offset for
-	// Load/Store (effective address = value(Src1) + Imm).
-	Imm int64
-	// Addr is the effective byte address for loads and stores.
-	Addr uint64
 	// Taken is the resolved direction for conditional branches (always true
 	// for jumps).
 	Taken bool
-	// Target is the resolved next-PC for taken branches and jumps.
-	Target uint64
 }
 
 // NextPC returns the address of the instruction that follows i dynamically.

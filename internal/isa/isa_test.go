@@ -5,7 +5,16 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstLayout pins the trace record: 40 bytes, the four 64-bit fields
+// first and the five one-byte fields packed after them.
+func TestInstLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Inst{}); size != 40 {
+		t.Errorf("Inst is %d bytes, want 40", size)
+	}
+}
 
 func TestOpTableConsistency(t *testing.T) {
 	for op := Op(0); op.Valid(); op++ {

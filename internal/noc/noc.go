@@ -36,75 +36,6 @@ func Manhattan(a, b Coord) int {
 // load sorted to its own Slice) still pays the injection cycle.
 func Latency(a, b Coord) int64 { return int64(1 + Manhattan(a, b)) }
 
-// Kind labels a message's purpose. The simulator defines its own meanings;
-// the network treats kinds opaquely and only uses them for statistics.
-type Kind uint8
-
-// Message is one network packet. A, B, C and Val carry kind-specific payload
-// (register numbers, addresses, operand values); the network does not
-// interpret them.
-type Message struct {
-	Kind     Kind
-	Src, Dst Coord
-	Arrive   int64 // set by Send: cycle at which the message is deliverable
-	A, B, C  uint64
-	Val      uint64
-	seq      uint64 // tie-break for deterministic ordering
-}
-
-// msgHeap orders messages by (Arrive, seq) so delivery order is
-// deterministic regardless of map iteration or send interleavings. It is a
-// hand-rolled binary min-heap: container/heap's interface{} boxing would
-// allocate on every push, and Send is the simulator's hottest call.
-type msgHeap []Message
-
-func (h msgHeap) less(i, j int) bool {
-	if h[i].Arrive != h[j].Arrive {
-		return h[i].Arrive < h[j].Arrive
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *msgHeap) push(m Message) {
-	*h = append(*h, m)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *msgHeap) pop() Message {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.less(l, m) {
-			m = l
-		}
-		if r < n && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}
-
 // Stats aggregates network activity counters.
 type Stats struct {
 	Messages  uint64
@@ -114,18 +45,18 @@ type Stats struct {
 	StallCycles uint64
 }
 
-// Network is one logical 2-D switched network over a W x H tile grid.
+// Network is one logical 2-D switched network over a W x H tile grid. It is
+// fire-and-forget: Send models port contention and returns the delivery
+// cycle, and the simulator consumes that cycle directly, so no message is
+// ever buffered.
 type Network struct {
 	Name  string
 	W, H  int
 	Width int // messages per cycle per injection/ejection port
 
-	egress  []*Meter  // per source tile
-	ingress []*Meter  // per destination tile
-	queues  []msgHeap // per destination tile
-	seq     uint64
+	egress  []*Meter // per source tile
+	ingress []*Meter // per destination tile
 	stats   Stats
-	ff      bool // fire-and-forget: Send does not buffer for Deliver
 }
 
 // New creates a network over a w x h grid with the given per-port bandwidth
@@ -139,7 +70,6 @@ func New(name string, w, h, width int) *Network {
 		Name: name, W: w, H: h, Width: width,
 		egress:  make([]*Meter, n),
 		ingress: make([]*Meter, n),
-		queues:  make([]msgHeap, n),
 	}
 }
 
@@ -157,72 +87,22 @@ func (n *Network) index(c Coord) int {
 	return c.Y*n.W + c.X
 }
 
-// Send injects a message at cycle now. It returns the delivery cycle, which
-// accounts for injection-port contention at the source, per-hop latency, and
-// ejection-port contention at the destination. The message becomes visible
-// to Deliver at the returned cycle.
+// Send injects a message from src to dst at cycle now and returns its
+// delivery cycle, which accounts for injection-port contention at the
+// source, per-hop latency, and ejection-port contention at the destination.
 //
 //ssim:hotpath
-func (n *Network) Send(now int64, m Message) int64 {
-	si, di := n.index(m.Src), n.index(m.Dst)
+func (n *Network) Send(now int64, src, dst Coord) int64 {
+	si, di := n.index(src), n.index(dst)
 	depart := n.meter(n.egress, si).Reserve(now)
-	zeroLoad := depart + Latency(m.Src, m.Dst)
+	zeroLoad := depart + Latency(src, dst)
 	arrive := n.meter(n.ingress, di).Reserve(zeroLoad)
 	n.stats.Messages++
-	n.stats.TotalHops += uint64(Manhattan(m.Src, m.Dst))
+	n.stats.TotalHops += uint64(Manhattan(src, dst))
 	//ssim:nolint cyclemath: Reserve(at) >= at by the Meter contract, so both differences are non-negative
 	n.stats.StallCycles += uint64((depart - now) + (arrive - zeroLoad))
-	if n.ff {
-		return arrive
-	}
-	m.Arrive = arrive
-	m.seq = n.seq
-	n.seq++
-	n.queues[di].push(m)
 	return arrive
-}
-
-// SetFireAndForget switches the network into fire-and-forget mode: Send
-// still models contention and returns delivery cycles, but no longer
-// buffers messages for Deliver. Simulators that consume Send's return value
-// directly (like SSim's latency-chain engine) use this to avoid growing
-// delivery queues that nothing ever drains. Timing is unaffected.
-func (n *Network) SetFireAndForget(on bool) { n.ff = on }
-
-// Deliver pops every message destined to dst whose delivery cycle is <= now,
-// in deterministic (Arrive, send-order) order.
-func (n *Network) Deliver(now int64, dst Coord, out []Message) []Message {
-	q := &n.queues[n.index(dst)]
-	for len(*q) > 0 && (*q)[0].Arrive <= now {
-		out = append(out, q.pop())
-	}
-	return out
-}
-
-// Pending reports whether any undelivered messages remain for dst.
-func (n *Network) Pending(dst Coord) bool { return len(n.queues[n.index(dst)]) > 0 }
-
-// NextArrival returns the earliest pending delivery cycle for dst and true,
-// or 0 and false if the destination has no pending messages. Simulators use
-// it to fast-forward quiet cycles.
-func (n *Network) NextArrival(dst Coord) (int64, bool) {
-	q := n.queues[n.index(dst)]
-	if len(q) == 0 {
-		return 0, false
-	}
-	return q[0].Arrive, true
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (n *Network) Stats() Stats { return n.stats }
-
-// Reset clears all queues and statistics, keeping geometry.
-func (n *Network) Reset() {
-	for i := range n.queues {
-		n.queues[i] = nil
-		n.egress[i] = nil
-		n.ingress[i] = nil
-	}
-	n.seq = 0
-	n.stats = Stats{}
-}

@@ -58,34 +58,25 @@ func TestSendDeliverOrdering(t *testing.T) {
 	n := New("t", 8, 8, 1)
 	dst := Coord{4, 4}
 	// Two messages from different distances; the nearer must arrive first.
-	far := n.Send(0, Message{Src: Coord{0, 0}, Dst: dst, Kind: 1})
-	near := n.Send(0, Message{Src: Coord{4, 3}, Dst: dst, Kind: 2})
+	far := n.Send(0, Coord{0, 0}, dst)
+	near := n.Send(0, Coord{4, 3}, dst)
 	if near >= far {
 		t.Fatalf("near=%d far=%d", near, far)
 	}
 	if got, want := near, int64(2); got != want {
 		t.Fatalf("near arrival = %d, want %d", got, want)
 	}
-	var out []Message
-	out = n.Deliver(near, dst, out)
-	if len(out) != 1 || out[0].Kind != 2 {
-		t.Fatalf("deliver at %d got %v", near, out)
-	}
-	out = n.Deliver(far, dst, out[:0])
-	if len(out) != 1 || out[0].Kind != 1 {
-		t.Fatalf("deliver at %d got %v", far, out)
-	}
-	if n.Pending(dst) {
-		t.Fatal("queue should be empty")
+	if got, want := far, int64(9); got != want {
+		t.Fatalf("far arrival = %d, want %d", got, want)
 	}
 }
 
 func TestPortContention(t *testing.T) {
 	n := New("t", 4, 4, 1)
 	src, dst := Coord{0, 0}, Coord{1, 0}
-	a := n.Send(10, Message{Src: src, Dst: dst})
-	b := n.Send(10, Message{Src: src, Dst: dst})
-	c := n.Send(10, Message{Src: src, Dst: dst})
+	a := n.Send(10, src, dst)
+	b := n.Send(10, src, dst)
+	c := n.Send(10, src, dst)
 	if a != 12 || b != 13 || c != 14 {
 		t.Fatalf("serialized arrivals = %d,%d,%d; want 12,13,14", a, b, c)
 	}
@@ -101,9 +92,9 @@ func TestPortContention(t *testing.T) {
 func TestWidthTwoDoublesBandwidth(t *testing.T) {
 	n := New("t", 4, 4, 2)
 	src, dst := Coord{0, 0}, Coord{1, 0}
-	a := n.Send(10, Message{Src: src, Dst: dst})
-	b := n.Send(10, Message{Src: src, Dst: dst})
-	c := n.Send(10, Message{Src: src, Dst: dst})
+	a := n.Send(10, src, dst)
+	b := n.Send(10, src, dst)
+	c := n.Send(10, src, dst)
 	if a != 12 || b != 12 || c != 13 {
 		t.Fatalf("arrivals = %d,%d,%d; want 12,12,13", a, b, c)
 	}
@@ -113,8 +104,8 @@ func TestIngressContention(t *testing.T) {
 	n := New("t", 8, 1, 1)
 	dst := Coord{4, 0}
 	// Equidistant sources from both sides collide at the ejection port.
-	a := n.Send(0, Message{Src: Coord{3, 0}, Dst: dst})
-	b := n.Send(0, Message{Src: Coord{5, 0}, Dst: dst})
+	a := n.Send(0, Coord{3, 0}, dst)
+	b := n.Send(0, Coord{5, 0}, dst)
 	if a == b {
 		t.Fatalf("ejection port must serialize: %d vs %d", a, b)
 	}
@@ -124,29 +115,25 @@ func TestDeliverDeterministicTieBreak(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		n := New("t", 8, 8, 4)
 		dst := Coord{0, 0}
-		n.Send(0, Message{Src: Coord{2, 0}, Dst: dst, Kind: 1})
-		n.Send(0, Message{Src: Coord{0, 2}, Dst: dst, Kind: 2})
-		out := n.Deliver(10, dst, nil)
-		if len(out) != 2 || out[0].Kind != 1 || out[1].Kind != 2 {
-			t.Fatalf("tie break unstable: %v", out)
+		// Equidistant sources on a four-wide port share the ejection cycle.
+		a := n.Send(0, Coord{2, 0}, dst)
+		b := n.Send(0, Coord{0, 2}, dst)
+		if a != 3 || b != 3 {
+			t.Fatalf("trial %d: arrivals = %d,%d; want 3,3", trial, a, b)
 		}
 	}
 }
 
+// TestNextArrivalAndReset pins one message's delivery cycle and the
+// statistics it leaves.
 func TestNextArrivalAndReset(t *testing.T) {
 	n := New("t", 4, 4, 1)
 	dst := Coord{2, 2}
-	if _, ok := n.NextArrival(dst); ok {
-		t.Fatal("empty queue reported pending arrival")
+	if at := n.Send(5, Coord{0, 0}, dst); at != 10 {
+		t.Fatalf("arrival = %d, want 10 (injection at 5, 1 + 4 hops)", at)
 	}
-	at := n.Send(5, Message{Src: Coord{0, 0}, Dst: dst})
-	got, ok := n.NextArrival(dst)
-	if !ok || got != at {
-		t.Fatalf("NextArrival = %d,%v; want %d,true", got, ok, at)
-	}
-	n.Reset()
-	if n.Pending(dst) || n.Stats().Messages != 0 {
-		t.Fatal("Reset incomplete")
+	if st := n.Stats(); st.Messages != 1 || st.TotalHops != 4 || st.StallCycles != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
@@ -157,7 +144,7 @@ func TestOutOfGridPanics(t *testing.T) {
 			t.Fatal("out-of-grid coordinate must panic")
 		}
 	}()
-	n.Send(0, Message{Src: Coord{9, 0}, Dst: Coord{0, 0}})
+	n.Send(0, Coord{9, 0}, Coord{0, 0})
 }
 
 func TestMeterOutOfOrderReservations(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 
 	"sharing/internal/vcore"
 )
@@ -118,6 +119,9 @@ func (c *XMLConfig) Params() (Params, error) {
 	setI(&v.MSHRs, c.MSHRs)
 	setI(&v.PredictorEntries, c.PredictorEntries)
 	setI(&v.BTBEntries, c.BTBEntries)
+	if c.L1SizeKB > math.MaxInt>>10 {
+		return Params{}, fmt.Errorf("sim: l1SizeKB %d overflows a byte count", c.L1SizeKB)
+	}
 	if c.L1SizeKB > 0 {
 		v.L1I.SizeBytes = c.L1SizeKB << 10
 		v.L1D.SizeBytes = c.L1SizeKB << 10

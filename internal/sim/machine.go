@@ -150,7 +150,7 @@ type machine struct {
 	home     *cache.HomeMap
 	memNet   *noc.Network
 	memory   *mem.Memory
-	bankPort map[int]*noc.Meter
+	bankPort []*noc.Meter // per bank slot: bankPort[bankSlot(line)] serves Home(line)
 	engines  []*vcore.Engine
 	multiVC  bool
 	ctrls    []noc.Coord
@@ -225,16 +225,16 @@ func (u *uncoreFor) L2Load(now int64, from noc.Coord, addr uint64) int64 {
 		// memory delay plus a small on-chip overhead).
 		return m.memory.Access(now+2, false) + 2
 	}
-	req := m.memNet.Send(now, noc.Message{Src: from, Dst: bank.Pos})
-	acc := m.bankPort[bank.ID].Reserve(req) + 2
+	slot := m.bankSlot(line)
+	req := m.memNet.Send(now, from, bank.Pos)
+	acc := m.bankPort[slot].Reserve(req) + 2
 	if m.multiVC {
 		bank.AddSharer(line, u.vc)
 	}
 	idx := m.bankIndex(line)
-	slot := m.bankSlot(line)
 	if bank.Tags.Lookup(idx, false) {
 		m.l2Hits++
-		return m.memNet.Send(acc, noc.Message{Src: bank.Pos, Dst: from})
+		return m.memNet.Send(acc, bank.Pos, from)
 	}
 	m.l2Misses++
 	done := m.memory.Access(acc, false)
@@ -244,7 +244,7 @@ func (u *uncoreFor) L2Load(now int64, from noc.Coord, addr uint64) int64 {
 			m.memory.Access(done, true)
 		}
 	}
-	return m.memNet.Send(done, noc.Message{Src: bank.Pos, Dst: from})
+	return m.memNet.Send(done, bank.Pos, from)
 }
 
 // StoreVisible implements vcore.Uncore: directory-driven invalidation of
@@ -330,7 +330,7 @@ func (u *uncoreFor) WritebackDirty(now int64, from noc.Coord, addr uint64) {
 		m.memory.Access(now, true)
 		return
 	}
-	at := m.memNet.Send(now, noc.Message{Src: from, Dst: bank.Pos})
+	at := m.memNet.Send(now, from, bank.Pos)
 	idx := m.bankIndex(line)
 	slot := m.bankSlot(line)
 	if victim, dirty, evicted := bank.Tags.Fill(idx, true); evicted {
@@ -476,15 +476,11 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 		return nil, err
 	}
 	memNet := noc.New("memory", w, h, p.MemNetWidth)
-	// The engines consume Send's returned delivery cycle directly and never
-	// call Deliver, so buffering every message would only grow heaps that no
-	// one drains. Fire-and-forget keeps timing and stats identical.
-	memNet.SetFireAndForget(true)
 	m := &machine{
 		home:     cache.NewHomeMap(vm.Banks),
 		memNet:   memNet,
 		memory:   mem.New(p.Mem),
-		bankPort: make(map[int]*noc.Meter, len(vm.Banks)),
+		bankPort: make([]*noc.Meter, len(vm.Banks)),
 		multiVC:  len(mt.Threads) > 1,
 		ctrls: []noc.Coord{
 			{X: 0, Y: h / 2}, {X: w - 1, Y: h / 2}, {X: w / 2, Y: 0}, {X: w / 2, Y: h - 1},
@@ -497,8 +493,8 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 			m.bankShift++
 		}
 	}
-	for _, b := range vm.Banks {
-		m.bankPort[b.ID] = noc.NewMeter(p.BankPortWidth)
+	for i := range m.bankPort {
+		m.bankPort[i] = noc.NewMeter(p.BankPortWidth)
 	}
 	mc := &Machine{p: p, m: m, memNet: memNet}
 	for ti, th := range mt.Threads {
@@ -507,8 +503,6 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 		// statistics; see the Machine doc comment).
 		opNet := noc.New("operand", w, h, p.OperandNetWidth)
 		sortNet := noc.New("lssort", w, h, p.SortNetWidth)
-		opNet.SetFireAndForget(true)
-		sortNet.SetFireAndForget(true)
 		u := &uncoreFor{m: m, vc: ti}
 		eng, err := vcore.New(p.VCore, th, vm.VCores[ti].Slices, opNet, sortNet, u)
 		if err != nil {

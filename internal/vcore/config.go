@@ -113,6 +113,11 @@ func DefaultConfig(n int) Config {
 	}
 }
 
+// inflight is the bound on fetched, uncommitted instructions: every Slice's
+// reorder buffer and instruction buffer full at once. Validate keeps each
+// term within maxRing first, so the product cannot wrap.
+func (c *Config) inflight() int { return c.NumSlices * (c.ROBPerSlice + c.InstBufEntries) }
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.NumSlices < 1 || c.NumSlices > MaxSlices {
@@ -127,9 +132,9 @@ func (c *Config) Validate() error {
 	if c.IssueWindow < 1 || c.LSWindow < 1 || c.LSQSize < 1 || c.ROBPerSlice < 1 {
 		return fmt.Errorf("vcore: window/queue sizes must be >= 1")
 	}
-	if inflight := c.NumSlices * (c.ROBPerSlice + c.InstBufEntries); inflight > ringSize {
+	if c.ROBPerSlice > maxRing || c.InstBufEntries > maxRing || c.inflight() > maxRing {
 		return fmt.Errorf("vcore: %d Slices x (ROB %d + instruction buffer %d) = %d instructions in flight exceeds the %d-entry flight ring",
-			c.NumSlices, c.ROBPerSlice, c.InstBufEntries, inflight, ringSize)
+			c.NumSlices, c.ROBPerSlice, c.InstBufEntries, c.inflight(), maxRing)
 	}
 	if c.LRFPerSlice < 1 || c.GlobalRegs < c.LRFPerSlice/2 {
 		return fmt.Errorf("vcore: register file sizing invalid (LRF %d, global %d)", c.LRFPerSlice, c.GlobalRegs)

@@ -34,15 +34,23 @@ type Uncore interface {
 // unknown is the sentinel "not yet determined" timestamp.
 const unknown = math.MaxInt64 / 4
 
-// ring sizing: in-flight (fetched, uncommitted) instructions are bounded by
-// NumSlices*(ROBPerSlice+InstBufEntries) — 8*(64+12) = 608 at the paper's
-// defaults — and Config.Validate rejects configurations whose bound exceeds
-// the ring, where live instructions would alias one slot.
-const (
-	ringBits = 11
-	ringSize = 1 << ringBits
-	ringMask = ringSize - 1
-)
+// Flight-ring sizing: in-flight (fetched, uncommitted) instructions are
+// bounded by Config.inflight, NumSlices*(ROBPerSlice+InstBufEntries) — from
+// 1*(64+12) = 76 to 8*(64+12) = 608 at the paper's defaults. Each engine's
+// ring has ringSlots(bound) slots, the next power of two at or above its
+// bound (128 to 1024 at the defaults), so no two live instructions share a
+// slot. Config.Validate rejects a bound above maxRing.
+const maxRing = 1 << 11
+
+// ringSlots returns the flight-ring size for an in-flight bound: the
+// smallest power of two >= bound.
+func ringSlots(bound int) int {
+	n := 1
+	for n < bound {
+		n <<= 1
+	}
+	return n
+}
 
 // instruction lifecycle states.
 const (
@@ -168,7 +176,8 @@ type Engine struct {
 	commitHead uint64
 	lastCommit int64
 
-	fl [ringSize]instFlight
+	fl     []instFlight // the flight ring, indexed by seq & flMask
+	flMask uint64
 
 	regRetVal [isa.NumArchRegs]uint64
 	regRetPos [isa.NumArchRegs]regRet
@@ -256,8 +265,11 @@ func New(cfg Config, tr *trace.Trace, pos []noc.Coord, opNet, sortNet *noc.Netwo
 	// Seed every flight-ring slot's waiter lists from one backing array.
 	// Slots recycle their slices (appends reuse capacity), but a fresh ring
 	// would otherwise pay thousands of tiny growth allocations warming up.
-	wback := make([]waiter, ringSize*seedWaiterCap)
-	fback := make([]waiter, ringSize*seedFwdCap)
+	slots := ringSlots(cfg.inflight())
+	e.fl = make([]instFlight, slots)
+	e.flMask = uint64(slots - 1)
+	wback := make([]waiter, slots*seedWaiterCap)
+	fback := make([]waiter, slots*seedFwdCap)
 	for i := range e.fl {
 		e.fl[i].waiters = wback[i*seedWaiterCap : i*seedWaiterCap : (i+1)*seedWaiterCap]
 		e.fl[i].fwdWaiters = fback[i*seedFwdCap : i*seedFwdCap : (i+1)*seedFwdCap]
@@ -352,7 +364,7 @@ func (e *Engine) pcIndex(pc uint64) uint64 {
 	return (pc>>3)/uint64(e.cfg.NumSlices)<<3 | (pc & 7)
 }
 
-func (e *Engine) flight(seq uint64) *instFlight { return &e.fl[seq&ringMask] }
+func (e *Engine) flight(seq uint64) *instFlight { return &e.fl[seq&e.flMask] }
 
 // Done reports whether the whole trace has committed.
 func (e *Engine) Done() bool { return e.commitHead >= uint64(len(e.tr)) }

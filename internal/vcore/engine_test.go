@@ -3,6 +3,7 @@ package vcore
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sharing/internal/isa"
 	"sharing/internal/noc"
@@ -293,6 +294,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ROBPerSlice = 501 },
 		func(c *Config) { c.NumSlices, c.ROBPerSlice = 8, 400 },
 		func(c *Config) { c.InstBufEntries = 2048 },
+		// 8*(2^61+12) wraps to 96 in int arithmetic.
+		func(c *Config) { c.NumSlices, c.ROBPerSlice = 8, 1<<61 },
 	}
 	for i, m := range mutations {
 		c := DefaultConfig(4)
@@ -300,6 +303,58 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestEventLayout pins the record the event queue moves: 40 bytes, with
+// the 32- and 8-bit fields packed after the 64-bit ones.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 40 {
+		t.Errorf("event is %d bytes, want 40", size)
+	}
+}
+
+// TestFlightRingSized pins the flight ring to the machine it models: the
+// next power of two at or above NumSlices*(ROBPerSlice+InstBufEntries)
+// slots, with every slot's waiter lists seeded from backing of matching
+// size, and a config whose bound exceeds 2048 refused.
+func TestFlightRingSized(t *testing.T) {
+	cases := []struct {
+		slices, rob, want int
+	}{
+		{1, 64, 128},  // 76 in flight
+		{2, 64, 256},  // 152
+		{4, 64, 512},  // 304
+		{8, 64, 1024}, // 608
+		{1, 52, 64},   // exactly 64: a full power of two needs no headroom
+		{4, 500, 2048},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig(c.slices)
+		cfg.ROBPerSlice = c.rob
+		if got := ringSlots(cfg.inflight()); got != c.want {
+			t.Errorf("%d Slices, ROB %d: ringSlots(%d) = %d, want %d", c.slices, c.rob, cfg.inflight(), got, c.want)
+		}
+		e, err := New(cfg, &trace.Trace{Insts: seqProgram()}, positions(c.slices), noc.New("op", 4, MaxSlices, 1), noc.New("s", 4, MaxSlices, 1), &stubUncore{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.fl) != c.want || e.flMask != uint64(c.want-1) {
+			t.Errorf("%d Slices, ROB %d: ring has %d slots (mask %#x), want %d", c.slices, c.rob, len(e.fl), e.flMask, c.want)
+		}
+		for i := range e.fl {
+			if cap(e.fl[i].waiters) != seedWaiterCap || cap(e.fl[i].fwdWaiters) != seedFwdCap {
+				t.Fatalf("slot %d: waiter capacities %d/%d, want %d/%d", i, cap(e.fl[i].waiters), cap(e.fl[i].fwdWaiters), seedWaiterCap, seedFwdCap)
+			}
+		}
+	}
+	over := DefaultConfig(4)
+	over.ROBPerSlice = 501 // 4*(501+12) = 2052
+	if err := over.Validate(); err == nil {
+		t.Fatal("in-flight bound 2052 accepted; the ring holds at most 2048")
+	}
+	if _, err := New(over, &trace.Trace{Insts: seqProgram()}, positions(4), noc.New("op", 4, MaxSlices, 1), noc.New("s", 4, MaxSlices, 1), &stubUncore{}); err == nil {
+		t.Fatal("New built an engine whose in-flight bound exceeds 2048")
 	}
 }
 

@@ -26,13 +26,16 @@ const (
 
 // event is one scheduled occurrence. gen guards against events that outlive
 // a pipeline flush of their instruction.
+//
+// Fields are ordered widest first, so the event packs into 40 bytes with no
+// interior padding (TestEventLayout pins it).
 type event struct {
 	at   int64
 	ord  uint64
-	kind evKind
 	seq  uint64 // instruction age tag (or Slice index for evDrain/evIFill)
-	gen  uint32
 	a    uint64 // kind-specific payload (e.g. line address)
+	gen  uint32
+	kind evKind
 }
 
 // eventQueue is a deterministic time-ordered queue: a hand-rolled binary

@@ -2,11 +2,8 @@ package vcore
 
 import (
 	"sharing/internal/isa"
-	"sharing/internal/noc"
 	"sharing/internal/slice"
 )
-
-func msg(src, dst noc.Coord) noc.Message { return noc.Message{Src: src, Dst: dst} }
 
 // issueLS issues a load or store from Slice k: the effective address is
 // generated and the operation is sorted over the load/store sorting network
@@ -20,7 +17,7 @@ func (e *Engine) issueLS(now int64, k int, seq uint64) {
 	f.state = stIssued
 	f.word = in.Addr &^ 7
 	f.owner = int8(e.lineOwner(in.Addr)) //ssim:nolint cyclemath: lineOwner < NumSlices <= 8
-	arr := e.sortNet.Send(now, msg(e.pos[k], e.pos[f.owner]))
+	arr := e.sortNet.Send(now, e.pos[k], e.pos[f.owner])
 	e.stats.SortMsgs++
 	if in.Op.IsLoad() {
 		e.events.push(arr, evLoadArrive, seq, f.gen, 0)
@@ -40,7 +37,7 @@ func (e *Engine) sendStoreData(now int64, seq uint64) {
 		return
 	}
 	f.dataSent = true
-	arr := e.sortNet.Send(now, msg(e.pos[f.sl], e.pos[f.owner]))
+	arr := e.sortNet.Send(now, e.pos[f.sl], e.pos[f.owner])
 	e.stats.SortMsgs++
 	e.events.push(arr, evStoreData, seq, f.gen, 0)
 }
@@ -210,7 +207,7 @@ func (e *Engine) bindLoad(availAtOwner int64, seq uint64, val uint64) {
 	k := int(f.sl)
 	done := availAtOwner
 	if o != k {
-		done = e.opNet.Send(availAtOwner, msg(e.pos[o], e.pos[k]))
+		done = e.opNet.Send(availAtOwner, e.pos[o], e.pos[k])
 		e.stats.OperandMsgs++
 	}
 	f.execDone = done

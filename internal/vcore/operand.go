@@ -25,7 +25,7 @@ func (e *Engine) operandAvail(seq uint64, slot uint8, tR int64) (avail int64, pe
 			// Result time unknown: file the request now (it sits in the
 			// producer's waitlist) and wait for scheduling.
 			if pSl != k && p.reqAt[k] == 0 {
-				p.reqAt[k] = e.opNet.Send(tR, msg(e.pos[k], e.pos[pSl]))
+				p.reqAt[k] = e.opNet.Send(tR, e.pos[k], e.pos[pSl])
 				e.stats.OperandMsgs++
 			}
 			p.waiters = append(p.waiters, waiter{seq: seq, gen: e.flight(seq).gen, slot: slot})
@@ -49,8 +49,8 @@ func (e *Engine) operandAvail(seq uint64, slot uint8, tR int64) (avail int64, pe
 	if c.writer == int64(dep) {
 		return maxi64(c.avail, tR), false
 	}
-	req := e.opNet.Send(tR, msg(e.pos[k], e.pos[rr.sl]))
-	rep := e.opNet.Send(req, msg(e.pos[rr.sl], e.pos[k]))
+	req := e.opNet.Send(tR, e.pos[k], e.pos[rr.sl])
+	rep := e.opNet.Send(req, e.pos[rr.sl], e.pos[k])
 	e.stats.OperandMsgs += 2
 	*c = regCopy{writer: int64(dep), avail: rep}
 	return rep, false
@@ -70,11 +70,11 @@ func (e *Engine) availFrom(pSeq uint64, k int, reqFloor int64) int64 {
 	}
 	req := p.reqAt[k]
 	if req == 0 {
-		req = e.opNet.Send(reqFloor, msg(e.pos[k], e.pos[pSl]))
+		req = e.opNet.Send(reqFloor, e.pos[k], e.pos[pSl])
 		e.stats.OperandMsgs++
 		p.reqAt[k] = req
 	}
-	reply := e.opNet.Send(maxi64(req, p.execDone), msg(e.pos[pSl], e.pos[k]))
+	reply := e.opNet.Send(maxi64(req, p.execDone), e.pos[pSl], e.pos[k])
 	e.stats.OperandMsgs++
 	p.availAt[k] = reply
 	return reply
