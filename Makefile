@@ -97,7 +97,11 @@ fleet-smoke:
 # number of distinct points probed. FuzzParseConfig: the XML machine
 # configuration decoder must never panic, accepted parameters must pass
 # Validate and fit the flight ring, and a WriteConfig/ParseConfig round trip
-# must give equal Params. A failing input lands in
+# must give equal Params, and every width it carries must be one a NoC port
+# meter accepts. FuzzMeter: decoded reservation streams (any width, start
+# cycle and mix of steps, window jumps and far jumps within the meter's
+# exact range) must get the grants of the earlier cycle<<16 | count meter
+# kept in the test as the reference. A failing input lands in
 # the package's testdata/fuzz, where plain `go test` replays it. Minimizing
 # a new input is capped at 2 s, so a large input cannot spend the whole
 # window being minimized.
@@ -109,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet
@@ -151,12 +156,15 @@ serve-smoke:
 # Benchmark correctness gate: one short untraced run of each perfbench
 # workload on seeds 0-3. Each run checks its results against the digests
 # recorded in perfbench/expected.json, and its last line must report
-# correct=true and failed=0. Timings are printed but never gated.
+# correct=true and failed=0. Timings are printed but never gated. Then the
+# benchmark module's own tests, which `go test ./...` at the root does not
+# reach because perfbench is a separate module.
 perf-smoke:
 	@for w in sweep fleet; do for s in 0 1 2 3; do \
 		line=$$(bash perfbench/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 2>/dev/null | tail -n 1); \
 		echo "$$w seed $$s: $$line"; \
 		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; *) echo "perf-smoke: $$w seed $$s is not correct=true, failed=0"; exit 1;; esac; \
 	done; done
+	cd perfbench && $(GO) test ./...
 
 check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke

@@ -62,7 +62,7 @@ type Network struct {
 // New creates a network over a w x h grid with the given per-port bandwidth
 // in messages per cycle. Port meters are created lazily per tile.
 func New(name string, w, h, width int) *Network {
-	if w <= 0 || h <= 0 || width <= 0 {
+	if w <= 0 || h <= 0 || width <= 0 || width > MaxWidth {
 		panic(fmt.Sprintf("noc: invalid network geometry %dx%d width %d", w, h, width))
 	}
 	n := w * h

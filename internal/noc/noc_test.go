@@ -181,7 +181,8 @@ func TestMeterCapacityPerCycle(t *testing.T) {
 // tagged per cycle over a 2048-cycle window, so a reservation one window
 // later takes over the slot and the older count is forgotten; a saturated
 // cycle rolls over to the next one; negative requests clamp to cycle 0;
-// Reset forgets every reservation; and widths beyond 16 bits are refused.
+// Reset forgets every reservation; cycles 2^35 apart alias; and widths
+// beyond 8 bits are refused.
 func TestMeterWindowAliasing(t *testing.T) {
 	const window = 1 << meterBits
 	expect := func(m *Meter, at, want int64) {
@@ -222,14 +223,21 @@ func TestMeterWindowAliasing(t *testing.T) {
 	expect(m, 3+window, 3+window)
 	expect(m, 3+window, 4+window)
 
-	// A slot packs cycle<<16 | count, so the width must fit in 16 bits.
-	NewMeter(1<<16 - 1)
+	// The exact range ends at 2^35: a cycle that far away carries the same
+	// 24-bit tag, so its slot still holds the older cycle's count.
+	m = NewMeter(1)
+	expect(m, 9, 9)
+	expect(m, 9+ExactCycles, 10+ExactCycles)
+
+	// A slot packs a 24-bit window tag and an 8-bit count, so the width
+	// must fit in 8 bits.
+	NewMeter(1<<8 - 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("width 1<<16 accepted: its count would overflow into the cycle tag")
+			t.Fatal("width 1<<8 accepted: its count would overflow into the window tag")
 		}
 	}()
-	NewMeter(1 << 16)
+	NewMeter(1 << 8)
 }
 
 func TestMeterProperty(t *testing.T) {
@@ -260,6 +268,7 @@ func TestNewValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New("x", 0, 4, 1) },
 		func() { New("x", 4, 4, 0) },
+		func() { New("x", 4, 4, MaxWidth+1) },
 		func() { NewMeter(0) },
 	} {
 		func() {

@@ -4,12 +4,15 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sharing/internal/noc"
 )
 
 // FuzzParseConfig: the XML machine-configuration decoder must never panic on
 // hostile bytes; a decoded configuration either fails Params or yields
 // parameters that pass Validate, keep the engine's in-flight bound within its
-// 2048-slot flight ring and give both L1s a positive size; and writing a
+// 2048-slot flight ring, give both L1s a positive size and carry only widths
+// a NoC port meter accepts; and writing a
 // decoded configuration back out with WriteConfig and parsing it again gives
 // the same Params (or the same refusal).
 func FuzzParseConfig(f *testing.F) {
@@ -25,6 +28,7 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add(`<ssim><l1SizeKB>18014398509481988</l1SizeKB></ssim>`) // (2^54+4)<<10 wraps to 4 KB
 	f.Add(`<ssim><cacheKB>-64</cacheKB><memoryDelay>-1</memoryDelay></ssim>`)
 	f.Add("not xml")
+	f.Add(`<ssim><operandNetWidth>70000</operandNetWidth></ssim>`) // beyond what a port meter counts
 	f.Fuzz(func(t *testing.T, text string) {
 		c, err := ParseConfig(strings.NewReader(text))
 		if err != nil {
@@ -46,6 +50,20 @@ func FuzzParseConfig(f *testing.F) {
 			}
 			if c.L1SizeKB > 0 && v.L1D.SizeBytes>>10 != c.L1SizeKB {
 				t.Fatalf("l1SizeKB %d became %d bytes", c.L1SizeKB, v.L1D.SizeBytes)
+			}
+			widths := []int{p.OperandNetWidth, p.SortNetWidth, p.MemNetWidth, p.BankPortWidth}
+			if p.Mem.RequestsPerCycle > 0 {
+				widths = append(widths, p.Mem.RequestsPerCycle)
+			}
+			for _, w := range widths {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("accepted width %d, which a port meter refuses: %v", w, r)
+						}
+					}()
+					noc.NewMeter(w)
+				}()
 			}
 		}
 		var out strings.Builder

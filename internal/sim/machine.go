@@ -35,7 +35,8 @@ type Params struct {
 	BankPortWidth int
 	// Mem configures main memory.
 	Mem mem.Config
-	// MaxCycles aborts runaway simulations (0 = default 2e9).
+	// MaxCycles aborts runaway simulations (0 = default 2e9). At most
+	// 2^34, half the range in which the NoC port meters tell cycles apart.
 	MaxCycles int64
 	// StrictTick disables event-driven cycle skipping and ticks every engine
 	// on every cycle. It is the naive reference loop: slower, but useful for
@@ -60,6 +61,11 @@ type Params struct {
 	Sample SampleParams
 }
 
+// maxCyclesLimit is the largest MaxCycles Validate accepts: half the NoC
+// meters' exact range (noc.ExactCycles), leaving as many cycles again for
+// reservations that latency chains place ahead of the clock.
+const maxCyclesLimit = noc.ExactCycles / 2
+
 // DefaultParams returns the paper's base configuration for a VCore of n
 // Slices and cacheKB of L2.
 func DefaultParams(n, cacheKB int) Params {
@@ -82,8 +88,16 @@ func (p *Params) Validate() error {
 	if p.CacheKB < 0 || p.CacheKB%hypervisor.BankKB != 0 {
 		return fmt.Errorf("sim: CacheKB %d must be a non-negative multiple of %d", p.CacheKB, hypervisor.BankKB)
 	}
-	if p.OperandNetWidth < 1 || p.SortNetWidth < 1 || p.MemNetWidth < 1 || p.BankPortWidth < 1 {
-		return fmt.Errorf("sim: network/port widths must be >= 1")
+	for _, w := range [...]int{p.OperandNetWidth, p.SortNetWidth, p.MemNetWidth, p.BankPortWidth} {
+		if w < 1 || w > noc.MaxWidth {
+			return fmt.Errorf("sim: network/port width %d must be in [1, %d]", w, noc.MaxWidth)
+		}
+	}
+	if p.Mem.RequestsPerCycle > noc.MaxWidth {
+		return fmt.Errorf("sim: memory RequestsPerCycle %d exceeds %d", p.Mem.RequestsPerCycle, noc.MaxWidth)
+	}
+	if p.MaxCycles < 0 || p.MaxCycles > maxCyclesLimit {
+		return fmt.Errorf("sim: MaxCycles %d must be in [0, %d]", p.MaxCycles, int64(maxCyclesLimit))
 	}
 	if p.Mem.Latency < 1 {
 		return fmt.Errorf("sim: memory latency must be >= 1")

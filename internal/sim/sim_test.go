@@ -17,6 +17,14 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.CacheKB = -64 },
 		func(p *Params) { p.OperandNetWidth = 0 },
 		func(p *Params) { p.BankPortWidth = 0 },
+		func(p *Params) { p.OperandNetWidth = 256 },
+		func(p *Params) { p.OperandNetWidth = 70000 },
+		func(p *Params) { p.SortNetWidth = 70000 },
+		func(p *Params) { p.MemNetWidth = 70000 },
+		func(p *Params) { p.BankPortWidth = 70000 },
+		func(p *Params) { p.Mem.RequestsPerCycle = 70000 },
+		func(p *Params) { p.MaxCycles = maxCyclesLimit + 1 },
+		func(p *Params) { p.MaxCycles = -1 },
 		func(p *Params) { p.Mem.Latency = 0 },
 		func(p *Params) { p.VCore.NumSlices = 0 },
 	}
@@ -26,6 +34,14 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	// The bounds themselves are accepted.
+	p = DefaultParams(4, 512)
+	p.OperandNetWidth, p.SortNetWidth, p.MemNetWidth, p.BankPortWidth = 255, 255, 255, 255
+	p.Mem.RequestsPerCycle = 255
+	p.MaxCycles = 1 << 34
+	if err := p.Validate(); err != nil {
+		t.Fatalf("widths 255 and MaxCycles 2^34 refused: %v", err)
 	}
 }
 
