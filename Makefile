@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke check
+.PHONY: build vet fmt-check test race race-parallel race-determinism bench bench-fleet lint lint-strict market-smoke results-check fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke check
 
 build:
 	$(GO) build ./...
@@ -61,13 +61,39 @@ lint-strict:
 	if [ $$status -ne 0 ]; then cat simlint.sarif; fi; \
 	exit $$status
 
-# Incremental-vs-grid differential on a 3-profile cross-section under the
-# race detector: the exactness contract of the allocation core's search (see
-# DESIGN.md, "Incremental optimum search") plus the core's churn
+# The allocation core's bid-vs-grid differential on a 3-profile
+# cross-section under the race detector: the exactness contract of its
+# search (see DESIGN.md, "Incremental optimum search") plus the core's churn
 # byte-identity and probe-economy tests.
 market-smoke:
-	$(GO) test -race -short -run 'TestIncrementalBidMatchesGrid|TestTable6IncrementalMatchesBatch|TestChurnScenarioRuns' ./internal/experiments
+	$(GO) test -race -short -run 'TestIncrementalBidMatchesGrid|TestChurnScenarioRuns' ./internal/experiments
 	$(GO) test -race -run 'TestChurnByteIdentical|TestChurnProbeEconomy|TestPriceBidWarm' ./internal/alloc
+
+# The paper's market outputs (Tables 4-7, Figs. 14-17) must regenerate
+# byte-identically from the committed measurement memo, without simulating:
+# each cmd/market experiment and cmd/phases, as run_experiments.sh runs them,
+# reads a copy of results/perf.json and its output is compared with the
+# committed file in results/. The copy must come back unchanged, or the run
+# measured something the memo lacks. Every mismatch is reported before the
+# target fails.
+RESULTS_OUTPUTS = table4:table4_optima table5:table5_utilities table6:table6_markets \
+	fig14:fig14_utility_surfaces fig15:fig15_fixed_gain fig16:fig16_hetero_gain \
+	fig17:fig17_datacenter phases:table7_phases
+
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	cp results/perf.json "$$tmp/perf.json" && \
+	$(GO) build -o "$$tmp/market" ./cmd/market && $(GO) build -o "$$tmp/phases" ./cmd/phases && \
+	status=0 && \
+	for e in $(RESULTS_OUTPUTS); do \
+		exp=$${e%%:*}; file=results/$${e#*:}.txt; \
+		if [ $$exp = phases ]; then cmd="$$tmp/phases -n 300000"; else cmd="$$tmp/market -exp $$exp"; fi; \
+		$$cmd -results "$$tmp/perf.json" -q > "$$tmp/out.txt" || status=1; \
+		if cmp -s "$$tmp/out.txt" $$file; then echo "results-check: $$file ok"; \
+		else echo "results-check: $$file differs"; diff $$file "$$tmp/out.txt" | head -20; status=1; fi; \
+	done && \
+	if ! cmp -s results/perf.json "$$tmp/perf.json"; then echo "results-check: the memo changed"; status=1; fi && \
+	exit $$status
 
 # Fleet determinism differential (1 vs 2/4/8 shards, byte-identical
 # fingerprints under every policy combination), the golden fingerprint pins,
@@ -167,4 +193,4 @@ perf-smoke:
 	done; done
 	cd perfbench && $(GO) test ./...
 
-check: build vet fmt-check test race race-parallel race-determinism lint market-smoke fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke
+check: build vet fmt-check test race race-parallel race-determinism lint market-smoke results-check fleet-smoke fuzz-smoke distrib-smoke serve-smoke perf-smoke

@@ -4,16 +4,15 @@
 // static fixed architecture), Fig. 16 (gain vs a heterogeneous machine), and
 // Fig. 17 (datacenter big/small-core mixes).
 //
-// With -incremental, table4 and table6 are priced through the allocation
-// core (internal/alloc) by incremental search in O(probes) per bid instead
-// of O(grid); -churn runs an arrival/departure/phase-change scenario through
-// the same core and reports the marginal cost of every event.
+// Every table and figure is an optimum over measured Slice x L2 grids.
+// -churn instead runs an arrival/departure/phase-change scenario through the
+// allocation core (internal/alloc), which prices each bid by incremental
+// search, and reports the marginal probe cost of every event.
 //
 // Usage:
 //
 //	market -exp table4 -results results/perf.json
 //	market -exp fig15  -results results/perf.json
-//	market -exp table6 -incremental
 //	market -churn -bench gcc,mcf,sjeng
 package main
 
@@ -25,7 +24,6 @@ import (
 	"os/signal"
 	"strings"
 
-	"sharing/internal/alloc"
 	"sharing/internal/econ"
 	"sharing/internal/experiments"
 	"sharing/internal/plot"
@@ -34,17 +32,16 @@ import (
 func main() {
 	experiments.MaybeWorker()
 	var (
-		exp         = flag.String("exp", "table4", "table4|table5|table6|fig14|fig15|fig16|fig17")
-		benches     = flag.String("bench", "", "comma-separated benchmarks (default: all)")
-		n           = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread")
-		seed        = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
-		results     = flag.String("results", "", "JSON results cache (reused across runs)")
-		backend     = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		shards      = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
-		resume      = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
-		quiet       = flag.Bool("q", false, "suppress per-run progress")
-		incremental = flag.Bool("incremental", false, "price table4/table6 bids by incremental search (O(probes) per bid)")
-		churn       = flag.Bool("churn", false, "run the churn scenario through the allocation core and report per-event costs")
+		exp     = flag.String("exp", "table4", "table4|table5|table6|fig14|fig15|fig16|fig17")
+		benches = flag.String("bench", "", "comma-separated benchmarks (default: all)")
+		n       = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread")
+		seed    = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
+		results = flag.String("results", "", "JSON results cache (reused across runs)")
+		backend = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
+		shards  = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
+		resume  = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
+		quiet   = flag.Bool("q", false, "suppress per-run progress")
+		churn   = flag.Bool("churn", false, "run the churn scenario through the allocation core and report per-event costs")
 	)
 	flag.Parse()
 
@@ -126,17 +123,7 @@ func main() {
 		fmt.Println("  Utility3 (OLDI):             U = v * P^3    (single-stream)")
 		return
 	case "table4":
-		var rows []experiments.OptimaRow
-		var err error
-		if *incremental {
-			var st alloc.Stats
-			rows, st, err = experiments.Table4Incremental(r, names)
-			if err == nil {
-				defer printEconomy(st, r)
-			}
-		} else {
-			rows, _, err = experiments.Table4(r, names)
-		}
+		rows, _, err := experiments.Table4(r, names)
 		if err != nil {
 			stopOrFatal(r, err)
 		}
@@ -148,22 +135,11 @@ func main() {
 			"Table 4 - optimal (L2 KB, Slices) per performance-area metric",
 			[]string{"benchmark", "perf/area", "perf^2/area", "perf^3/area"}, out))
 	case "table6":
-		var rows []experiments.MarketOptimaRow
-		if *incremental {
-			var st alloc.Stats
-			var err error
-			rows, st, err = experiments.Table6Incremental(r, names)
-			if err != nil {
-				stopOrFatal(r, err)
-			}
-			defer printEconomy(st, r)
-		} else {
-			_, suite, err := experiments.Table4(r, names)
-			if err != nil {
-				stopOrFatal(r, err)
-			}
-			rows = experiments.Table6(suite)
+		_, suite, err := experiments.Table4(r, names)
+		if err != nil {
+			stopOrFatal(r, err)
 		}
+		rows := experiments.Table6(suite)
 		header := []string{"benchmark"}
 		for _, m := range econ.Markets() {
 			for k := 1; k <= 3; k++ {
@@ -282,13 +258,6 @@ func main() {
 	if err := r.Save(); err != nil {
 		fatal(err)
 	}
-}
-
-// printEconomy reports the incremental searches' probe economy against the
-// batch baseline of one full grid sweep per surface.
-func printEconomy(st alloc.Stats, r *experiments.Runner) {
-	fmt.Printf("incremental: %d searches, %d probes (%d simulator runs) vs %d grid measurements for %d surfaces\n",
-		st.Searches, st.CacheMisses, r.SimRuns(), st.GridProbes, st.Surfaces)
 }
 
 // stopOrFatal handles an experiment error. A graceful interrupt (the

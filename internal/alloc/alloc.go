@@ -1,6 +1,6 @@
 // Package alloc is the one market core: every bid the repository prices —
-// the sharded fleet simulator's epoch groups, the experiments drivers'
-// incremental tables and churn scenario, and the sharingd daemon's requests
+// the sharded fleet simulator's epoch groups, the experiments churn
+// scenario, and the sharingd daemon's requests
 // (cmd/sharingd is the HTTP face) — goes through an Allocator. One goroutine
 // driving it is the degenerate case of many goroutines driving it at
 // thousands of bids per second:

@@ -35,8 +35,8 @@ type Grid map[Config]float64
 
 // Configs returns the grid's configurations in deterministic order. It
 // allocates and sorts per call, so it belongs in presentation and setup code
-// only; the optimum searches below iterate the map directly under an explicit
-// total order instead.
+// only; the optimum searches reduce the map directly under an explicit total
+// order instead (argmax).
 func (g Grid) Configs() []Config {
 	out := make([]Config, 0, len(g))
 	for c := range g {
@@ -47,7 +47,7 @@ func (g Grid) Configs() []Config {
 }
 
 // configLess is the canonical (Slices, CacheKB) ordering used for display
-// and for deterministic candidate enumeration.
+// and for deterministic error reports.
 func configLess(a, b Config) bool {
 	if a.Slices != b.Slices {
 		return a.Slices < b.Slices
@@ -147,25 +147,34 @@ func Better(m Market, va float64, a Config, vb float64, b Config) bool {
 	return PreferOnTie(m, a, b)
 }
 
-// Best returns the utility-maximizing configuration on the grid, resolving
-// ties with PreferOnTie. The reduction iterates the map directly: the total
-// order makes the outcome independent of iteration order, and skipping the
-// per-call Configs() sort keeps Best allocation-free (it runs once per
-// customer per tatonnement round under churn — see BenchmarkUtilityBest).
-func (u Utility) Best(m Market, g Grid) (Config, float64) {
-	var best Config
-	bestU := math.Inf(-1)
-	ok := false
+// argmax reduces the grid's valid configurations to the one whose score is
+// best under the Better total order for market m; ok is false when none is
+// valid. It iterates the map directly: the total order makes the outcome
+// independent of iteration order, and skipping the per-call Configs() sort
+// keeps it allocation-free (Utility.Best runs once per customer per
+// tatonnement round under churn — see BenchmarkUtilityBest).
+func argmax(m Market, g Grid, score func(c Config, p float64) float64) (best Config, bestV float64, ok bool) {
+	bestV = math.Inf(-1)
 	for c, p := range g {
 		if !c.Valid() {
 			continue
 		}
-		v := u.Value(m, p, c)
-		if !ok || Better(m, v, c, bestU, best) {
+		v := score(c, p)
+		if !ok || Better(m, v, c, bestV, best) {
 			//ssim:nolint maprange: reduction under the Better total order; the surviving (config, score) pair is independent of map iteration order
-			best, bestU, ok = c, v, true
+			best, bestV, ok = c, v, true
 		}
 	}
+	return best, bestV, ok
+}
+
+// scored is argmax's score for a grid whose values are already scores.
+func scored(_ Config, v float64) float64 { return v }
+
+// Best returns the utility-maximizing configuration on the grid, resolving
+// ties with PreferOnTie.
+func (u Utility) Best(m Market, g Grid) (Config, float64) {
+	best, bestU, _ := argmax(m, g, func(c Config, p float64) float64 { return u.Value(m, p, c) })
 	return best, bestU
 }
 
@@ -177,23 +186,9 @@ func Metric(k int, perf float64, cfg Config) float64 {
 }
 
 // BestByMetric returns the perf^k/area-maximizing configuration, resolving
-// ties with PreferOnTie under area prices (Market2). Like Utility.Best it is
-// an allocation-free map reduction under a total order.
+// ties with PreferOnTie under area prices (Market2).
 func BestByMetric(k int, g Grid) (Config, float64) {
-	m := Market2()
-	var best Config
-	bestM := math.Inf(-1)
-	ok := false
-	for c, p := range g {
-		if !c.Valid() {
-			continue
-		}
-		v := Metric(k, p, c)
-		if !ok || Better(m, v, c, bestM, best) {
-			//ssim:nolint maprange: reduction under the Better total order; the surviving (config, score) pair is independent of map iteration order
-			best, bestM, ok = c, v, true
-		}
-	}
+	best, bestM, _ := argmax(Market2(), g, func(c Config, p float64) float64 { return Metric(k, p, c) })
 	return best, bestM
 }
 

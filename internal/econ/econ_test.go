@@ -226,6 +226,24 @@ func TestBestFixedErrors(t *testing.T) {
 	}
 }
 
+// TestBestFixedTieBreak: an exact tie between fixed architectures resolves
+// with PreferOnTie, like every other optimum, not to the configuration with
+// fewer Slices.
+func TestBestFixedTieBreak(t *testing.T) {
+	// Under Market2/Utility1 both score exactly 50: 100/5*2.5 and 100/2*1.
+	s := Suite{"b": Grid{
+		{Slices: 1, CacheKB: 512}: 2.5,
+		{Slices: 2, CacheKB: 0}:   1.0,
+	}}
+	got, err := BestFixed(s, []Utility{Utility1()}, Market2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{Slices: 2, CacheKB: 0}); got != want {
+		t.Fatalf("BestFixed picked %v, want the cheaper %v", got, want)
+	}
+}
+
 // TestBestTieBreakRule pins the explicit tie-breaking order: equal utility
 // resolves to the lower cost, then the lower Slice count, then less cache.
 func TestBestTieBreakRule(t *testing.T) {

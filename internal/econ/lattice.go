@@ -26,7 +26,7 @@ type ProbeFn func(Config) (float64, error)
 
 // Objective scores a configuration given its measured performance. The two
 // objectives in use are Utility.Value at the current market prices (bid
-// pricing) and Metric (perf^k/area, phase scheduling).
+// pricing) and the fleet's utility per watt.
 type Objective func(perf float64, cfg Config) float64
 
 // Config.Valid (Equation 3) admits 1-8 Slices and 0-8 MB of L2 in 64 KB

@@ -21,42 +21,32 @@ func (s Suite) Names() []string {
 // BestFixed returns the single configuration that maximizes the geometric
 // mean of utility across every (benchmark, utility-function) combination —
 // the best possible *static fixed architecture* a commodity-multicore
-// provider could build for this customer population (§5.8, Fig. 15).
+// provider could build for this customer population (§5.8, Fig. 15). Ties
+// resolve with PreferOnTie under m.
 func BestFixed(s Suite, utils []Utility, m Market) (Config, error) {
 	if len(s) == 0 || len(utils) == 0 {
 		return Config{}, fmt.Errorf("econ: empty suite or utility set")
 	}
-	// Candidate configs come from the first benchmark in sorted-name order:
-	// pulling them from an arbitrary map entry would make tie-breaks between
-	// equal-scoring configs depend on map iteration order.
-	candidates := s[s.Names()[0]].Configs()
-	var best Config
-	bestScore := -1.0
-	for _, cfg := range candidates {
-		if !cfg.Valid() {
-			continue
-		}
+	// Candidates are the first benchmark's configurations that every
+	// benchmark measured, each scored by the GME of its utilities.
+	names := s.Names()
+	scores := make(Grid)
+candidates:
+	for _, cfg := range s[names[0]].Configs() {
 		var vals []float64
-		ok := true
-		for _, name := range s.Names() {
-			g := s[name]
-			p, present := g[cfg]
-			if !present {
-				ok = false
-				break
+		for _, name := range names {
+			p, ok := s[name][cfg]
+			if !ok {
+				continue candidates
 			}
 			for _, u := range utils {
 				vals = append(vals, u.Value(m, p, cfg))
 			}
 		}
-		if !ok {
-			continue
-		}
-		if score := GME(vals); score > bestScore {
-			best, bestScore = cfg, score
-		}
+		scores[cfg] = GME(vals)
 	}
-	if bestScore < 0 {
+	best, _, ok := argmax(m, scores, scored)
+	if !ok {
 		return Config{}, fmt.Errorf("econ: no configuration is measured for every benchmark")
 	}
 	return best, nil

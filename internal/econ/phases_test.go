@@ -142,100 +142,3 @@ func TestDatacenterMixMissingMeasurement(t *testing.T) {
 		t.Fatal("missing small-core measurement accepted")
 	}
 }
-
-// phaseLattice builds nPhases synthetic phase surfaces over a full product
-// lattice, with the per-phase optimum drifting so the warm-start chain is
-// actually exercised.
-func phaseLattice(nPhases int, slices, caches []int) []PhaseData {
-	phases := make([]PhaseData, nPhases)
-	for ph := 0; ph < nPhases; ph++ {
-		cyc := make(map[Config]int64)
-		// The phase's appetite for cache drifts with ph.
-		knee := float64(int(128) << (ph % 4)) // 128, 256, 512, 1024 KB
-		for _, s := range slices {
-			for _, kb := range caches {
-				ipc := (float64(s) / (float64(s) + 1.5)) * (0.4 + float64(kb)/(float64(kb)+knee))
-				cyc[Config{Slices: s, CacheKB: kb}] = int64(float64(200000) / ipc)
-			}
-		}
-		phases[ph] = PhaseData{Insts: 200000, Cycles: cyc}
-	}
-	return phases
-}
-
-// TestIncrementalPhaseAnalysisMatchesBatch: the probe-driven analysis must
-// choose the identical per-phase configurations and dynamic GME as the
-// full-grid PhaseAnalysis, at a fraction of the measurements.
-func TestIncrementalPhaseAnalysisMatchesBatch(t *testing.T) {
-	slices := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	caches := []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
-	phases := phaseLattice(8, slices, caches)
-	reconfig := func(a, b Config) int64 {
-		if a == b {
-			return 0
-		}
-		if a.CacheKB != b.CacheKB {
-			return 10000
-		}
-		return 500
-	}
-	for _, k := range []int{1, 2, 3} {
-		batch, err := PhaseAnalysis(phases, k, reconfig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probes := 0
-		inc, err := IncrementalPhaseAnalysis(len(phases), k, slices, caches, Config{},
-			func(ph int, cfg Config) (uint64, int64, error) {
-				probes++
-				return phases[ph].Insts, phases[ph].Cycles[cfg], nil
-			}, reconfig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range batch.PerPhase {
-			if inc.PerPhase[i] != batch.PerPhase[i] {
-				t.Fatalf("k=%d phase %d: incremental %v != batch %v", k, i, inc.PerPhase[i], batch.PerPhase[i])
-			}
-		}
-		if inc.DynGME != batch.DynGME {
-			t.Fatalf("k=%d: incremental DynGME %v != batch %v", k, inc.DynGME, batch.DynGME)
-		}
-		// The phase memo answers the search's revisits: the probe runs
-		// once per distinct configuration each phase's search visits.
-		sum := 0
-		for _, n := range inc.Probes {
-			sum += n
-		}
-		if sum != probes {
-			t.Fatalf("k=%d: %d probe calls for %d distinct configurations", k, probes, sum)
-		}
-		full := len(phases) * len(slices) * len(caches)
-		if probes >= full {
-			t.Fatalf("k=%d: incremental issued %d probes, no better than %d full-grid measurements", k, probes, full)
-		}
-		// Warm-start locality: phases after the first converge cheaply.
-		for i := 1; i < len(phases); i++ {
-			if inc.Probes[i] > inc.Probes[0] {
-				t.Logf("k=%d phase %d probed %d (> cold %d): warm start not helping", k, i, inc.Probes[i], inc.Probes[0])
-			}
-		}
-		t.Logf("k=%d: %d probes vs %d grid measurements (%.1fx)", k, probes, full, float64(full)/float64(probes))
-	}
-}
-
-// TestIncrementalPhaseAnalysisErrors covers the input validation.
-func TestIncrementalPhaseAnalysisErrors(t *testing.T) {
-	slices, caches := []int{1, 2}, []int{0, 64}
-	probe := func(ph int, cfg Config) (uint64, int64, error) { return 1, 1, nil }
-	if _, err := IncrementalPhaseAnalysis(0, 1, slices, caches, Config{}, probe, noReconfig); err == nil {
-		t.Fatal("zero phases accepted")
-	}
-	if _, err := IncrementalPhaseAnalysis(1, 1, nil, caches, Config{}, probe, noReconfig); err == nil {
-		t.Fatal("empty slice axis accepted")
-	}
-	if _, err := IncrementalPhaseAnalysis(1, 1, slices, caches, Config{},
-		func(ph int, cfg Config) (uint64, int64, error) { return 1, 0, nil }, noReconfig); err == nil {
-		t.Fatal("non-positive cycles accepted")
-	}
-}

@@ -7,7 +7,6 @@ import (
 
 	"sharing/internal/alloc"
 	"sharing/internal/econ"
-	"sharing/internal/hypervisor"
 	"sharing/internal/workload"
 )
 
@@ -15,8 +14,9 @@ import (
 // the simulator: a RunnerProber turns search probes into Runner
 // measurements — behind the content-addressed results cache, the
 // singleflight collapse, and (when enabled) sampled simulation — plus the
-// incremental counterparts of the batch table drivers and the churn
-// scenario used by cmd/market and the recorded benchmarks.
+// churn scenario that cmd/market -churn drives through the core. The
+// paper's tables are optima over full grids (figures.go); they do not go
+// through the core.
 
 // RunnerProber adapts a Runner to market.Prober/market.PhaseProber.
 // Performance is IPC, the same figure of merit the grid sweeps feed the
@@ -44,120 +44,13 @@ func (p RunnerProber) ProbePhase(bench string, phase int, cfg econ.Config) (floa
 }
 
 // NewAllocator builds an allocator (internal/alloc) over the standard
-// lattice, probing through r. A zero supply makes a pricing-only allocator
-// (the table drivers).
+// lattice, probing through r. A zero supply makes a pricing-only allocator.
 func NewAllocator(r *Runner, supply econ.Supply) (*alloc.Allocator, error) {
 	return alloc.New(alloc.Params{
 		Slices:  StdSlices,
 		CacheKB: StdCaches,
 		Supply:  supply,
 	}, RunnerProber{R: r})
-}
-
-// Table4Incremental reproduces Table 4 (perf^k/area optima) by incremental
-// search: Metric under k equals Utility_k under area prices (Market2) up to
-// the constant budget factor, with the same tie-break, so three bids per
-// benchmark replace the 72-point sweep.
-func Table4Incremental(r *Runner, names []string) ([]OptimaRow, alloc.Stats, error) {
-	if len(names) == 0 {
-		names = workload.Names()
-	}
-	names = append([]string(nil), names...)
-	sort.Strings(names)
-	a, err := NewAllocator(r, econ.Supply{})
-	if err != nil {
-		return nil, alloc.Stats{}, err
-	}
-	var rows []OptimaRow
-	for _, b := range names {
-		row := OptimaRow{Bench: b}
-		for _, u := range econ.Utilities() {
-			bid, err := a.PriceBid(b, u, econ.Market2())
-			if err != nil {
-				return nil, alloc.Stats{}, err
-			}
-			row.Best[u.K-1] = bid.Config
-		}
-		rows = append(rows, row)
-	}
-	return rows, a.Stats(), nil
-}
-
-// Table6Incremental reproduces Table 6 (per-market, per-utility optimal
-// VCores) by pricing 9 bids per benchmark through the allocation core
-// instead of sweeping 72-point grids. It returns the rows and the
-// allocator's probe-economy statistics.
-func Table6Incremental(r *Runner, names []string) ([]MarketOptimaRow, alloc.Stats, error) {
-	if len(names) == 0 {
-		names = workload.Names()
-	}
-	names = append([]string(nil), names...)
-	sort.Strings(names)
-	a, err := NewAllocator(r, econ.Supply{})
-	if err != nil {
-		return nil, alloc.Stats{}, err
-	}
-	var rows []MarketOptimaRow
-	for _, b := range names {
-		row := MarketOptimaRow{Bench: b}
-		for mi, m := range econ.Markets() {
-			for _, u := range econ.Utilities() {
-				bid, err := a.PriceBid(b, u, m)
-				if err != nil {
-					return nil, alloc.Stats{}, err
-				}
-				row.Best[mi][u.K-1] = bid.Config
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, a.Stats(), nil
-}
-
-// IncrementalPhaseTable is one metric's dynamic schedule from the
-// probe-driven analysis.
-type IncrementalPhaseTable struct {
-	K        int
-	Schedule *econ.IncrementalPhaseSchedule
-}
-
-// Table7Incremental reproduces Table 7's dynamic schedules by warm-started
-// per-phase search instead of ten full phase grids: phase p+1's search
-// starts from phase p's optimum. The configurations and dynamic GMEs are
-// identical to Table7's (the differential test pins this); only the static
-// baseline — which inherently needs full grids — is omitted.
-func Table7Incremental(r *Runner) ([]IncrementalPhaseTable, error) {
-	prof, err := workload.Lookup("gcc")
-	if err != nil {
-		return nil, err
-	}
-	nPhases := prof.NumPhases()
-	probe := func(phase int, cfg econ.Config) (uint64, int64, error) {
-		m, err := r.MeasurePhase("gcc", phase, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		ipc := m.IPC()
-		if ipc <= 0 {
-			return 0, 0, fmt.Errorf("experiments: gcc phase %d %v: non-positive IPC", phase, cfg)
-		}
-		// Derive cycles exactly as Table7 does from grid IPCs, so the two
-		// paths compute bit-identical metrics.
-		n := r.traceLen()
-		return uint64(n), int64(float64(n) / ipc), nil
-	}
-	reconf := func(a, b econ.Config) int64 {
-		return hypervisor.ReconfigCost(a.CacheKB, b.CacheKB, a.Slices, b.Slices)
-	}
-	var out []IncrementalPhaseTable
-	for k := 1; k <= 3; k++ {
-		sched, err := econ.IncrementalPhaseAnalysis(nPhases, k, StdSlices, StdCaches, econ.Config{}, probe, reconf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, IncrementalPhaseTable{K: k, Schedule: sched})
-	}
-	return out, nil
 }
 
 // ChurnEvent is one step of a churn scenario, with its marginal cost.

@@ -237,8 +237,8 @@ func (r *Runner) EffectiveTraceLen() int { return r.traceLen() }
 
 // SimRuns returns the number of simulator executions dispatched so far —
 // measurements that missed both the in-memory and the persisted results
-// cache (including the replayed checkpoint journal). It is the denominator
-// of the incremental searches' probe economy, and the resume
+// cache (including the replayed checkpoint journal). It is the simulator
+// cost beneath the churn scenario's probe economy, and the resume
 // contract's witness: a fully checkpointed sweep restarts with SimRuns
 // staying at zero.
 func (r *Runner) SimRuns() int64 { return r.simRuns.Load() }
