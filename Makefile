@@ -127,7 +127,14 @@ fleet-smoke:
 # meter accepts. FuzzMeter: decoded reservation streams (any width, start
 # cycle and mix of steps, window jumps and far jumps within the meter's
 # exact range) must get the grants of the earlier cycle<<16 | count meter
-# kept in the test as the reference. A failing input lands in
+# kept in the test as the reference. FuzzCache: decoded operation streams
+# over every oracle geometry must give the flat packed tag array the
+# returns and counters of the earlier per-set-slice cache kept in the test.
+# FuzzMemImage: decoded loads and stores of any word, zero included, must
+# match a map reference in load and rangeWords. FuzzRunnerLoad: an arbitrary
+# results file plus a checkpoint journal with a torn tail must load without
+# panic, keep only the journal's complete records, and survive a Save/Load
+# round trip unchanged. A failing input lands in
 # the package's testdata/fuzz, where plain `go test` replays it. Minimizing
 # a new input is capped at 2 s, so a large input cannot spend the whole
 # window being minimized.
@@ -140,6 +147,9 @@ fuzz-smoke:
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/vcore -run '^$$' -fuzz '^FuzzMemImage$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunnerLoad$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet

@@ -9,7 +9,10 @@
 // load/store queues.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache array.
 type Config struct {
@@ -44,23 +47,37 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if c.LineSize == 1 && sets == 1 {
+		// A tag entry stores a 64-bit address less its line-offset and
+		// set-index bits, plus the dirty bit: it needs one of them.
+		return fmt.Errorf("cache: a single set of 1-byte lines leaves no tag bit for the dirty flag")
+	}
 	return nil
 }
 
-// line is one tag entry. Entries in a set are kept in LRU order,
-// most-recently-used first.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
-
 // Cache is a set-associative, write-back, LRU cache tag array.
+//
+// The tags live in one flat array of nSets × Ways entries. Set s owns
+// tags[s*Ways : (s+1)*Ways], and its first count(s) entries are its
+// resident lines in LRU order, most-recently-used first; the rest are
+// free. An entry packs a line's tag above its dirty bit (entry>>1 is the
+// tag, entry&1 the dirty flag). The tag omits the line-offset and set-index
+// bits, which the entry's position already names, so Validate's demand that
+// together they be at least one bit leaves room for the dirty flag.
+//
+// The per-set fill counts are packed into fill, 1<<fillShift bits each:
+// the smallest power-of-two width that holds Ways, so that a field never
+// straddles two words. A 2-way cache spends 2 bits per set.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	tags      []uint64
+	fill      []uint64
+	ways      uint64
 	setMask   uint64
 	lineShift uint
+	setShift  uint // log2 of the set count
+	fillShift uint // log2 of the bits per fill count
+	fillMask  uint64
 
 	// Statistics.
 	Hits, Misses, Evictions, Writebacks uint64
@@ -76,20 +93,15 @@ func New(cfg Config) *Cache {
 	if cfg.SizeBytes == 0 {
 		return c
 	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineSize {
-		shift++
-	}
 	nSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
-	c.lineShift = shift
+	c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
+	c.setShift = uint(bits.TrailingZeros(uint(nSets)))
 	c.setMask = uint64(nSets - 1)
-	c.sets = make([][]line, nSets)
-	// Carve all sets out of one backing array: a separate make per set costs
-	// thousands of small allocations per simulator construction.
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : i*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	c.ways = uint64(cfg.Ways)
+	c.fillShift = uint(bits.Len(uint(bits.Len(uint(cfg.Ways)) - 1)))
+	c.fillMask = ^uint64(0) >> (64 - 1<<c.fillShift)
+	c.tags = make([]uint64, nSets*cfg.Ways)
+	c.fill = make([]uint64, (nSets<<c.fillShift+63)/64)
 	return c
 }
 
@@ -104,9 +116,84 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineSize) - 1)
 }
 
-func (c *Cache) set(addr uint64) ([]line, uint64) {
-	tag := addr >> c.lineShift
-	return c.sets[tag&c.setMask], tag
+// locate returns the set index of addr, the resident part of that set
+// (MRU first) and addr's tag. The slice's capacity runs to the end of the
+// set, so a fill can extend it in place.
+//
+//ssim:hotpath
+func (c *Cache) locate(addr uint64) (s uint64, set []uint64, tag uint64) {
+	line := addr >> c.lineShift
+	s = line & c.setMask
+	base := s * c.ways
+	return s, c.tags[base : base+c.count(s) : base+c.ways], line >> c.setShift
+}
+
+// find returns the position of tag in set, or -1.
+//
+//ssim:hotpath
+func find(set []uint64, tag uint64) int {
+	for i, e := range set {
+		if e>>1 == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// count returns how many lines set s holds.
+//
+//ssim:hotpath
+func (c *Cache) count(s uint64) uint64 {
+	b := s << c.fillShift
+	return c.fill[b>>6] >> (b & 63) & c.fillMask
+}
+
+// setCount records that set s holds n lines.
+//
+//ssim:hotpath
+func (c *Cache) setCount(s, n uint64) {
+	b := s << c.fillShift
+	w := &c.fill[b>>6]
+	*w = *w&^(c.fillMask<<(b&63)) | n<<(b&63)
+}
+
+// lineOf rebuilds the line address of an entry resident in set s.
+func (c *Cache) lineOf(e, s uint64) uint64 {
+	return (e>>1<<c.setShift | s) << c.lineShift
+}
+
+// toFront moves set[i] to the front, ORing dirty into it.
+//
+//ssim:hotpath
+func toFront(set []uint64, i int, dirty bool) {
+	e := set[i]
+	if dirty {
+		e |= 1
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = e
+}
+
+// insert makes tag the most-recently-used line of set s, which does not
+// hold it, evicting the least-recently-used line when the set is full.
+//
+//ssim:hotpath
+func (c *Cache) insert(s uint64, set []uint64, tag uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
+	e := tag << 1
+	if dirty {
+		e |= 1
+	}
+	if n := uint64(len(set)); n < c.ways {
+		set = set[:n+1]
+		copy(set[1:], set[:n])
+		set[0] = e
+		c.setCount(s, n+1)
+		return 0, false, false
+	}
+	v := set[len(set)-1]
+	copy(set[1:], set[:len(set)-1])
+	set[0] = e
+	return c.lineOf(v, s), v&1 != 0, true
 }
 
 // Lookup probes the cache. On a hit it updates LRU order and, if write is
@@ -118,18 +205,11 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 		c.Misses++
 		return false
 	}
-	set, tag := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			l := set[i]
-			if write {
-				l.dirty = true
-			}
-			copy(set[1:i+1], set[:i]) // move to front
-			set[0] = l
-			c.Hits++
-			return true
-		}
+	_, set, tag := c.locate(addr)
+	if i := find(set, tag); i >= 0 {
+		toFront(set, i, write)
+		c.Hits++
+		return true
 	}
 	c.Misses++
 	return false
@@ -142,13 +222,8 @@ func (c *Cache) Contains(addr uint64) bool {
 	if c.cfg.SizeBytes == 0 {
 		return false
 	}
-	set, tag := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	_, set, tag := c.locate(addr)
+	return find(set, tag) >= 0
 }
 
 // Fill inserts the line containing addr as most-recently-used, marking it
@@ -161,34 +236,19 @@ func (c *Cache) Fill(addr uint64, dirty bool) (victim uint64, victimDirty, evict
 	if c.cfg.SizeBytes == 0 {
 		return 0, false, false
 	}
-	setIdx := (addr >> c.lineShift) & c.setMask
-	set := c.sets[setIdx]
-	tag := addr >> c.lineShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			l := set[i]
-			l.dirty = l.dirty || dirty
-			copy(set[1:i+1], set[:i])
-			set[0] = l
-			return 0, false, false
-		}
-	}
-	nl := line{tag: tag, valid: true, dirty: dirty}
-	if len(set) < c.cfg.Ways {
-		set = append(set, line{})
-		copy(set[1:], set[:len(set)-1])
-		set[0] = nl
-		c.sets[setIdx] = set
+	s, set, tag := c.locate(addr)
+	if i := find(set, tag); i >= 0 {
+		toFront(set, i, dirty)
 		return 0, false, false
 	}
-	v := set[len(set)-1]
-	copy(set[1:], set[:len(set)-1])
-	set[0] = nl
-	c.Evictions++
-	if v.dirty {
-		c.Writebacks++
+	victim, victimDirty, evicted = c.insert(s, set, tag, dirty)
+	if evicted {
+		c.Evictions++
+		if victimDirty {
+			c.Writebacks++
+		}
 	}
-	return v.tag << c.lineShift, v.dirty, true
+	return victim, victimDirty, evicted
 }
 
 // Warm touches the line containing addr for functional warming (sampled
@@ -203,37 +263,13 @@ func (c *Cache) Warm(addr uint64, dirty bool) (hit bool, victim uint64, victimDi
 	if c.cfg.SizeBytes == 0 {
 		return false, 0, false, false
 	}
-	setIdx := (addr >> c.lineShift) & c.setMask
-	set := c.sets[setIdx]
-	tag := addr >> c.lineShift
-	// MRU hit is the overwhelmingly common case in warming loops (repeated
-	// touches of the same working set); take it without the scan or the
-	// LRU rotation, which are both no-ops at position 0.
-	if len(set) > 0 && set[0].valid && set[0].tag == tag {
-		set[0].dirty = set[0].dirty || dirty
+	s, set, tag := c.locate(addr)
+	if i := find(set, tag); i >= 0 {
+		toFront(set, i, dirty)
 		return true, 0, false, false
 	}
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			l := set[i]
-			l.dirty = l.dirty || dirty
-			copy(set[1:i+1], set[:i])
-			set[0] = l
-			return true, 0, false, false
-		}
-	}
-	nl := line{tag: tag, valid: true, dirty: dirty}
-	if len(set) < c.cfg.Ways {
-		set = append(set, line{})
-		copy(set[1:], set[:len(set)-1])
-		set[0] = nl
-		c.sets[setIdx] = set
-		return false, 0, false, false
-	}
-	v := set[len(set)-1]
-	copy(set[1:], set[:len(set)-1])
-	set[0] = nl
-	return false, v.tag << c.lineShift, v.dirty, true
+	victim, victimDirty, evicted = c.insert(s, set, tag, dirty)
+	return false, victim, victimDirty, evicted
 }
 
 // Invalidate removes the line containing addr if present, reporting whether
@@ -244,31 +280,31 @@ func (c *Cache) Invalidate(addr uint64) (present, wasDirty bool) {
 	if c.cfg.SizeBytes == 0 {
 		return false, false
 	}
-	setIdx := (addr >> c.lineShift) & c.setMask
-	set := c.sets[setIdx]
-	tag := addr >> c.lineShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			wasDirty = set[i].dirty
-			c.sets[setIdx] = append(set[:i], set[i+1:]...)
-			return true, wasDirty
-		}
+	s, set, tag := c.locate(addr)
+	i := find(set, tag)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	wasDirty = set[i]&1 != 0
+	copy(set[i:], set[i+1:])
+	c.setCount(s, uint64(len(set)-1))
+	return true, wasDirty
 }
 
 // FlushAll invalidates every line and returns how many dirty lines were
 // written back. Used when an L2 bank is reassigned to a different VM
 // (§3.8: reconfiguring cache requires flushing banks to main memory).
 func (c *Cache) FlushAll() (dirtyLines int) {
-	for i := range c.sets {
-		for _, l := range c.sets[i] {
-			if l.valid && l.dirty {
-				dirtyLines++
-			}
-		}
-		c.sets[i] = c.sets[i][:0]
+	if c.cfg.SizeBytes == 0 {
+		return 0
 	}
+	for s := uint64(0); s <= c.setMask; s++ {
+		base := s * c.ways
+		for _, e := range c.tags[base : base+c.count(s)] {
+			dirtyLines += int(e & 1)
+		}
+	}
+	clear(c.fill)
 	c.Writebacks += uint64(dirtyLines)
 	return dirtyLines
 }

@@ -45,14 +45,17 @@ type Stats struct {
 	StallCycles uint64
 }
 
-// Network is one logical 2-D switched network over a W x H tile grid. It is
+// Network is one logical 2-D switched network over a W x H box of tiles
+// whose lowest corner is Origin: the whole fabric for a network every tile
+// uses, or the few tiles of one VCore for a network only they use. It is
 // fire-and-forget: Send models port contention and returns the delivery
 // cycle, and the simulator consumes that cycle directly, so no message is
 // ever buffered.
 type Network struct {
-	Name  string
-	W, H  int
-	Width int // messages per cycle per injection/ejection port
+	Name   string
+	Origin Coord
+	W, H   int
+	Width  int // messages per cycle per injection/ejection port
 
 	egress  []*Meter // per source tile
 	ingress []*Meter // per destination tile
@@ -61,16 +64,33 @@ type Network struct {
 
 // New creates a network over a w x h grid with the given per-port bandwidth
 // in messages per cycle. Port meters are created lazily per tile.
-func New(name string, w, h, width int) *Network {
+func New(name string, w, h, width int) *Network { return NewBox(name, Coord{}, w, h, width) }
+
+// NewBox creates a network over the w x h box of tiles whose lowest corner
+// is origin. A coordinate outside the box panics in Send, as one outside
+// the grid does for New. Hop counts and latencies are those of the fabric:
+// the box only sizes the port tables.
+func NewBox(name string, origin Coord, w, h, width int) *Network {
 	if w <= 0 || h <= 0 || width <= 0 || width > MaxWidth {
 		panic(fmt.Sprintf("noc: invalid network geometry %dx%d width %d", w, h, width))
 	}
 	n := w * h
 	return &Network{
-		Name: name, W: w, H: h, Width: width,
+		Name: name, Origin: origin, W: w, H: h, Width: width,
 		egress:  make([]*Meter, n),
 		ingress: make([]*Meter, n),
 	}
+}
+
+// BoundingBox returns the lowest corner and size of the smallest box that
+// holds every tile in tiles, which must be non-empty.
+func BoundingBox(tiles []Coord) (origin Coord, w, h int) {
+	lo, hi := tiles[0], tiles[0]
+	for _, c := range tiles[1:] {
+		lo.X, hi.X = min(lo.X, c.X), max(hi.X, c.X)
+		lo.Y, hi.Y = min(lo.Y, c.Y), max(hi.Y, c.Y)
+	}
+	return lo, hi.X - lo.X + 1, hi.Y - lo.Y + 1
 }
 
 func (n *Network) meter(ms []*Meter, i int) *Meter {
@@ -81,10 +101,11 @@ func (n *Network) meter(ms []*Meter, i int) *Meter {
 }
 
 func (n *Network) index(c Coord) int {
-	if c.X < 0 || c.X >= n.W || c.Y < 0 || c.Y >= n.H {
-		panic(fmt.Sprintf("noc: %s: coordinate %v outside %dx%d grid", n.Name, c, n.W, n.H))
+	x, y := c.X-n.Origin.X, c.Y-n.Origin.Y
+	if x < 0 || x >= n.W || y < 0 || y >= n.H {
+		panic(fmt.Sprintf("noc: %s: coordinate %v outside the %dx%d box at %v", n.Name, c, n.W, n.H, n.Origin))
 	}
-	return c.Y*n.W + c.X
+	return y*n.W + x
 }
 
 // Send injects a message from src to dst at cycle now and returns its

@@ -147,6 +147,39 @@ func TestOutOfGridPanics(t *testing.T) {
 	n.Send(0, Coord{9, 0}, Coord{0, 0})
 }
 
+// TestBoxMatchesFabric sends the same contended traffic among the tiles of
+// one box through a fabric-wide network and through a network sized to the
+// box: every delivery cycle and statistic must agree, and a tile one step
+// outside the box on any side must panic.
+func TestBoxMatchesFabric(t *testing.T) {
+	tiles := []Coord{{5, 3}, {6, 3}, {5, 4}, {6, 4}, {7, 3}}
+	o, w, h := BoundingBox(tiles)
+	if o != (Coord{5, 3}) || w != 3 || h != 2 {
+		t.Fatalf("BoundingBox = %v %dx%d, want {5 3} 3x2", o, w, h)
+	}
+	fab, box := New("f", 16, 8, 2), NewBox("b", o, w, h, 2)
+	for i := 0; i < 500; i++ {
+		now := int64(i / 3)
+		src, dst := tiles[i%len(tiles)], tiles[(i*7+1)%len(tiles)]
+		if a, b := fab.Send(now, src, dst), box.Send(now, src, dst); a != b {
+			t.Fatalf("message %d %v->%v: box delivers at %d, fabric at %d", i, src, dst, b, a)
+		}
+	}
+	if fab.Stats() != box.Stats() {
+		t.Fatalf("box stats %+v, fabric %+v", box.Stats(), fab.Stats())
+	}
+	for _, c := range []Coord{{4, 3}, {8, 3}, {5, 2}, {5, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v outside the box did not panic", c)
+				}
+			}()
+			box.Send(0, tiles[0], c)
+		}()
+	}
+}
+
 func TestMeterOutOfOrderReservations(t *testing.T) {
 	m := NewMeter(1)
 	// A far-future reservation must not delay a present one.

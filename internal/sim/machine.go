@@ -514,9 +514,11 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 	for ti, th := range mt.Threads {
 		// The operand and sort networks carry only intra-VCore traffic, so
 		// each engine owns a private instance (identical timing and summed
-		// statistics; see the Machine doc comment).
-		opNet := noc.New("operand", w, h, p.OperandNetWidth)
-		sortNet := noc.New("lssort", w, h, p.SortNetWidth)
+		// statistics; see the Machine doc comment), spanning only the box
+		// that holds its Slices.
+		o, bw, bh := noc.BoundingBox(vm.VCores[ti].Slices)
+		opNet := noc.NewBox("operand", o, bw, bh, p.OperandNetWidth)
+		sortNet := noc.NewBox("lssort", o, bw, bh, p.SortNetWidth)
 		u := &uncoreFor{m: m, vc: ti}
 		eng, err := vcore.New(p.VCore, th, vm.VCores[ti].Slices, opNet, sortNet, u)
 		if err != nil {

@@ -183,7 +183,7 @@ type Engine struct {
 	regRetPos [isa.NumArchRegs]regRet
 	copies    [isa.NumArchRegs][MaxSlices]regCopy
 
-	mem *memImage // committed memory image
+	mem memImage // committed memory image
 
 	events eventQueue
 	stats  Stats
@@ -230,7 +230,6 @@ func New(cfg Config, tr *trace.Trace, pos []noc.Coord, opNet, sortNet *noc.Netwo
 	e := &Engine{
 		cfg: cfg, tr: tr.Insts, name: tr.Name, uncore: uncore,
 		opNet: opNet, sortNet: sortNet, pos: pos,
-		mem:           newMemImage(),
 		blockedBranch: -1,
 	}
 	e.warmU, _ = uncore.(WarmUncore)

@@ -15,6 +15,8 @@ const (
 	// evStoreData: a store's data value arrives at its LSQ bank.
 	evStoreData
 	// evLoadRetry: a load retries its bank access (MSHR or bank full).
+	// It is the last instruction-keyed kind (see perInst); the kinds
+	// after it name a Slice or a line.
 	evLoadRetry
 	// evIFill: an instruction-cache line fill completes at a Slice.
 	evIFill
@@ -97,7 +99,13 @@ func (q *eventQueue) popReady(now int64) (event, bool) {
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
 	q.h = q.h[:n]
-	i := 0
+	q.down(0)
+	return top, true
+}
+
+// down restores the heap order below position i.
+func (q *eventQueue) down(i int) {
+	n := len(q.h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
@@ -108,12 +116,33 @@ func (q *eventQueue) popReady(now int64) (event, bool) {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
 		q.h[i], q.h[m] = q.h[m], q.h[i]
 		i = m
 	}
-	return top, true
+}
+
+// perInst reports whether events of kind k name an instruction by its seq
+// (rather than a Slice or a line), so that a squash of that seq voids them.
+func (k evKind) perInst() bool { return k <= evLoadRetry }
+
+// dropFrom removes every instruction-keyed event whose seq is at or past
+// from, keeping the rest (fills, drains, older instructions' events), and
+// restores the heap. Each event keeps its ordinal, so the remaining events
+// pop in the order they would have without the removal.
+func (q *eventQueue) dropFrom(from uint64) {
+	kept := q.h[:0]
+	for _, ev := range q.h {
+		if !ev.kind.perInst() || ev.seq < from {
+			kept = append(kept, ev)
+		}
+	}
+	clear(q.h[len(kept):])
+	q.h = kept
+	for i := len(q.h)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
 // nextAt returns the time of the earliest pending event.

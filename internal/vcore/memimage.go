@@ -1,74 +1,97 @@
 package vcore
 
-// memImage is the committed memory image of one thread: a paged map from
-// 8-byte-aligned word addresses to 64-bit values. The engine reads it on
-// every load hit and writes it on every store commit, so the hot path must
-// not pay a Go map operation per access: words are grouped into 4 KB pages
-// (flat arrays) and recently touched pages are kept in a small
-// direct-mapped translation cache, making the common access a
-// mask-and-index. A single most-recent-page slot is not enough — pointer-
-// chasing workloads (mcf, omnetpp) alternate between many resident pages
-// and would fall back to the map on nearly every access. Absent words read
-// as zero, the same semantics as isa.ArchState.Mem.
+import "math/bits"
+
+// memImage is the committed memory image of one thread: an open-addressing
+// hash table from 8-byte-aligned word addresses to 64-bit values, with the
+// values inline in the slots. The engine reads it on every load hit and
+// writes it on every store commit, so an access is one multiply and a short
+// linear probe, with no Go map operation and no pointer chase. The table
+// holds only the words a thread has stored, at most half full, and doubles
+// when it would pass that; a run that stores a few hundred scattered words
+// keeps a table of a few KB, where 4 KB pages would spend one page per
+// word. Absent words read as zero, the same semantics as isa.ArchState.Mem,
+// so storing zero to an absent word adds nothing.
+//
+// The zero value is an empty image.
 type memImage struct {
-	pages map[uint64]*memPage
-	ck    [memCacheSlots]uint64   // cached page keys, valid where cp != nil
-	cp    [memCacheSlots]*memPage // direct-mapped by key & (memCacheSlots-1)
+	slots []memSlot // power-of-two length, or nil while empty
+	used  int       // slots holding a key
+	shift uint      // 64 - log2(len(slots)): home(key) keeps the top bits
 }
 
-// memPageWords is the page size in 8-byte words (4 KB pages).
-const memPageWords = 512
+// memSlot holds one stored word. Its key is the word address with bit 0
+// set, so every key is nonzero and a zero key marks a free slot; word
+// addresses are 8-byte aligned, so bit 0 carries no information.
+type memSlot struct{ key, val uint64 }
 
-// memCacheSlots sizes the direct-mapped page-translation cache (power of 2).
-const memCacheSlots = 64
+// memMinSlots is the table's first size (power of two).
+const memMinSlots = 64
 
-type memPage [memPageWords]uint64
+// home returns key's first probe position (Fibonacci hashing).
+func (m *memImage) home(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> m.shift }
 
-func newMemImage() *memImage {
-	return &memImage{pages: make(map[uint64]*memPage)}
-}
-
-func (m *memImage) page(word uint64, create bool) *memPage {
-	key := word >> 12
-	s := key & (memCacheSlots - 1)
-	if p := m.cp[s]; p != nil && m.ck[s] == key {
-		return p
+// probe returns the index of the slot holding key, or of the free slot
+// where key would go. The table must be non-empty and have a free slot.
+func (m *memImage) probe(key uint64) uint64 {
+	mask := uint64(len(m.slots) - 1)
+	i := m.home(key)
+	for m.slots[i].key != key && m.slots[i].key != 0 {
+		i = (i + 1) & mask
 	}
-	p := m.pages[key]
-	if p == nil {
-		if !create {
-			return nil
-		}
-		p = new(memPage) //ssim:nolint hotalloc: first-touch page fault, amortized over every later access
-		m.pages[key] = p
-	}
-	m.ck[s], m.cp[s] = key, p
-	return p
+	return i
 }
 
 // load returns the committed value at the word-aligned address.
 func (m *memImage) load(word uint64) uint64 {
-	p := m.page(word, false)
-	if p == nil {
+	if len(m.slots) == 0 {
 		return 0
 	}
-	return p[(word>>3)&(memPageWords-1)]
+	return m.slots[m.probe(word|1)].val // a free slot's val is zero
 }
 
 // store commits a value at the word-aligned address.
 func (m *memImage) store(word, val uint64) {
-	m.page(word, true)[(word>>3)&(memPageWords-1)] = val
+	key := word | 1
+	if len(m.slots) != 0 {
+		if i := m.probe(key); m.slots[i].key == key {
+			m.slots[i].val = val
+			return
+		}
+	}
+	if val == 0 {
+		return // an absent word already reads as zero
+	}
+	if 2*(m.used+1) > len(m.slots) {
+		m.grow()
+	}
+	m.slots[m.probe(key)] = memSlot{key: key, val: val}
+	m.used++
+}
+
+// grow doubles the table (or creates it) and reinserts every stored word.
+func (m *memImage) grow() {
+	n := 2 * len(m.slots)
+	if n == 0 {
+		n = memMinSlots
+	}
+	old := m.slots
+	m.slots = make([]memSlot, n) //ssim:nolint hotalloc: doubling, so O(log words) allocations per run
+	// n is a power of two, so this is 64 - log2(n).
+	m.shift = uint(bits.LeadingZeros64(uint64(n)) + 1)
+	for _, s := range old {
+		if s.key != 0 {
+			m.slots[m.probe(s.key)] = s
+		}
+	}
 }
 
 // rangeWords visits every non-zero committed word (zero-valued words are
 // indistinguishable from untouched memory, matching ArchState semantics).
 func (m *memImage) rangeWords(f func(word, val uint64)) {
-	for key, p := range m.pages {
-		base := key << 12
-		for i, v := range p {
-			if v != 0 {
-				f(base+uint64(i)<<3, v)
-			}
+	for _, s := range m.slots {
+		if s.val != 0 {
+			f(s.key&^1, s.val)
 		}
 	}
 }

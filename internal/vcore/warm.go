@@ -53,7 +53,7 @@ func (e *Engine) l1dReal(idx uint64, o int) uint64 {
 // write-allocation, victim writeback warming, and store visibility at the
 // directory), and register-file writes computed by isa.Eval. The loop is
 // allocation-free; the only allocation it can reach is the memory image's
-// first-touch page fault, shared with detailed execution.
+// table doubling, shared with detailed execution.
 //
 //ssim:hotpath
 func (e *Engine) FastForward(target uint64, now int64) error {
@@ -160,7 +160,11 @@ func (e *Engine) FastForward(target uint64, now int64) error {
 // pipeline is drained and FastForward may run. It reuses the LSQ-violation
 // squash machinery (which also clears windows, instruction buffers, MSHR
 // waiters, and branch/I-fill fetch blocks); flushed instructions count as
-// Squashed in the engine statistics.
+// Squashed in the engine statistics. It also drops the squashed
+// instructions' pending events, which the generation guard would otherwise
+// turn away one by one in the next window; line fills and store-buffer
+// drains stay queued, since the caches and store buffers outlive the flush.
 func (e *Engine) FlushInFlight(now int64) {
 	e.squash(e.commitHead, now)
+	e.events.dropFrom(e.commitHead)
 }
