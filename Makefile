@@ -19,9 +19,11 @@ test:
 	$(GO) test ./...
 
 # The simulator core, the parallel sweep runner, the concurrent allocation
-# library, and the sharded fleet simulator; run them under the race detector.
+# library, the sharded fleet simulator, and the trace generator (threads on a
+# worker pool, each with its value pass on a second goroutine); run them
+# under the race detector.
 race:
-	$(GO) test -race ./internal/sim ./internal/experiments ./internal/alloc ./internal/fleet
+	$(GO) test -race ./internal/sim ./internal/experiments ./internal/alloc ./internal/fleet ./internal/workload
 
 # The quantum-execution differential matrix (parallel vs sequential,
 # byte-identical, every workload x machine width) under the race detector:
@@ -131,10 +133,13 @@ fleet-smoke:
 # over every oracle geometry must give the flat packed tag array the
 # returns and counters of the earlier per-set-slice cache kept in the test.
 # FuzzMemImage: decoded loads and stores of any word, zero included, must
-# match a map reference in load and rangeWords. FuzzRunnerLoad: an arbitrary
+# match a map reference in Load and RangeWords. FuzzRunnerLoad: an arbitrary
 # results file plus a checkpoint journal with a torn tail must load without
 # panic, keep only the journal's complete records, and survive a Save/Load
-# round trip unchanged. A failing input lands in
+# round trip unchanged. FuzzHandlers: arbitrary bytes POSTed to sharingd's
+# bid, arrive, depart and phase endpoints in process must never panic, must
+# get a 200, 400, 413 or 422, a 200 reply must decode, and a refused op must
+# leave the market and the op log unchanged. A failing input lands in
 # the package's testdata/fuzz, where plain `go test` replays it. Minimizing
 # a new input is capped at 2 s, so a large input cannot spend the whole
 # window being minimized.
@@ -148,8 +153,9 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/vcore -run '^$$' -fuzz '^FuzzMemImage$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzMemImage$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunnerLoad$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./cmd/sharingd -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
 # then the placement index and the departure calendar alone at the fleet

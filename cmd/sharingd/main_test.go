@@ -349,14 +349,21 @@ func newTestServer(t *testing.T) *httptest.Server {
 // parameters over the standard lattice.
 func newTestServerWith(t *testing.T, p alloc.Params) *httptest.Server {
 	t.Helper()
+	ts := httptest.NewServer(newServer(newTestAllocator(t, p)))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// newTestAllocator is a synthetic-surface allocator with p's supply and
+// tatonnement parameters over the standard lattice.
+func newTestAllocator(t *testing.T, p alloc.Params) *alloc.Allocator {
+	t.Helper()
 	p.Slices, p.CacheKB = experiments.StdSlices, experiments.StdCaches
 	a, err := alloc.New(p, fleet.SyntheticProber{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(a))
-	t.Cleanup(ts.Close)
-	return ts
+	return a
 }
 
 // TestMarketReportsUnconverged: a clearing stopped by the tatonnement's
@@ -435,5 +442,37 @@ func TestBodyLimit(t *testing.T) {
 	}
 	if br.VCores <= 0 {
 		t.Fatalf("bid after an oversized body: %+v", br)
+	}
+}
+
+// TestTrailingBytesRejected: a body holding anything but white space after
+// its JSON value is a 400 on every POST endpoint, and no such op reaches the
+// market; trailing white space alone is accepted.
+func TestTrailingBytesRejected(t *testing.T) {
+	ts := newTestServer(t)
+	if err := post(ts.URL+"/v1/arrive", arriveRequest{Name: "vm0", Bench: "b", K: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var before marketReply
+	getJSON(t, ts.URL+"/v1/market", &before)
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"bid then garbage", "/v1/bid", `{"bench":"b","k":2} garbage`, http.StatusBadRequest},
+		{"two bids", "/v1/bid", `{"bench":"b","k":2}{"bench":"b","k":2}`, http.StatusBadRequest},
+		{"arrive then bracket", "/v1/arrive", `{"name":"vm1","bench":"b","k":2}]`, http.StatusBadRequest},
+		{"depart then garbage", "/v1/depart", `{"name":"vm0"} x`, http.StatusBadRequest},
+		{"phase then object", "/v1/phase", `{"name":"vm0","phase":1}{}`, http.StatusBadRequest},
+		{"bid then white space", "/v1/bid", "{\"bench\":\"b\",\"k\":2} \r\n\t", http.StatusOK},
+	} {
+		if got := status(t, ts.URL+c.path, strings.NewReader(c.body)); got != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, got, c.want)
+		}
+	}
+	var after marketReply
+	getJSON(t, ts.URL+"/v1/market", &after)
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused ops changed the market:\n%+v\n%+v", before, after)
 	}
 }

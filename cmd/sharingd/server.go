@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -336,16 +337,26 @@ func opStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// decode reads one JSON request body of at most maxBodyBytes: 413 past the
-// cap, 400 for anything malformed.
+// decode reads a request body of at most maxBodyBytes holding exactly one
+// JSON value: 413 past the cap, 400 for anything malformed, including any
+// bytes but white space after the value.
 func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = tail
+			if !errors.As(tail, new(*http.MaxBytesError)) {
+				err = errors.New("data after the JSON value")
+			}
 		}
+	}
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+		return false
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}

@@ -183,7 +183,7 @@ type Engine struct {
 	regRetPos [isa.NumArchRegs]regRet
 	copies    [isa.NumArchRegs][MaxSlices]regCopy
 
-	mem memImage // committed memory image
+	mem isa.MemImage // committed memory image
 
 	events eventQueue
 	stats  Stats
@@ -385,7 +385,7 @@ func (e *Engine) TraceLen() uint64 { return uint64(len(e.tr)) }
 func (e *Engine) FinalState() *isa.ArchState {
 	s := isa.NewArchState()
 	s.Regs = e.regRetVal
-	e.mem.rangeWords(func(word, val uint64) { s.Mem[word] = val })
+	e.mem.RangeWords(func(word, val uint64) { s.Mem[word] = val })
 	return s
 }
 
@@ -602,7 +602,7 @@ func (e *Engine) commit(now int64) {
 				e.stats.CommitStallStoreB++
 				return
 			}
-			e.mem.store(f.word, f.dataVal)
+			e.mem.Store(f.word, f.dataVal)
 			e.lsq[o].Remove(seq)
 			e.sbuf[o].Push(slice.StoreBufEntry{Seq: seq, Word: f.word})
 			if !e.drainBusy[o] {

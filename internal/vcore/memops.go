@@ -217,7 +217,7 @@ func (e *Engine) bindLoad(availAtOwner int64, seq uint64, val uint64) {
 }
 
 // memValue reads the committed memory image.
-func (e *Engine) memValue(word uint64) uint64 { return e.mem.load(word) }
+func (e *Engine) memValue(word uint64) uint64 { return e.mem.Load(word) }
 
 func (e *Engine) onLoadFill(ev event) {
 	o := int(ev.seq)

@@ -106,7 +106,7 @@ func (e *Engine) FastForward(target uint64, now int64) error {
 				wu.WarmLoad(dl)
 			}
 			if in.Dest != isa.Zero {
-				e.regRetVal[in.Dest] = e.mem.load(in.Addr &^ 7)
+				e.regRetVal[in.Dest] = e.mem.Load(in.Addr &^ 7)
 				//ssim:nolint cyclemath: k is a Slice index, bounded by MaxSlices (8)
 				e.regRetPos[in.Dest] = regRet{writer: int64(seq), sl: int8(k)}
 			}
@@ -127,7 +127,7 @@ func (e *Engine) FastForward(target uint64, now int64) error {
 			if in.Op.NumSrc() >= 2 && in.Src2 != isa.Zero {
 				sv = e.regRetVal[in.Src2]
 			}
-			e.mem.store(in.Addr&^7, sv)
+			e.mem.Store(in.Addr&^7, sv)
 		case in.Op.HasDest() && in.Dest != isa.Zero:
 			var s1, s2 uint64
 			if in.Op.NumSrc() >= 1 && in.Src1 != isa.Zero {

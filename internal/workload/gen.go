@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"sharing/internal/isa"
 	"sharing/internal/trace"
@@ -118,6 +120,7 @@ func buildPhaseCode(ph *Phase, phaseIdx int, rng *rand.Rand) *phaseCode {
 		if bl < 3 {
 			bl = 3
 		}
+		blk.body = make([]staticInst, 0, bl-1)
 		for k := 0; k < bl-1; k++ {
 			var si staticInst
 			r := rng.Float64()
@@ -179,15 +182,20 @@ func buildPhaseCode(ph *Phase, phaseIdx int, rng *rand.Rand) *phaseCode {
 	return code
 }
 
-// threadGen holds the dynamic generation state for one thread.
-type threadGen struct {
+// genChunk is how many instructions the walk emits before it hands them to
+// the value pass.
+const genChunk = 4096
+
+// walker holds the walk state of one thread: the rng stream, the
+// control-flow position and the address model. It holds no register and no
+// memory word, so the walk cannot read a value; that is what lets the value
+// pass run behind it.
+type walker struct {
 	rng       *rand.Rand
-	regs      [isa.NumArchRegs]uint64
-	mem       map[uint64]uint64
 	streamPtr uint64
-	lastDest  isa.Reg
 	tid       int
-	out       []isa.Inst
+	out       []isa.Inst   // skeleton instructions; cap n, never reallocated
+	chunks    chan<- int   // len(out) at each chunk boundary and at the end
 	tierZipf  []*rand.Zipf // per-tier line-popularity samplers (current phase)
 	tierBase  []uint64     // per-tier skewed base addresses (current phase)
 	tierScan  []uint64     // per-tier cyclic scan cursors (line index)
@@ -199,7 +207,7 @@ type threadGen struct {
 // strong reuse real working sets exhibit: caches smaller than the tier catch
 // the hot head, and hit rate keeps improving until the whole tier fits -
 // which is what produces the paper's smooth cache-sensitivity curves.
-func (g *threadGen) setPhase(ph *Phase) {
+func (g *walker) setPhase(ph *Phase) {
 	g.tierZipf = g.tierZipf[:0]
 	g.tierBase = g.tierBase[:0]
 	g.tierScan = make([]uint64, len(ph.Tiers))
@@ -219,38 +227,17 @@ func (g *threadGen) setPhase(ph *Phase) {
 	}
 }
 
-func (g *threadGen) write(r isa.Reg, v uint64) {
-	if r != isa.Zero {
-		g.regs[r] = v
-	}
-}
-
-func (g *threadGen) read(r isa.Reg) uint64 {
-	if r == isa.Zero {
-		return 0
-	}
-	return g.regs[r]
-}
-
-// emit appends the instruction and applies its architectural effect.
-func (g *threadGen) emit(in isa.Inst) {
-	switch in.Op {
-	case isa.OpLoad:
-		g.write(in.Dest, g.mem[in.Addr&^7])
-	case isa.OpStore:
-		g.mem[in.Addr&^7] = g.read(in.Src2)
-	case isa.OpBr, isa.OpJmp, isa.OpNop:
-	default:
-		g.write(in.Dest, in.Eval(g.read(in.Src1), g.read(in.Src2)))
-	}
-	if in.Op.HasDest() {
-		g.lastDest = in.Dest
-	}
+// emit appends a skeleton instruction and hands each completed chunk to
+// the value pass.
+func (g *walker) emit(in isa.Inst) {
 	g.out = append(g.out, in)
+	if len(g.out)%genChunk == 0 {
+		g.chunks <- len(g.out)
+	}
 }
 
 // pickAddr chooses a data address according to the phase's memory model.
-func (g *threadGen) pickAddr(p *Profile, ph *Phase, isLoad bool) uint64 {
+func (g *walker) pickAddr(p *Profile, ph *Phase, isLoad bool) uint64 {
 	if p.Threads > 1 {
 		if isLoad && g.rng.Float64() < p.SharedReadFrac {
 			return sharedBase + uint64(g.rng.Int63n(sharedSize))&^7
@@ -288,21 +275,77 @@ func (g *threadGen) pickAddr(p *Profile, ph *Phase, isLoad bool) uint64 {
 	return uint64(privateBase) + uint64(g.tid)<<40 + uint64(g.rng.Int63n(4*KB))&^7
 }
 
+// valuePass holds the architectural state of one thread. It follows the
+// walk and fills in the fields that depend on values: a load's or store's
+// Imm (Addr minus the base register's value) and a conditional branch's
+// source registers.
+type valuePass struct {
+	regs     [isa.NumArchRegs]uint64
+	mem      isa.MemImage
+	lastDest isa.Reg
+}
+
+func (v *valuePass) write(r isa.Reg, val uint64) {
+	if r != isa.Zero {
+		v.regs[r] = val
+	}
+}
+
+func (v *valuePass) read(r isa.Reg) uint64 {
+	if r == isa.Zero {
+		return 0
+	}
+	return v.regs[r]
+}
+
+// run fills each chunk of insts the walk hands over on chunks, in place and
+// in order, until the walk closes chunks.
+func (v *valuePass) run(insts []isa.Inst, chunks <-chan int) {
+	done := 0
+	for end := range chunks {
+		for i := done; i < end; i++ {
+			v.fill(&insts[i])
+		}
+		done = end
+	}
+}
+
+// fill completes one skeleton instruction and applies its architectural
+// effect.
+func (v *valuePass) fill(in *isa.Inst) {
+	switch in.Op {
+	case isa.OpLoad:
+		in.Imm = int64(in.Addr - v.read(in.Src1))
+		v.write(in.Dest, v.mem.Load(in.Addr&^7))
+	case isa.OpStore:
+		in.Imm = int64(in.Addr - v.read(in.Src1))
+		v.mem.Store(in.Addr&^7, v.read(in.Src2))
+	case isa.OpBr:
+		in.Src1, in.Src2 = v.branchRegs(in.Taken)
+	case isa.OpJmp, isa.OpNop:
+	default:
+		v.write(in.Dest, in.Eval(v.read(in.Src1), v.read(in.Src2)))
+	}
+	if in.Op.HasDest() {
+		v.lastDest = in.Dest
+	}
+}
+
 // branchRegs picks source registers so the condition (src1 != src2) matches
 // the desired direction given current register values.
-func (g *threadGen) branchRegs(taken bool) (isa.Reg, isa.Reg) {
-	ld := g.lastDest
+func (v *valuePass) branchRegs(taken bool) (isa.Reg, isa.Reg) {
+	ld := v.lastDest
 	if ld == isa.Zero {
 		ld = seedValReg
 	}
 	if !taken {
 		return ld, ld
 	}
-	v := g.read(ld)
+	val := v.read(ld)
 	switch {
-	case v != 0:
+	case val != 0:
 		return ld, isa.Zero
-	case v != 1:
+	case val != 1:
 		return ld, constOneReg
 	default:
 		return constOneReg, isa.Zero
@@ -311,6 +354,11 @@ func (g *threadGen) branchRegs(taken bool) (isa.Reg, isa.Reg) {
 
 // Generate synthesizes n dynamic instructions per thread, deterministically
 // from seed. The result is fully value-consistent (see package comment).
+//
+// Threads are independent (each has its own rng, memory image and output),
+// so a pool of min(GOMAXPROCS, Threads) goroutines generates them, thread
+// tid on worker tid mod width; each result lands in slot tid, and the
+// lowest tid's error is reported.
 func (p *Profile) Generate(n int, seed int64) (*trace.MultiTrace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -324,19 +372,26 @@ func (p *Profile) Generate(n int, seed int64) (*trace.MultiTrace, error) {
 	for i := range p.Phases {
 		codes[i] = buildPhaseCode(&p.Phases[i], i, layoutRng)
 	}
-	m := &trace.MultiTrace{Name: p.Name}
-	for tid := 0; tid < p.Threads; tid++ {
-		g := &threadGen{
-			rng: rand.New(rand.NewSource(seed + int64(tid)*1_000_000_007)),
-			mem: make(map[uint64]uint64),
-			tid: tid,
-			out: make([]isa.Inst, 0, n),
+	//ssim:nolint detrand: pool width affects wall-clock only, traces are byte-identical for any value
+	width := min(runtime.GOMAXPROCS(0), p.Threads)
+	m := &trace.MultiTrace{Name: p.Name, Threads: make([]*trace.Trace, p.Threads)}
+	errs := make([]error, p.Threads)
+	var wg sync.WaitGroup
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tid := w; tid < p.Threads; tid += width {
+				insts, err := p.generateThread(codes, n, seed, tid)
+				m.Threads[tid], errs[tid] = &trace.Trace{Name: p.Name, Insts: insts}, err
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		g.runThread(p, codes, n)
-		if len(g.out) != n {
-			return nil, fmt.Errorf("workload: internal error: generated %d insts, want %d", len(g.out), n)
-		}
-		m.Threads = append(m.Threads, &trace.Trace{Name: p.Name, Insts: g.out})
 	}
 	if p.Threads > 1 {
 		// Barrier every n/8 instructions, pacing threads like the pthread
@@ -355,8 +410,37 @@ func (p *Profile) Generate(n int, seed int64) (*trace.MultiTrace, error) {
 	return m, nil
 }
 
-// runThread emits exactly n instructions by walking the synthetic CFG.
-func (g *threadGen) runThread(p *Profile, codes []*phaseCode, n int) {
+// generateThread synthesizes thread tid's n instructions: the walk runs on
+// the calling goroutine and emits skeletons into the output slice, and the
+// value pass runs on a second goroutine, filling each chunk in place once
+// the walk has handed it over.
+func (p *Profile) generateThread(codes []*phaseCode, n int, seed int64, tid int) ([]isa.Inst, error) {
+	out := make([]isa.Inst, 0, n)
+	chunks := make(chan int, n/genChunk+1) // the walk never blocks on a send
+	filled := make(chan struct{})
+	go func() {
+		var v valuePass
+		v.run(out[:n], chunks)
+		close(filled)
+	}()
+	g := &walker{
+		rng:    rand.New(rand.NewSource(seed + int64(tid)*1_000_000_007)),
+		tid:    tid,
+		out:    out,
+		chunks: chunks,
+	}
+	g.walk(p, codes, n)
+	<-filled
+	if len(g.out) != n {
+		return nil, fmt.Errorf("workload: internal error: generated %d insts, want %d", len(g.out), n)
+	}
+	return g.out, nil
+}
+
+// walk emits exactly n skeleton instructions by walking the synthetic CFG,
+// then hands the last partial chunk to the value pass and closes chunks.
+func (g *walker) walk(p *Profile, codes []*phaseCode, n int) {
+	defer close(g.chunks)
 	// Preamble: materialize the reserved constants. These two instructions
 	// live just below the first phase's code.
 	pre := uint64(codeBase - 16)
@@ -372,10 +456,13 @@ func (g *threadGen) runThread(p *Profile, codes []*phaseCode, n int) {
 		g.setPhase(&p.Phases[phi])
 		g.walkPhase(p, &p.Phases[phi], codes[phi], limit)
 	}
+	if len(g.out)%genChunk != 0 {
+		g.chunks <- len(g.out)
+	}
 }
 
 // emitBody emits one pass over a block's body, stopping at limit.
-func (g *threadGen) emitBody(p *Profile, ph *Phase, blk *basicBlock, limit int) {
+func (g *walker) emitBody(p *Profile, ph *Phase, blk *basicBlock, limit int) {
 	pc := blk.pc
 	for i := range blk.body {
 		if len(g.out) >= limit {
@@ -386,10 +473,8 @@ func (g *threadGen) emitBody(p *Profile, ph *Phase, blk *basicBlock, limit int) 
 		switch si.op {
 		case isa.OpLoad:
 			in.Addr = g.pickAddr(p, ph, true)
-			in.Imm = int64(in.Addr - g.read(si.src1))
 		case isa.OpStore:
 			in.Addr = g.pickAddr(p, ph, false)
-			in.Imm = int64(in.Addr - g.read(si.src1))
 		}
 		g.emit(in)
 		pc += 4
@@ -399,7 +484,9 @@ func (g *threadGen) emitBody(p *Profile, ph *Phase, blk *basicBlock, limit int) 
 // walkPhase executes the phase's block sequence until the thread has emitted
 // limit instructions in total. Each visited block iterates per its
 // terminator kind, then control moves to the following block (wrapping).
-func (g *threadGen) walkPhase(p *Profile, ph *Phase, code *phaseCode, limit int) {
+// A conditional branch leaves the walk with its direction only; the value
+// pass picks the source registers that produce it.
+func (g *walker) walkPhase(p *Profile, ph *Phase, code *phaseCode, limit int) {
 	nBlocks := len(code.blocks)
 	bi := 0
 	for len(g.out) < limit {
@@ -434,7 +521,6 @@ func (g *threadGen) walkPhase(p *Profile, ph *Phase, code *phaseCode, limit int)
 			} else {
 				in.Op = isa.OpBr
 				in.Taken = it < iters-1 // taken loops back, not-taken exits
-				in.Src1, in.Src2 = g.branchRegs(in.Taken)
 			}
 			g.emit(in)
 		}
