@@ -100,14 +100,14 @@ func startDaemon(t *testing.T, args ...string) (string, func() (error, string)) 
 
 	stop := func() (error, string) {
 		cmd.Process.Signal(os.Interrupt)
-		done := make(chan error, 1)
-		go func() { done <- wait() }()
 		for {
 			select {
 			case line, ok := <-lines:
 				if !ok {
-					err := <-done
-					return err, tail.String()
+					// Wait closes the stderr pipe once the daemon exits, so
+					// it runs only after the scanner has read to EOF: called
+					// earlier, it can drop the last lines unread.
+					return wait(), tail.String()
 				}
 				fmt.Fprintln(&tail, line)
 			case <-time.After(60 * time.Second):

@@ -37,8 +37,6 @@ func main() {
 		sampleWin  = flag.Int("sample-window", 0, "sampled mode: instructions per detailed measurement window (0 = default)")
 		samplePer  = flag.Int("sample-period", 0, "sampled mode: instructions per sampling period, one window each (0 = default)")
 		sampleSeed = flag.Int64("sample-seed", 1, "sampled mode: seed deriving the window placement")
-		parallel   = flag.String("parallel", "auto", "in-machine parallel execution: auto (pool sized to GOMAXPROCS for multi-engine machines), on, or off (results identical in every mode)")
-		workers    = flag.Int("workers", 0, "parallel mode: worker-pool width (0 = GOMAXPROCS, capped at the engine count)")
 		quantum    = flag.Int("quantum", 0, "synchronization quantum in cycles for multi-engine machines (0 = NoC lookahead; larger values are clamped to it)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -102,20 +100,6 @@ func main() {
 	}
 	params.StrictTick = *strict
 	params.Quantum = *quantum
-	switch *parallel {
-	case "auto":
-		// The machine's defaults: multi-engine machines run quantum-phased
-		// with a pool sized to min(engines, GOMAXPROCS); single-engine
-		// machines use the direct loop. An explicit -workers narrows or
-		// widens the pool.
-		params.Workers = *workers
-	case "on":
-		params.Workers = *workers
-	case "off":
-		params.Sequential = true
-	default:
-		fatal(fmt.Errorf("-parallel must be auto, on or off (got %q)", *parallel))
-	}
 	if *sample {
 		params.Sample = sim.SampleParams{
 			Enabled:     true,

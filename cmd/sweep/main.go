@@ -28,7 +28,6 @@ import (
 	"sharing/internal/experiments"
 	"sharing/internal/plot"
 	"sharing/internal/sim"
-	"sharing/internal/workload"
 )
 
 func main() {
@@ -44,8 +43,7 @@ func main() {
 		sampleWin  = flag.Int("sample-window", 0, "sampled mode: instructions per detailed measurement window (0 = default)")
 		samplePer  = flag.Int("sample-period", 0, "sampled mode: instructions per sampling period, one window each (0 = default)")
 		sampleSeed = flag.Int64("sample-seed", 1, "sampled mode: seed deriving the window placement")
-		jobs       = flag.Int("jobs", 0, "total simulation parallelism budget: concurrent machines x per-machine workers (0 = NumCPU)")
-		parallel   = flag.String("parallel", "auto", "in-machine parallel execution: auto (on when a selected benchmark is multithreaded and cores allow), on, or off (results identical)")
+		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 		quantum    = flag.Int("quantum", 0, "synchronization quantum in cycles for multi-engine machines (0 = NoC lookahead; larger values are clamped to it)")
 		backend    = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
 		shards     = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
@@ -131,7 +129,6 @@ func main() {
 	}
 	r.Workers = *jobs
 	r.MachineQuantum = *quantum
-	r.MachineWorkers = machineWorkers(*parallel, names)
 	switch *exp {
 	case "fig12":
 		data, err := experiments.Fig12(r, names)
@@ -214,40 +211,6 @@ func stopOrFatal(r *experiments.Runner, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "sweep: interrupted after %d simulations; completed measurements saved - rerun with -resume to continue\n", r.SimRuns())
 	os.Exit(130)
-}
-
-// machineWorkers resolves the -parallel mode into a per-machine worker
-// count: the widest selected benchmark's thread count (the machine caps
-// its pool at the engine count, so a wider pool would only idle). In auto
-// mode the width is additionally capped at the core count — on a
-// single-core host auto degrades to sequential machines, which commit the
-// same results without pool overhead. The Runner shrinks its sweep pool
-// so that sweep-slots x machine-workers stays within the -jobs budget.
-func machineWorkers(mode string, names []string) int {
-	if mode == "off" {
-		return 1
-	}
-	if len(names) == 0 {
-		names = workload.Names()
-	}
-	maxT := 1
-	for _, n := range names {
-		if prof, err := workload.Lookup(n); err == nil && prof.Threads > maxT {
-			maxT = prof.Threads
-		}
-	}
-	switch mode {
-	case "on":
-		return maxT
-	case "auto":
-		//ssim:nolint detrand: worker cap affects wall-clock only, results are byte-identical for any value
-		if c := runtime.NumCPU(); maxT > c {
-			maxT = c
-		}
-		return maxT
-	}
-	fatal(fmt.Errorf("-parallel must be auto, on or off (got %q)", mode))
-	return 1
 }
 
 func fatal(err error) {

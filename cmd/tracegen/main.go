@@ -1,6 +1,8 @@
 // Command tracegen synthesizes workload traces (the stand-in for the
 // paper's GEM5 Alpha full-system traces) and writes them in the binary STRC
-// format that cmd/ssim and the library can replay.
+// format. trace.Read decodes it; its readers are the experiments runner's
+// trace cache (sweep -tracecache) and the codec tests. cmd/ssim takes no
+// trace file: it generates its workload itself.
 //
 // Usage:
 //

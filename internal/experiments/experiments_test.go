@@ -274,48 +274,6 @@ func TestSampledKeyNormalizesDefaults(t *testing.T) {
 	}
 }
 
-// TestMachineWorkersShareBudget pins the nested-parallelism contract: one
-// Workers knob bounds sweep-slots x machine-workers, so enabling
-// in-machine parallelism shrinks the sweep pool instead of multiplying
-// the simulation goroutines past the budget.
-func TestMachineWorkersShareBudget(t *testing.T) {
-	r := NewRunner()
-	r.Workers = 8
-	if got := r.workers(); got != 8 {
-		t.Fatalf("sequential machines: sweep pool %d, want 8", got)
-	}
-	r.MachineWorkers = 4
-	if got := r.workers(); got != 2 {
-		t.Fatalf("4 machine workers: sweep pool %d, want 2", got)
-	}
-	r.MachineWorkers = 16
-	if got := r.workers(); got != 1 {
-		t.Fatalf("budget-exceeding machine workers: sweep pool %d, want 1", got)
-	}
-}
-
-// TestMachineWorkersSameMeasurement checks that in-machine parallelism
-// does not perturb measurements (it shares cache keys with sequential
-// runs, so it must not): the same multithreaded configuration measured by
-// a sequential Runner and a machine-parallel Runner must agree exactly.
-func TestMachineWorkersSameMeasurement(t *testing.T) {
-	cfg := econ.Config{Slices: 2, CacheKB: 128}
-	seqR := tiny(t)
-	seq, err := seqR.Measure("dedup", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parR := tiny(t)
-	parR.MachineWorkers = 4
-	par, err := parR.Measure("dedup", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par {
-		t.Fatalf("machine-parallel measurement differs: sequential %+v parallel %+v", seq, par)
-	}
-}
-
 // TestQuantumKeyedSeparately: a non-default quantum changes the machine's
 // timing semantics, so it must occupy its own results-cache entry while
 // the default keeps its historical suffix-free key.

@@ -161,23 +161,14 @@ type Runner struct {
 	TraceLen int
 	// Seed seeds workload generation (DefaultSeed if 0).
 	Seed int64
-	// Workers bounds the total simulation parallelism (NumCPU if 0). When
-	// MachineWorkers is above 1 the sweep pool shrinks so that
-	// sweep-slots x machine-workers never exceeds this budget: one knob
-	// governs the product, and turning on in-machine parallelism cannot
-	// oversubscribe the host. The bound applies to the built-in in-process
-	// backend; a plugged-in Backend bounds its own parallelism.
+	// Workers bounds the number of concurrent simulations (NumCPU if 0).
+	// The bound applies to the built-in in-process backend; a plugged-in
+	// Backend bounds its own parallelism.
 	Workers int
-	// MachineWorkers is the worker-pool width inside each simulated machine
-	// (sim.Params.Workers). 0 or 1 runs every machine sequentially; values
-	// above 1 enable quantum-phased parallel execution for multi-engine
-	// machines. Results are byte-identical either way.
-	MachineWorkers int
 	// MachineQuantum overrides the synchronization quantum for multi-engine
 	// machines (sim.Params.Quantum; 0 = the topology's NoC lookahead).
-	// Unlike the pool width, the quantum is part of the machine's
-	// deterministic timing semantics, so overridden runs are cached under
-	// distinct keys.
+	// The quantum is part of the machine's deterministic timing semantics,
+	// so overridden runs are cached under distinct keys.
 	MachineQuantum int
 	// Backend, when set, executes simulation requests instead of the
 	// built-in in-process pool — e.g. a distrib.Procpool fanning sweep
@@ -286,23 +277,7 @@ func (r *Runner) workers() int {
 		//ssim:nolint detrand: pool width affects wall-clock only, results are byte-identical for any value
 		w = runtime.NumCPU()
 	}
-	// Divide the budget between the sweep pool and the per-machine pools:
-	// with machine parallelism on, each in-flight simulation occupies up to
-	// machineWorkers() cores, so the sweep runs fewer of them at once.
-	if mw := r.machineWorkers(); mw > 1 {
-		w /= mw
-	}
-	if w < 1 {
-		w = 1
-	}
 	return w
-}
-
-func (r *Runner) machineWorkers() int {
-	if r.MachineWorkers < 1 {
-		return 1
-	}
-	return r.MachineWorkers
 }
 
 // backend returns the execution backend measurements dispatch to: the
@@ -517,9 +492,7 @@ func (r *Runner) traceFor(bench string, phase, n int, seed int64) (*trace.MultiT
 
 // runLocal performs one simulation in this process: the RunFunc behind the
 // built-in in-process backend and (via ServeWorker) the procpool workers.
-// It is a pure function of the request plus the machine-parallelism knobs,
-// which never change measurements (quantum execution is byte-identical at
-// any pool width).
+// It is a pure function of the request.
 func (r *Runner) runLocal(req trace.SimRequest) (trace.SimResult, error) {
 	mt, err := r.traceFor(req.Bench, req.Phase, req.TraceLen, req.Seed)
 	if err != nil {
@@ -539,11 +512,6 @@ func (r *Runner) runLocal(req trace.SimRequest) (trace.SimResult, error) {
 		}
 	}
 	p.Quantum = req.Quantum
-	if mw := r.machineWorkers(); mw > 1 {
-		p.Workers = mw
-	} else {
-		p.Sequential = true
-	}
 	res, err := sim.Run(p, mt)
 	if err != nil {
 		return trace.SimResult{}, err

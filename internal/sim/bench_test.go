@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"sharing/internal/trace"
@@ -38,7 +37,8 @@ func benchTrace(b *testing.B, name string) *trace.MultiTrace {
 // is a streaming scan, gobmk is compute-bound (near-zero skippable
 // cycles, so it bounds the bookkeeping overhead of the fast path), and
 // dedup at 8 Slices / 512 KB is the multithreaded quantum loop at its
-// shortest banked quantum, the heaviest point of the sweep grid.
+// shortest banked quantum, the heaviest point of the sweep grid: the same
+// sequential quantum loop every sweep runs for a multithreaded machine.
 func BenchmarkMachineRun(b *testing.B) {
 	cases := []struct {
 		bench   string
@@ -108,50 +108,5 @@ func BenchmarkSampledRun(b *testing.B) {
 			b.ReportMetric(float64(cycles), "cycles")
 			b.ReportMetric(float64(uint64(b.N)*uint64(len(mt.Threads))*benchTraceLen)/b.Elapsed().Seconds(), "insts/s")
 		})
-	}
-}
-
-// BenchmarkParallelMachineRun measures quantum-phased execution across
-// machine widths and worker-pool widths: the e{N}w1 configurations are the
-// sequential quantum loop (the baseline the parallel speedup in
-// BENCH_ssim.json is measured against), and every configuration commits
-// byte-identical results (TestParallelMatchesSequential). The workload is
-// ferret forced to N threads: real shared-read and false-sharing traffic,
-// so the quantum merges carry directory work at every width.
-func BenchmarkParallelMachineRun(b *testing.B) {
-	for _, ne := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 2, 4} {
-			if workers > ne {
-				continue
-			}
-			prof, err := workload.Lookup("ferret")
-			if err != nil {
-				b.Fatal(err)
-			}
-			pr := *prof
-			pr.Threads = ne
-			mt, err := pr.Generate(benchTraceLen, 2014)
-			if err != nil {
-				b.Fatal(err)
-			}
-			name := fmt.Sprintf("e%dw%d", ne, workers)
-			b.Run(name, func(b *testing.B) {
-				p := DefaultParams(2, 64*ne)
-				p.Workers = workers
-				p.Sequential = workers == 1
-				b.ReportAllocs()
-				b.ResetTimer()
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					res, err := Run(p, mt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = res.Cycles
-				}
-				b.ReportMetric(float64(cycles), "cycles")
-				b.ReportMetric(float64(uint64(b.N)*uint64(ne)*benchTraceLen)/b.Elapsed().Seconds(), "insts/s")
-			})
-		}
 	}
 }

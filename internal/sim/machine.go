@@ -42,15 +42,12 @@ type Params struct {
 	// on every cycle. It is the naive reference loop: slower, but useful for
 	// differential testing and debugging. Results are cycle-exact either way.
 	StrictTick bool
-	// Sequential forces the quantum-phased loop of multi-engine machines to
-	// run on the calling goroutine instead of the worker pool. Results are
-	// byte-identical either way (the parallel loop executes the same
-	// deterministic computation); single-engine machines always run the
-	// direct sequential loop regardless.
+	// Sequential has no effect: every machine runs its main loop on the
+	// calling goroutine.
+	//
+	// Deprecated: no effect; delete with perfbench's setter in the next
+	// benchmark change.
 	Sequential bool
-	// Workers is the worker-pool width for parallel multi-engine execution:
-	// 0 picks min(engines, GOMAXPROCS), 1 is equivalent to Sequential.
-	Workers int
 	// Quantum caps the quantum length in cycles for multi-engine machines.
 	// 0 uses the topology lookahead (the minimum cross-engine round trip
 	// through the NoC/L2 path); larger values are clamped to it.
@@ -101,9 +98,6 @@ func (p *Params) Validate() error {
 	}
 	if p.Mem.Latency < 1 {
 		return fmt.Errorf("sim: memory latency must be >= 1")
-	}
-	if p.Workers < 0 {
-		return fmt.Errorf("sim: Workers %d must be >= 0", p.Workers)
 	}
 	if p.Quantum < 0 {
 		return fmt.Errorf("sim: Quantum %d must be >= 0", p.Quantum)
@@ -428,12 +422,13 @@ func (u *uncoreFor) WarmWriteback(addr uint64) {
 // Machine is one fully wired simulation instance: a VM placed on the
 // fabric, one VCore engine per thread, shared networks, banks and memory.
 //
-// Multi-engine machines run the quantum-phased loop (parallel.go): engines
+// Multi-engine machines run the quantum-phased loop (quantum.go): engines
 // advance privately through quanta of mc.quantum cycles and the shared
 // fabric traffic is merged at the quantum barriers. The operand and sort
 // networks are strictly VCore-internal (every message stays between one
 // engine's Slices), so each engine gets its own instance — their statistics
-// sum to the shared-network values and the private phases stay race-free.
+// sum to the shared-network values and the private phases touch no shared
+// state.
 type Machine struct {
 	p        Params
 	m        *machine
@@ -454,8 +449,7 @@ type Machine struct {
 	// an engine from outside, so mergeFabric lowers wake[i] to a delivered
 	// fill's cycle and a barrier release clears every wake, as does each
 	// runQuanta entry. A wake at or before a quantum's start is spent and
-	// ignored; 0 is the empty value. StrictTick never records one. Engine i
-	// owns index i during the private phases.
+	// ignored; 0 is the empty value. StrictTick never records one.
 	wake []int64
 }
 
@@ -590,8 +584,7 @@ func quantumFor(p Params, vm *hypervisor.VMAlloc) int64 {
 // every cycle with work steps the engine, and idle spans are skipped to
 // NextWake with their stall statistics charged via AccountIdle, so results
 // are bit-identical to the strict per-cycle loop (Params.StrictTick).
-// Multi-engine machines use the quantum-phased loop (runQuanta), on the
-// worker pool unless Params.Sequential — byte-identical either way.
+// Multi-engine machines use the quantum-phased loop (runQuanta).
 func (mc *Machine) Run() (*Result, error) {
 	var t int64
 	if err := mc.runLoop(&t, nil); err != nil {

@@ -193,12 +193,9 @@ type windowStop struct {
 // per-engine half of check, used by the quantum-phased loop, where each
 // engine observes its own commits during its private phase (the crossing
 // cycles tS/tE are exact; only the whole-window stop decision and t0/c0
-// snapshot wait for the quantum barrier). The index-i slots are written by
-// at most one goroutine per quantum, so concurrent private phases never
-// contend.
+// snapshot wait for the quantum barrier).
 //
 //ssim:hotpath
-//ssim:parallel
 func (w *windowStop) checkEngine(i int, now int64) {
 	c := w.engines[i].Committed()
 	if w.tS[i] < 0 && c >= w.winS[i] {

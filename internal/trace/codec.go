@@ -30,8 +30,11 @@ import (
 //	addrDelta svarint (memory ops, vs previous memory address)
 //	target   uvarint (branches, absolute)
 //
-// The format exists so cmd/tracegen output can be replayed by cmd/ssim and
-// so failure-injection tests can exercise decoder robustness.
+// Its readers are the experiments runner's on-disk trace cache (the
+// -tracecache flag of cmd/sweep and cmd/sharingd), which stores
+// generated traces across runs, and the codec tests, which also exercise
+// decoder robustness against corrupt input. cmd/tracegen writes the same
+// format; cmd/ssim has no trace-input flag.
 
 const magic = "STRC"
 
