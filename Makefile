@@ -109,9 +109,7 @@ fleet-smoke:
 # to the sort-everything reference's. FuzzReadRequest/FuzzReadResult: the
 # procpool's SREQ/SRES worker frames must never panic, an accepted frame
 # must re-encode to its own bytes, and an oversized length prefix or any
-# truncation must be an error. FuzzRead: the binary trace decoder behind
-# the runner's disk trace cache must never panic, and an accepted trace
-# must survive a Write/Read round trip unchanged. FuzzSurfaceCache: decoded
+# truncation must be an error. FuzzSurfaceCache: decoded
 # (surface, phase, configuration) probe sequences, on and off the lattice,
 # must match a map reference: values equal the prober's, off-lattice and
 # unsupported phase probes are refused, and Unique and Misses both equal the
@@ -141,7 +139,6 @@ fuzz-smoke:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadResult$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s

@@ -152,7 +152,7 @@ func newRunner(n int, results string, quiet bool) *experiments.Runner {
 	if !quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
-	be, err := experiments.NewBackend(runnerBackend, runnerShards, "")
+	be, err := experiments.NewBackend(runnerBackend, runnerShards)
 	if err != nil {
 		fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
-	be, err := experiments.NewBackend(*backend, *shards, "")
+	be, err := experiments.NewBackend(*backend, *shards)
 	if err != nil {
 		fatal(err)
 	}

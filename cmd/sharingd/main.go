@@ -23,7 +23,9 @@
 //	sharingd -loadtest -synthetic -duration 5s -clients 8 -min-rps 2000
 //
 // Ctrl-C drains gracefully: in-flight requests finish, simulator results
-// checkpoint, then the process exits 0. A second Ctrl-C kills it.
+// checkpoint, then the process exits 0. Requests still running after 30 s
+// make the drain fail (exit 1, after the checkpoint). A second Ctrl-C
+// kills it.
 package main
 
 import (
@@ -48,17 +50,16 @@ import (
 func main() {
 	experiments.MaybeWorker()
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		synthetic  = flag.Bool("synthetic", false, "closed-form surfaces instead of simulator probes")
-		n          = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread (simulator probes)")
-		seed       = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
-		results    = flag.String("results", "", "JSON results cache (reused across runs)")
-		traceCache = flag.String("tracecache", "", "directory for the binary trace cache (reused across runs)")
-		backend    = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		shards     = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
-		supSlices  = flag.Int("supply-slices", 64, "chip supply: rentable Slices")
-		supBanks   = flag.Int("supply-banks", 128, "chip supply: rentable 64KB L2 banks")
-		quiet      = flag.Bool("q", false, "suppress per-run progress")
+		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
+		synthetic = flag.Bool("synthetic", false, "closed-form surfaces instead of simulator probes")
+		n         = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread (simulator probes)")
+		seed      = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
+		results   = flag.String("results", "", "JSON results cache (reused across runs)")
+		backend   = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
+		shards    = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
+		supSlices = flag.Int("supply-slices", 64, "chip supply: rentable Slices")
+		supBanks  = flag.Int("supply-banks", 128, "chip supply: rentable 64KB L2 banks")
+		quiet     = flag.Bool("q", false, "suppress per-run progress")
 
 		// Load-test harness (implies an in-process server; -addr ignored).
 		loadtest = flag.Bool("loadtest", false, "run the load-test harness against an in-process server and exit")
@@ -86,12 +87,11 @@ func main() {
 	} else {
 		r = experiments.NewRunner()
 		r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
-		r.TraceCacheDir = *traceCache
 		if !*quiet {
 			r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 		}
 		var be distrib.Backend
-		be, err = experiments.NewBackend(*backend, *shards, *traceCache)
+		be, err = experiments.NewBackend(*backend, *shards)
 		if err != nil {
 			fatal(err)
 		}
@@ -150,6 +150,7 @@ func main() {
 	// kill — same contract as cmd/sweep.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt)
+	interrupt := make(chan struct{})
 	go func() {
 		<-sigs
 		fmt.Fprintln(os.Stderr, "sharingd: interrupt - draining in-flight requests (Ctrl-C again to kill)")
@@ -157,21 +158,45 @@ func main() {
 		if r != nil {
 			r.Stop()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "sharingd: shutdown:", err)
-		}
+		close(interrupt)
 	}()
 
 	fmt.Fprintf(os.Stderr, "sharingd: listening on %s\n", ln.Addr())
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+	err = serve(hs, ln, interrupt, drainTimeout)
+	saveRunner(r)
+	if err != nil {
 		fatal(err)
 	}
-	saveRunner(r)
 	st := a.Stats()
 	fmt.Fprintf(os.Stderr, "sharingd: drained - %d bids, %d membership ops over %d epochs\n",
 		st.Bids, st.Ops, st.Epochs)
+}
+
+// drainTimeout bounds how long an interrupted daemon waits for in-flight
+// requests before giving up on them.
+const drainTimeout = 30 * time.Second
+
+// serve runs hs on ln until interrupt is closed, then drains it: Shutdown
+// stops accepting and waits up to timeout for in-flight requests. Serve
+// returns as soon as Shutdown starts, so serve waits for Shutdown itself
+// and returns only once every handler has finished; a drain that times out
+// with requests still running is returned as an error.
+func serve(hs *http.Server, ln net.Listener, interrupt <-chan struct{}, timeout time.Duration) error {
+	drained := make(chan error, 1)
+	go func() {
+		<-interrupt
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		if err := hs.Shutdown(ctx); err != nil {
+			drained <- fmt.Errorf("drain: %w after %v with requests in flight", err, timeout)
+			return
+		}
+		drained <- nil
+	}()
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-drained
 }
 
 func saveRunner(r *experiments.Runner) {

@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +16,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +284,92 @@ func TestDaemonEndpointsAndDrain(t *testing.T) {
 	}
 	if !strings.Contains(out, "sharingd: drained - ") {
 		t.Fatalf("no drain accounting line; stderr:\n%s", out)
+	}
+}
+
+// TestDrainWaitsForInFlight holds a request open across the interrupt and
+// checks that serve returns only after that request has completed: Serve
+// itself returns as soon as Shutdown starts, before handlers finish, and
+// main checkpoints the runner and prints "drained" when serve returns.
+func TestDrainWaitsForInFlight(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(entered)
+		<-release
+		finished.Store(true)
+		io.WriteString(w, "done")
+	}))
+	shutdownStarted := make(chan struct{})
+	hs.RegisterOnShutdown(func() { close(shutdownStarted) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupt := make(chan struct{})
+	served := make(chan error, 1)
+	go func() { served <- serve(hs, ln, interrupt, 30*time.Second) }()
+
+	type reply struct {
+		body string
+		err  error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String() + "/")
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		replied <- reply{string(body), err}
+	}()
+	<-entered
+	close(interrupt)
+	<-shutdownStarted
+	select {
+	case err := <-served:
+		t.Fatalf("serve returned (%v) with a request in flight", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if !finished.Load() {
+		t.Fatal("serve returned before the in-flight handler finished")
+	}
+	if r := <-replied; r.err != nil || r.body != "done" {
+		t.Fatalf("in-flight request got %q, %v", r.body, r.err)
+	}
+}
+
+// TestDrainTimeout: a handler that outlives the drain timeout makes serve
+// report the timeout instead of a clean drain.
+func TestDrainTimeout(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	hs := newHTTPServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		close(entered)
+		<-release
+	}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupt := make(chan struct{})
+	served := make(chan error, 1)
+	go func() { served <- serve(hs, ln, interrupt, 50*time.Millisecond) }()
+	go func() {
+		if resp, err := http.Get("http://" + ln.Addr().String() + "/"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	close(interrupt)
+	if err := <-served; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("serve = %v, want a drain timeout", err)
 	}
 }
 

@@ -38,7 +38,6 @@ func main() {
 		n          = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread")
 		seed       = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 		results    = flag.String("results", "", "JSON results cache (reused across runs)")
-		traceCache = flag.String("tracecache", "", "directory for the binary trace cache (reused across runs)")
 		sample     = flag.Bool("sample", false, "sampled execution: functional warming with periodic detailed windows (fast; IPC is a statistical estimate, cached separately from exact results)")
 		sampleWin  = flag.Int("sample-window", 0, "sampled mode: instructions per detailed measurement window (0 = default)")
 		samplePer  = flag.Int("sample-period", 0, "sampled mode: instructions per sampling period, one window each (0 = default)")
@@ -84,7 +83,6 @@ func main() {
 
 	r := experiments.NewRunner()
 	r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
-	r.TraceCacheDir = *traceCache
 	if *sample {
 		r.Sample = sim.SampleParams{
 			Enabled:     true,
@@ -96,7 +94,7 @@ func main() {
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
-	be, err := experiments.NewBackend(*backend, *shards, *traceCache)
+	be, err := experiments.NewBackend(*backend, *shards)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,13 +1,13 @@
-// Command tracegen synthesizes workload traces (the stand-in for the
-// paper's GEM5 Alpha full-system traces) and writes them in the binary STRC
-// format. trace.Read decodes it; its readers are the experiments runner's
-// trace cache (sweep -tracecache) and the codec tests. cmd/ssim takes no
-// trace file: it generates its workload itself.
+// Command tracegen synthesizes a workload trace (the stand-in for the
+// paper's GEM5 Alpha full-system traces) and prints its instruction mix,
+// one trace.Measure line per thread. Traces are a pure function of
+// (benchmark, phase, length, seed) and cheap to regenerate, so they are
+// never stored: cmd/ssim and cmd/sweep generate their own.
 //
 // Usage:
 //
-//	tracegen -bench gcc -n 500000 -seed 1 -o gcc.strc
-//	tracegen -bench gcc -stats            # print mix statistics only
+//	tracegen -bench gcc -n 500000 -seed 1
+//	tracegen -bench gcc -phase 3          # one phase only (gcc has 10)
 package main
 
 import (
@@ -24,8 +24,6 @@ func main() {
 		bench = flag.String("bench", "gcc", "benchmark name")
 		n     = flag.Int("n", 500000, "dynamic instructions per thread")
 		seed  = flag.Int64("seed", 1, "generation seed")
-		out   = flag.String("o", "", "output file (default <bench>.strc)")
-		stats = flag.Bool("stats", false, "print trace statistics instead of writing a file")
 		phase = flag.Int("phase", -1, "generate only this phase (0-based; gcc has 10)")
 	)
 	flag.Parse()
@@ -47,28 +45,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *stats {
-		for ti, th := range mt.Threads {
-			fmt.Printf("%s thread %d: %s\n", mt.Name, ti, trace.Measure(th))
-		}
-		return
+	for ti, th := range mt.Threads {
+		fmt.Printf("%s thread %d: %s\n", mt.Name, ti, trace.Measure(th))
 	}
-	path := *out
-	if path == "" {
-		path = *bench + ".strc"
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := trace.Write(f, mt); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d threads x %d insts)\n", path, len(mt.Threads), mt.Threads[0].Len())
 }
 
 func fatal(err error) {

@@ -16,10 +16,10 @@
 // masks bound the result), len/cap results, subtraction of a constant
 // (the `uint64(n - 1)` mask idiom), and subtractions already bounded by
 // an enclosing % or &. Same-width unsigned-to-signed conversions are
-// deliberately not flagged: SSim's trace codec and workload generator use
-// int64(uint64) two's-complement deltas by design, and a 64-bit cycle
-// count cannot reach the sign bit in any simulated run. Conversions that
-// are correct for a contract-level reason carry
+// deliberately not flagged: int64(uint64) is the two's-complement delta
+// idiom, and a 64-bit cycle count cannot reach the sign bit in any
+// simulated run. Conversions that are correct for a contract-level reason
+// carry
 // //ssim:nolint cyclemath: <why>.
 package cyclemath
 

@@ -12,18 +12,12 @@ import (
 	"sharing/internal/trace"
 )
 
-// Environment contract between the procpool and the sweep-facing commands:
-// a command launched with WorkerEnv=1 must serve the SREQ/SRES worker loop
-// on stdin/stdout instead of parsing its own flags (experiments.MaybeWorker
+// WorkerEnv marks a subprocess as a simulation worker. It is the environment
+// contract between the procpool and the sweep-facing commands: a command
+// launched with WorkerEnv=1 must serve the SREQ/SRES worker loop on
+// stdin/stdout instead of parsing its own flags (experiments.MaybeWorker
 // implements that re-exec hook, so every such command is its own worker).
-const (
-	// WorkerEnv marks a subprocess as a simulation worker.
-	WorkerEnv = "SSIM_WORKER"
-	// WorkerTraceCacheEnv optionally points workers at a shared on-disk
-	// trace cache so each shard deserializes traces instead of
-	// regenerating them.
-	WorkerTraceCacheEnv = "SSIM_WORKER_TRACECACHE"
-)
+const WorkerEnv = "SSIM_WORKER"
 
 // SelfWorkerCmd returns the argv and environment markers that re-exec the
 // current binary in worker mode — the default way the sweep commands spawn
@@ -44,7 +38,7 @@ type ProcpoolParams struct {
 	// current binary with WorkerEnv set (SelfWorkerCmd).
 	WorkerCmd []string
 	// Env entries are appended to the inherited environment of every
-	// worker (e.g. WorkerTraceCacheEnv).
+	// worker (e.g. the role and crash markers of the tests' fake worker).
 	Env []string
 	// Retries is the per-request redispatch budget after a worker crash
 	// (default 2). A request failing Retries+1 transport attempts fails

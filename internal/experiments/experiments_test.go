@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,35 @@ func tiny(t *testing.T) *Runner {
 	r.TraceLen = 8000
 	r.Seed = 7
 	return r
+}
+
+// TestTraceMemoPhaseKeyed: the last-trace memo is keyed by phase, so
+// distinct phases never alias, a repeated key is served from the memo, and
+// returning to an evicted phase regenerates the same trace.
+func TestTraceMemoPhaseKeyed(t *testing.T) {
+	r := tiny(t)
+	p0, err := r.traceFor("gcc", 0, r.traceLen(), r.seed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := r.traceFor("gcc", 1, r.traceLen(), r.seed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(p0, p1) {
+		t.Fatal("distinct phases produced identical traces")
+	}
+	if again, err := r.traceFor("gcc", 1, r.traceLen(), r.seed()); err != nil || again != p1 {
+		t.Fatalf("repeated key not served from the memo (err %v)", err)
+	}
+	// The memo now holds phase 1, so phase 0 is regenerated.
+	p0again, err := r.traceFor("gcc", 0, r.traceLen(), r.seed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p0, p0again) {
+		t.Fatal("regenerated phase-0 trace differs")
+	}
 }
 
 func TestMeasureMemoizes(t *testing.T) {

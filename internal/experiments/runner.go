@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -184,13 +183,6 @@ type Runner struct {
 	// Load replays the journal and Save folds it into the main file
 	// atomically (temp file + rename).
 	ResultsPath string
-	// TraceCacheDir, when set, persists generated traces to disk in the
-	// binary STRC format (internal/trace codec), keyed by benchmark, length,
-	// seed, and phase. Trace synthesis dominates sweep start-up for long
-	// traces; with the cache a rerun deserializes instead of regenerating.
-	// Filenames encode the full key, so stale entries cannot be read by
-	// mistake; delete the directory to invalidate.
-	TraceCacheDir string
 	// Progress, when set, receives one line per completed measurement.
 	Progress func(string)
 	// Sample, when Enabled, runs every measurement in sampled mode with
@@ -399,72 +391,18 @@ func (r *Runner) Save() error {
 	return nil
 }
 
-// tracePath returns the disk-cache filename for one trace key. The name
-// encodes every generation parameter, so a changed length, seed, or phase
-// simply misses instead of reading a stale trace.
-func (r *Runner) tracePath(bench string, phase, n int, seed int64) string {
-	return filepath.Join(r.TraceCacheDir,
-		fmt.Sprintf("%s_n%d_seed%d_ph%d.strc", bench, n, seed, phase))
-}
-
-// loadCachedTrace tries the disk cache; any unreadable or corrupt file is
-// treated as a miss (the trace is regenerated and the file rewritten).
-func (r *Runner) loadCachedTrace(path string) *trace.MultiTrace {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	mt, err := trace.Read(f)
-	if err != nil {
-		return nil
-	}
-	return mt
-}
-
-// storeCachedTrace writes the trace via a temp file and rename, so a
-// concurrent or interrupted writer never leaves a torn file behind. Cache
-// errors are deliberately ignored: the cache is an optimization, and the
-// generated trace in hand is still valid.
-func (r *Runner) storeCachedTrace(path string, mt *trace.MultiTrace) {
-	if err := os.MkdirAll(r.TraceCacheDir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(r.TraceCacheDir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return
-	}
-	if err := trace.Write(tmp, mt); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
 // traceFor returns the trace for a benchmark or a single phase of it, at an
 // explicit length and seed (so worker-served requests with differing
 // geometry never alias). The most recent trace is memoized in memory (grid
-// sweeps reuse one trace across all configurations); on a memo miss the
-// disk cache, when configured, is consulted before regenerating.
+// sweeps reuse one trace across all configurations); a memo miss
+// regenerates, since generation is a pure function of the key and faster
+// than decoding a stored copy would be.
 func (r *Runner) traceFor(bench string, phase, n int, seed int64) (*trace.MultiTrace, error) {
 	r.traceMu.Lock()
 	defer r.traceMu.Unlock()
 	k := key{Bench: bench, N: n, Seed: seed, Phase: phase}
 	if r.traceV != nil && r.traceK == k {
 		return r.traceV, nil
-	}
-	if r.TraceCacheDir != "" {
-		if mt := r.loadCachedTrace(r.tracePath(bench, phase, n, seed)); mt != nil {
-			r.traceK, r.traceV = k, mt
-			return mt, nil
-		}
 	}
 	prof, err := workload.Lookup(bench)
 	if err != nil {
@@ -482,9 +420,6 @@ func (r *Runner) traceFor(bench string, phase, n int, seed int64) (*trace.MultiT
 	}
 	if err != nil {
 		return nil, err
-	}
-	if r.TraceCacheDir != "" {
-		r.storeCachedTrace(r.tracePath(bench, phase, n, seed), mt)
 	}
 	r.traceK, r.traceV = k, mt
 	return mt, nil

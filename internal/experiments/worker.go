@@ -18,10 +18,9 @@ import (
 // ServeWorker reads simulation requests from in and writes one result frame
 // per request to out, until in reaches EOF (the pool closed the pipe: clean
 // shutdown). Requests execute through r's ordinary measurement path — its
-// in-memory memo and, when configured, its disk trace cache — so a worker
-// asked twice for one key simulates once. Simulation failures are reported
-// in-band (SimResult.Err) and the loop continues; only transport failures
-// end it.
+// results memo and last-trace memo — so a worker asked twice for one key
+// simulates once. Simulation failures are reported in-band (SimResult.Err)
+// and the loop continues; only transport failures end it.
 func ServeWorker(r *Runner, in io.Reader, out io.Writer) error {
 	br := bufio.NewReader(in)
 	bw := bufio.NewWriter(out)
@@ -63,10 +62,7 @@ func MaybeWorker() {
 	if os.Getenv(distrib.WorkerEnv) != "1" {
 		return
 	}
-	r := NewRunner()
-	//ssim:nolint detrand: worker trace-cache location is wall-clock/IO plumbing; results derive only from request fields
-	r.TraceCacheDir = os.Getenv(distrib.WorkerTraceCacheEnv)
-	if err := ServeWorker(r, os.Stdin, os.Stdout); err != nil {
+	if err := ServeWorker(NewRunner(), os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
@@ -77,16 +73,12 @@ func MaybeWorker() {
 // "inproc" (nil — the Runner's built-in semaphore-bounded pool) or
 // "procpool" with shards worker subprocesses re-execing the current binary
 // in worker mode. The caller must Close a non-nil backend when done.
-func NewBackend(kind string, shards int, traceCacheDir string) (distrib.Backend, error) {
+func NewBackend(kind string, shards int) (distrib.Backend, error) {
 	switch kind {
 	case "", "inproc":
 		return nil, nil
 	case "procpool":
-		var env []string
-		if traceCacheDir != "" {
-			env = append(env, distrib.WorkerTraceCacheEnv+"="+traceCacheDir)
-		}
-		return distrib.NewProcpool(distrib.ProcpoolParams{Shards: shards, Env: env})
+		return distrib.NewProcpool(distrib.ProcpoolParams{Shards: shards})
 	default:
 		return nil, fmt.Errorf("experiments: unknown execution backend %q (want inproc or procpool)", kind)
 	}

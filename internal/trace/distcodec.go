@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,6 +64,9 @@ const (
 	// under a hundred bytes in practice.
 	maxFramePayload = 1 << 20
 )
+
+// ErrBadTrace is returned (wrapped) for any malformed SREQ/SRES frame.
+var ErrBadTrace = errors.New("trace: malformed trace data")
 
 // SimRequest is one simulation work item on the wire: the full
 // content-addressed key of a measurement, with no host-specific state.

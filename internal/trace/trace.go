@@ -1,9 +1,11 @@
-// Package trace defines the dynamic-instruction trace containers and a
-// compact binary codec used to move workloads between the generator
-// (cmd/tracegen), the simulator (cmd/ssim), and tests.
+// Package trace defines the dynamic-instruction trace containers that the
+// workload generator (internal/workload) fills and the simulator consumes,
+// and the SREQ/SRES frames that carry simulation requests and results to
+// procpool workers.
 //
-// The paper's SSim is driven by full-system traces produced by GEM5; this
-// package is the equivalent interchange layer for our synthetic traces.
+// The paper's SSim is driven by full-system traces produced by GEM5; here a
+// trace is a pure function of (benchmark, phase, length, seed), regenerated
+// wherever it is needed and never stored.
 package trace
 
 import (
@@ -113,7 +115,7 @@ func Single(t *Trace) *MultiTrace {
 }
 
 // Stats summarizes the static mix of a trace; used by tests and by
-// cmd/tracegen -stats to sanity check generated workloads.
+// cmd/tracegen, which prints it to sanity check generated workloads.
 type Stats struct {
 	Total      int
 	ALU        int
