@@ -147,9 +147,9 @@ fuzz-smoke:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunnerLoad$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./cmd/sharingd -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 15s -fuzzminimizetime 2s
 
-# Fleet throughput at acceptance scale (the BENCH_ssim.json "fleet" block),
-# then the placement index and the departure calendar alone at the fleet
-# workload's scale (allocs/op must be 0 for both; TestPlacerAllocsZero and
+# Fleet throughput at acceptance scale (BenchmarkFleet2000x20000), then the
+# placement index and the departure calendar alone at the fleet workload's
+# scale (allocs/op must be 0 for both; TestPlacerAllocsZero and
 # TestDepartureQueueAllocsZero pin it under `make test`).
 bench-fleet:
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet2000x20000 -benchtime 5x
@@ -174,16 +174,27 @@ distrib-smoke:
 
 # Allocation-serving acceptance: the concurrent allocation library and the
 # server-shaped SurfaceCache load under the race detector (concurrent results
-# must DeepEqual the sequential reference), the daemon endpoint/drain and
-# load-test subprocess tests, then the real load-test harness through
-# `go run`: sustained bid serving on closed-form surfaces with concurrent
-# churn, gated at 2,000 req/s with end-to-end verification (the
-# BENCH_ssim.json "serve" block).
+# must DeepEqual the sequential reference), and the daemon's own tests under
+# it (endpoints, drain, concurrent bids beside membership churn). Then
+# perfbench's two serving workloads, one short untraced run each at seed 0,
+# against a real sharingd -synthetic child: serve-bid and serve-churn check
+# every bid against an in-process allocator and the final market against a
+# sequential replay, and each last line must report correct=true and
+# failed=0, matched as perf-smoke matches them. serve-bid's rate_per_s must
+# also be at least 2,000 bids/s.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/alloc
 	$(GO) test -race -count=1 -run 'TestSurfaceCacheServerLoad' ./internal/market
-	$(GO) test -count=1 ./cmd/sharingd
-	$(GO) run ./cmd/sharingd -loadtest -synthetic -duration 5s -clients 8 -min-rps 2000
+	$(GO) test -race -count=1 ./cmd/sharingd
+	@for w in serve-bid serve-churn; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 0 --seconds 2 --trace 0 2>/dev/null | tail -n 1); \
+		echo "$$w seed 0: $$line"; \
+		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; *) echo "serve-smoke: $$w seed 0 is not correct=true, failed=0"; exit 1;; esac; \
+		if [ $$w = serve-bid ]; then \
+			rate=$$(echo "$$line" | sed -n 's/.*"rate_per_s":{"value":\([^,}]*\).*/\1/p'); \
+			awk -v r="$$rate" 'BEGIN { exit !(r + 0 >= 2000) }' || { echo "serve-smoke: serve-bid rate_per_s '$$rate' is below 2000"; exit 1; }; \
+		fi; \
+	done
 
 # Benchmark correctness gate: one short untraced run of each perfbench
 # workload on seeds 0-3. Each run checks its results against the digests

@@ -13,8 +13,6 @@ import (
 	"sharing/internal/autotuner"
 	"sharing/internal/econ"
 	"sharing/internal/experiments"
-	"sharing/internal/hypervisor"
-	"sharing/internal/workload"
 )
 
 func main() {
@@ -58,7 +56,7 @@ func main() {
 		fmt.Printf("  dyn/static gain (with reconfig costs): %.1f%%\n", 100*s.Gain)
 	}
 	if *autotune {
-		if err := runAutotune(r); err != nil {
+		if err := runAutotune(r, tables); err != nil {
 			fatal(err)
 		}
 	}
@@ -67,41 +65,21 @@ func main() {
 	}
 }
 
-// runAutotune rebuilds the per-phase measurements and compares the online
-// heartbeat auto-tuner against the oracle dynamic schedule and the best
-// static configuration.
-func runAutotune(r *experiments.Runner) error {
-	prof, err := workload.Lookup("gcc")
+// runAutotune compares the online heartbeat auto-tuner against the oracle
+// dynamic schedules of tables and the best static configuration.
+func runAutotune(r *experiments.Runner, tables []experiments.PhaseTable) error {
+	phases, err := experiments.GCCPhases(r)
 	if err != nil {
 		return err
 	}
-	phases := make([]econ.PhaseData, prof.NumPhases())
-	for pi := range phases {
-		g, err := r.GridPhase("gcc", pi, experiments.StdSlices, experiments.StdCaches)
-		if err != nil {
-			return err
-		}
-		pd := econ.PhaseData{Insts: uint64(r.EffectiveTraceLen()), Cycles: make(map[econ.Config]int64, len(g))}
-		for cfg, ipc := range g {
-			pd.Cycles[cfg] = int64(float64(r.EffectiveTraceLen()) / ipc)
-		}
-		phases[pi] = pd
-	}
-	reconf := func(a, b econ.Config) int64 {
-		return hypervisor.ReconfigCost(a.CacheKB, b.CacheKB, a.Slices, b.Slices)
-	}
 	fmt.Println("\nHeartbeat auto-tuner (§4) vs oracle, perf^k/area:")
-	for k := 1; k <= 3; k++ {
-		oracle, err := econ.PhaseAnalysis(phases, k, reconf)
-		if err != nil {
-			return err
-		}
-		sched, err := autotuner.Tune(phases, k, 0.05, econ.Config{Slices: 2, CacheKB: 128}, reconf)
+	for _, t := range tables {
+		sched, err := autotuner.Tune(phases, t.K, 0.05, econ.Config{Slices: 2, CacheKB: 128}, experiments.PhaseReconfigCost)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  k=%d: tuner GME %.4g (%d moves, %d probes) vs oracle %.4g, static %.4g\n",
-			k, sched.GME, sched.Moves, sched.Probes, oracle.DynGME, oracle.StaticGME)
+			t.K, sched.GME, sched.Moves, sched.Probes, t.Schedule.DynGME, t.Schedule.StaticGME)
 	}
 	return nil
 }

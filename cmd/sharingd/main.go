@@ -20,7 +20,6 @@
 //
 //	sharingd -synthetic -addr 127.0.0.1:8080
 //	sharingd -results results/perf.json -backend procpool -shards 4
-//	sharingd -loadtest -synthetic -duration 5s -clients 8 -min-rps 2000
 //
 // Ctrl-C drains gracefully: in-flight requests finish, simulator results
 // checkpoint, then the process exits 0. Requests still running after 30 s
@@ -44,7 +43,6 @@ import (
 	"sharing/internal/econ"
 	"sharing/internal/experiments"
 	"sharing/internal/fleet"
-	"sharing/internal/workload"
 )
 
 func main() {
@@ -60,13 +58,6 @@ func main() {
 		supSlices = flag.Int("supply-slices", 64, "chip supply: rentable Slices")
 		supBanks  = flag.Int("supply-banks", 128, "chip supply: rentable 64KB L2 banks")
 		quiet     = flag.Bool("q", false, "suppress per-run progress")
-
-		// Load-test harness (implies an in-process server; -addr ignored).
-		loadtest = flag.Bool("loadtest", false, "run the load-test harness against an in-process server and exit")
-		duration = flag.Duration("duration", 5*time.Second, "loadtest: measurement window")
-		clients  = flag.Int("clients", 8, "loadtest: concurrent keep-alive HTTP clients")
-		minRPS   = flag.Float64("min-rps", 0, "loadtest: fail (exit 1) below this sustained request rate")
-		churn    = flag.Bool("churn", true, "loadtest: run concurrent arrive/depart/phase churn alongside the bids")
 	)
 	flag.Parse()
 
@@ -108,41 +99,11 @@ func main() {
 		fatal(err)
 	}
 
-	srv := newServer(a)
-
-	if *loadtest {
-		// Synthetic surfaces serve any benchmark name; the simulator-backed
-		// allocator is driven over the real workload set.
-		benches := workload.Names()
-		if *synthetic {
-			benches = benches[:0]
-			for i := 0; i < 12; i++ {
-				benches = append(benches, fmt.Sprintf("lt-bench-%02d", i))
-			}
-		}
-		phases, err := benchPhases(benches, *synthetic)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runLoadTest(srv, loadTestOpts{
-			duration: *duration,
-			clients:  *clients,
-			minRPS:   *minRPS,
-			churn:    *churn,
-			benches:  benches,
-			phases:   phases,
-		}); err != nil {
-			fatal(err)
-		}
-		saveRunner(r)
-		return
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
-	hs := newHTTPServer(srv)
+	hs := newHTTPServer(newServer(a))
 
 	// Ctrl-C drains instead of killing: stop accepting, let in-flight
 	// requests (and their simulations) finish, checkpoint the results

@@ -25,7 +25,6 @@ import (
 	"sharing/internal/experiments"
 	"sharing/internal/fleet"
 	"sharing/internal/market"
-	"sharing/internal/workload"
 )
 
 // The daemon tests drive the real sharingd binary: TestMain re-execs this
@@ -373,58 +372,114 @@ func TestDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestLoadTestHarness runs the -loadtest mode end to end in a subprocess
-// with a short window and checks the printed summary: requests flowed, the
-// percentiles are ordered, and the end-to-end verification (every bid
-// DeepEqual-checked, final clearing replayed sequentially) passed.
-func TestLoadTestHarness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a timed load test in a subprocess")
+// TestConcurrentBidsAndChurn drives the in-process server the way a load
+// generator does: four goroutines POST bids, each reply DeepEqual-checked
+// against a sequential allocator over the same closed-form surfaces, while a
+// fifth runs arrive/phase/depart churn through the membership endpoints.
+// The final /v1/market must equal a sequential replay of the committed op
+// log.
+func TestConcurrentBidsAndChurn(t *testing.T) {
+	p := alloc.Params{
+		Slices: experiments.StdSlices, CacheKB: experiments.StdCaches,
+		Supply: econ.Supply{Slices: 64, Banks: 128},
 	}
-	cmd := sharingdCmd("-loadtest", "-synthetic", "-duration", "1s", "-clients", "4", "-min-rps", "1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("loadtest: %v\nstderr:\n%s", err, stderr.String())
-	}
-	var sum ltSummary
-	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
-		t.Fatalf("summary: %v\n%s", err, stdout.String())
-	}
-	if !sum.Verified {
-		t.Fatalf("loadtest summary not verified: %+v", sum)
-	}
-	if sum.Requests == 0 || sum.RPS <= 0 || sum.ChurnOps == 0 {
-		t.Fatalf("empty loadtest: %+v", sum)
-	}
-	if sum.P50Ms <= 0 || sum.P99Ms < sum.P50Ms {
-		t.Fatalf("percentiles out of order: %+v", sum)
-	}
-	if sum.Epochs == 0 || sum.CacheHitRate <= 0.5 {
-		t.Fatalf("serving stats implausible: %+v", sum)
-	}
-}
+	a := newTestAllocator(t, p)
+	ts := httptest.NewServer(newServer(a))
+	t.Cleanup(ts.Close)
+	ref := newTestAllocator(t, p)
 
-// TestChurnPhasesExist is the regression test for the simulator-backed
-// load test's churn client, which used to ask every benchmark for phase
-// i%3 and aborted with a 422 on the first single-phase one. Every phase
-// it now asks for must be one the workload can actually generate.
-func TestChurnPhasesExist(t *testing.T) {
-	benches := workload.Names()
-	phases, err := benchPhases(benches, false)
+	type bidCase struct {
+		req  bidRequest
+		want market.BidResult
+	}
+	benches := []string{"bench-a", "bench-b", "bench-c", "bench-d"}
+	var cases []bidCase
+	for _, bench := range benches {
+		for _, u := range econ.Utilities() {
+			for _, m := range econ.Markets() {
+				want, err := ref.PriceBid(bench, u, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases = append(cases, bidCase{
+					req:  bidRequest{Bench: bench, K: u.K, Budget: u.Budget, Market: &marketSpec{Name: m.Name}},
+					want: alloc.NormalizeBid(want),
+				})
+			}
+		}
+	}
+
+	const bidders, bidsEach, churnVMs = 4, 60, 40
+	var wg sync.WaitGroup
+	for c := 0; c < bidders; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < bidsEach; i++ {
+				tc := &cases[(c*13+i)%len(cases)]
+				var br market.BidResult
+				if err := post(ts.URL+"/v1/bid", tc.req, &br); err != nil {
+					t.Errorf("bidder %d: %v", c, err)
+					return
+				}
+				if got := alloc.NormalizeBid(br); !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("bidder %d: served bid diverged from the sequential reference:\n got %+v\nwant %+v", c, got, tc.want)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var kept []string // residents left behind, at most six
+		for i := 0; i < churnVMs; i++ {
+			name := fmt.Sprintf("churn-vm-%d", i)
+			u := econ.Utilities()[i%3]
+			if err := post(ts.URL+"/v1/arrive", arriveRequest{Name: name, Bench: benches[i%len(benches)], K: u.K, Budget: u.Budget}, nil); err != nil {
+				t.Errorf("arrive %s: %v", name, err)
+				return
+			}
+			if i%2 == 0 {
+				if err := post(ts.URL+"/v1/phase", phaseRequest{Name: name, Phase: 1 + i%3}, nil); err != nil {
+					t.Errorf("phase %s: %v", name, err)
+					return
+				}
+			}
+			if i%4 == 3 {
+				if kept = append(kept, name); len(kept) <= 6 {
+					continue
+				}
+				name, kept = kept[0], kept[1:]
+			}
+			if err := post(ts.URL+"/v1/depart", nameRequest{Name: name}, nil); err != nil {
+				t.Errorf("depart %s: %v", name, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	want, err := alloc.ReplaySequential(p, fleet.SyntheticProber{}, a.Log())
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := loadTestOpts{benches: benches, phases: phases}
-	for i := 0; i < 4*len(benches); i++ {
-		bench := benches[i%len(benches)]
-		prof, err := workload.Lookup(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ph := o.churnPhase(i, bench)
-		if _, err := prof.GeneratePhase(ph, 64, 1); err != nil {
-			t.Errorf("churn VM %d (%s) asks for phase %d: %v", i, bench, ph, err)
+	var got marketReply
+	getJSON(t, ts.URL+"/v1/market", &got)
+	if want == nil || len(got.VMs) != len(want.Allocations) {
+		t.Fatalf("market has %d residents, replay %+v", len(got.VMs), want)
+	}
+	if !reflect.DeepEqual(got.Prices, want.Prices) || got.TotalU != want.TotalUtility || got.Converged != want.Converged {
+		t.Fatalf("market prices %+v utility %v converged %v; replay %+v %v %v",
+			got.Prices, got.TotalU, got.Converged, want.Prices, want.TotalUtility, want.Converged)
+	}
+	for i, vm := range got.VMs {
+		al := want.Allocations[i]
+		if vm.Name != al.Customer || vm.Config != al.Config || vm.VCores != al.VCores || vm.Utility != al.Utility {
+			t.Fatalf("resident %d: market %+v, replay %+v", i, vm, al)
 		}
 	}
 }

@@ -22,11 +22,10 @@ import (
 // group-commit queue — so the server needs no locking of its own beyond
 // per-endpoint request counters.
 
-// Transport limits. Every POST body is capped (413 past the cap), and both
-// http.Servers (the daemon's and the load-test harness's) bound how long a
-// client may take to send its headers and request and how long an idle
-// keep-alive connection is held, so a slow or stalled client cannot pin a
-// connection forever. No write timeout: a bid on a cold surface runs the
+// Transport limits. Every POST body is capped (413 past the cap), and the
+// daemon's http.Server bounds how long a client may take to send its
+// headers and request and how long an idle keep-alive connection is held,
+// so a slow or stalled client cannot pin a connection forever. No write timeout: a bid on a cold surface runs the
 // simulator before it answers.
 const (
 	maxBodyBytes      = 1 << 20
@@ -97,7 +96,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // expvar names are process-global and Publish panics on duplicates, so the
 // "sharingd" var is registered once and routed to the most recent server
-// (tests and the load-test harness construct several).
+// (tests construct several).
 var (
 	expvarOnce sync.Once
 	expvarSrc  atomic.Pointer[server]

@@ -193,10 +193,6 @@ func New(p Params, prober market.Prober) (*Allocator, error) {
 // LatticeSize returns the probe cost of one exhaustive grid sweep.
 func (a *Allocator) LatticeSize() int { return a.cache.Lattice().Size() }
 
-// Params returns the allocator's parameters. Callers building a sequential
-// reference allocator pair it with Cache() to share the probe economy.
-func (a *Allocator) Params() Params { return a.p }
-
 // Cache returns the shared surface memo (for wiring several consumers onto
 // one probe economy, and for the cache hit/miss telemetry).
 func (a *Allocator) Cache() *market.SurfaceCache { return a.cache }

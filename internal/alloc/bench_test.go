@@ -6,10 +6,10 @@ import (
 	"sharing/internal/econ"
 )
 
-// Benchmarks for the serving hot path. The load-test harness (cmd/sharingd
-// -loadtest) measures the same path end to end through HTTP; these isolate
-// the library cost: a warm bid is an exact lattice search served entirely
-// from lock-free cache snapshots.
+// Benchmarks for the serving hot path. perfbench's serve-bid workload
+// measures the same path end to end through HTTP; these isolate the library
+// cost: a warm bid is an exact lattice search served entirely from
+// lock-free cache snapshots.
 
 func benchAlloc(b *testing.B) *Allocator {
 	b.Helper()

@@ -19,9 +19,9 @@ import (
 // is a function of the resident set it covers and nothing else. The batched run and the
 // serialized run apply the same ops in the same order, so they end with the
 // same resident set — and therefore the same final clearing, regardless of
-// how ops were grouped into epochs along the way. The race tests and the
-// sharingd load-test harness both assert this equivalence after concurrent
-// churn.
+// how ops were grouped into epochs along the way. The race tests, the
+// sharingd churn test and perfbench's serving workloads assert this
+// equivalence after concurrent churn.
 
 // ReplaySequential replays a committed op log, one op per epoch, through a
 // fresh allocator over the same lattice, supply, and prober, and returns
@@ -61,10 +61,9 @@ func VerifySequential(a *Allocator, prober market.Prober) (*econ.ClearingResult,
 	return verify(a, a.p, prober)
 }
 
-// Verify is VerifySequential for callers that no longer hold the prober
-// (e.g. cmd/sharingd's load-test harness): the replay reads the allocator's
-// own surface cache, which memoizes every point the concurrent run probed —
-// same data, zero re-probing.
+// Verify is VerifySequential for callers that no longer hold the prober:
+// the replay reads the allocator's own surface cache, which memoizes every
+// point the concurrent run probed — same data, zero re-probing.
 func (a *Allocator) Verify() (*econ.ClearingResult, error) {
 	p := a.p
 	p.Surfaces = a.cache

@@ -1,6 +1,6 @@
 // Package hotalloc defines a simlint analyzer that keeps SSim's annotated
 // hot paths allocation-free, guarding the ~300x allocs/op reduction the
-// event-driven engine rework bought (see BENCH_ssim.json).
+// event-driven engine rework bought (`make bench` reports allocs/op).
 //
 // A function carrying the //ssim:hotpath directive in its doc comment is a
 // hot-path root. The analyzer computes the set of functions statically

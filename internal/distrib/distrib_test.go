@@ -368,8 +368,8 @@ func TestWriteFileAtomic(t *testing.T) {
 // BenchmarkProcpoolDispatch measures the full per-request dispatch overhead
 // of the procpool backend — frame encode, pipe write, worker decode,
 // (instant) fake simulation, result frame back — i.e. everything the
-// multi-process backend adds on top of the simulation itself. Recorded in
-// BENCH_ssim.json ("distrib").
+// multi-process backend adds on top of the simulation itself:
+// go test ./internal/distrib -run '^$' -bench BenchmarkProcpoolDispatch.
 func BenchmarkProcpoolDispatch(b *testing.B) {
 	pool := fakePool(b, 1)
 	// Warm up: force the lazy worker start out of the timed region.

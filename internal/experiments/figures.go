@@ -247,17 +247,16 @@ type PhaseTable struct {
 	Schedule *econ.PhaseSchedule
 }
 
-// Table7 simulates each gcc phase independently over the grid and runs the
-// dynamic-vs-static analysis for perf^k/area, k in 1..3, charging the
-// hypervisor's reconfiguration costs.
-func Table7(r *Runner) ([]PhaseTable, error) {
+// GCCPhases simulates each gcc phase independently over the grid and
+// returns its cycle count at every configuration: the input of Table 7 and
+// of the heartbeat auto-tuner.
+func GCCPhases(r *Runner) ([]econ.PhaseData, error) {
 	prof, err := workload.Lookup("gcc")
 	if err != nil {
 		return nil, err
 	}
-	nPhases := prof.NumPhases()
-	phases := make([]econ.PhaseData, nPhases)
-	for pi := 0; pi < nPhases; pi++ {
+	phases := make([]econ.PhaseData, prof.NumPhases())
+	for pi := range phases {
 		g, err := r.GridPhase("gcc", pi, StdSlices, StdCaches)
 		if err != nil {
 			return nil, err
@@ -271,12 +270,25 @@ func Table7(r *Runner) ([]PhaseTable, error) {
 			return nil, err
 		}
 	}
-	reconf := func(a, b econ.Config) int64 {
-		return hypervisor.ReconfigCost(a.CacheKB, b.CacheKB, a.Slices, b.Slices)
+	return phases, nil
+}
+
+// PhaseReconfigCost is the hypervisor's cost, in cycles, of moving a VCore
+// from configuration a to b between phases.
+func PhaseReconfigCost(a, b econ.Config) int64 {
+	return hypervisor.ReconfigCost(a.CacheKB, b.CacheKB, a.Slices, b.Slices)
+}
+
+// Table7 runs the dynamic-vs-static analysis of the gcc phases for
+// perf^k/area, k in 1..3, charging the hypervisor's reconfiguration costs.
+func Table7(r *Runner) ([]PhaseTable, error) {
+	phases, err := GCCPhases(r)
+	if err != nil {
+		return nil, err
 	}
 	var out []PhaseTable
 	for k := 1; k <= 3; k++ {
-		sched, err := econ.PhaseAnalysis(phases, k, reconf)
+		sched, err := econ.PhaseAnalysis(phases, k, PhaseReconfigCost)
 		if err != nil {
 			return nil, err
 		}

@@ -215,9 +215,6 @@ func NewRunner() *Runner {
 	return &Runner{cache: make(map[string]Measurement)}
 }
 
-// EffectiveTraceLen returns the instruction count per thread in use.
-func (r *Runner) EffectiveTraceLen() int { return r.traceLen() }
-
 // SimRuns returns the number of simulator executions dispatched so far —
 // measurements that missed both the in-memory and the persisted results
 // cache (including the replayed checkpoint journal). It is the simulator

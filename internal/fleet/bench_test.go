@@ -8,7 +8,7 @@ import (
 // BenchmarkFleet2000x20000 is the acceptance-scale run: 2,000 machines,
 // 20,000 VM lifecycle events, synthetic surfaces. The interesting outputs —
 // wall time, events/s, and the probe economy against the naive per-bid grid
-// sweep — land in BENCH_ssim.json's "fleet" block via `make bench-fleet`.
+// sweep — are reported by `make bench-fleet`.
 func BenchmarkFleet2000x20000(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@ import (
 
 // benchTraceLen keeps BenchmarkMachineRun tractable while still exercising
 // the working-set behaviour that distinguishes memory-bound from
-// compute-bound benchmarks. BENCH_ssim.json records the headline numbers.
+// compute-bound benchmarks. `make bench` runs it.
 const benchTraceLen = 50_000
 
 var benchTraces = map[string]*trace.MultiTrace{}
@@ -75,9 +75,7 @@ func BenchmarkMachineRun(b *testing.B) {
 // BenchmarkSampledRun runs the same configurations as BenchmarkMachineRun
 // in sampled mode at the default window/period geometry. Comparing the two
 // benchmarks gives the sweep speedup of sampling (and its allocation
-// behaviour: the fast-forward loop must stay allocation-free). The measured
-// IPC error of each configuration against its exact run is recorded in
-// BENCH_ssim.json alongside the timing.
+// behaviour: the fast-forward loop must stay allocation-free).
 func BenchmarkSampledRun(b *testing.B) {
 	cases := []struct {
 		bench   string

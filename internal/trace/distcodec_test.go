@@ -154,9 +154,8 @@ func TestResultErrorFrameNeedsMessage(t *testing.T) {
 
 // BenchmarkResultCodec measures the per-measurement serialization cost of
 // the procpool wire protocol: one request encode+decode plus one result
-// encode+decode, i.e. both ends of a full dispatch round trip. Recorded in
-// BENCH_ssim.json ("distrib"): the cost must be noise against a multi-ms
-// simulation.
+// encode+decode, i.e. both ends of a full dispatch round trip. The cost
+// must be noise against a multi-ms simulation.
 func BenchmarkResultCodec(b *testing.B) {
 	req := sampleRequest()
 	res := sampleResult()
