@@ -64,25 +64,31 @@ market-smoke:
 	$(GO) test -race -short -run 'TestIncrementalBidMatchesGrid|TestChurnScenarioRuns' ./internal/experiments
 	$(GO) test -race -run 'TestChurnByteIdentical|TestChurnProbeEconomy|TestPriceBidWarm' ./internal/alloc
 
-# The paper's market outputs (Tables 4-7, Figs. 14-17) must regenerate
-# byte-identically from the committed measurement memo, without simulating:
-# each cmd/market experiment and cmd/phases, as run_experiments.sh runs them,
-# reads a copy of results/perf.json and its output is compared with the
-# committed file in results/. The copy must come back unchanged, or the run
-# measured something the memo lacks. Every mismatch is reported before the
-# target fails.
-RESULTS_OUTPUTS = table4:table4_optima table5:table5_utilities table6:table6_markets \
+# The paper's outputs read from measured surfaces (Figs. 12-17, Tables 4-7)
+# must regenerate byte-identically from the committed measurement memo,
+# without simulating: each cmd/sweep and cmd/market experiment and
+# cmd/phases, as run_experiments.sh runs them, reads a copy of
+# results/perf.json and its output is compared with the committed file in
+# results/. The copy must come back unchanged, or the run measured something
+# the memo lacks. Every mismatch is reported before the target fails.
+RESULTS_OUTPUTS = fig12:fig12_scalability fig13:fig13_cache_sensitivity \
+	table4:table4_optima table5:table5_utilities table6:table6_markets \
 	fig14:fig14_utility_surfaces fig15:fig15_fixed_gain fig16:fig16_hetero_gain \
 	fig17:fig17_datacenter phases:table7_phases
 
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	cp results/perf.json "$$tmp/perf.json" && \
+	$(GO) build -o "$$tmp/sweep" ./cmd/sweep && \
 	$(GO) build -o "$$tmp/market" ./cmd/market && $(GO) build -o "$$tmp/phases" ./cmd/phases && \
 	status=0 && \
 	for e in $(RESULTS_OUTPUTS); do \
 		exp=$${e%%:*}; file=results/$${e#*:}.txt; \
-		if [ $$exp = phases ]; then cmd="$$tmp/phases -n 300000"; else cmd="$$tmp/market -exp $$exp"; fi; \
+		case $$exp in \
+		phases) cmd="$$tmp/phases -n 300000";; \
+		fig12|fig13) cmd="$$tmp/sweep -exp $$exp";; \
+		*) cmd="$$tmp/market -exp $$exp";; \
+		esac; \
 		$$cmd -results "$$tmp/perf.json" -q > "$$tmp/out.txt" || status=1; \
 		if cmp -s "$$tmp/out.txt" $$file; then echo "results-check: $$file ok"; \
 		else echo "results-check: $$file differs"; diff $$file "$$tmp/out.txt" | head -20; status=1; fi; \

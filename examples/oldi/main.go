@@ -22,19 +22,19 @@ func main() {
 	// The customer profiles its own workload (an omnetpp-like event
 	// processor) across configurations once, offline.
 	fmt.Println("profiling the OLDI service across VCore shapes...")
-	grid, err := r.Grid("omnetpp", []int{1, 2, 4, 6, 8}, []int{0, 128, 512, 1024, 2048, 4096})
+	surf, err := r.Grid("omnetpp", []int{1, 2, 4, 6, 8}, []int{0, 128, 512, 1024, 2048, 4096})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	metaProgram := func(m sharing.Market) {
 		u3 := sharing.Utility3()
-		cfg, util := u3.Best(m, grid)
-		perf := grid[cfg]
+		cfg, util := u3.Best(m, surf)
+		perf, _ := surf.At(cfg)
 		fmt.Printf("  under %s: rent %d Slices + %d KB  (P=%.3f IPC, U3=%.2f)\n",
 			m.Name, cfg.Slices, cfg.CacheKB, perf, util)
 		// Contrast with the throughput view of the same measurements.
-		cfg1, _ := sharing.Utility1().Best(m, grid)
+		cfg1, _ := sharing.Utility1().Best(m, surf)
 		if cfg1 != cfg {
 			fmt.Printf("    (a throughput customer would instead rent %d Slices + %d KB)\n",
 				cfg1.Slices, cfg1.CacheKB)

@@ -19,14 +19,14 @@ func main() {
 	r.TraceLen = 60000
 
 	fmt.Println("measuring apache on candidate VCore shapes...")
-	grid, err := r.Grid("apache", []int{1, 2, 3, 4}, []int{0, 64, 128, 256, 512})
+	surf, err := r.Grid("apache", []int{1, 2, 3, 4}, []int{0, 64, 128, 256, 512})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	u := sharing.Utility1()
 	for _, market := range []sharing.Market{sharing.Market2(), sharing.Market1(), sharing.Market3()} {
-		best, util := u.Best(market, grid)
+		best, util := u.Best(market, surf)
 		v := u.Budget / market.Cost(best)
 		fmt.Printf("\n%s (Slice $%.1f, 64KB bank $%.1f):\n", market.Name, market.SliceCost, market.BankCost)
 		fmt.Printf("  best buy: %d Slices + %d KB per VCore\n", best.Slices, best.CacheKB)

@@ -84,15 +84,16 @@ func (flatProber) Probe(bench string, cfg econ.Config) (float64, error) {
 	return fn(cfg), nil
 }
 
-// grid sweeps a synthetic surface into a full measurement grid — the
+// grid sweeps a synthetic surface over the whole test lattice — the
 // exhaustive argmax reference PriceBid must match.
-func grid(perf func(econ.Config) float64) econ.Grid {
-	g := make(econ.Grid)
-	for _, s := range tSlices {
-		for _, kb := range tCaches {
-			cfg := econ.Config{Slices: s, CacheKB: kb}
-			g[cfg] = perf(cfg)
-		}
+func grid(perf func(econ.Config) float64) *econ.Surface {
+	lat, err := econ.NewLattice(tSlices, tCaches)
+	if err != nil {
+		panic(err)
+	}
+	g := econ.NewSurface(lat)
+	for x := range g.Values {
+		g.Values[x] = perf(lat.Point(x))
 	}
 	return g
 }

@@ -37,7 +37,7 @@ func mustEqual(t *testing.T, got, want *econ.ClearingResult, step string) {
 func TestChurnByteIdentical(t *testing.T) {
 	a, _ := newAlloc(t)
 	cust := func(name, bench string, u econ.Utility) econ.Customer {
-		return econ.Customer{Name: name, Grid: grid(benchPerf[bench]), Utility: u}
+		return econ.Customer{Name: name, Perf: grid(benchPerf[bench]), Utility: u}
 	}
 	alice, bob, carol := cust("alice", "cachey", econ.Utility1()), cust("bob", "slicey", econ.Utility3()), cust("carol", "cachey", econ.Utility2())
 	step := func(rc Receipt, err error) *econ.ClearingResult {
@@ -62,7 +62,7 @@ func TestChurnByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	dave := func(ph int) econ.Customer {
-		return econ.Customer{Name: "dave", Grid: grid(phasePerf[ph]), Utility: econ.Utility2()}
+		return econ.Customer{Name: "dave", Perf: grid(phasePerf[ph]), Utility: econ.Utility2()}
 	}
 	mustEqual(t, step(a.Reconfigure("dave", 0)), scratch(t, []econ.Customer{alice, carol, dave(0)}), "dave phase 0")
 	from, _ := a.VM("dave")

@@ -76,11 +76,11 @@ func Tune(phases []econ.PhaseData, k int, probeFrac float64, start econ.Config, 
 	var metrics []float64
 	for pi, ph := range phases {
 		cycAt := func(c econ.Config) (int64, error) {
-			cyc, ok := ph.Cycles[c]
+			cyc, ok := ph.Cycles.At(c)
 			if !ok {
 				return 0, fmt.Errorf("autotuner: phase %d has no measurement for %v", pi, c)
 			}
-			return cyc, nil
+			return int64(cyc), nil
 		}
 		// Probe: heartbeat the current config and each neighbour, each on a
 		// probeFrac slice of the phase. Probe slices still execute the

@@ -10,15 +10,8 @@ import (
 // phasesWithDrift builds phases whose optimum drifts from a small to a large
 // configuration, on a full grid so the tuner can walk anywhere.
 func phasesWithDrift(n int) []econ.PhaseData {
-	grid := func(f func(c econ.Config) float64) map[econ.Config]int64 {
-		out := make(map[econ.Config]int64)
-		for s := 1; s <= 8; s++ {
-			for _, kb := range []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-				c := econ.Config{Slices: s, CacheKB: kb}
-				out[c] = int64(1e6 / f(c))
-			}
-		}
-		return out
+	grid := func(f func(c econ.Config) float64) *econ.Surface {
+		return cycles(func(c econ.Config) float64 { return 1e6 / f(c) })
 	}
 	var phases []econ.PhaseData
 	for i := 0; i < n; i++ {
@@ -32,6 +25,20 @@ func phasesWithDrift(n int) []econ.PhaseData {
 		phases = append(phases, econ.PhaseData{Insts: 1_000_000, Cycles: grid(f)})
 	}
 	return phases
+}
+
+// cycles returns the whole-cycle counts 1e6/perf over the full 8 x 9
+// lattice, so the tuner can walk anywhere.
+func cycles(cyc func(c econ.Config) float64) *econ.Surface {
+	lat, err := econ.NewLattice([]int{1, 2, 3, 4, 5, 6, 7, 8}, []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192})
+	if err != nil {
+		panic(err)
+	}
+	s := econ.NewSurface(lat)
+	for x := range s.Values {
+		s.Values[x] = float64(int64(cyc(lat.Point(x))))
+	}
+	return s
 }
 
 func reconfig(a, b econ.Config) int64 {
@@ -76,17 +83,13 @@ func TestTunerBeatsStaticLosesToOracle(t *testing.T) {
 func TestTunerStationaryStaysPut(t *testing.T) {
 	// Identical phases with a clear optimum: the tuner should find it and
 	// then stop moving.
-	grid := make(map[econ.Config]int64)
-	for s := 1; s <= 8; s++ {
-		for _, kb := range []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-			c := econ.Config{Slices: s, CacheKB: kb}
-			perf := 1.0
-			if c.Slices == 2 && c.CacheKB == 128 {
-				perf = 3.0 // sharp optimum
-			}
-			grid[c] = int64(1e6 / perf)
+	grid := cycles(func(c econ.Config) float64 {
+		perf := 1.0
+		if c.Slices == 2 && c.CacheKB == 128 {
+			perf = 3.0 // sharp optimum
 		}
-	}
+		return 1e6 / perf
+	})
 	var phases []econ.PhaseData
 	for i := 0; i < 8; i++ {
 		phases = append(phases, econ.PhaseData{Insts: 1_000_000, Cycles: grid})
@@ -117,8 +120,13 @@ func TestTuneErrors(t *testing.T) {
 	if _, err := Tune(phases, 1, 0.05, econ.Config{Slices: 0}, reconfig); err == nil {
 		t.Fatal("invalid start accepted")
 	}
+	// Phase 1 measures one point, far from where phase 0 leaves the tuner.
 	bad := phasesWithDrift(2)
-	delete(bad[1].Cycles, econ.Config{Slices: 1, CacheKB: 64})
+	far, err := econ.NewLattice([]int{8}, []int{8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[1].Cycles = econ.NewSurface(far)
 	if _, err := Tune(bad, 1, 0.05, econ.Config{Slices: 1, CacheKB: 64}, reconfig); err == nil {
 		t.Fatal("missing measurement accepted")
 	}

@@ -14,7 +14,7 @@ import (
 // last surface configurations of different cost tie too: under
 // Market2/Utility1 every one of area at least 4 whose B/area·area rounds
 // back to B is worth exactly B, so the cheapest of them, (2 Slices, 256 KB),
-// must beat (1 Slice, 512 KB), which comes first in Configs order.
+// must beat (1 Slice, 512 KB), which comes first in lattice index order.
 func plateauSurfaces() []func(Config) float64 {
 	area := func(c Config) float64 { return Market2().Cost(c) }
 	return []func(Config) float64{
@@ -33,37 +33,36 @@ func plateauSurfaces() []func(Config) float64 {
 	}
 }
 
-// propertyGrids returns the generated and plateau surfaces as lattice grids,
-// each with one off-lattice invalid configuration that would win if the
-// reductions did not skip it.
-func propertyGrids() []Grid {
-	var out []Grid
+// propertyGrids returns the generated and plateau surfaces on the test
+// lattice.
+func propertyGrids() []*Surface {
+	var out []*Surface
 	for _, perf := range append(generatedSurfaces(32), plateauSurfaces()...) {
-		g := latticeGrid(perf)
-		g[Config{Slices: 9, CacheKB: 64}] = 1e9
-		out = append(out, g)
+		out = append(out, latticeGrid(perf))
 	}
 	return out
 }
 
-// bruteBest is the reference optimum: sort the grid's valid configurations
-// by score, best first, then by PreferOnTie, and take the first. tied
-// reports whether the runner-up scores exactly the same.
-func bruteBest(m Market, g Grid, score func(Config, float64) float64) (best Config, tied bool) {
+// bruteBest is the reference optimum: sort the surface's configurations by
+// score, best first, then by PreferOnTie, and take the first. tied reports
+// whether the runner-up scores exactly the same.
+func bruteBest(m Market, g *Surface, score func(Config, float64) float64) (best Config, tied bool) {
+	at := func(c Config) float64 {
+		p, _ := g.At(c)
+		return p
+	}
 	var cs []Config
-	for _, c := range g.Configs() {
-		if c.Valid() {
-			cs = append(cs, c)
-		}
+	for x := range g.Values {
+		cs = append(cs, g.Lattice.Point(x))
 	}
 	sort.SliceStable(cs, func(i, j int) bool {
-		vi, vj := score(cs[i], g[cs[i]]), score(cs[j], g[cs[j]])
+		vi, vj := score(cs[i], at(cs[i])), score(cs[j], at(cs[j]))
 		if vi != vj {
 			return vi > vj
 		}
 		return PreferOnTie(m, cs[i], cs[j])
 	})
-	return cs[0], score(cs[0], g[cs[0]]) == score(cs[1], g[cs[1]])
+	return cs[0], score(cs[0], at(cs[0])) == score(cs[1], at(cs[1]))
 }
 
 // TestArgmaxMatchesBruteForce: Utility.Best, BestByMetric and BestFixed all
@@ -73,7 +72,7 @@ func bruteBest(m Market, g Grid, score func(Config, float64) float64) (best Conf
 func TestArgmaxMatchesBruteForce(t *testing.T) {
 	grids := propertyGrids()
 	checks, ties := 0, 0
-	check := func(what string, got Config, m Market, g Grid, score func(Config, float64) float64) {
+	check := func(what string, got Config, m Market, g *Surface, score func(Config, float64) float64) {
 		t.Helper()
 		want, tied := bruteBest(m, g, score)
 		if got != want {
@@ -90,8 +89,8 @@ func TestArgmaxMatchesBruteForce(t *testing.T) {
 				value := func(c Config, p float64) float64 { return u.Value(m, p, c) }
 				got, gotU := u.Best(m, g)
 				check(fmt.Sprintf("grid %d %s/U%d Best", gi, m.Name, u.K), got, m, g, value)
-				if gotU != value(got, g[got]) {
-					t.Fatalf("grid %d %s/U%d: Best reports %v, its configuration scores %v", gi, m.Name, u.K, gotU, value(got, g[got]))
+				if p, _ := g.At(got); gotU != value(got, p) {
+					t.Fatalf("grid %d %s/U%d: Best reports %v, its configuration scores %v", gi, m.Name, u.K, gotU, value(got, p))
 				}
 			}
 		}
@@ -116,8 +115,9 @@ func TestArgmaxMatchesBruteForce(t *testing.T) {
 				gme := func(c Config, _ float64) float64 {
 					var vals []float64
 					for _, name := range s.Names() {
+						p, _ := s[name].At(c)
 						for _, u := range utils {
-							vals = append(vals, u.Value(m, s[name][c], c))
+							vals = append(vals, u.Value(m, p, c))
 						}
 					}
 					return GME(vals)

@@ -15,8 +15,8 @@ import "fmt"
 type Customer struct {
 	// Name labels the tenant.
 	Name string
-	// Grid is the tenant's measured performance per configuration.
-	Grid Grid
+	// Perf is the tenant's measured performance surface.
+	Perf *Surface
 	// Utility is the tenant's utility family (K) and budget.
 	Utility Utility
 }
@@ -25,7 +25,7 @@ type Customer struct {
 // utility-maximizing configuration times the number of VCores the budget
 // affords.
 func (c *Customer) demand(m Market) (cfg Config, vcores float64) {
-	cfg, _ = c.Utility.Best(m, c.Grid)
+	cfg, _ = c.Utility.Best(m, c.Perf)
 	cost := m.Cost(cfg)
 	if cost <= 0 {
 		return cfg, 0
@@ -34,7 +34,7 @@ func (c *Customer) demand(m Market) (cfg Config, vcores float64) {
 }
 
 // Bidder abstracts one market participant's best response to a price
-// vector. Customer (full measurement grid) and the incremental market
+// vector. Customer (full performance surface) and the incremental market
 // engine's probe-driven searcher (internal/market) both implement it; the
 // tatonnement below is written against this interface so the batch and
 // online paths share one clearing algorithm and, given identical responses,
@@ -51,10 +51,11 @@ type Bidder interface {
 // BidderName implements Bidder.
 func (c *Customer) BidderName() string { return c.Name }
 
-// Respond implements Bidder by exhaustive sweep of the measurement grid.
+// Respond implements Bidder by exhaustive sweep of the performance surface.
 func (c *Customer) Respond(m Market) (Config, float64, float64, error) {
 	cfg, v := c.demand(m)
-	return cfg, v, c.Utility.Value(m, c.Grid[cfg], cfg), nil
+	p, _ := c.Perf.At(cfg) // cfg is a point of the surface: Best chose it
+	return cfg, v, c.Utility.Value(m, p, cfg), nil
 }
 
 // Supply is the chip's rentable resources.
@@ -71,9 +72,12 @@ type ClearingResult struct {
 	// clearing round when Converged, else the least-oversold round seen,
 	// which can be below maxIter.
 	Iterations int
-	// Converged reports that demand fell within tolerance of supply. False
-	// means the round cap ran out and Prices are the least-oversold prices
-	// observed, at which some resource may be over-demanded.
+	// Converged reports that demand fell within tolerance of supply:
+	// SliceDemand <= (1+tol)*Slices and BankDemand <= (1+tol)*Banks (at
+	// most half a bank when the supply has none). A converged result can
+	// thus oversell each resource by up to tol. False means the round cap
+	// ran out and Prices are the least-oversold prices observed, at which
+	// some resource may be over-demanded by more.
 	Converged bool
 	// Allocations holds each customer's chosen configuration and VCore
 	// count at the clearing prices, in input order.
@@ -95,11 +99,12 @@ type Allocation struct {
 // ClearMarket runs the tatonnement: starting from area prices (Market2),
 // each round computes aggregate demand, then nudges each resource's price
 // by its relative excess demand. Because configurations are discrete, exact
-// supply=demand equality need not exist (demand jumps at price thresholds);
-// the provider's actual constraint is only that nothing is OVER-demanded,
-// so the auction stops once every resource's demand is within tol above its
-// supply (idle capacity is allowed), or after maxIter rounds, in which case
-// the result has Converged false. Demand is declared in fractional VCores,
+// supply=demand equality need not exist (demand jumps at price thresholds),
+// and idle capacity is allowed. The auction stops at the first round whose
+// demand is at most (1+tol) times supply for every resource — so a
+// converged clearing can oversell each resource by up to tol (0.05 when tol
+// is not positive) — or after maxIter rounds, in which case the result has
+// Converged false. Demand is declared in fractional VCores,
 // which is the paper's time-multiplexed leasing: renting 2.5 VCores means 2
 // full-time and one half-time.
 func ClearMarket(customers []Customer, supply Supply, tol float64, maxIter int) (*ClearingResult, error) {

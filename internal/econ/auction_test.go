@@ -1,7 +1,9 @@
 package econ
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -14,8 +16,8 @@ func auctionCustomers() []Customer {
 		return float64(c.Slices)
 	})
 	return []Customer{
-		{Name: "analytics", Grid: cacheLover, Utility: Utility{K: 2, Budget: 300}},
-		{Name: "batch", Grid: sliceLover, Utility: Utility{K: 1, Budget: 300}},
+		{Name: "analytics", Perf: cacheLover, Utility: Utility{K: 2, Budget: 300}},
+		{Name: "batch", Perf: sliceLover, Utility: Utility{K: 1, Budget: 300}},
 	}
 }
 
@@ -124,5 +126,55 @@ func TestClearMarketBudgetScalesDemandNotPrices(t *testing.T) {
 	}
 	if res.SliceDemand > 64*1.06 || math.IsNaN(res.TotalUtility) {
 		t.Fatalf("clearing broke under budget scaling: %+v", res)
+	}
+}
+
+// TestClearMarketConvergedBound: over generated populations, a converged
+// clearing's demand is at most (1+tol) times supply for every resource (at
+// most half a bank when the chip has none), as ClearingResult.Converged
+// documents. The bound allows overselling by up to tol, and the test
+// reports how often converged clearings use that allowance.
+func TestClearMarketConvergedBound(t *testing.T) {
+	perf := generatedSurfaces(16)
+	rng := rand.New(rand.NewSource(3))
+	const tol, populations = 0.05, 400
+	converged, oversold := 0, 0
+	for pop := 0; pop < populations; pop++ {
+		cs := make([]Customer, 2+rng.Intn(5))
+		for i := range cs {
+			cs[i] = Customer{
+				Name:    fmt.Sprint("c", i),
+				Perf:    latticeGrid(perf[rng.Intn(len(perf))]),
+				Utility: Utility{K: 1 + rng.Intn(3), Budget: 50 + 250*rng.Float64()},
+			}
+		}
+		supply := Supply{Slices: 8 + rng.Intn(120), Banks: rng.Intn(200)}
+		res, err := ClearMarket(cs, supply, tol, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			continue
+		}
+		converged++
+		// The relative slack covers rounding in the tatonnement's
+		// demand/supply-1 <= tol comparison.
+		within := func(demand float64, supply int) bool {
+			if supply == 0 {
+				return demand <= 0.5
+			}
+			return demand <= (1+tol)*float64(supply)*(1+1e-12)
+		}
+		if !within(res.SliceDemand, supply.Slices) || !within(res.BankDemand, supply.Banks) {
+			t.Fatalf("population %d: converged at slices %.3f of %d, banks %.3f of %d, beyond (1+%v)·supply",
+				pop, res.SliceDemand, supply.Slices, res.BankDemand, supply.Banks, tol)
+		}
+		if res.SliceDemand > float64(supply.Slices) || res.BankDemand > float64(supply.Banks) {
+			oversold++
+		}
+	}
+	t.Logf("%d of %d populations converged, %d of them oversold within tolerance", converged, populations, oversold)
+	if converged == 0 {
+		t.Fatal("no population converged")
 	}
 }

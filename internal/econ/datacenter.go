@@ -49,7 +49,7 @@ type FleetPoint struct {
 const fleetTotalArea = 1000.0
 
 // FleetMix generalizes DatacenterMix to K core types and J job classes:
-// grids[j] holds class j's measured performance, types the core flavours,
+// perf[j] holds class j's measured performance, types the core flavours,
 // shares the area-share vectors to evaluate (each of length K, summing to 1)
 // and mixes the job-fraction vectors (each of length J, summing to 1). For
 // every (mix, share) pair — mixes outer, shares inner — the datacenter
@@ -61,8 +61,8 @@ const fleetTotalArea = 1000.0
 // optimum and reproduces DatacenterMix bit for bit; for K > 2 it is a
 // heuristic for the underlying transportation problem — good enough for the
 // planning sweeps, and the fleet simulator measures actual placements anyway.
-func FleetMix(grids []Grid, types []CoreType, k int, shares, mixes [][]float64) ([]FleetPoint, error) {
-	nt, nj := len(types), len(grids)
+func FleetMix(perf []*Surface, types []CoreType, k int, shares, mixes [][]float64) ([]FleetPoint, error) {
+	nt, nj := len(types), len(perf)
 	if nt == 0 || nj == 0 {
 		return nil, fmt.Errorf("econ: fleet mix needs at least one core type and one job class")
 	}
@@ -79,14 +79,14 @@ func FleetMix(grids []Grid, types []CoreType, k int, shares, mixes [][]float64) 
 		return out
 	}
 	p := make([][]float64, nj)
-	for j, g := range grids {
+	for j, s := range perf {
 		p[j] = make([]float64, nt)
 		for t, ct := range types {
-			perf, ok := g[ct.Cfg]
+			pt, ok := s.At(ct.Cfg)
 			if !ok {
 				return nil, fmt.Errorf("econ: no measurement at %v", ct.Cfg)
 			}
-			p[j][t] = pow(perf)
+			p[j][t] = pow(pt)
 		}
 	}
 	area := make([]float64, nt)
@@ -179,14 +179,14 @@ func FleetMix(grids []Grid, types []CoreType, k int, shares, mixes [][]float64) 
 }
 
 // DatacenterMix sweeps big-core area fraction for each application mix.
-// benchA/benchB supply each benchmark's measured performance on both core
+// pA/pB supply each benchmark's measured performance on both core
 // types. Jobs are infinitely divisible (a large population) and each core
 // runs one job; assignment maximizes total P^k-per-area utility (Utility-k
 // under Market2 semantics; the paper uses k=1, and on this substrate's
 // compressed performance spreads k=2 recovers the same qualitative
 // behaviour - see EXPERIMENTS.md). It is FleetMix at K=2 (types big, small;
 // classes A, B), byte-identical to the original two-type arithmetic.
-func DatacenterMix(gA, gB Grid, big, small CoreType, k int, bigFracs, appFracs []float64) ([]MixPoint, error) {
+func DatacenterMix(pA, pB *Surface, big, small CoreType, k int, bigFracs, appFracs []float64) ([]MixPoint, error) {
 	shares := make([][]float64, len(bigFracs))
 	for i, bf := range bigFracs {
 		shares[i] = []float64{bf, 1 - bf}
@@ -195,7 +195,7 @@ func DatacenterMix(gA, gB Grid, big, small CoreType, k int, bigFracs, appFracs [
 	for i, af := range appFracs {
 		mixes[i] = []float64{af, 1 - af}
 	}
-	pts, err := FleetMix([]Grid{gA, gB}, []CoreType{big, small}, k, shares, mixes)
+	pts, err := FleetMix([]*Surface{pA, pB}, []CoreType{big, small}, k, shares, mixes)
 	if err != nil {
 		return nil, err
 	}

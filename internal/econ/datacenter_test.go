@@ -9,8 +9,11 @@ import (
 // kept verbatim as the byte-identity reference for the FleetMix
 // generalization: Fig. 17 regenerated through FleetMix must match this to
 // the last bit.
-func legacyMix(gA, gB Grid, big, small CoreType, k int, bigFracs, appFracs []float64) []MixPoint {
-	perf := func(g Grid, ct CoreType) float64 { return g[ct.Cfg] }
+func legacyMix(gA, gB *Surface, big, small CoreType, k int, bigFracs, appFracs []float64) []MixPoint {
+	perf := func(g *Surface, ct CoreType) float64 {
+		p, _ := g.At(ct.Cfg)
+		return p
+	}
 	pAbig, pAsmall := perf(gA, big), perf(gA, small)
 	pBbig, pBsmall := perf(gB, big), perf(gB, small)
 	pow := func(p float64) float64 {
@@ -62,25 +65,28 @@ func legacyMix(gA, gB Grid, big, small CoreType, k int, bigFracs, appFracs []flo
 	return out
 }
 
-// synthetic grids shaped like the two Fig. 17 regimes.
-func dcGridCachey() Grid {
-	g := make(Grid)
-	for s := 1; s <= 8; s++ {
-		for _, kb := range []int{0, 64, 128, 256, 512} {
-			g[Config{Slices: s, CacheKB: kb}] = 0.3 + 1.6*float64(kb)/(float64(kb)+600) + 0.02*float64(s)
-		}
-	}
-	return g
+// synthetic surfaces shaped like the two Fig. 17 regimes.
+var dcSlices, dcCaches = []int{1, 2, 3, 4, 5, 6, 7, 8}, []int{0, 64, 128, 256, 512}
+
+func dcGridCachey() *Surface {
+	return surfaceOf(dcSlices, dcCaches, func(c Config) float64 {
+		return 0.3 + 1.6*float64(c.CacheKB)/(float64(c.CacheKB)+600) + 0.02*float64(c.Slices)
+	})
 }
 
-func dcGridSlicey() Grid {
-	g := make(Grid)
-	for s := 1; s <= 8; s++ {
-		for _, kb := range []int{0, 64, 128, 256, 512} {
-			g[Config{Slices: s, CacheKB: kb}] = 0.28 * float64(s) * (1 + 0.03*float64(kb)/512)
-		}
-	}
-	return g
+func dcGridSlicey() *Surface {
+	return surfaceOf(dcSlices, dcCaches, func(c Config) float64 {
+		return 0.28 * float64(c.Slices) * (1 + 0.03*float64(c.CacheKB)/512)
+	})
+}
+
+// dcPair is a surface over the lattice spanning BigCore and SmallCore with
+// the given performance at each; FleetMix reads no other point.
+func dcPair(big, small float64) *Surface {
+	return sparseSurface([]int{1, 3}, []int{0, 256}, 0, map[Config]float64{
+		BigCore().Cfg:   big,
+		SmallCore().Cfg: small,
+	})
 }
 
 var dcFracs = []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
@@ -121,12 +127,16 @@ func TestFleetMixThreeTypes(t *testing.T) {
 	big := CoreType{Name: "big", Cfg: Config{Slices: 3, CacheKB: 256}}   // area 5
 	mid := CoreType{Name: "mid", Cfg: Config{Slices: 2, CacheKB: 128}}   // area 3
 	small := CoreType{Name: "small", Cfg: Config{Slices: 1, CacheKB: 0}} // area 1
-	gA := Grid{big.Cfg: 2.0, mid.Cfg: 0.9, small.Cfg: 0.2}               // big-lover (per area: 0.4 / 0.3 / 0.2)
-	gB := Grid{big.Cfg: 1.2, mid.Cfg: 0.7, small.Cfg: 0.5}               // small-lover (per area: 0.24 / 0.23 / 0.5)
+	// The lattice spanning the three types; FleetMix reads no other point.
+	three := func(pBig, pMid, pSmall float64) *Surface {
+		return sparseSurface([]int{1, 2, 3}, []int{0, 128, 256}, 0, map[Config]float64{big.Cfg: pBig, mid.Cfg: pMid, small.Cfg: pSmall})
+	}
+	gA := three(2.0, 0.9, 0.2) // big-lover (per area: 0.4 / 0.3 / 0.2)
+	gB := three(1.2, 0.7, 0.5) // small-lover (per area: 0.24 / 0.23 / 0.5)
 	types := []CoreType{big, mid, small}
 	shares := ShareGrid(3, 8)
 	mixes := [][]float64{{0.5, 0.5}}
-	pts, err := FleetMix([]Grid{gA, gB}, types, 1, shares, mixes)
+	pts, err := FleetMix([]*Surface{gA, gB}, types, 1, shares, mixes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,21 +174,21 @@ func TestFleetMixValidation(t *testing.T) {
 	if _, err := FleetMix(nil, []CoreType{BigCore()}, 1, nil, nil); err == nil {
 		t.Error("no job classes accepted")
 	}
-	if _, err := FleetMix([]Grid{g}, nil, 1, nil, nil); err == nil {
+	if _, err := FleetMix([]*Surface{g}, nil, 1, nil, nil); err == nil {
 		t.Error("no core types accepted")
 	}
-	if _, err := FleetMix([]Grid{g}, []CoreType{BigCore()}, 0, nil, nil); err == nil {
+	if _, err := FleetMix([]*Surface{g}, []CoreType{BigCore()}, 0, nil, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := FleetMix([]Grid{g}, []CoreType{{Name: "x", Cfg: Config{Slices: 8, CacheKB: 8192}}}, 1,
+	if _, err := FleetMix([]*Surface{g}, []CoreType{{Name: "x", Cfg: Config{Slices: 8, CacheKB: 8192}}}, 1,
 		[][]float64{{1}}, [][]float64{{1}}); err == nil {
 		t.Error("missing measurement accepted")
 	}
-	if _, err := FleetMix([]Grid{g}, []CoreType{BigCore()}, 1,
+	if _, err := FleetMix([]*Surface{g}, []CoreType{BigCore()}, 1,
 		[][]float64{{0.5, 0.5}}, [][]float64{{1}}); err == nil {
 		t.Error("share vector of wrong arity accepted")
 	}
-	if _, err := FleetMix([]Grid{g}, []CoreType{BigCore()}, 1,
+	if _, err := FleetMix([]*Surface{g}, []CoreType{BigCore()}, 1,
 		[][]float64{{1}}, [][]float64{{0.5, 0.5}}); err == nil {
 		t.Error("mix vector of wrong arity accepted")
 	}
@@ -191,14 +201,14 @@ func TestFleetMixValidation(t *testing.T) {
 func TestFleetMixZeroPerf(t *testing.T) {
 	big, small := BigCore(), SmallCore()
 	types := []CoreType{big, small}
-	zero := Grid{big.Cfg: 0, small.Cfg: 0}
-	strong := Grid{big.Cfg: 2.0, small.Cfg: 0.4} // advantage 5
-	weak := Grid{big.Cfg: 1.0, small.Cfg: 0.8}   // advantage 1.25
-	onlyBig := Grid{big.Cfg: 1.5, small.Cfg: 0}  // advantage +Inf, deterministically
+	zero := dcPair(0, 0)
+	strong := dcPair(2.0, 0.4) // advantage 5
+	weak := dcPair(1.0, 0.8)   // advantage 1.25
+	onlyBig := dcPair(1.5, 0)  // advantage +Inf, deterministically
 
 	shares := [][]float64{{0.5, 0.5}}
 	mixes := [][]float64{{0.25, 0.25, 0.25, 0.25}}
-	pts, err := FleetMix([]Grid{zero, strong, weak, onlyBig}, types, 1, shares, mixes)
+	pts, err := FleetMix([]*Surface{zero, strong, weak, onlyBig}, types, 1, shares, mixes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +219,7 @@ func TestFleetMixZeroPerf(t *testing.T) {
 	// The all-zero class sorts last (advantage pinned to 0), so moving it
 	// around the input must not change the total: the productive classes see
 	// the same cores either way.
-	perm, err := FleetMix([]Grid{strong, weak, onlyBig, zero}, types, 1, shares, mixes)
+	perm, err := FleetMix([]*Surface{strong, weak, onlyBig, zero}, types, 1, shares, mixes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package econ
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Config is a VCore configuration: Slice count and total L2 in KB.
@@ -28,31 +27,30 @@ func (c Config) Valid() bool {
 	return c.Slices >= 1 && c.Slices <= 8 && c.CacheKB >= 0 && c.CacheKB <= 8192 && c.CacheKB%64 == 0
 }
 
-// Grid holds one benchmark's measured performance P(c,s) per configuration.
-// Performance is any throughput-like metric (the harness uses committed
-// instructions per cycle); only ratios matter downstream.
-type Grid map[Config]float64
-
-// Configs returns the grid's configurations in deterministic order. It
-// allocates and sorts per call, so it belongs in presentation and setup code
-// only; the optimum searches reduce the map directly under an explicit total
-// order instead (argmax).
-func (g Grid) Configs() []Config {
-	out := make([]Config, 0, len(g))
-	for c := range g {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return configLess(out[i], out[j]) })
-	return out
+// Surface holds one benchmark's measured performance P(c,s) at every point
+// of a configuration lattice. Performance is any throughput-like metric (the
+// harness uses committed instructions per cycle); only ratios matter
+// downstream. Values[x] is the performance at Lattice.Point(x), so every
+// point of the lattice has a value and a walk over Values visits the
+// configurations in (Slices, CacheKB) order.
+type Surface struct {
+	Lattice *Lattice
+	Values  []float64
 }
 
-// configLess is the canonical (Slices, CacheKB) ordering used for display
-// and for deterministic error reports.
-func configLess(a, b Config) bool {
-	if a.Slices != b.Slices {
-		return a.Slices < b.Slices
+// NewSurface returns a surface over l with every value zero.
+func NewSurface(l *Lattice) *Surface {
+	return &Surface{Lattice: l, Values: make([]float64, l.Size())}
+}
+
+// At returns the value at cfg, and false when cfg is not a point of the
+// surface's lattice.
+func (s *Surface) At(cfg Config) (float64, bool) {
+	x, ok := s.Lattice.Index(cfg)
+	if !ok {
+		return 0, false
 	}
-	return a.CacheKB < b.CacheKB
+	return s.Values[x], true
 }
 
 // Market prices the two sub-core resources. Costs are in abstract dollars;
@@ -147,35 +145,30 @@ func Better(m Market, va float64, a Config, vb float64, b Config) bool {
 	return PreferOnTie(m, a, b)
 }
 
-// argmax reduces the grid's valid configurations to the one whose score is
-// best under the Better total order for market m; ok is false when none is
-// valid. It iterates the map directly: the total order makes the outcome
-// independent of iteration order, and skipping the per-call Configs() sort
-// keeps it allocation-free (Utility.Best runs once per customer per
-// tatonnement round under churn — see BenchmarkUtilityBest).
-func argmax(m Market, g Grid, score func(c Config, p float64) float64) (best Config, bestV float64, ok bool) {
-	bestV = math.Inf(-1)
-	for c, p := range g {
-		if !c.Valid() {
-			continue
-		}
+// argmax reduces the surface to the configuration whose score is best under
+// the Better total order for market m. It walks the lattice in index order;
+// the total order makes the outcome independent of that order, and the walk
+// allocates nothing (Utility.Best runs once per customer per tatonnement
+// round under churn — see BenchmarkUtilityBest). Every lattice point is a
+// valid configuration (NewLattice checks), so none is skipped.
+func argmax(m Market, s *Surface, score func(c Config, p float64) float64) (best Config, bestV float64) {
+	for x, p := range s.Values {
+		c := s.Lattice.Point(x)
 		v := score(c, p)
-		if !ok || Better(m, v, c, bestV, best) {
-			//ssim:nolint maprange: reduction under the Better total order; the surviving (config, score) pair is independent of map iteration order
-			best, bestV, ok = c, v, true
+		if x == 0 || Better(m, v, c, bestV, best) {
+			best, bestV = c, v
 		}
 	}
-	return best, bestV, ok
+	return best, bestV
 }
 
-// scored is argmax's score for a grid whose values are already scores.
+// scored is argmax's score for a surface whose values are already scores.
 func scored(_ Config, v float64) float64 { return v }
 
-// Best returns the utility-maximizing configuration on the grid, resolving
-// ties with PreferOnTie.
-func (u Utility) Best(m Market, g Grid) (Config, float64) {
-	best, bestU, _ := argmax(m, g, func(c Config, p float64) float64 { return u.Value(m, p, c) })
-	return best, bestU
+// Best returns the utility-maximizing configuration on the surface,
+// resolving ties with PreferOnTie.
+func (u Utility) Best(m Market, s *Surface) (Config, float64) {
+	return argmax(m, s, func(c Config, p float64) float64 { return u.Value(m, p, c) })
 }
 
 // Metric is the paper's performance-area efficiency metric perf^k/area
@@ -187,9 +180,8 @@ func Metric(k int, perf float64, cfg Config) float64 {
 
 // BestByMetric returns the perf^k/area-maximizing configuration, resolving
 // ties with PreferOnTie under area prices (Market2).
-func BestByMetric(k int, g Grid) (Config, float64) {
-	best, bestM, _ := argmax(Market2(), g, func(c Config, p float64) float64 { return Metric(k, p, c) })
-	return best, bestM
+func BestByMetric(k int, s *Surface) (Config, float64) {
+	return argmax(Market2(), s, func(c Config, p float64) float64 { return Metric(k, p, c) })
 }
 
 // GME returns the geometric mean of xs (the aggregate SPEC-style statistic

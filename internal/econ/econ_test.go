@@ -6,15 +6,33 @@ import (
 	"testing/quick"
 )
 
-func toyGrid(perf func(c Config) float64) Grid {
-	g := make(Grid)
-	for _, s := range []int{1, 2, 4, 8} {
-		for _, kb := range []int{0, 64, 128, 512, 1024} {
-			cfg := Config{Slices: s, CacheKB: kb}
-			g[cfg] = perf(cfg)
-		}
+// surfaceOf returns the surface over the lattice slices x caches whose value
+// at each point is perf of it.
+func surfaceOf(slices, caches []int, perf func(c Config) float64) *Surface {
+	lat, err := NewLattice(slices, caches)
+	if err != nil {
+		panic(err)
 	}
-	return g
+	s := NewSurface(lat)
+	for x := range s.Values {
+		s.Values[x] = perf(lat.Point(x))
+	}
+	return s
+}
+
+// sparseSurface returns the surface over slices x caches that holds vals at
+// their configurations and filler at every other point.
+func sparseSurface(slices, caches []int, filler float64, vals map[Config]float64) *Surface {
+	return surfaceOf(slices, caches, func(c Config) float64 {
+		if v, ok := vals[c]; ok {
+			return v
+		}
+		return filler
+	})
+}
+
+func toyGrid(perf func(c Config) float64) *Surface {
+	return surfaceOf([]int{1, 2, 4, 8}, []int{0, 64, 128, 512, 1024}, perf)
 }
 
 func TestConfigBasics(t *testing.T) {
@@ -128,17 +146,6 @@ func TestGME(t *testing.T) {
 	}
 }
 
-func TestGridConfigsSorted(t *testing.T) {
-	g := toyGrid(func(c Config) float64 { return 1 })
-	cs := g.Configs()
-	for i := 1; i < len(cs); i++ {
-		a, b := cs[i-1], cs[i]
-		if a.Slices > b.Slices || (a.Slices == b.Slices && a.CacheKB >= b.CacheKB) {
-			t.Fatalf("configs not sorted at %d: %v %v", i, a, b)
-		}
-	}
-}
-
 // Two-benchmark toy suite with opposite preferences: "small" peaks on tiny
 // configs, "big" needs cache. A single fixed architecture must lose to
 // per-customer configuration.
@@ -216,13 +223,11 @@ func TestBestFixedErrors(t *testing.T) {
 	if _, err := BestFixed(Suite{}, Utilities(), Market2()); err == nil {
 		t.Fatal("empty suite accepted")
 	}
-	// Mismatched grids (a config missing from one benchmark) must error.
+	// Surfaces on different lattices must error.
 	s := toySuite()
-	for cfg := range s["small"] {
-		delete(s["small"], cfg)
-	}
+	s["small"] = surfaceOf([]int{1, 2, 4, 8}, []int{0, 64, 128, 512}, func(Config) float64 { return 1 })
 	if _, err := BestFixed(s, Utilities(), Market2()); err == nil {
-		t.Fatal("suite with empty grid accepted")
+		t.Fatal("suite on two lattices accepted")
 	}
 }
 
@@ -231,10 +236,11 @@ func TestBestFixedErrors(t *testing.T) {
 // fewer Slices.
 func TestBestFixedTieBreak(t *testing.T) {
 	// Under Market2/Utility1 both score exactly 50: 100/5*2.5 and 100/2*1.
-	s := Suite{"b": Grid{
+	// The filler points of the lattice score 25 and 100/6*0.25.
+	s := Suite{"b": sparseSurface([]int{1, 2}, []int{0, 512}, 0.25, map[Config]float64{
 		{Slices: 1, CacheKB: 512}: 2.5,
 		{Slices: 2, CacheKB: 0}:   1.0,
-	}}
+	})}
 	got, err := BestFixed(s, []Utility{Utility1()}, Market2())
 	if err != nil {
 		t.Fatal(err)
@@ -249,17 +255,20 @@ func TestBestFixedTieBreak(t *testing.T) {
 func TestBestTieBreakRule(t *testing.T) {
 	u := Utility{K: 1, Budget: 100}
 	m := Market2()
-	// U_1 = (B/cost)*P, so P(c) = cost(c) makes every configuration tie at
-	// exactly U = B.
-	g := make(Grid)
-	for _, c := range []Config{
-		{Slices: 4, CacheKB: 1024},
-		{Slices: 2, CacheKB: 256},
-		{Slices: 1, CacheKB: 128}, // cost 2, ties (2 Slices, 0KB) on cost
-		{Slices: 2, CacheKB: 0},   // cost 2
-	} {
-		g[c] = m.Cost(c)
+	// U_1 = (B/cost)*P, so P(c) = cost(c) makes these configurations tie
+	// at exactly U = B; the rest of the lattice scores B/2.
+	tied := map[Config]bool{
+		{Slices: 4, CacheKB: 1024}: true,
+		{Slices: 2, CacheKB: 256}:  true,
+		{Slices: 1, CacheKB: 128}:  true, // cost 2, ties (2 Slices, 0KB) on cost
+		{Slices: 2, CacheKB: 0}:    true, // cost 2
 	}
+	g := surfaceOf([]int{1, 2, 4}, []int{0, 128, 256, 1024}, func(c Config) float64 {
+		if tied[c] {
+			return m.Cost(c)
+		}
+		return m.Cost(c) / 2
+	})
 	best, bestU := u.Best(m, g)
 	if bestU != u.Budget {
 		t.Fatalf("tie plateau broken: best utility %.6f != %.6f", bestU, u.Budget)
@@ -301,33 +310,14 @@ func TestBestAllocFree(t *testing.T) {
 }
 
 // BenchmarkUtilityBest measures the hot path of every tatonnement round:
-// one customer's best response over a full 72-point grid.
+// one customer's best response over a full 72-point surface.
 func BenchmarkUtilityBest(b *testing.B) {
-	g := make(Grid)
-	for s := 1; s <= 8; s++ {
-		for _, kb := range []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-			c := Config{Slices: s, CacheKB: kb}
-			g[c] = float64(s) * (1 + float64(kb)/8192)
-		}
-	}
+	g := surfaceOf(optSlices, optCaches, func(c Config) float64 {
+		return float64(c.Slices) * (1 + float64(c.CacheKB)/8192)
+	})
 	u, m := Utility2(), Market2()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u.Best(m, g)
-	}
-}
-
-// BenchmarkGridConfigs is the old per-call cost Best used to pay: allocate
-// and sort the config list.
-func BenchmarkGridConfigs(b *testing.B) {
-	g := make(Grid)
-	for s := 1; s <= 8; s++ {
-		for _, kb := range []int{0, 64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-			g[Config{Slices: s, CacheKB: kb}] = float64(s)
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Configs()
 	}
 }

@@ -41,7 +41,7 @@ const (
 // over (experiments.StdSlices x StdCaches is the paper's). It is immutable
 // and validated once, by NewLattice. Point (i, j) — slices[i] Slices,
 // caches[j] KB — has the dense index i*len(caches)+j, which is also its
-// slot in market.SurfaceCache's memo.
+// slot in a Surface's values and in market.SurfaceCache's memo.
 type Lattice struct {
 	slices, caches []int
 	// sliceAt[s] and cacheAt[kb/64] are the axis positions of s Slices and
@@ -96,6 +96,12 @@ func (l *Lattice) Index(cfg Config) (int, bool) {
 		return 0, false
 	}
 	return (i-1)*len(l.caches) + j - 1, true
+}
+
+// Point returns the configuration at dense index x, 0 <= x < Size().
+func (l *Lattice) Point(x int) Config {
+	nc := len(l.caches)
+	return Config{Slices: l.slices[x/nc], CacheKB: l.caches[x%nc]}
 }
 
 // Equal reports whether l and o have the same axes.

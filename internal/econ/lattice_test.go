@@ -37,15 +37,8 @@ var surfaces = map[string]func(Config) float64{
 	"flat": func(c Config) float64 { return 1.0 },
 }
 
-func latticeGrid(perf func(Config) float64) Grid {
-	g := make(Grid)
-	for _, s := range optSlices {
-		for _, kb := range optCaches {
-			cfg := Config{Slices: s, CacheKB: kb}
-			g[cfg] = perf(cfg)
-		}
-	}
-	return g
+func latticeGrid(perf func(Config) float64) *Surface {
+	return surfaceOf(optSlices, optCaches, perf)
 }
 
 // TestSearchMatchesGridEverywhere: the incremental search must return the
@@ -170,6 +163,35 @@ func TestLatticeIndex(t *testing.T) {
 	same, _ := NewLattice(optSlices, optCaches)
 	if !lat.Equal(same) || lat.Equal(other) {
 		t.Fatal("Equal does not compare axes")
+	}
+}
+
+// TestSurfaceIndexOrder: a surface's values follow the lattice's dense index,
+// which is the (Slices, CacheKB) order, and At reads nothing off the lattice
+// — not even a configuration Equation 3 rejects.
+func TestSurfaceIndexOrder(t *testing.T) {
+	g := latticeGrid(func(c Config) float64 { return float64(100*c.Slices + c.CacheKB/64) })
+	if len(g.Values) != g.Lattice.Size() {
+		t.Fatalf("%d values on a %d-point lattice", len(g.Values), g.Lattice.Size())
+	}
+	for x, v := range g.Values {
+		c := g.Lattice.Point(x)
+		if i, ok := g.Lattice.Index(c); !ok || i != x {
+			t.Fatalf("Point(%d) = %v, whose index is (%d, %v)", x, c, i, ok)
+		}
+		if p, ok := g.At(c); !ok || p != v {
+			t.Fatalf("At(%v) = (%v, %v), want (%v, true)", c, p, ok, v)
+		}
+		if x > 0 {
+			if prev := g.Lattice.Point(x - 1); prev.Slices > c.Slices || (prev.Slices == c.Slices && prev.CacheKB >= c.CacheKB) {
+				t.Fatalf("index order not (Slices, CacheKB) at %d: %v then %v", x, prev, c)
+			}
+		}
+	}
+	for _, c := range []Config{{Slices: 9, CacheKB: 64}, {Slices: 3, CacheKB: 192}, {Slices: 1, CacheKB: 100}, {}} {
+		if p, ok := g.At(c); ok {
+			t.Errorf("off-lattice %v reads %v", c, p)
+		}
 	}
 }
 

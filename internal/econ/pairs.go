@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// Suite is the measured performance grids of every benchmark.
-type Suite map[string]Grid
+// Suite is the measured performance surfaces of every benchmark.
+type Suite map[string]*Surface
 
 // Names returns benchmark names in sorted order.
 func (s Suite) Names() []string {
@@ -22,33 +22,32 @@ func (s Suite) Names() []string {
 // mean of utility across every (benchmark, utility-function) combination —
 // the best possible *static fixed architecture* a commodity-multicore
 // provider could build for this customer population (§5.8, Fig. 15). Ties
-// resolve with PreferOnTie under m.
+// resolve with PreferOnTie under m. Every surface must be on one lattice.
 func BestFixed(s Suite, utils []Utility, m Market) (Config, error) {
 	if len(s) == 0 || len(utils) == 0 {
 		return Config{}, fmt.Errorf("econ: empty suite or utility set")
 	}
-	// Candidates are the first benchmark's configurations that every
-	// benchmark measured, each scored by the GME of its utilities.
 	names := s.Names()
-	scores := make(Grid)
-candidates:
-	for _, cfg := range s[names[0]].Configs() {
-		var vals []float64
+	lat := s[names[0]].Lattice
+	for _, name := range names[1:] {
+		if !s[name].Lattice.Equal(lat) {
+			return Config{}, fmt.Errorf("econ: %s and %s are measured on different lattices", names[0], name)
+		}
+	}
+	// Each configuration scores the GME of its utilities.
+	scores := NewSurface(lat)
+	vals := make([]float64, 0, len(names)*len(utils))
+	for x := range scores.Values {
+		cfg := lat.Point(x)
+		vals = vals[:0]
 		for _, name := range names {
-			p, ok := s[name][cfg]
-			if !ok {
-				continue candidates
-			}
 			for _, u := range utils {
-				vals = append(vals, u.Value(m, p, cfg))
+				vals = append(vals, u.Value(m, s[name].Values[x], cfg))
 			}
 		}
-		scores[cfg] = GME(vals)
+		scores.Values[x] = GME(vals)
 	}
-	best, _, ok := argmax(m, scores, scored)
-	if !ok {
-		return Config{}, fmt.Errorf("econ: no configuration is measured for every benchmark")
-	}
+	best, _ := argmax(m, scores, scored)
 	return best, nil
 }
 
@@ -118,7 +117,9 @@ func FixedArchGains(s Suite, utils []Utility, m Market) ([]PairGain, Config, err
 			ua, ub := utilByK(utils, a.k), utilByK(utils, b.k)
 			_, optA := ua.Best(m, s[a.bench])
 			_, optB := ub.Best(m, s[b.bench])
-			den := ua.Value(m, s[a.bench][fixed], fixed) + ub.Value(m, s[b.bench][fixed], fixed)
+			pa, _ := s[a.bench].At(fixed) // BestFixed chose fixed from the suite's one lattice
+			pb, _ := s[b.bench].At(fixed)
+			den := ua.Value(m, pa, fixed) + ub.Value(m, pb, fixed)
 			if den <= 0 {
 				continue
 			}
@@ -145,7 +146,9 @@ func HeteroGains(s Suite, utils []Utility, m Market) ([]PairGain, map[int]Config
 			_, optA := ua.Best(m, s[a.bench])
 			_, optB := ub.Best(m, s[b.bench])
 			fa, fb := perU[a.k], perU[b.k]
-			den := ua.Value(m, s[a.bench][fa], fa) + ub.Value(m, s[b.bench][fb], fb)
+			pa, _ := s[a.bench].At(fa) // BestFixed chose fa and fb from the suite's one lattice
+			pb, _ := s[b.bench].At(fb)
+			den := ua.Value(m, pa, fa) + ub.Value(m, pb, fb)
 			if den <= 0 {
 				continue
 			}

@@ -1,9 +1,6 @@
 package econ
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dynamic phase analysis (§5.10, Table 7): gcc is split into ten phases,
 // each simulated independently across the configuration grid; the VCore is
@@ -16,8 +13,9 @@ import (
 type PhaseData struct {
 	// Insts is the instruction count of the phase's trace.
 	Insts uint64
-	// Cycles maps each configuration to the phase's execution time.
-	Cycles map[Config]int64
+	// Cycles holds the phase's execution time at each configuration. The
+	// counts are integers below 2^53, so float64 holds them exactly.
+	Cycles *Surface
 }
 
 // PhaseSchedule is the outcome of the dynamic analysis for one metric.
@@ -38,28 +36,21 @@ type PhaseSchedule struct {
 // ReconfigCostFn prices a configuration change.
 type ReconfigCostFn func(from, to Config) int64
 
-// PhaseAnalysis computes Table 7 for one metric exponent k. The candidates
-// are phase 0's configurations, and every phase must measure all of them.
+// PhaseAnalysis computes Table 7 for one metric exponent k. Every phase must
+// be measured on phase 0's lattice.
 func PhaseAnalysis(phases []PhaseData, k int, reconfig ReconfigCostFn) (*PhaseSchedule, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("econ: no phases")
 	}
-	configs := make([]Config, 0, len(phases[0].Cycles))
-	for c := range phases[0].Cycles {
-		configs = append(configs, c)
-	}
-	// Sorted, so a configuration missing from a later phase is reported the
-	// same way on every run.
-	sort.Slice(configs, func(i, j int) bool { return configLess(configs[i], configs[j]) })
-	perf := make([]Grid, len(phases))
+	lat := phases[0].Cycles.Lattice
+	perf := make([]*Surface, len(phases))
 	for i, ph := range phases {
-		perf[i] = make(Grid, len(configs))
-		for _, c := range configs {
-			cyc, ok := ph.Cycles[c]
-			if !ok {
-				return nil, fmt.Errorf("econ: config %v not measured in every phase", c)
-			}
-			perf[i][c] = float64(ph.Insts) / float64(cyc)
+		if !ph.Cycles.Lattice.Equal(lat) {
+			return nil, fmt.Errorf("econ: phase %d is measured on a different lattice than phase 0", i)
+		}
+		perf[i] = NewSurface(lat)
+		for x, cyc := range ph.Cycles.Values {
+			perf[i].Values[x] = float64(ph.Insts) / cyc
 		}
 	}
 	// Per-phase optimum, ignoring reconfiguration cost during selection
@@ -69,11 +60,7 @@ func PhaseAnalysis(phases []PhaseData, k int, reconfig ReconfigCostFn) (*PhaseSc
 	metric := func(c Config, p float64) float64 { return Metric(k, p, c) }
 	sched := &PhaseSchedule{K: k, PerPhase: make([]Config, len(phases))}
 	for i := range phases {
-		best, _, ok := argmax(tie, perf[i], metric)
-		if !ok {
-			return nil, fmt.Errorf("econ: phase 0 has no valid measurements")
-		}
-		sched.PerPhase[i] = best
+		sched.PerPhase[i], _ = argmax(tie, perf[i], metric)
 	}
 	// Dynamic GME with reconfiguration charged when the config changes.
 	dyn := make([]float64, len(phases))
@@ -83,19 +70,21 @@ func PhaseAnalysis(phases []PhaseData, k int, reconfig ReconfigCostFn) (*PhaseSc
 		if i > 0 {
 			extra = reconfig(sched.PerPhase[i-1], c)
 		}
-		dyn[i] = Metric(k, float64(ph.Insts)/float64(ph.Cycles[c]+extra), c)
+		cyc, _ := ph.Cycles.At(c) // c is a point of the phase's lattice
+		dyn[i] = Metric(k, float64(ph.Insts)/float64(int64(cyc)+extra), c)
 	}
 	sched.DynGME = GME(dyn)
 	// Static best: the single config maximizing the GME across phases.
-	static := make(Grid, len(configs))
+	static := NewSurface(lat)
 	vals := make([]float64, len(phases))
-	for _, c := range configs {
+	for x := range static.Values {
+		c := lat.Point(x)
 		for i := range phases {
-			vals[i] = metric(c, perf[i][c])
+			vals[i] = metric(c, perf[i].Values[x])
 		}
-		static[c] = GME(vals)
+		static.Values[x] = GME(vals)
 	}
-	sched.StaticBest, sched.StaticGME, _ = argmax(tie, static, scored)
+	sched.StaticBest, sched.StaticGME = argmax(tie, static, scored)
 	if sched.StaticGME > 0 {
 		sched.Gain = sched.DynGME/sched.StaticGME - 1
 	}

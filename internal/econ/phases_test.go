@@ -10,17 +10,19 @@ func toyPhases() []PhaseData {
 	small := Config{Slices: 1, CacheKB: 64}
 	large := Config{Slices: 4, CacheKB: 1024}
 	mid := Config{Slices: 2, CacheKB: 256}
-	mk := func(cyc map[Config]int64) PhaseData {
-		return PhaseData{Insts: 100000, Cycles: cyc}
+	// The six other points of the lattice run 100 times slower than any of
+	// these three, so they never win.
+	mk := func(cyc map[Config]float64) PhaseData {
+		return PhaseData{Insts: 100000, Cycles: sparseSurface([]int{1, 2, 4}, []int{64, 256, 1024}, 4e7, cyc)}
 	}
 	var phases []PhaseData
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
-			phases = append(phases, mk(map[Config]int64{
+			phases = append(phases, mk(map[Config]float64{
 				small: 100000, large: 95000, mid: 99000,
 			}))
 		} else {
-			phases = append(phases, mk(map[Config]int64{
+			phases = append(phases, mk(map[Config]float64{
 				small: 400000, large: 120000, mid: 220000,
 			}))
 		}
@@ -76,10 +78,10 @@ func TestPhaseAnalysisReconfigCostReducesGain(t *testing.T) {
 func TestPhaseAnalysisUniformPhasesNoGain(t *testing.T) {
 	// Identical phases: dynamic = static, gain ~ 0.
 	uniform := make([]PhaseData, 4)
-	cyc := map[Config]int64{
+	cyc := sparseSurface([]int{1, 2}, []int{64, 128}, 1e7, map[Config]float64{
 		{Slices: 1, CacheKB: 64}:  100000,
 		{Slices: 2, CacheKB: 128}: 80000,
-	}
+	})
 	for i := range uniform {
 		uniform[i] = PhaseData{Insts: 50000, Cycles: cyc}
 	}
@@ -99,27 +101,18 @@ func TestPhaseAnalysisErrors(t *testing.T) {
 	if _, err := PhaseAnalysis(nil, 1, noReconfig); err == nil {
 		t.Fatal("empty phases accepted")
 	}
-	if _, err := PhaseAnalysis([]PhaseData{{Insts: 1, Cycles: map[Config]int64{}}}, 1, noReconfig); err == nil {
-		t.Fatal("phase without measurements accepted")
-	}
-	// A config missing from a later phase must error.
+	// A later phase measured on another lattice must error.
 	bad := toyPhases()
-	delete(bad[3].Cycles, Config{Slices: 1, CacheKB: 64})
+	bad[3].Cycles = sparseSurface([]int{1, 2, 4}, []int{64, 256}, 1e5, nil)
 	if _, err := PhaseAnalysis(bad, 1, noReconfig); err == nil {
-		t.Fatal("inconsistent grids accepted")
+		t.Fatal("inconsistent lattices accepted")
 	}
 }
 
 func TestDatacenterMixMovesWithAppRatio(t *testing.T) {
 	// Benchmark A prefers small cores, B prefers big cores.
-	gA := Grid{
-		BigCore().Cfg:   1.1,
-		SmallCore().Cfg: 1.0,
-	}
-	gB := Grid{
-		BigCore().Cfg:   3.0,
-		SmallCore().Cfg: 0.5,
-	}
+	gA := dcPair(1.1, 1.0)
+	gB := dcPair(3.0, 0.5)
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1}
 	points, err := DatacenterMix(gA, gB, BigCore(), SmallCore(), 1, fracs, fracs)
 	if err != nil {
@@ -136,8 +129,8 @@ func TestDatacenterMixMovesWithAppRatio(t *testing.T) {
 }
 
 func TestDatacenterMixMissingMeasurement(t *testing.T) {
-	gA := Grid{BigCore().Cfg: 1}
-	gB := Grid{BigCore().Cfg: 1, SmallCore().Cfg: 1}
+	gA := sparseSurface([]int{3}, []int{256}, 1, nil) // only the big core
+	gB := dcPair(1, 1)
 	if _, err := DatacenterMix(gA, gB, BigCore(), SmallCore(), 1, []float64{0.5}, []float64{0.5}); err == nil {
 		t.Fatal("missing small-core measurement accepted")
 	}

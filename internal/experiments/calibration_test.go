@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"testing"
-
-	"sharing/internal/econ"
 )
 
 // TestCalibrationShapes verifies the qualitative behaviours the paper
@@ -23,17 +21,10 @@ func TestCalibrationShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One axis has a single value, so the index order walks the other.
 		var out []float64
-		if len(slices) == 1 {
-			base := g[econ.Config{Slices: slices[0], CacheKB: caches[0]}]
-			for _, c := range caches {
-				out = append(out, g[econ.Config{Slices: slices[0], CacheKB: c}]/base)
-			}
-		} else {
-			base := g[econ.Config{Slices: slices[0], CacheKB: caches[0]}]
-			for _, s := range slices {
-				out = append(out, g[econ.Config{Slices: s, CacheKB: caches[0]}]/base)
-			}
+		for _, p := range g.Values {
+			out = append(out, p/g.Values[0])
 		}
 		return out
 	}

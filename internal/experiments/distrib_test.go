@@ -188,8 +188,8 @@ func TestSweepCompletesAfterTruncatedResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep after truncation: %v", err)
 	}
-	if len(g) != 4 {
-		t.Fatalf("grid has %d points", len(g))
+	if len(g.Values) != 4 {
+		t.Fatalf("grid has %d points", len(g.Values))
 	}
 	if err := r2.Save(); err != nil {
 		t.Fatal(err)

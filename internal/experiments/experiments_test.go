@@ -85,12 +85,12 @@ func TestGridAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g) != 4 {
-		t.Fatalf("grid has %d points", len(g))
+	if len(g.Values) != 4 {
+		t.Fatalf("grid has %d points", len(g.Values))
 	}
-	for cfg, ipc := range g {
+	for x, ipc := range g.Values {
 		if ipc <= 0 {
-			t.Fatalf("%v: ipc %f", cfg, ipc)
+			t.Fatalf("%v: ipc %f", g.Lattice.Point(x), ipc)
 		}
 	}
 	if err := r.Save(); err != nil {
@@ -116,10 +116,34 @@ func TestGridAndPersistence(t *testing.T) {
 		//ssim:nolint atomicguard: read after the worker goroutines joined; no concurrent writers remain
 		t.Fatalf("persisted results ignored: %d fresh runs", runs)
 	}
-	for cfg := range g {
-		if g[cfg] != g2[cfg] {
-			t.Fatalf("%v: %f != %f after reload", cfg, g[cfg], g2[cfg])
+	for x := range g.Values {
+		if g.Values[x] != g2.Values[x] {
+			t.Fatalf("%v: %f != %f after reload", g.Lattice.Point(x), g.Values[x], g2.Values[x])
 		}
+	}
+}
+
+// TestGridRefusesBadAxes: axes that do not form a lattice — descending,
+// repeated, or off Equation 3 — are an error before anything is simulated.
+func TestGridRefusesBadAxes(t *testing.T) {
+	r := tiny(t)
+	for _, c := range []struct{ slices, caches []int }{
+		{[]int{3, 1}, []int{256, 0}},
+		{[]int{1, 2}, []int{64, 0}},
+		{[]int{2, 2}, []int{0}},
+		{[]int{8, 9}, []int{0}},
+		{[]int{1}, []int{0, 100}},
+		{nil, []int{0}},
+	} {
+		if _, err := r.Grid("swaptions", c.slices, c.caches); err == nil {
+			t.Errorf("Grid accepted %v x %v", c.slices, c.caches)
+		}
+		if _, err := r.GridPhase("gcc", 0, c.slices, c.caches); err == nil {
+			t.Errorf("GridPhase accepted %v x %v", c.slices, c.caches)
+		}
+	}
+	if n := r.SimRuns(); n != 0 {
+		t.Fatalf("%d simulations ran for refused axes", n)
 	}
 }
 

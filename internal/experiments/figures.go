@@ -32,10 +32,10 @@ func Fig12(r *Runner, names []string) ([]ScalabilityData, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := g[econ.Config{Slices: 1, CacheKB: 128}]
+		base, _ := g.At(econ.Config{Slices: 1, CacheKB: 128})
 		d := ScalabilityData{Bench: b, Slices: StdSlices}
-		for _, s := range StdSlices {
-			d.Speedup = append(d.Speedup, g[econ.Config{Slices: s, CacheKB: 128}]/base)
+		for _, p := range g.Values { // StdSlices order: the lattice has one cache column
+			d.Speedup = append(d.Speedup, p/base)
 		}
 		out = append(out, d)
 		if err := r.Save(); err != nil {
@@ -67,10 +67,10 @@ func Fig13(r *Runner, names []string) ([]CacheSensitivityData, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := g[econ.Config{Slices: 2, CacheKB: 0}]
+		base, _ := g.At(econ.Config{Slices: 2, CacheKB: 0})
 		d := CacheSensitivityData{Bench: b, CacheKB: StdCaches}
-		for _, c := range StdCaches {
-			d.Speedup = append(d.Speedup, g[econ.Config{Slices: 2, CacheKB: c}]/base)
+		for _, p := range g.Values { // StdCaches order: the lattice has one Slice row
+			d.Speedup = append(d.Speedup, p/base)
 		}
 		out = append(out, d)
 		if err := r.Save(); err != nil {
@@ -143,7 +143,8 @@ func Fig14(r *Runner, benches []string, ks []int) ([]UtilitySurface, error) {
 				row := make([]float64, len(StdSlices))
 				for si, s := range StdSlices {
 					cfg := econ.Config{Slices: s, CacheKB: c}
-					row[si] = u.Value(m, g[cfg], cfg)
+					p, _ := g.At(cfg)
+					row[si] = u.Value(m, p, cfg)
 					if row[si] > maxU {
 						maxU = row[si]
 					}
@@ -261,9 +262,9 @@ func GCCPhases(r *Runner) ([]econ.PhaseData, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd := econ.PhaseData{Insts: uint64(r.traceLen()), Cycles: make(map[econ.Config]int64, len(g))}
-		for cfg, ipc := range g {
-			pd.Cycles[cfg] = int64(float64(r.traceLen()) / ipc)
+		pd := econ.PhaseData{Insts: uint64(r.traceLen()), Cycles: econ.NewSurface(g.Lattice)}
+		for x, ipc := range g.Values {
+			pd.Cycles.Values[x] = float64(int64(float64(r.traceLen()) / ipc))
 		}
 		phases[pi] = pd
 		if err := r.Save(); err != nil {

@@ -48,7 +48,7 @@ func Fig17K(r *Runner, names []string, k, steps int) (*Fig17KResult, error) {
 	if steps < 1 {
 		steps = 4
 	}
-	grids := make([]econ.Grid, len(names))
+	perf := make([]*econ.Surface, len(names))
 	types := make([]econ.CoreType, 0, len(names))
 	seen := make(map[econ.Config]bool)
 	for i, b := range names {
@@ -56,7 +56,7 @@ func Fig17K(r *Runner, names []string, k, steps int) (*Fig17KResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		grids[i] = g
+		perf[i] = g
 		cfg, _ := econ.BestByMetric(k, g)
 		if !seen[cfg] {
 			seen[cfg] = true
@@ -85,7 +85,7 @@ func Fig17K(r *Runner, names []string, k, steps int) (*Fig17KResult, error) {
 		mixes = append(mixes, corner)
 	}
 	shares := econ.ShareGrid(len(types), steps)
-	pts, err := econ.FleetMix(grids, types, k, shares, mixes)
+	pts, err := econ.FleetMix(perf, types, k, shares, mixes)
 	if err != nil {
 		return nil, err
 	}

@@ -169,8 +169,8 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	}
 	got := rc.Result
 	want, err := econ.ClearMarket([]econ.Customer{
-		{Name: "a", Grid: suite["mcf"], Utility: econ.Utility1()},
-		{Name: "b", Grid: suite["sjeng"], Utility: econ.Utility3()},
+		{Name: "a", Perf: suite["mcf"], Utility: econ.Utility1()},
+		{Name: "b", Perf: suite["sjeng"], Utility: econ.Utility3()},
 	}, supply, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	}
 	got2 := rc.Result
 	want2, err := econ.ClearMarket([]econ.Customer{
-		{Name: "a", Grid: suite["mcf"], Utility: econ.Utility1()},
+		{Name: "a", Perf: suite["mcf"], Utility: econ.Utility1()},
 	}, supply, 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -557,62 +557,62 @@ func (r *Runner) MeasureOpNet(bench string, cfg econ.Config, width int) (Measure
 	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: -1, OpNetW: width, Quantum: r.MachineQuantum, Sample: r.Sample})
 }
 
-// Grid measures a benchmark over the given configuration grid, fanning the
-// runs across the execution backend. Performance is IPC.
-func (r *Runner) Grid(bench string, slices, caches []int) (econ.Grid, error) {
+// Grid measures a benchmark over the lattice slices x caches, fanning the
+// runs across the execution backend. Performance is IPC. Axes NewLattice
+// refuses (empty, not strictly ascending, or off Equation 3) are an error
+// before any simulation runs.
+func (r *Runner) Grid(bench string, slices, caches []int) (*econ.Surface, error) {
 	return r.gridPhase(bench, -1, slices, caches)
 }
 
 // GridPhase is Grid for a single phase.
-func (r *Runner) GridPhase(bench string, phase int, slices, caches []int) (econ.Grid, error) {
+func (r *Runner) GridPhase(bench string, phase int, slices, caches []int) (*econ.Surface, error) {
 	return r.gridPhase(bench, phase, slices, caches)
 }
 
-func (r *Runner) gridPhase(bench string, phase int, slices, caches []int) (econ.Grid, error) {
+func (r *Runner) gridPhase(bench string, phase int, slices, caches []int) (*econ.Surface, error) {
+	lat, err := econ.NewLattice(slices, caches)
+	if err != nil {
+		return nil, err
+	}
 	// Pre-generate the trace once so local workers share it. With a remote
-	// backend the subprocesses generate (or disk-cache) their own traces;
-	// the parent never simulates, so warming its memo would be pure waste.
+	// backend the subprocesses generate their own traces; the parent never
+	// simulates, so warming its memo would be pure waste.
 	if !r.remoteBackend() {
 		if _, err := r.traceFor(bench, phase, r.traceLen(), r.seed()); err != nil {
 			return nil, err
 		}
 	}
-	type job struct{ cfg econ.Config }
-	jobs := make([]job, 0, len(slices)*len(caches))
-	for _, s := range slices {
-		for _, c := range caches {
-			jobs = append(jobs, job{cfg: econ.Config{Slices: s, CacheKB: c}})
-		}
-	}
-	g := make(econ.Grid, len(jobs))
+	s := econ.NewSurface(lat)
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
-	for _, j := range jobs {
+	for x := range s.Values {
 		wg.Add(1)
-		go func(cfg econ.Config) {
+		go func(x int) {
 			defer wg.Done()
+			cfg := lat.Point(x)
 			m, err := r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: phase, Quantum: r.MachineQuantum, Sample: r.Sample})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
 				return
 			}
-			if err == nil {
-				g[cfg] = m.IPC()
-			}
-		}(j.cfg)
+			s.Values[x] = m.IPC() // each goroutine owns its slot
+		}(x)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return g, nil
+	return s, nil
 }
 
-// SuiteGrids measures grids for the named benchmarks (all benchmarks when
-// names is empty).
+// SuiteGrids measures surfaces for the named benchmarks (all benchmarks
+// when names is empty).
 func (r *Runner) SuiteGrids(names []string, slices, caches []int) (econ.Suite, error) {
 	if len(names) == 0 {
 		names = workload.Names()

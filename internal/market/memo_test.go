@@ -8,13 +8,14 @@ import (
 )
 
 // gridOf measures perf over every lattice point.
-func gridOf(perf func(econ.Config) float64) econ.Grid {
-	g := make(econ.Grid)
-	for _, s := range tSlices {
-		for _, kb := range tCaches {
-			cfg := econ.Config{Slices: s, CacheKB: kb}
-			g[cfg] = perf(cfg)
-		}
+func gridOf(perf func(econ.Config) float64) *econ.Surface {
+	lat, err := econ.NewLattice(tSlices, tCaches)
+	if err != nil {
+		panic(err)
+	}
+	g := econ.NewSurface(lat)
+	for x := range g.Values {
+		g.Values[x] = perf(lat.Point(x))
 	}
 	return g
 }

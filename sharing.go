@@ -16,12 +16,13 @@
 //	res, _ := sharing.Simulate(sharing.SimConfig{Slices: 4, CacheKB: 1024}, mt)
 //	fmt.Println(res.IPC())
 //
-// or, one level up, measure a configuration grid and optimize a customer's
-// utility over it:
+// or, one level up, measure a performance surface over a configuration
+// lattice (ascending Slice counts x ascending L2 sizes) and optimize a
+// customer's utility over it:
 //
 //	r := sharing.NewRunner()
-//	grid, _ := r.Grid("gcc", []int{1, 2, 4, 8}, []int{0, 128, 1024})
-//	cfg, u := sharing.Utility2().Best(sharing.Market2(), grid)
+//	surf, _ := r.Grid("gcc", []int{1, 2, 4, 8}, []int{0, 128, 1024})
+//	cfg, u := sharing.Utility2().Best(sharing.Market2(), surf)
 package sharing
 
 import (
@@ -42,10 +43,11 @@ type Market = econ.Market
 // Utility is a customer utility function U_k = v * P^k (Table 5).
 type Utility = econ.Utility
 
-// Grid maps VCore configurations to measured performance for one benchmark.
-type Grid = econ.Grid
+// Surface holds one benchmark's measured performance at every VCore
+// configuration of a lattice; Surface.At reads one configuration.
+type Surface = econ.Surface
 
-// Suite maps benchmark names to their grids.
+// Suite maps benchmark names to their surfaces.
 type Suite = econ.Suite
 
 // Trace is a generated multi-threaded workload trace.
@@ -54,7 +56,7 @@ type Trace = trace.MultiTrace
 // Result is a simulation outcome.
 type Result = sim.Result
 
-// Runner measures performance grids in parallel with memoization.
+// Runner measures performance surfaces in parallel with memoization.
 type Runner = experiments.Runner
 
 // Markets of §5.7: Market2 prices at area cost; Market1 prices Slices at 4x
@@ -111,7 +113,8 @@ func NewRunner() *Runner { return experiments.NewRunner() }
 
 // Customer, Supply and ClearingResult expose the §2.3 market-clearing
 // auction: utility-maximizing tenants bid for a chip's Slices and banks and
-// a tatonnement finds prices at which nothing is over-demanded.
+// a tatonnement finds prices at which demand is at most 1.05 times supply,
+// so a cleared market can oversell each resource by up to 5%.
 type (
 	Customer       = econ.Customer
 	Supply         = econ.Supply
