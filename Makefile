@@ -59,10 +59,13 @@ lint-strict:
 # The allocation core's bid-vs-grid differential on a 3-profile
 # cross-section under the race detector: the exactness contract of its
 # search (see DESIGN.md, "Incremental optimum search") plus the core's churn
-# byte-identity and probe-economy tests.
+# byte-identity and probe-economy tests, and the market clearing's
+# properties on generated populations (nothing oversold, h(r) monotone, the
+# root equal to a scan of r, grouping and budget invariance).
 market-smoke:
 	$(GO) test -race -short -run 'TestIncrementalBidMatchesGrid|TestChurnScenarioRuns' ./internal/experiments
 	$(GO) test -race -run 'TestChurnByteIdentical|TestChurnProbeEconomy|TestPriceBidWarm' ./internal/alloc
+	$(GO) test -race -run 'TestClearMarket' ./internal/econ
 
 # The paper's outputs read from measured surfaces (Figs. 12-17, Tables 4-7)
 # must regenerate byte-identically from the committed measurement memo,
@@ -136,7 +139,10 @@ fleet-smoke:
 # round trip unchanged. FuzzHandlers: arbitrary bytes POSTed to sharingd's
 # bid, arrive, depart and phase endpoints in process must never panic, must
 # get a 200, 400, 413 or 422, a 200 reply must decode, and a refused op must
-# leave the market and the op log unchanged. A failing input lands in
+# leave the market and the op log unchanged. FuzzClearMarket: decoded
+# supplies and populations over byte-valued surfaces must clear without
+# panic, refuse K < 1 and zero budgets, and give finite positive prices,
+# nothing oversold and the allocations in input order. A failing input lands in
 # the package's testdata/fuzz, where plain `go test` replays it. Minimizing
 # a new input is capped at 2 s, so a large input cannot spend the whole
 # window being minimized.
@@ -152,6 +158,7 @@ fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzMemImage$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunnerLoad$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./cmd/sharingd -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/econ -run '^$$' -fuzz '^FuzzClearMarket$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # Fleet throughput at acceptance scale (BenchmarkFleet2000x20000), then the
 # placement index and the departure calendar alone at the fleet workload's

@@ -105,7 +105,7 @@ func main() {
 		}
 		fmt.Print(experiments.RenderSeries(
 			"Churn scenario - marginal cost per market event (incremental search)",
-			[]string{"event", "customer", "target", "probes", "simruns", "iters", "totalU"}, out))
+			[]string{"event", "customer", "target", "probes", "simruns", "evals", "totalU"}, out))
 		fmt.Printf("total: %d simulator runs vs %d for per-event grid recomputation (%d surfaces x %d points); %d re-auctions\n",
 			rep.SimRuns, rep.GridSimRuns, rep.Stats.Surfaces, rep.GridSimRuns/max(rep.Stats.Surfaces, 1), rep.Stats.Epochs)
 		if err := r.Save(); err != nil {

@@ -12,7 +12,7 @@
 //	POST /v1/depart  {"name"}                           leave the market
 //	POST /v1/phase   {"name","phase"}                   program phase change
 //	GET  /v1/vm?name=                                   one VM's allocation
-//	GET  /v1/market                                     market snapshot, clearing convergence
+//	GET  /v1/market                                     market snapshot: prices, demand, exact or gap
 //	GET  /v1/stats                                      serving telemetry
 //	GET  /healthz, /debug/vars, /debug/pprof/*
 //

@@ -294,14 +294,17 @@ func (s *server) handleVM(w http.ResponseWriter, r *http.Request) {
 }
 
 // marketReply is the published market snapshot. Converged is false when
-// the last clearing stopped at its round cap with the least-oversold prices
-// it saw; an empty market has nothing to clear and reports true.
+// the last clearing gapped: the binding resource sold out and SliceDemand
+// and BankDemand show the other's idle share (demand never exceeds
+// supply); an empty market has nothing to clear and reports true.
 type marketReply struct {
-	Epoch     uint64         `json:"epoch"`
-	Prices    econ.Market    `json:"prices"`
-	TotalU    float64        `json:"totalUtility"`
-	Converged bool           `json:"converged"`
-	VMs       []alloc.VMStat `json:"vms"`
+	Epoch       uint64         `json:"epoch"`
+	Prices      econ.Market    `json:"prices"`
+	TotalU      float64        `json:"totalUtility"`
+	Converged   bool           `json:"converged"`
+	SliceDemand float64        `json:"sliceDemand"`
+	BankDemand  float64        `json:"bankDemand"`
+	VMs         []alloc.VMStat `json:"vms"`
 }
 
 func (s *server) handleMarket(w http.ResponseWriter, r *http.Request) {
@@ -311,8 +314,9 @@ func (s *server) handleMarket(w http.ResponseWriter, r *http.Request) {
 	if rep.VMs == nil {
 		rep.VMs = []alloc.VMStat{}
 	}
-	if v.Result != nil {
-		rep.TotalU, rep.Converged = v.Result.TotalUtility, v.Result.Converged
+	if res := v.Result; res != nil {
+		rep.TotalU, rep.Converged = res.TotalUtility, res.Converged
+		rep.SliceDemand, rep.BankDemand = res.SliceDemand, res.BankDemand
 	}
 	s.reply(w, rep)
 }

@@ -11,7 +11,7 @@
 //     so a thundering herd on a new benchmark costs one simulator run per
 //     configuration.
 //
-//   - There is one search, econ.Lattice.Search, and it is PURE in its
+//   - Bids have one search, econ.Lattice.Search, and it is PURE in its
 //     explicit inputs: surface, objective, prices and start. It keeps no
 //     state between calls and ascends from the start its caller passes.
 //     The fleet passes each pricing group's epoch-synchronized previous
@@ -27,9 +27,12 @@
 //   - Market clearing is batched: Arrive/Depart/Reconfigure submit ops to a
 //     group-commit queue, and whichever goroutine finds the queue unled
 //     becomes the epoch leader, drains everything pending, applies the ops
-//     in submission order, and runs ONE tatonnement reprice for the whole
-//     batch instead of N serialized ones. Followers block until their op's
-//     epoch commits and share its ClearingResult.
+//     in submission order, and runs ONE clearing (econ.ClearMarket) for the
+//     whole batch instead of N serialized ones. Followers block until their
+//     op's epoch commits and share its ClearingResult. The clearing is
+//     exact or reports its gap, and never oversells the supply; it reads
+//     each resident's surface whole, filling the memo's missing points
+//     first, and chooses once per (surface, K) group.
 //
 // Determinism: a concurrent run's outcome is reflect.DeepEqual-identical to
 // a sequential one-op-at-a-time serialization of the same committed op
@@ -37,12 +40,12 @@
 // halves. Bids are pure functions of (surface, objective, prices, start) —
 // a stateless search over memoized surface values — so concurrent bids equal
 // sequential pricings of the same requests. Clearing is leader-serialized
-// AND built from pure responses: ops commit in a total order (the op log),
-// each epoch's single reprice runs ClearMarketWith over residents in arrival
-// order from the standard starting prices, and every resident response is
-// the same pure search from the fixed start — so a clearing's outcome
-// depends only on the resident set it covers, never on how many ops were
-// batched into the epoch that produced it (DESIGN.md §8).
+// and pure: ops commit in a total order (the op log), and each epoch's
+// single reprice runs econ.ClearMarket, a function of the customers in
+// arrival order and the supply alone, over the residents' measured
+// surfaces — so a clearing's outcome depends only on the resident set it
+// covers, never on how many ops were batched into the epoch that produced
+// it (DESIGN.md §8).
 package alloc
 
 import (
@@ -63,7 +66,7 @@ const WholeProgram = market.WholeProgram
 // exponent below 1, a budget that is not a finite positive number, or a
 // negative or non-finite price. Any of them would admit a customer whose
 // utility has the wrong sign or no value into the search and the
-// tatonnement.
+// clearing.
 var ErrInvalid = errors.New("alloc: invalid economics")
 
 // Params configures an Allocator.
@@ -75,10 +78,6 @@ type Params struct {
 	// makes a pricing-only allocator (the fleet, the table drivers): bids
 	// price as usual and membership ops are refused.
 	Supply econ.Supply
-	// Tol and MaxIter are the tatonnement parameters (econ.ClearMarketWith
-	// defaults if 0).
-	Tol     float64
-	MaxIter int
 	// Surfaces, when set, is a shared probe memo (e.g. one cache shared
 	// with a fleet simulation) over the lattice Slices x CacheKB; prober
 	// may then be nil. When nil, New builds a private cache over prober.
@@ -123,14 +122,11 @@ type Allocator struct {
 	stats counters
 }
 
-// resident is one market participant; it implements econ.Bidder. Respond
-// is only ever invoked by the epoch leader (inside the batch reprice), so
-// its fields need no lock. last/warm track the resident's most recent
-// optimum for the published view and the phase-change reconfiguration plan;
-// they deliberately do NOT seed searches, which start from the fixed lattice
-// start (purity, see the package comment).
+// resident is one market participant. Only the epoch leader touches it, so
+// its fields need no lock. last/warm hold the configuration of the
+// resident's last committed allocation, the source of a phase change's
+// reconfiguration plan.
 type resident struct {
-	a      *Allocator
 	name   string
 	bench  string
 	phase  int
@@ -139,26 +135,6 @@ type resident struct {
 	warm   bool
 	joined uint64 // committing op's sequence number
 }
-
-// BidderName implements econ.Bidder.
-func (r *resident) BidderName() string { return r.name }
-
-// Respond implements econ.Bidder by a pure search at prices m.
-func (r *resident) Respond(m econ.Market) (econ.Config, float64, float64, error) {
-	res, err := r.a.search(r.key(), r.util, m, econ.Config{}, nil)
-	if err != nil {
-		return econ.Config{}, 0, 0, err
-	}
-	r.last, r.warm = res.Best, true
-	cost := m.Cost(res.Best)
-	vcores := 0.0
-	if cost > 0 {
-		vcores = r.util.Budget / cost
-	}
-	return res.Best, vcores, res.Score, nil
-}
-
-func (r *resident) key() surfKey { return surfKey{bench: r.bench, phase: r.phase} }
 
 // New builds an Allocator over the given lattice and prober. With
 // p.Surfaces set, prober may be nil: all probes go through the shared
@@ -197,32 +173,6 @@ func (a *Allocator) LatticeSize() int { return a.cache.Lattice().Size() }
 // one probe economy, and for the cache hit/miss telemetry).
 func (a *Allocator) Cache() *market.SurfaceCache { return a.cache }
 
-// search is the core's one search: the lattice search ascending from start
-// (econ.Config{}, or any off-lattice start, resolves to the lattice
-// midpoint), probing through the lock-free cache. A nil obj scores
-// configurations by utility at prices m. The result is a deterministic
-// function of (surface, obj, prices, start) — independent of scheduling and
-// of every other request in flight.
-//
-//ssim:parallel
-func (a *Allocator) search(k surfKey, u econ.Utility, m econ.Market, start econ.Config, obj econ.Objective) (econ.SearchResult, error) {
-	if k.phase != WholeProgram && !a.cache.Phased() {
-		return econ.SearchResult{}, fmt.Errorf("alloc: prober cannot measure phases (bench %s phase %d)", k.bench, k.phase)
-	}
-	if obj == nil {
-		obj = func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
-	}
-	res, err := a.cache.Lattice().Search(obj, m, start, a.cache.Surface(k.bench, k.phase).Probe)
-	if err != nil {
-		return econ.SearchResult{}, err
-	}
-	// The cache lookups a search accounts for are its distinct
-	// configurations.
-	a.stats.probeLookups.Add(int64(res.Probes))
-	a.stats.searches.Add(1)
-	return res, nil
-}
-
 // PriceBid prices one stand-alone bid from the fixed lattice start: the
 // utility-maximizing configuration for the benchmark at prices m. It is the
 // serving hot path — entirely lock-free against a warm cache — and does not
@@ -233,10 +183,13 @@ func (a *Allocator) PriceBid(bench string, u econ.Utility, m econ.Market) (marke
 	return a.PriceBidAt(bench, u, m, econ.Config{}, nil)
 }
 
-// PriceBidAt prices one bid from an explicit start with an optional
-// objective override (nil = utility at prices m; the fleet passes its
-// utility-per-watt scheduling objective). The result is a pure function of
-// (surface, objective, prices, start): the fleet relies on it to stay
+// PriceBidAt prices one bid by the core's one search: the lattice search
+// ascending from start (econ.Config{}, or any off-lattice start, resolves
+// to the lattice midpoint), probing through the lock-free cache, with an
+// optional objective override (nil = utility at prices m; the fleet passes
+// its utility-per-watt scheduling objective). The result is a pure function
+// of (surface, objective, prices, start), independent of scheduling and of
+// every other request in flight: the fleet relies on it to stay
 // byte-identical across shard counts, pricing every group from its
 // epoch-synchronized previous optimum.
 //
@@ -247,10 +200,17 @@ func (a *Allocator) PriceBidAt(bench string, u econ.Utility, m econ.Market, star
 	}
 	a.stats.inflight.Add(1)
 	defer a.stats.inflight.Add(-1)
-	res, err := a.search(surfKey{bench: bench, phase: WholeProgram}, u, m, start, obj)
+	if obj == nil {
+		obj = func(perf float64, cfg econ.Config) float64 { return u.Value(m, perf, cfg) }
+	}
+	res, err := a.cache.Lattice().Search(obj, m, start, a.cache.Surface(bench, WholeProgram).Probe)
 	if err != nil {
 		return market.BidResult{}, err
 	}
+	// The cache lookups a search accounts for are its distinct
+	// configurations.
+	a.stats.probeLookups.Add(int64(res.Probes))
+	a.stats.searches.Add(1)
 	a.stats.bids.Add(1)
 	cost := m.Cost(res.Best)
 	br := market.BidResult{
@@ -292,13 +252,7 @@ func checkBid(u econ.Utility, m econ.Market) error {
 // Prices returns the current market price vector: the last clearing's
 // prices, or the standard area prices (Market2) before any clearing.
 // Lock-free.
-func (a *Allocator) Prices() econ.Market {
-	v := a.view.Load()
-	if v.Result != nil {
-		return v.Result.Prices
-	}
-	return v.Prices
-}
+func (a *Allocator) Prices() econ.Market { return a.view.Load().Prices }
 
 // Snapshot returns the immutable market view published by the last epoch
 // commit. Lock-free; callers must not mutate it.

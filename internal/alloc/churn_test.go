@@ -17,7 +17,7 @@ import (
 // reference the allocator must match byte for byte.
 func scratch(t *testing.T, members []econ.Customer) *econ.ClearingResult {
 	t.Helper()
-	res, err := econ.ClearMarket(members, testSupply, 0, 0)
+	res, err := econ.ClearMarket(members, testSupply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,4 +165,32 @@ func TestPriceBidWarm(t *testing.T) {
 		t.Fatalf("warm bids averaged %.1f probes, not 10x under the %d-point grid", perBid, a.LatticeSize())
 	}
 	t.Logf("cold=%d probes; warm avg=%.1f probes vs %d-point grid", coldCalls, perBid, a.LatticeSize())
+}
+
+// TestClearingSearchesPerGroup pins the clearing's search count: one per
+// distinct (surface, K) group per epoch, however many residents share it,
+// and a surface's first resident reads the whole surface.
+func TestClearingSearchesPerGroup(t *testing.T) {
+	a, fp := newAlloc(t)
+	for _, c := range []struct {
+		name, bench string
+		u           econ.Utility
+		groups      int64
+	}{
+		{"alice", "cachey", econ.Utility1(), 1},
+		{"bob", "cachey", econ.Utility1(), 1},   // alice's group
+		{"carol", "cachey", econ.Utility2(), 2}, // alice's surface, another K
+		{"dave", "slicey", econ.Utility1(), 3},
+	} {
+		before := a.Stats().Searches
+		if _, err := a.Arrive(c.name, c.bench, c.u); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Stats().Searches - before; got != c.groups {
+			t.Fatalf("arrive %s: %d searches, want %d (one per group)", c.name, got, c.groups)
+		}
+	}
+	if got, want := fp.calls.Load(), int64(2*a.LatticeSize()); got != want {
+		t.Fatalf("two surfaces cost %d probes, want %d (each read whole once)", got, want)
+	}
 }

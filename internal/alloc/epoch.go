@@ -10,7 +10,7 @@ import (
 // Batched, epoch'd market clearing (the write side of the Allocator).
 //
 // Membership ops — arrivals, departures, phase changes — do not each pay a
-// tatonnement. They enqueue on a group-commit queue; the first submitter to
+// clearing. They enqueue on a group-commit queue; the first submitter to
 // find the queue unled becomes the epoch leader and loops: drain everything
 // pending, apply the ops in submission order, run ONE reprice over the
 // resulting resident set, publish the new market view, wake the batch, and
@@ -174,13 +174,13 @@ func (a *Allocator) runEpoch(batch []*op) {
 	case len(committed) == 0:
 		// Every op in the batch failed validation; nothing changed.
 	case clearErr != nil:
-		// The epoch's reprice failed (e.g. a probe refused during drain).
+		// The epoch's reprice failed (a probe refused during drain, or a
+		// bankless supply some resident's choice still needs banks from).
 		// The epoch aborts: membership changes are reversed in LIFO order so
 		// the op journal, resident state, and published view stay mutually
-		// consistent — a failed op never happened. (Residents' last
-		// optima touched by the aborted tatonnement are left as-is: they
-		// feed only the published view and reconfiguration plans, never a
-		// search.)
+		// consistent — a failed op never happened. Residents' last
+		// configurations change only when an epoch commits, so there is
+		// nothing else to undo.
 		for i := len(committed) - 1; i >= 0; i-- {
 			committed[i].undo()
 			committed[i].err = clearErr
@@ -189,6 +189,9 @@ func (a *Allocator) runEpoch(batch []*op) {
 		a.seq = prevSeq
 	default:
 		a.epoch++
+		for i, r := range a.order {
+			r.last, r.warm = res.Allocations[i].Config, true
+		}
 		a.publish(res)
 		a.journal(committed)
 		a.stats.epochs.Add(1)
@@ -233,7 +236,7 @@ func (a *Allocator) apply(o *op, seq uint64) error {
 		if _, ok := a.residents[o.name]; ok {
 			return fmt.Errorf("alloc: customer %q already present", o.name)
 		}
-		r := &resident{a: a, name: o.name, bench: o.bench, phase: WholeProgram, util: o.util, joined: seq}
+		r := &resident{name: o.name, bench: o.bench, phase: WholeProgram, util: o.util, joined: seq}
 		a.residents[o.name] = r
 		a.order = append(a.order, r)
 		o.undo = func() {
@@ -277,24 +280,42 @@ func (a *Allocator) apply(o *op, seq uint64) error {
 	return nil
 }
 
-// reprice runs the epoch's single tatonnement over residents in arrival
-// order. The trajectory starts from the standard area prices with the
-// standard step schedule, and every response is the same pure search, so
-// the outcome is byte-identical to a one-op-at-a-time clearing over the
-// same resident set.
+// reprice clears the market over the residents in arrival order, a
+// function of the resident set alone. Each surface is read whole once
+// (Dense fills its missing points) and shared, so econ.ClearMarket chooses
+// once per (surface, K) group; each group counts as one search.
 func (a *Allocator) reprice() (*econ.ClearingResult, error) {
-	bidders := make([]econ.Bidder, len(a.order))
-	for i, r := range a.order {
-		bidders[i] = r
+	type group struct {
+		surf surfKey
+		k    int
 	}
-	res, err := econ.ClearMarketWith(bidders, a.p.Supply, a.p.Tol, a.p.MaxIter)
+	surfs := make(map[surfKey]*econ.Surface)
+	groups := make(map[group]bool)
+	customers := make([]econ.Customer, len(a.order))
+	for i, r := range a.order {
+		k := surfKey{bench: r.bench, phase: r.phase}
+		perf, ok := surfs[k]
+		if !ok {
+			var err error
+			if perf, err = a.cache.Surface(k.bench, k.phase).Dense(); err != nil {
+				return nil, err
+			}
+			surfs[k] = perf
+		}
+		customers[i] = econ.Customer{Name: r.name, Perf: perf, Utility: r.util}
+		groups[group{k, r.util.K}] = true
+	}
+	res, err := econ.ClearMarket(customers, a.p.Supply)
 	if err != nil {
 		return nil, err
 	}
+	a.stats.searches.Add(int64(len(groups)))
+	a.stats.probeLookups.Add(int64(len(groups) * a.LatticeSize()))
 	return res, nil
 }
 
 // publish builds and atomically installs the epoch's immutable market view.
+// The clearing's allocations are in resident arrival order.
 func (a *Allocator) publish(res *econ.ClearingResult) {
 	v := &View{
 		Epoch:  a.epoch,
@@ -306,28 +327,15 @@ func (a *Allocator) publish(res *econ.ClearingResult) {
 		v.Prices = res.Prices
 	}
 	v.VMs = make([]VMStat, 0, len(a.order))
-	for _, r := range a.order {
-		st := VMStat{
+	for i, r := range a.order {
+		al := res.Allocations[i]
+		v.byName[r.name] = len(v.VMs)
+		v.VMs = append(v.VMs, VMStat{
 			Name: r.name, Bench: r.bench, Phase: r.phase,
 			K: r.util.K, Budget: r.util.Budget,
+			Config: al.Config, VCores: al.VCores, Utility: al.Utility,
 			Joined: r.joined, Epoch: a.epoch,
-		}
-		if r.warm {
-			st.Config = r.last
-		}
-		if res != nil {
-			for i := range res.Allocations {
-				if res.Allocations[i].Customer == r.name {
-					al := res.Allocations[i]
-					st.Config = al.Config
-					st.VCores = al.VCores
-					st.Utility = al.Utility
-					break
-				}
-			}
-		}
-		v.byName[r.name] = len(v.VMs)
-		v.VMs = append(v.VMs, st)
+		})
 	}
 	a.view.Store(v)
 }

@@ -32,16 +32,20 @@ type Stats struct {
 	Epochs    int64 `json:"epochs"`
 	Ops       int64 `json:"ops"`
 	Coalesced int64 `json:"coalesced"`
-	// Searches counts optimum searches (bids plus tatonnement responses).
+	// Searches counts optimum searches: one per bid, plus one per distinct
+	// (surface, K) group per clearing, the groups econ.ClearMarket chooses
+	// for. Over membership ops it therefore counts the distinct groups
+	// each epoch's residents form.
 	Searches int64 `json:"searches"`
 	// Fallbacks is always 0: the search has no exhaustive fallback. The
 	// field stays only because perfbench's alloc.fallbacks counter still
 	// reads it.
 	Fallbacks int64 `json:"fallbacks"`
 	// ProbeLookups counts the distinct configurations each search looked
-	// up in the shared surface cache (a search's revisits are not
-	// counted); CacheMisses the ones that cost a prober call (simulator
-	// work). ProbeLookups - CacheMisses were served lock-free.
+	// up in the shared surface cache (a search's revisits are not counted;
+	// a clearing group reads its whole surface, one lattice); CacheMisses
+	// the ones that cost a prober call (simulator work). ProbeLookups -
+	// CacheMisses were served lock-free.
 	ProbeLookups int64 `json:"probeLookups"`
 	CacheMisses  int64 `json:"cacheMisses"`
 	// InFlight is the current gauge of requests inside the Allocator.

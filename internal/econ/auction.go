@@ -1,15 +1,19 @@
 package econ
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Market clearing (§2.3 of the paper): "the cloud provider auctions off all
-// resources down to the ALU, KB of cache, ...". Section 2 argues that
-// pricing Slices and banks individually lets the market clear at prices
-// reflecting instantaneous demand. This file implements that auction as a
-// tatonnement (iterative price adjustment): given the chip's fixed supply
-// of Slices and banks and a population of utility-maximizing customers,
-// prices rise on over-demanded resources and fall on idle ones until demand
-// meets supply.
+// resources down to the ALU, KB of cache, ...". Demand depends only on the
+// price ratio r = BankCost/SliceCost: at prices (ps, r·ps) a customer's
+// utility (B/cost)·P^K is maximized by the configuration maximizing
+// P^K/(s + r·b), whatever B and ps, so one (surface, K) group has one choice
+// at each r. The aggregate h(r) = Slice demand / bank demand is
+// non-decreasing in r (as banks get dearer a choice only switches to fewer
+// banks per Slice), so the clearing ratio is a monotone root.
 
 // Customer is one IaaS tenant bidding in the market.
 type Customer struct {
@@ -21,43 +25,6 @@ type Customer struct {
 	Utility Utility
 }
 
-// demand returns the tenant's resource demand at the given prices: the
-// utility-maximizing configuration times the number of VCores the budget
-// affords.
-func (c *Customer) demand(m Market) (cfg Config, vcores float64) {
-	cfg, _ = c.Utility.Best(m, c.Perf)
-	cost := m.Cost(cfg)
-	if cost <= 0 {
-		return cfg, 0
-	}
-	return cfg, c.Utility.Budget / cost
-}
-
-// Bidder abstracts one market participant's best response to a price
-// vector. Customer (full performance surface) and the incremental market
-// engine's probe-driven searcher (internal/market) both implement it; the
-// tatonnement below is written against this interface so the batch and
-// online paths share one clearing algorithm and, given identical responses,
-// produce byte-identical ClearingResults.
-type Bidder interface {
-	// BidderName labels the participant in ClearingResult.Allocations.
-	BidderName() string
-	// Respond returns the participant's utility-maximizing configuration at
-	// prices m, the fractional VCores its budget affords there, and the
-	// utility realized. Responses must be deterministic in m.
-	Respond(m Market) (cfg Config, vcores, utility float64, err error)
-}
-
-// BidderName implements Bidder.
-func (c *Customer) BidderName() string { return c.Name }
-
-// Respond implements Bidder by exhaustive sweep of the performance surface.
-func (c *Customer) Respond(m Market) (Config, float64, float64, error) {
-	cfg, v := c.demand(m)
-	p, _ := c.Perf.At(cfg) // cfg is a point of the surface: Best chose it
-	return cfg, v, c.Utility.Value(m, p, cfg), nil
-}
-
 // Supply is the chip's rentable resources.
 type Supply struct {
 	Slices int
@@ -66,23 +33,20 @@ type Supply struct {
 
 // ClearingResult describes the auction outcome.
 type ClearingResult struct {
-	// Prices is the market-clearing price vector.
+	// Prices is the clearing price vector.
 	Prices Market
-	// Iterations is the tatonnement round whose prices were returned: the
-	// clearing round when Converged, else the least-oversold round seen,
-	// which can be below maxIter.
+	// Iterations counts the demand evaluations (price ratios) tried.
 	Iterations int
-	// Converged reports that demand fell within tolerance of supply:
-	// SliceDemand <= (1+tol)*Slices and BankDemand <= (1+tol)*Banks (at
-	// most half a bank when the supply has none). A converged result can
-	// thus oversell each resource by up to tol. False means the round cap
-	// ran out and Prices are the least-oversold prices observed, at which
-	// some resource may be over-demanded by more.
+	// Converged reports an exact clearing: the root of h(r) lies inside
+	// the ratio bracket and no choice differs between its two sides, so
+	// both resources sell out (with no banks for sale: the Slices do).
+	// False is a gap: the binding resource sells out and SliceDemand and
+	// BankDemand show the other's idle share.
 	Converged bool
 	// Allocations holds each customer's chosen configuration and VCore
 	// count at the clearing prices, in input order.
 	Allocations []Allocation
-	// SliceDemand and BankDemand are total demand at the final prices.
+	// SliceDemand and BankDemand are total demand at the clearing prices.
 	SliceDemand, BankDemand float64
 	// TotalUtility is the sum of customer utilities at the clearing point.
 	TotalUtility float64
@@ -96,135 +60,174 @@ type Allocation struct {
 	Utility  float64
 }
 
-// ClearMarket runs the tatonnement: starting from area prices (Market2),
-// each round computes aggregate demand, then nudges each resource's price
-// by its relative excess demand. Because configurations are discrete, exact
-// supply=demand equality need not exist (demand jumps at price thresholds),
-// and idle capacity is allowed. The auction stops at the first round whose
-// demand is at most (1+tol) times supply for every resource — so a
-// converged clearing can oversell each resource by up to tol (0.05 when tol
-// is not positive) — or after maxIter rounds, in which case the result has
-// Converged false. Demand is declared in fractional VCores,
-// which is the paper's time-multiplexed leasing: renting 2.5 VCores means 2
-// full-time and one half-time.
-func ClearMarket(customers []Customer, supply Supply, tol float64, maxIter int) (*ClearingResult, error) {
-	bidders := make([]Bidder, len(customers))
-	for i := range customers {
-		bidders[i] = &customers[i]
-	}
-	return ClearMarketWith(bidders, supply, tol, maxIter)
-}
+// The clearing ratio r = BankCost/SliceCost is searched over this bracket.
+const (
+	ratioLo = 0x1p-40
+	ratioHi = 0x1p40
+)
 
-// ClearMarketWith is ClearMarket over abstract Bidders. The price
-// trajectory depends only on the sequence of responses, so a probe-driven
-// bidder whose responses match a grid bidder's yields a byte-identical
-// ClearingResult — the property the allocation core's churn tests assert.
-func ClearMarketWith(bidders []Bidder, supply Supply, tol float64, maxIter int) (*ClearingResult, error) {
-	if len(bidders) == 0 {
+// ClearMarket clears the market for customers over supply. It bisects r on
+// its float64 bit pattern over [2^-40, 2^40] until the two sides of the
+// root are adjacent floats, keeps the side that leaves less of the slacker
+// resource idle (the upper on a tie), and sets the Slice price to the
+// larger of Slice demand per Slice and bank demand per bank at prices
+// (1, r): the binding resource sells out and nothing is oversold. With no
+// banks for sale r is the top of the bracket, and a choice still needing
+// banks there is an error. VCores are fractional, the paper's
+// time-multiplexed leasing. Customers sharing a surface pointer and K share
+// one argmax per ratio, but demand is summed per customer in input order,
+// so the result never depends on the grouping. It refuses an empty
+// population, a supply without Slices or with negative banks, K < 1, a
+// budget that is not finite and positive, and a surface not covering its
+// lattice.
+func ClearMarket(customers []Customer, supply Supply) (*ClearingResult, error) {
+	if len(customers) == 0 {
 		return nil, fmt.Errorf("econ: no customers")
 	}
 	if supply.Slices <= 0 || supply.Banks < 0 {
 		return nil, fmt.Errorf("econ: invalid supply %+v", supply)
 	}
-	if tol <= 0 {
-		tol = 0.05
-	}
-	if maxIter <= 0 {
-		maxIter = 4000
-	}
-	m := Market2()
-	m.Name = "cleared"
-	var sliceD, bankD float64
-	best := m
-	bestOver := 1e18
-	bestIt := 0
-	for it := 1; it <= maxIter; it++ {
-		sliceD, bankD = 0, 0
-		for i := range bidders {
-			cfg, v, _, err := bidders[i].Respond(m)
-			if err != nil {
-				return nil, err
-			}
-			sliceD += v * float64(cfg.Slices)
-			bankD += v * float64(cfg.Banks())
-		}
-		exS := sliceD/float64(supply.Slices) - 1
-		exB := 0.0
-		if supply.Banks > 0 {
-			exB = bankD/float64(supply.Banks) - 1
-		} else if bankD > 0.5 {
-			exB = 1 // zero supply: keep raising the price until demand dies
-		}
-		if exS <= tol && exB <= tol {
-			res, err := clearingAt(bidders, m, it, sliceD, bankD)
-			if err != nil {
-				return nil, err
-			}
-			res.Converged = true
-			return res, nil
-		}
-		// Discrete demand can limit-cycle around the clearing point;
-		// remember the least-oversold prices seen so far.
-		if over := maxf(exS, exB); over < bestOver {
-			bestOver, best, bestIt = over, m, it
-		}
-		// Asymmetric ratchet: an over-demanded resource's price rises in
-		// proportion to its excess demand; an idle resource's price falls
-		// only gently (a provider would rather leave capacity idle than
-		// oversell it). The step decays so the search settles, and prices
-		// never fall below a floor so the chip is never given away.
-		step := 0.3 / (1 + 0.02*float64(it))
-		if step < 0.02 {
-			step = 0.02
-		}
-		adjust := func(price, excess float64) float64 {
-			if excess > 0 {
-				return clampPrice(price * (1 + step*excess))
-			}
-			return clampPrice(price * (1 + 0.25*step*excess))
-		}
-		m.SliceCost = adjust(m.SliceCost, exS)
-		m.BankCost = adjust(m.BankCost, exB)
-	}
-	// No exact clearing point within maxIter (discrete configurations can
-	// make one impossible): return the least-oversold prices observed,
-	// marked unconverged; the caller can inspect demand vs supply.
-	res, err := clearingAt(bidders, best, bestIt, 0, 0)
+	cl, err := newClearing(customers)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range res.Allocations {
-		res.SliceDemand += a.VCores * float64(a.Config.Slices)
-		res.BankDemand += a.VCores * float64(a.Config.Banks())
+	d, converged, err := cl.root(supply)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return cl.result(supply, d, converged)
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+// clearing holds a population's (surface, K) groups.
+type clearing struct {
+	customers []Customer
+	group     []int      // customer -> its group
+	pk        []*Surface // group -> P^K at every point of its surface
+	evals     int
 }
 
-func clampPrice(p float64) float64 {
-	const floor = 0.001
-	if p < floor {
-		return floor
+func newClearing(customers []Customer) (*clearing, error) {
+	type key struct {
+		perf *Surface
+		k    int
 	}
-	return p
-}
-
-func clearingAt(bidders []Bidder, m Market, it int, sliceD, bankD float64) (*ClearingResult, error) {
-	res := &ClearingResult{Prices: m, Iterations: it, SliceDemand: sliceD, BankDemand: bankD}
-	for i := range bidders {
-		cfg, v, u, err := bidders[i].Respond(m)
-		if err != nil {
-			return nil, err
+	cl := &clearing{customers: customers, group: make([]int, len(customers))}
+	groups := make(map[key]int)
+	for i, c := range customers {
+		u := c.Utility
+		if u.K < 1 {
+			return nil, fmt.Errorf("econ: customer %q: utility exponent k = %d, want 1 or more", c.Name, u.K)
 		}
-		res.Allocations = append(res.Allocations, Allocation{
-			Customer: bidders[i].BidderName(), Config: cfg, VCores: v, Utility: u,
-		})
+		if !(u.Budget > 0) || math.IsInf(u.Budget, 1) {
+			return nil, fmt.Errorf("econ: customer %q: budget %v, want a finite value above 0", c.Name, u.Budget)
+		}
+		if c.Perf == nil || c.Perf.Lattice == nil || len(c.Perf.Values) != c.Perf.Lattice.Size() {
+			return nil, fmt.Errorf("econ: customer %q: no performance surface over a lattice", c.Name)
+		}
+		k := key{c.Perf, u.K}
+		g, ok := groups[k]
+		if !ok {
+			g = len(cl.pk)
+			groups[k] = g
+			pk := NewSurface(c.Perf.Lattice)
+			for x, p := range c.Perf.Values {
+				pk.Values[x] = math.Pow(p, float64(u.K))
+			}
+			cl.pk = append(cl.pk, pk)
+		}
+		cl.group[i] = g
+	}
+	return cl, nil
+}
+
+// side is one evaluated price ratio r: every group's choice there and the
+// customers' total Slice and bank demand at prices (1, r).
+type side struct {
+	r      float64
+	choice []Config
+	s, b   float64
+}
+
+// eval evaluates demand at prices (1, r): one argmax per group, then the
+// customers' demand summed in input order.
+func (cl *clearing) eval(r float64) side {
+	cl.evals++
+	m := Market{SliceCost: 1, BankCost: r}
+	d := side{r: r, choice: make([]Config, len(cl.pk))}
+	for g, pk := range cl.pk {
+		d.choice[g], _ = argmax(m, pk, func(c Config, v float64) float64 { return v / m.Cost(c) })
+	}
+	for i, c := range cl.customers {
+		cfg := d.choice[cl.group[i]]
+		v := c.Utility.Budget / m.Cost(cfg)
+		d.s += v * float64(cfg.Slices)
+		d.b += v * float64(cfg.Banks())
+	}
+	return d
+}
+
+// root returns the side the market clears at and whether the clearing is
+// exact.
+func (cl *clearing) root(supply Supply) (side, bool, error) {
+	if supply.Banks == 0 {
+		top := cl.eval(ratioHi)
+		for _, c := range top.choice {
+			if c.Banks() > 0 {
+				return side{}, false, fmt.Errorf("econ: no banks for sale, but %v is chosen even at bank price %g times the Slice price", c, ratioHi)
+			}
+		}
+		return top, true, nil
+	}
+	// h(r) >= T for T = Slice supply / bank supply, by cross-multiplication
+	// so that no demand is divided by.
+	ss, sb := float64(supply.Slices), float64(supply.Banks)
+	above := func(d side) bool { return d.s*sb >= d.b*ss }
+	lo := cl.eval(ratioLo)
+	if above(lo) {
+		return lo, false, nil // the root lies below the bracket
+	}
+	hi := cl.eval(ratioHi)
+	if !above(hi) {
+		return hi, false, nil // the root lies above the bracket
+	}
+	for math.Float64bits(hi.r)-math.Float64bits(lo.r) > 1 {
+		mid := math.Float64frombits((math.Float64bits(lo.r) + math.Float64bits(hi.r)) / 2)
+		if d := cl.eval(mid); above(d) {
+			hi = d
+		} else {
+			lo = d
+		}
+	}
+	converged := slices.Equal(lo.choice, hi.choice)
+	// At lo banks bind and the Slices are used to h(lo)/T; at hi Slices
+	// bind and the banks are used to T/h(hi).
+	if lo.s*sb/(lo.b*ss) > hi.b*ss/(hi.s*sb) {
+		return lo, converged, nil
+	}
+	return hi, converged, nil
+}
+
+// result prices the clearing at side d and reports every customer's
+// allocation in input order.
+func (cl *clearing) result(supply Supply, d side, converged bool) (*ClearingResult, error) {
+	ps := d.s / float64(supply.Slices)
+	if supply.Banks > 0 {
+		ps = math.Max(ps, d.b/float64(supply.Banks))
+	}
+	prices := Market{Name: "cleared", SliceCost: ps, BankCost: d.r * ps}
+	if !(ps > 0) || math.IsInf(prices.BankCost, 1) {
+		return nil, fmt.Errorf("econ: budgets out of the range prices can take (Slice price %g, bank price %g)", ps, prices.BankCost)
+	}
+	res := &ClearingResult{Prices: prices, Iterations: cl.evals, Converged: converged}
+	res.Allocations = make([]Allocation, len(cl.customers))
+	for i, c := range cl.customers {
+		cfg := d.choice[cl.group[i]]
+		p, _ := c.Perf.At(cfg) // cfg is a point of the surface: argmax chose it
+		v := c.Utility.Budget / prices.Cost(cfg)
+		u := c.Utility.Value(prices, p, cfg)
+		res.Allocations[i] = Allocation{Customer: c.Name, Config: cfg, VCores: v, Utility: u}
+		res.SliceDemand += v * float64(cfg.Slices)
+		res.BankDemand += v * float64(cfg.Banks())
 		res.TotalUtility += u
 	}
 	return res, nil

@@ -148,9 +148,10 @@ func Better(m Market, va float64, a Config, vb float64, b Config) bool {
 // argmax reduces the surface to the configuration whose score is best under
 // the Better total order for market m. It walks the lattice in index order;
 // the total order makes the outcome independent of that order, and the walk
-// allocates nothing (Utility.Best runs once per customer per tatonnement
-// round under churn — see BenchmarkUtilityBest). Every lattice point is a
-// valid configuration (NewLattice checks), so none is skipped.
+// allocates nothing (ClearMarket runs it once per (surface, K) group per
+// price ratio it evaluates, about 60 ratios per clearing — see
+// BenchmarkUtilityBest). Every lattice point is a valid configuration
+// (NewLattice checks), so none is skipped.
 func argmax(m Market, s *Surface, score func(c Config, p float64) float64) (best Config, bestV float64) {
 	for x, p := range s.Values {
 		c := s.Lattice.Point(x)

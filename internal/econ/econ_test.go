@@ -309,8 +309,9 @@ func TestBestAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkUtilityBest measures the hot path of every tatonnement round:
-// one customer's best response over a full 72-point surface.
+// BenchmarkUtilityBest measures one argmax over a full 72-point surface:
+// one customer's best response, and one group's choice at one price ratio
+// of a clearing.
 func BenchmarkUtilityBest(b *testing.B) {
 	g := surfaceOf(optSlices, optCaches, func(c Config) float64 {
 		return float64(c.Slices) * (1 + float64(c.CacheKB)/8192)

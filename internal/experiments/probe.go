@@ -61,8 +61,8 @@ type ChurnEvent struct {
 	K        int
 	Phase    int
 	// Probes and SimRuns are the marginal surface-cache misses and actual
-	// simulator executions this event cost; Iterations is the tatonnement
-	// round count of the re-clearing.
+	// simulator executions this event cost; Iterations is the number of
+	// demand evaluations the re-clearing made.
 	Probes     int64
 	SimRuns    int64
 	Iterations int

@@ -171,7 +171,7 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	want, err := econ.ClearMarket([]econ.Customer{
 		{Name: "a", Perf: suite["mcf"], Utility: econ.Utility1()},
 		{Name: "b", Perf: suite["sjeng"], Utility: econ.Utility3()},
-	}, supply, 0, 0)
+	}, supply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestChurnByteIdenticalVsScratchSim(t *testing.T) {
 	got2 := rc.Result
 	want2, err := econ.ClearMarket([]econ.Customer{
 		{Name: "a", Perf: suite["mcf"], Utility: econ.Utility1()},
-	}, supply, 0, 0)
+	}, supply)
 	if err != nil {
 		t.Fatal(err)
 	}

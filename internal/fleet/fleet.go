@@ -121,8 +121,9 @@ type Params struct {
 	Objective Objective
 	Place     Placement
 	// AdaptivePrices, when set, ratchets the fleet's price vector each epoch
-	// by utilization excess (the tatonnement step transplanted to fleet
-	// scale), so pricing stays warm-start-driven under drifting prices.
+	// by utilization excess (an asymmetric price step of the fleet's own,
+	// not econ.ClearMarket's exact clearing), so pricing stays
+	// warm-start-driven under drifting prices.
 	AdaptivePrices bool
 }
 
@@ -503,8 +504,9 @@ func (f *Fleet) applyOps() {
 }
 
 // adjustPrices ratchets the fleet price vector by utilization excess over a
-// target band — ClearMarket's asymmetric step at fleet granularity. It runs
-// at the barrier, from deterministic aggregate state.
+// target band: an asymmetric step at fleet granularity, independent of
+// econ.ClearMarket. It runs at the barrier, from deterministic aggregate
+// state.
 func (f *Fleet) adjustPrices() {
 	totSlices := float64(f.p.Machines * f.p.ChipSlices)
 	totBanks := float64(f.p.Machines * f.p.ChipBanks)

@@ -184,3 +184,31 @@ func FuzzSurfaceCache(f *testing.F) {
 		}
 	})
 }
+
+// TestSurfaceDense: Dense returns the measured surface at every lattice
+// point, probing each point the memo lacks once and the rest never, and a
+// second Dense is all hits. An unknown benchmark's probe error comes back.
+func TestSurfaceDense(t *testing.T) {
+	fp := &atomicProber{}
+	cache := newCache(t, fp)
+	surf := cache.Surface("mixed", WholeProgram)
+	if _, err := surf.Probe(econ.Config{Slices: 2, CacheKB: 128}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := surf.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := gridOf(benchPerf["mixed"]); !slices.Equal(got.Values, want.Values) || !got.Lattice.Equal(want.Lattice) {
+		t.Fatalf("dense surface %v, want %v", got.Values, want.Values)
+	}
+	if n := fp.calls.Load(); n != int64(cache.Lattice().Size()) {
+		t.Fatalf("dense fill made %d prober calls, want one per lattice point (%d)", n, cache.Lattice().Size())
+	}
+	if _, err := surf.Dense(); err != nil || fp.calls.Load() != int64(cache.Lattice().Size()) {
+		t.Fatalf("second dense read: err %v, %d prober calls", err, fp.calls.Load())
+	}
+	if _, err := cache.Surface("nope", WholeProgram).Dense(); err == nil {
+		t.Fatal("dense read of an unknown benchmark succeeded")
+	}
+}

@@ -143,6 +143,22 @@ func (s Surface) Probe(cfg econ.Config) (float64, error) {
 	return p, nil
 }
 
+// Dense returns the whole surface as a new econ.Surface over the cache's
+// lattice, probing every point not yet memoized through Probe, so cold
+// points singleflight as a search's do. Market clearing reads surfaces
+// this way: its argmax visits every point.
+func (s Surface) Dense() (*econ.Surface, error) {
+	out := econ.NewSurface(s.c.lat)
+	for x := range out.Values {
+		p, err := s.Probe(s.c.lat.Point(x))
+		if err != nil {
+			return nil, err
+		}
+		out.Values[x] = p
+	}
+	return out, nil
+}
+
 // Unique returns the number of distinct (surface, configuration) points ever
 // probed — the shared probe economy's denominator-free cost. It is
 // deterministic across shard counts: every search's visited set is a

@@ -112,9 +112,10 @@ func Simulate(cfg SimConfig, mt *Trace) (*Result, error) {
 func NewRunner() *Runner { return experiments.NewRunner() }
 
 // Customer, Supply and ClearingResult expose the §2.3 market-clearing
-// auction: utility-maximizing tenants bid for a chip's Slices and banks and
-// a tatonnement finds prices at which demand is at most 1.05 times supply,
-// so a cleared market can oversell each resource by up to 5%.
+// auction: utility-maximizing tenants bid for a chip's Slices and banks, and
+// the clearing finds prices at which demand never exceeds supply. It is
+// exact where the discrete configurations allow; elsewhere the binding
+// resource sells out and the result reports the other's idle share.
 type (
 	Customer       = econ.Customer
 	Supply         = econ.Supply
@@ -123,5 +124,5 @@ type (
 
 // ClearMarket runs the auction (see econ.ClearMarket).
 func ClearMarket(customers []Customer, supply Supply) (*ClearingResult, error) {
-	return econ.ClearMarket(customers, supply, 0, 0)
+	return econ.ClearMarket(customers, supply)
 }
