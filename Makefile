@@ -115,10 +115,7 @@ fleet-smoke:
 # fleets must keep pick equal to the brute-force reference and the bitset
 # index, summary level included, consistent. FuzzEventStream: decoded
 # departure schedules and takes must keep the event stream's batches equal
-# to the sort-everything reference's. FuzzReadRequest/FuzzReadResult: the
-# procpool's SREQ/SRES worker frames must never panic, an accepted frame
-# must re-encode to its own bytes, and an oversized length prefix or any
-# truncation must be an error. FuzzSurfaceCache: decoded
+# to the sort-everything reference's. FuzzSurfaceCache: decoded
 # (surface, phase, configuration) probe sequences, on and off the lattice,
 # must match a map reference: values equal the prober's, off-lattice and
 # unsupported phase probes are refused, and Unique and Misses both equal the
@@ -149,8 +146,6 @@ fleet-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzPlacer$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadResult$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s
@@ -169,21 +164,15 @@ bench-fleet:
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkPlacer -benchtime 100000x
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkDepartureQueue -benchtime 1000000x
 
-# Distributed-backend differentials under the race detector: procpool vs
-# inproc byte-identity (2 and 4 worker subprocesses), journal-only
-# checkpoint/resume with zero re-runs, the drain short-circuit, and the
-# scripted SIGINT kill-and-resume round trip through the real sweep CLI;
-# then a procpool round trip through `go run` against an inproc baseline,
-# diffing the persisted results files byte for byte.
+# Execution and checkpoint/resume under the race detector: journal-only
+# checkpoint/resume with zero re-runs, recovery from a truncated results
+# file, the drain short-circuit, the runner's worker bound and queue
+# shedding on Stop, the journal itself, and the scripted SIGINT
+# kill-and-resume round trip through the real sweep CLI.
 distrib-smoke:
-	$(GO) test -race -count=1 -run 'TestProcpoolMatchesInproc|TestCheckpointResumeZeroReruns|TestSweepCompletesAfterTruncatedResults|TestStopShortCircuits' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestCheckpointResumeZeroReruns|TestSweepCompletesAfterTruncatedResults|TestStopShortCircuits|TestRunnerBoundsAndShedsQueue' ./internal/experiments
 	$(GO) test -race -count=1 ./internal/distrib
-	$(GO) test -count=1 -run 'TestSweepSigintResume|TestSweepProcpoolCLI' ./cmd/sweep
-	rm -rf /tmp/ssim-distrib-smoke && mkdir -p /tmp/ssim-distrib-smoke
-	$(GO) run ./cmd/sweep -exp fig12 -bench astar -n 20000 -q -results /tmp/ssim-distrib-smoke/inproc.json > /dev/null
-	$(GO) run ./cmd/sweep -exp fig12 -bench astar -n 20000 -q -backend procpool -shards 2 -results /tmp/ssim-distrib-smoke/procpool.json > /dev/null
-	cmp /tmp/ssim-distrib-smoke/inproc.json /tmp/ssim-distrib-smoke/procpool.json
-	rm -rf /tmp/ssim-distrib-smoke
+	$(GO) test -race -count=1 -run 'TestSweepSigintResume' ./cmd/sweep
 
 # Allocation-serving acceptance: the concurrent allocation library and the
 # server-shaped SurfaceCache load under the race detector (concurrent results

@@ -30,7 +30,6 @@ import (
 )
 
 func main() {
-	experiments.MaybeWorker()
 	var (
 		machines  = flag.Int("machines", 2000, "chips in the fleet")
 		shards    = flag.Int("shards", 4, "parallel shards (results are byte-identical for any value)")
@@ -49,25 +48,19 @@ func main() {
 		steps     = flag.Int("steps", 4, "share-simplex granularity for -fig17k")
 		n         = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread (simulator probes)")
 		results   = flag.String("results", "", "JSON results cache (reused across runs)")
-		// -shards above splits the fleet itself; the execution backend's
-		// worker count gets its own flag name.
-		backend  = flag.String("backend", "inproc", "simulator execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		beShards = flag.Int("backend-shards", 0, "procpool worker subprocess count (0 = default)")
-		resume   = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
-		quiet    = flag.Bool("q", false, "suppress per-run progress")
+		resume    = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
+		quiet     = flag.Bool("q", false, "suppress per-run progress")
 	)
 	flag.Parse()
 
 	if *resume && *results == "" {
 		fatal(errors.New("-resume needs -results: the checkpoint journal lives next to the results cache"))
 	}
-	runnerBackend, runnerResume = *backend, *resume
-	runnerShards = *beShards
 
 	names := strings.Split(*benches, ",")
 
 	if *fig17k {
-		r := newRunner(*n, *results, *quiet)
+		r := newRunner(*n, *results, *quiet, *resume)
 		res, err := experiments.Fig17K(r, names, 2, *steps)
 		if err != nil {
 			stopOrFatal(r, err)
@@ -117,7 +110,7 @@ func main() {
 	if *synthetic {
 		f, err = fleet.New(p, fleet.SyntheticProber{})
 	} else {
-		r = newRunner(*n, *results, *quiet)
+		r = newRunner(*n, *results, *quiet, *resume)
 		f, err = experiments.NewFleet(r, p)
 	}
 	if err != nil {
@@ -139,30 +132,16 @@ func main() {
 	saveRunner(r)
 }
 
-// Backend selection for newRunner, resolved from the flags in main.
-var (
-	runnerBackend string
-	runnerShards  int
-	runnerResume  bool
-)
-
-func newRunner(n int, results string, quiet bool) *experiments.Runner {
+func newRunner(n int, results string, quiet, resume bool) *experiments.Runner {
 	r := experiments.NewRunner()
 	r.TraceLen, r.ResultsPath = n, results
 	if !quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
-	be, err := experiments.NewBackend(runnerBackend, runnerShards)
-	if err != nil {
-		fatal(err)
-	}
-	if be != nil {
-		r.Backend = be
-	}
 	if err := r.Load(); err != nil {
 		fatal(err)
 	}
-	if runnerResume {
+	if resume {
 		fmt.Fprintf(os.Stderr, "fleet: recovered %d checkpointed measurements\n", r.Recovered())
 	}
 	// Ctrl-C drains instead of killing: stop dispatching new simulations,
@@ -201,9 +180,6 @@ func saveRunner(r *experiments.Runner) {
 	}
 	if err := r.Save(); err != nil {
 		fatal(err)
-	}
-	if r.Backend != nil {
-		r.Backend.Close()
 	}
 }
 

@@ -30,15 +30,12 @@ import (
 )
 
 func main() {
-	experiments.MaybeWorker()
 	var (
 		exp     = flag.String("exp", "table4", "table4|table5|table6|fig14|fig15|fig16|fig17")
 		benches = flag.String("bench", "", "comma-separated benchmarks (default: all)")
 		n       = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread")
 		seed    = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 		results = flag.String("results", "", "JSON results cache (reused across runs)")
-		backend = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		shards  = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
 		resume  = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
 		quiet   = flag.Bool("q", false, "suppress per-run progress")
 		churn   = flag.Bool("churn", false, "run the churn scenario through the allocation core and report per-event costs")
@@ -53,14 +50,6 @@ func main() {
 	r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	be, err := experiments.NewBackend(*backend, *shards)
-	if err != nil {
-		fatal(err)
-	}
-	if be != nil {
-		r.Backend = be
-		defer be.Close()
 	}
 	if err := r.Load(); err != nil {
 		fatal(err)
@@ -87,7 +76,7 @@ func main() {
 	}
 
 	if *churn {
-		rep, err := experiments.ChurnScenario(r, names, econ.Supply{Slices: 64, Banks: 128})
+		rep, err := experiments.ChurnScenario(r, names)
 		if err != nil {
 			stopOrFatal(r, err)
 		}
@@ -97,15 +86,19 @@ func main() {
 			if ev.Action == "phase" {
 				target = fmt.Sprintf("%s/ph%d", ev.Bench, ev.Phase)
 			}
+			ratio := "-"
+			if ev.Prices.SliceCost > 0 {
+				ratio = fmt.Sprintf("%.3g", ev.Prices.BankCost/ev.Prices.SliceCost)
+			}
 			out = append(out, []string{
 				ev.Action, ev.Customer, target,
 				fmt.Sprintf("%d", ev.Probes), fmt.Sprintf("%d", ev.SimRuns),
-				fmt.Sprintf("%d", ev.Iterations), fmt.Sprintf("%.3f", ev.TotalUtility),
+				fmt.Sprintf("%d", ev.Iterations), ratio, fmt.Sprintf("%.3f", ev.TotalUtility),
 			})
 		}
 		fmt.Print(experiments.RenderSeries(
 			"Churn scenario - marginal cost per market event (incremental search)",
-			[]string{"event", "customer", "target", "probes", "simruns", "evals", "totalU"}, out))
+			[]string{"event", "customer", "target", "probes", "simruns", "evals", "bank/slice", "totalU"}, out))
 		fmt.Printf("total: %d simulator runs vs %d for per-event grid recomputation (%d surfaces x %d points); %d re-auctions\n",
 			rep.SimRuns, rep.GridSimRuns, rep.Stats.Surfaces, rep.GridSimRuns/max(rep.Stats.Surfaces, 1), rep.Stats.Epochs)
 		if err := r.Save(); err != nil {

@@ -19,7 +19,7 @@
 // Usage:
 //
 //	sharingd -synthetic -addr 127.0.0.1:8080
-//	sharingd -results results/perf.json -backend procpool -shards 4
+//	sharingd -results results/perf.json
 //
 // Ctrl-C drains gracefully: in-flight requests finish, simulator results
 // checkpoint, then the process exits 0. Requests still running after 30 s
@@ -39,22 +39,18 @@ import (
 	"time"
 
 	"sharing/internal/alloc"
-	"sharing/internal/distrib"
 	"sharing/internal/econ"
 	"sharing/internal/experiments"
 	"sharing/internal/fleet"
 )
 
 func main() {
-	experiments.MaybeWorker()
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
 		synthetic = flag.Bool("synthetic", false, "closed-form surfaces instead of simulator probes")
 		n         = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread (simulator probes)")
 		seed      = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 		results   = flag.String("results", "", "JSON results cache (reused across runs)")
-		backend   = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		shards    = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
 		supSlices = flag.Int("supply-slices", 64, "chip supply: rentable Slices")
 		supBanks  = flag.Int("supply-banks", 128, "chip supply: rentable 64KB L2 banks")
 		quiet     = flag.Bool("q", false, "suppress per-run progress")
@@ -64,7 +60,7 @@ func main() {
 	supply := econ.Supply{Slices: *supSlices, Banks: *supBanks}
 
 	// Build the allocator: closed-form surfaces, or the cycle-level
-	// simulator behind the Runner's results cache and execution backend.
+	// simulator behind the Runner's results cache.
 	var (
 		a   *alloc.Allocator
 		r   *experiments.Runner
@@ -80,15 +76,6 @@ func main() {
 		r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
 		if !*quiet {
 			r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-		}
-		var be distrib.Backend
-		be, err = experiments.NewBackend(*backend, *shards)
-		if err != nil {
-			fatal(err)
-		}
-		if be != nil {
-			r.Backend = be
-			defer be.Close()
 		}
 		if err = r.Load(); err != nil {
 			fatal(err)

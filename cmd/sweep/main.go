@@ -7,7 +7,6 @@
 //
 //	sweep -exp fig12 -results results/perf.json
 //	sweep -exp fig13 -bench omnetpp,mcf -n 500000
-//	sweep -exp fig12 -backend procpool -shards 4 -results results/perf.json
 //	sweep -exp fig12 -results results/perf.json -resume
 //
 // A run killed mid-sweep (including Ctrl-C, which drains gracefully) loses
@@ -31,7 +30,6 @@ import (
 )
 
 func main() {
-	experiments.MaybeWorker()
 	var (
 		exp        = flag.String("exp", "fig12", "experiment: fig12 or fig13")
 		benches    = flag.String("bench", "", "comma-separated benchmarks (default: all)")
@@ -44,8 +42,6 @@ func main() {
 		sampleSeed = flag.Int64("sample-seed", 1, "sampled mode: seed deriving the window placement")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 		quantum    = flag.Int("quantum", 0, "synchronization quantum in cycles for multi-engine machines (0 = NoC lookahead; larger values are clamped to it)")
-		backend    = flag.String("backend", "inproc", "execution backend: inproc (worker pool in this process) or procpool (worker subprocesses)")
-		shards     = flag.Int("shards", 0, "procpool worker subprocess count (0 = default)")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -93,14 +89,6 @@ func main() {
 	}
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	be, err := experiments.NewBackend(*backend, *shards)
-	if err != nil {
-		fatal(err)
-	}
-	if be != nil {
-		r.Backend = be
-		defer be.Close()
 	}
 	if err := r.Load(); err != nil {
 		fatal(err)

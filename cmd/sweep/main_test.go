@@ -15,8 +15,7 @@ import (
 
 // The interrupt/resume test drives the real sweep binary: TestMain re-execs
 // this test binary with runMainEnv set, which runs sweep's main() on the
-// scripted flags (the procpool worker re-exec also passes through here —
-// main's MaybeWorker hook fires before flag parsing).
+// scripted flags.
 const runMainEnv = "SWEEP_RUN_MAIN"
 
 func TestMain(m *testing.M) {
@@ -140,34 +139,5 @@ func TestSweepSigintResume(t *testing.T) {
 	if firstRuns+secondRuns != gridPoints {
 		t.Fatalf("interrupted run executed %d + resumed run executed %d != %d grid points (completed work re-ran or was lost)",
 			firstRuns, secondRuns, gridPoints)
-	}
-}
-
-// TestSweepProcpoolCLI runs the fig12 sub-sweep end to end through the
-// procpool flag and checks the persisted results match an inproc run.
-func TestSweepProcpoolCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs sweeps in subprocesses")
-	}
-	dir := t.TempDir()
-	run := func(name string, extra ...string) []byte {
-		results := filepath.Join(dir, name+".json")
-		args := append([]string{
-			"-exp", "fig12", "-bench", "astar", "-n", "20000",
-			"-q", "-results", results,
-		}, extra...)
-		if out, err := sweepCmd(args...).CombinedOutput(); err != nil {
-			t.Fatalf("%s sweep: %v\n%s", name, err, out)
-		}
-		raw, err := os.ReadFile(results)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	inproc := run("inproc")
-	procpool := run("procpool", "-backend", "procpool", "-shards", "2")
-	if string(inproc) != string(procpool) {
-		t.Fatalf("procpool results differ from inproc:\n%s\nvs\n%s", procpool, inproc)
 	}
 }

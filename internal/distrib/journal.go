@@ -1,3 +1,9 @@
+// Package distrib is the checkpoint/resume layer of the experiment runner
+// (DESIGN.md, "Execution and checkpoint/resume"): a write-ahead Journal of
+// completed measurements kept next to the results cache, and
+// WriteFileAtomic for the cache itself, so a killed sweep resumes without
+// re-executing any completed simulation. The simulations themselves run in
+// the runner's own process (internal/experiments).
 package distrib
 
 import (

@@ -4,83 +4,15 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"sharing/internal/distrib"
 	"sharing/internal/econ"
+	"sharing/internal/sim"
+	"sharing/internal/trace"
 )
-
-// TestMain lets the procpool tests re-exec this test binary as a real
-// simulation worker: MaybeWorker diverts into the SREQ/SRES serve loop (and
-// exits) when the worker env marker is set, exactly as the sweep commands do.
-func TestMain(m *testing.M) {
-	MaybeWorker()
-	os.Exit(m.Run())
-}
-
-// procpoolRunner returns a tiny Runner whose measurements execute in worker
-// subprocesses (re-execs of this test binary).
-func procpoolRunner(t *testing.T, shards int) *Runner {
-	t.Helper()
-	be, err := distrib.NewProcpool(distrib.ProcpoolParams{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { be.Close() })
-	r := tiny(t)
-	r.Backend = be
-	return r
-}
-
-// diffGrid is the fig12 sub-sweep both backends run: two benchmarks, three
-// Slice counts, one L2 size.
-func diffGrid(t *testing.T, r *Runner) {
-	t.Helper()
-	for _, bench := range []string{"astar", "hmmer"} {
-		if _, err := r.Grid(bench, []int{1, 2, 4}, []int{128}); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestProcpoolMatchesInproc: the multi-process backend must be a pure
-// transport — same sub-sweep, byte-identical persisted results and
-// deeply-equal measurement sets as the in-process pool, at any shard count.
-func TestProcpoolMatchesInproc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	saved := func(r *Runner, path string) []byte {
-		r.ResultsPath = path
-		if err := r.Save(); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-
-	ref := tiny(t)
-	diffGrid(t, ref)
-	dir := t.TempDir()
-	refRaw := saved(ref, filepath.Join(dir, "inproc.json"))
-
-	for _, shards := range []int{2, 4} {
-		r := procpoolRunner(t, shards)
-		diffGrid(t, r)
-		if !reflect.DeepEqual(ref.cache, r.cache) {
-			t.Fatalf("shards=%d: procpool measurements differ from inproc:\n%v\nvs\n%v", shards, ref.cache, r.cache)
-		}
-		raw := saved(r, filepath.Join(dir, "procpool.json"))
-		if string(raw) != string(refRaw) {
-			t.Fatalf("shards=%d: persisted results not byte-identical", shards)
-		}
-	}
-}
 
 // TestCheckpointResumeZeroReruns: a run killed before Save loses nothing —
 // the journal alone restores every completed measurement, and the restarted
@@ -218,5 +150,69 @@ func TestStopShortCircuits(t *testing.T) {
 	}
 	if got := r.SimRuns(); got != 1 {
 		t.Fatalf("Stop still dispatched: %d runs", got)
+	}
+}
+
+// TestRunnerBoundsAndShedsQueue pins the built-in path's two guarantees on
+// a whole Fig. 12 grid: no more than Workers simulations run at once, and
+// Stop while the grid is queued sheds every point that has not started,
+// leaving SimRuns at the simulations that actually ran.
+func TestRunnerBoundsAndShedsQueue(t *testing.T) {
+	const workers = 2
+	var mu sync.Mutex
+	running, peak := 0, 0
+	started := make(chan struct{}, len(StdSlices))
+	gate := make(chan struct{})
+	r := tiny(t)
+	r.Workers = workers
+	r.simRun = func(p sim.Params, _ *trace.MultiTrace) (*sim.Result, error) {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		started <- struct{}{}
+		<-gate
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return &sim.Result{Cycles: int64(1000 * p.VCore.NumSlices), Instructions: 1000}, nil
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.Grid("swaptions", StdSlices, []int{0})
+		errc <- err
+	}()
+	for i := 0; i < workers; i++ {
+		<-started
+	}
+	// Wait until every point has passed the entry check: the rest of the
+	// grid is now queued for a worker slot.
+	for {
+		r.mu.Lock()
+		n := len(r.inflight)
+		r.mu.Unlock()
+		if n == len(StdSlices) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-started:
+		t.Fatalf("a simulation started beyond the bound of %d workers", workers)
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.Stop()
+	close(gate)
+	if err := <-errc; !errors.Is(err, ErrStopped) {
+		t.Fatalf("grid after Stop: err = %v, want ErrStopped", err)
+	}
+	if got := r.SimRuns(); got != workers {
+		t.Fatalf("SimRuns = %d after Stop, want the %d that ran", got, workers)
+	}
+	if peak != workers {
+		t.Fatalf("peak concurrency %d, want %d", peak, workers)
+	}
+	if got := len(r.cache); got != workers {
+		t.Fatalf("%d measurements cached, want the %d that ran", got, workers)
 	}
 }

@@ -62,10 +62,12 @@ type ChurnEvent struct {
 	Phase    int
 	// Probes and SimRuns are the marginal surface-cache misses and actual
 	// simulator executions this event cost; Iterations is the number of
-	// demand evaluations the re-clearing made.
+	// demand evaluations the re-clearing made, and Prices its clearing
+	// prices.
 	Probes     int64
 	SimRuns    int64
 	Iterations int
+	Prices     econ.Market
 	// TotalUtility is the market's total utility after the event.
 	TotalUtility float64
 }
@@ -88,13 +90,16 @@ type ChurnReport struct {
 // (riding the memoized surfaces), and — when gcc is among the benchmarks —
 // its customer steps through two program phases to exercise per-phase
 // reconfiguration.
-func ChurnScenario(r *Runner, names []string, supply econ.Supply) (*ChurnReport, error) {
+func ChurnScenario(r *Runner, names []string) (*ChurnReport, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	a, err := NewAllocator(r, supply)
+	// Half a bank per Slice is less than gcc, mcf and sjeng each take when
+	// banks are cheapest (about one per Slice), so banks bind and the
+	// clearing prices them inside its ratio bracket.
+	a, err := NewAllocator(r, econ.Supply{Slices: 64, Banks: 32})
 	if err != nil {
 		return nil, err
 	}
@@ -115,6 +120,7 @@ func ChurnScenario(r *Runner, names []string, supply econ.Supply) (*ChurnReport,
 		cumProbes, cumRuns = st.CacheMisses, r.SimRuns()
 		if rc.Result != nil {
 			ev.Iterations = rc.Result.Iterations
+			ev.Prices = rc.Result.Prices
 			ev.TotalUtility = rc.Result.TotalUtility
 		}
 		rep.Events = append(rep.Events, ev)

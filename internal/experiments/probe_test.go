@@ -98,7 +98,7 @@ func TestIncrementalBidMatchesGrid(t *testing.T) {
 func TestChurnScenarioRuns(t *testing.T) {
 	r := tiny(t)
 	names := []string{"gcc", "mcf", "sjeng"}
-	rep, err := ChurnScenario(r, names, econ.Supply{Slices: 64, Banks: 128})
+	rep, err := ChurnScenario(r, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,20 @@ func TestChurnScenarioRuns(t *testing.T) {
 	if rep.SimRuns > int64(rep.GridSimRuns) {
 		t.Errorf("churn ran %d simulations, above the %d grid ceiling", rep.SimRuns, rep.GridSimRuns)
 	}
-	t.Logf("churn: %d events, %d sim runs vs %d grid, %d epochs",
-		len(rep.Events), rep.SimRuns, rep.GridSimRuns, rep.Stats.Epochs)
+	// The supply must make banks bind: some clearing's root lies inside the
+	// ratio bracket, so it took more than one demand evaluation and priced
+	// banks above the bracket floor of 2^-40 times the Slice price.
+	inside := 0
+	for _, ev := range rep.Events {
+		if ev.Iterations > 1 && ev.Prices.BankCost > 0x1p-40*ev.Prices.SliceCost {
+			inside++
+		}
+	}
+	if inside == 0 {
+		t.Errorf("no clearing priced banks inside the bracket: %+v", rep.Events)
+	}
+	t.Logf("churn: %d events, %d sim runs vs %d grid, %d epochs, %d clearings inside the bracket",
+		len(rep.Events), rep.SimRuns, rep.GridSimRuns, rep.Stats.Epochs, inside)
 }
 
 // TestChurnByteIdenticalVsScratchSim: the full-stack churn identity — the

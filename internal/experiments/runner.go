@@ -5,12 +5,9 @@
 // drivers in figures.go turn those measurements into the paper's tables and
 // figures via the economic model.
 //
-// Where a measurement actually executes is pluggable (see DESIGN.md,
-// "Distributed execution backends"): by default simulations run in-process
-// behind a semaphore-bounded pool, but a distrib.Backend — e.g. the
-// multi-process procpool — can be plugged in to fan sweep points out to
-// worker subprocesses. Completed measurements are additionally journaled to
-// a write-ahead file next to the results cache, so a killed sweep resumes
+// Simulations run in this process, at most Workers at once (see DESIGN.md,
+// "Execution and checkpoint/resume"). Completed measurements are journaled
+// to a write-ahead file next to the results cache, so a killed sweep resumes
 // without re-executing any completed simulation.
 package experiments
 
@@ -105,10 +102,10 @@ func (k key) String() string {
 	return s
 }
 
-// request maps the key onto the wire format dispatched to an execution
-// backend: the full content-addressed identity of the measurement, nothing
-// else. Sample fields travel raw (not normalized) so a worker resolves
-// defaults exactly like a local run would.
+// request maps the key onto the simulation request a plugged Backend
+// executes: the full content-addressed identity of the measurement, nothing
+// else. Sample fields stay raw (not normalized), so the backend resolves
+// their defaults as a local run would.
 func (k key) request() trace.SimRequest {
 	req := trace.SimRequest{
 		Bench:    k.Bench,
@@ -130,28 +127,13 @@ func (k key) request() trace.SimRequest {
 	return req
 }
 
-// requestKey is the inverse of key.request, used by the worker side.
-func requestKey(req trace.SimRequest) key {
-	k := key{
-		Bench:   req.Bench,
-		Slices:  req.Slices,
-		CacheKB: req.CacheKB,
-		N:       req.TraceLen,
-		Seed:    req.Seed,
-		Phase:   req.Phase,
-		OpNetW:  req.OpNetW,
-		Quantum: req.Quantum,
-	}
-	if req.SampleEnabled {
-		k.Sample = sim.SampleParams{
-			Enabled:     true,
-			WindowInsts: req.SampleWindow,
-			PeriodInsts: req.SamplePeriod,
-			WarmupInsts: req.SampleWarmup,
-			Seed:        req.SampleSeed,
-		}
-	}
-	return k
+// Backend executes simulation requests in place of the runner's built-in
+// path, which generates the trace and calls sim.Run in this process. The
+// benchmark harness plugs one in to time trace generation and simulation
+// separately. Execute must be safe for concurrent calls; the runner bounds
+// them at Workers. A simulation-level failure may travel in SimResult.Err.
+type Backend interface {
+	Execute(req trace.SimRequest) (trace.SimResult, error)
 }
 
 // Runner measures performance grids.
@@ -160,9 +142,8 @@ type Runner struct {
 	TraceLen int
 	// Seed seeds workload generation (DefaultSeed if 0).
 	Seed int64
-	// Workers bounds the number of concurrent simulations (NumCPU if 0).
-	// The bound applies to the built-in in-process backend; a plugged-in
-	// Backend bounds its own parallelism.
+	// Workers bounds the number of concurrent simulations (NumCPU if 0),
+	// on the built-in path and through a plugged Backend alike.
 	Workers int
 	// MachineQuantum overrides the synchronization quantum for multi-engine
 	// machines (sim.Params.Quantum; 0 = the topology's NoC lookahead).
@@ -170,12 +151,10 @@ type Runner struct {
 	// so overridden runs are cached under distinct keys.
 	MachineQuantum int
 	// Backend, when set, executes simulation requests instead of the
-	// built-in in-process pool — e.g. a distrib.Procpool fanning sweep
-	// points out to worker subprocesses. The runner's memoization,
-	// singleflight and persistence wrap every backend identically, so
-	// backends are interchangeable: same sweep, reflect.DeepEqual-identical
-	// measurement sets. The caller owns the backend's lifecycle (Close).
-	Backend distrib.Backend
+	// built-in path and generates its own traces. The runner's memoization,
+	// singleflight, worker bound, drain and persistence wrap it exactly as
+	// they wrap the built-in path.
+	Backend Backend
 	// ResultsPath, when set, persists measurements as JSON across runs.
 	// Alongside it, completed measurements are journaled incrementally to
 	// ResultsPath+".wal" (append-only, one JSON line each), so a killed
@@ -196,14 +175,16 @@ type Runner struct {
 	dirty     bool
 	journal   *distrib.Journal
 	recovered int
-	simRuns   atomic.Int64 // dispatched simulator executions (cache misses)
+	simRuns   atomic.Int64 // executed simulations (cache misses that ran)
 	stopping  atomic.Bool
 
-	// The built-in in-process backend, created lazily from workers() so
-	// simultaneous Grid/SuiteGrids calls cannot multiply the simulation
-	// parallelism beyond the configured bound.
-	beOnce   sync.Once
-	inprocBE *distrib.Inproc
+	// sem bounds concurrent simulations. It is created lazily from
+	// workers() and shared by every caller, so simultaneous
+	// Grid/SuiteGrids calls cannot multiply the parallelism beyond Workers.
+	semOnce sync.Once
+	sem     chan struct{}
+	// simRun is sim.Run unless a test substitutes it.
+	simRun func(sim.Params, *trace.MultiTrace) (*sim.Result, error)
 
 	traceMu sync.Mutex
 	traceK  key
@@ -215,9 +196,9 @@ func NewRunner() *Runner {
 	return &Runner{cache: make(map[string]Measurement)}
 }
 
-// SimRuns returns the number of simulator executions dispatched so far —
-// measurements that missed both the in-memory and the persisted results
-// cache (including the replayed checkpoint journal). It is the simulator
+// SimRuns returns the number of simulations executed so far — measurements
+// that missed both the in-memory and the persisted results cache (including
+// the replayed checkpoint journal) and were not shed by Stop. It is the simulator
 // cost beneath the churn scenario's probe economy, and the resume
 // contract's witness: a fully checkpointed sweep restarts with SimRuns
 // staying at zero.
@@ -232,19 +213,13 @@ func (r *Runner) Recovered() int {
 	return r.recovered
 }
 
-// Stop makes the runner refuse to dispatch new simulations: subsequent
-// cache misses fail with ErrStopped while already-running measurements
-// drain to completion (and are journaled). The drain propagates into the
-// execution backend, which sheds its queued (not yet started) requests —
-// a sweep enqueues entire grids at once, so gating only new measure calls
-// would leave the whole figure draining. Used by the commands' SIGINT
-// handlers to turn an interrupt into a resumable checkpoint.
-func (r *Runner) Stop() {
-	r.stopping.Store(true)
-	if s, ok := r.backend().(distrib.Stopper); ok {
-		s.Stop()
-	}
-}
+// Stop makes the runner refuse to start new simulations: subsequent cache
+// misses fail with ErrStopped, and so do measurements already queued for a
+// worker slot — a sweep enqueues entire grids at once, so gating only new
+// measure calls would leave the whole figure draining. Simulations already
+// running finish and are journaled. Used by the commands' SIGINT handlers
+// to turn an interrupt into a resumable checkpoint.
+func (r *Runner) Stop() { r.stopping.Store(true) }
 
 func (r *Runner) traceLen() int {
 	if r.TraceLen <= 0 {
@@ -267,23 +242,6 @@ func (r *Runner) workers() int {
 		w = runtime.NumCPU()
 	}
 	return w
-}
-
-// backend returns the execution backend measurements dispatch to: the
-// configured one, or the built-in semaphore-bounded in-process pool.
-func (r *Runner) backend() distrib.Backend {
-	if r.Backend != nil {
-		return r.Backend
-	}
-	r.beOnce.Do(func() { r.inprocBE = distrib.NewInproc(r.workers(), r.runLocal) })
-	return r.inprocBE
-}
-
-// remoteBackend reports whether requests leave this process, in which case
-// the parent should not pre-generate traces it will never simulate with.
-func (r *Runner) remoteBackend() bool {
-	rb, ok := r.Backend.(interface{ Remote() bool })
-	return ok && rb.Remote()
 }
 
 // warnf reports a non-fatal condition (corrupt cache file, failed journal
@@ -389,8 +347,7 @@ func (r *Runner) Save() error {
 }
 
 // traceFor returns the trace for a benchmark or a single phase of it, at an
-// explicit length and seed (so worker-served requests with differing
-// geometry never alias). The most recent trace is memoized in memory (grid
+// explicit length and seed. The most recent trace is memoized in memory (grid
 // sweeps reuse one trace across all configurations); a memo miss
 // regenerates, since generation is a pure function of the key and faster
 // than decoding a stored copy would be.
@@ -422,33 +379,48 @@ func (r *Runner) traceFor(bench string, phase, n int, seed int64) (*trace.MultiT
 	return mt, nil
 }
 
-// runLocal performs one simulation in this process: the RunFunc behind the
-// built-in in-process backend and (via ServeWorker) the procpool workers.
-// It is a pure function of the request.
-func (r *Runner) runLocal(req trace.SimRequest) (trace.SimResult, error) {
-	mt, err := r.traceFor(req.Bench, req.Phase, req.TraceLen, req.Seed)
+// execute runs one simulation once a worker slot is free, on the plugged
+// Backend or locally, and counts it in SimRuns.
+func (r *Runner) execute(k key) (trace.SimResult, error) {
+	r.semOnce.Do(func() { r.sem = make(chan struct{}, r.workers()) })
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
+	// The drain gate sits after the semaphore: an entire grid may be queued
+	// here, and Stop must shed the queue, not just new arrivals.
+	if r.stopping.Load() {
+		return trace.SimResult{}, ErrStopped
+	}
+	r.simRuns.Add(1)
+	if r.Backend != nil {
+		return r.Backend.Execute(k.request())
+	}
+	return r.runLocal(k)
+}
+
+// runLocal performs one simulation in this process. It is a pure function
+// of the key.
+func (r *Runner) runLocal(k key) (trace.SimResult, error) {
+	mt, err := r.traceFor(k.Bench, k.Phase, k.N, k.Seed)
 	if err != nil {
 		return trace.SimResult{}, err
 	}
-	p := sim.DefaultParams(req.Slices, req.CacheKB)
-	if req.OpNetW > 0 {
-		p.OperandNetWidth = req.OpNetW
+	p := sim.DefaultParams(k.Slices, k.CacheKB)
+	if k.OpNetW > 0 {
+		p.OperandNetWidth = k.OpNetW
 	}
-	if req.SampleEnabled {
-		p.Sample = sim.SampleParams{
-			Enabled:     true,
-			WindowInsts: req.SampleWindow,
-			PeriodInsts: req.SamplePeriod,
-			WarmupInsts: req.SampleWarmup,
-			Seed:        req.SampleSeed,
-		}
+	if k.Sample.Enabled {
+		p.Sample = k.Sample
 	}
-	p.Quantum = req.Quantum
-	res, err := sim.Run(p, mt)
+	p.Quantum = k.Quantum
+	run := sim.Run
+	if r.simRun != nil {
+		run = r.simRun
+	}
+	res, err := run(p, mt)
 	if err != nil {
 		return trace.SimResult{}, err
 	}
-	out := trace.SimResult{ID: req.ID, Cycles: res.Cycles, Insts: res.Instructions}
+	out := trace.SimResult{Cycles: res.Cycles, Insts: res.Instructions}
 	if res.Sample != nil {
 		out.Sampled = true
 		out.Windows = res.Sample.Windows
@@ -459,12 +431,12 @@ func (r *Runner) runLocal(req trace.SimRequest) (trace.SimResult, error) {
 
 // measure runs (or recalls) one simulation. Concurrent callers asking for
 // the same key are collapsed onto a single dispatch (singleflight): the
-// first becomes the leader and dispatches it to the execution backend, the
-// rest wait on the leader's done channel and then read the cache. Without
-// this, a grid sweep racing a figure driver over overlapping configurations
-// would burn a backend slot per duplicate on identical multi-second
-// simulations. Search probes and grid sweeps both land here, so every
-// execution path shares one backend dispatch seam.
+// first becomes the leader and executes it, the rest wait on the leader's
+// done channel and then read the cache. Without this, a grid sweep racing a
+// figure driver over overlapping configurations would burn a worker slot
+// per duplicate on identical multi-second simulations. Search probes and
+// grid sweeps both land here, so every measurement shares one execution
+// path.
 func (r *Runner) measure(k key) (Measurement, error) {
 	ks := k.String()
 	for {
@@ -499,14 +471,9 @@ func (r *Runner) measure(k key) (Measurement, error) {
 		r.mu.Unlock()
 		close(done)
 	}()
-	r.simRuns.Add(1)
-	res, err := r.backend().Execute(k.request())
+	res, err := r.execute(k)
 	if err != nil {
-		if errors.Is(err, distrib.ErrStopped) {
-			// The backend's drain gate shed the request before it ran:
-			// undo the dispatch count so interrupt accounting reflects
-			// simulations actually executed and journaled.
-			r.simRuns.Add(-1)
+		if errors.Is(err, ErrStopped) {
 			return Measurement{}, fmt.Errorf("%s: %w", ks, ErrStopped)
 		}
 		return Measurement{}, fmt.Errorf("experiments: %s: %w", ks, err)
@@ -534,14 +501,6 @@ func (r *Runner) measure(k key) (Measurement, error) {
 	return m, nil
 }
 
-// MeasureRequest measures the simulation a wire request describes, through
-// the same memoized, singleflighted path as every other measurement. It is
-// the worker side of the procpool protocol: every key field comes from the
-// request, none from this Runner's sweep configuration.
-func (r *Runner) MeasureRequest(req trace.SimRequest) (Measurement, error) {
-	return r.measure(requestKey(req))
-}
-
 // Measure returns the measurement for one benchmark and configuration.
 func (r *Runner) Measure(bench string, cfg econ.Config) (Measurement, error) {
 	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: -1, Quantum: r.MachineQuantum, Sample: r.Sample})
@@ -558,7 +517,7 @@ func (r *Runner) MeasureOpNet(bench string, cfg econ.Config, width int) (Measure
 }
 
 // Grid measures a benchmark over the lattice slices x caches, fanning the
-// runs across the execution backend. Performance is IPC. Axes NewLattice
+// runs across the worker slots. Performance is IPC. Axes NewLattice
 // refuses (empty, not strictly ascending, or off Equation 3) are an error
 // before any simulation runs.
 func (r *Runner) Grid(bench string, slices, caches []int) (*econ.Surface, error) {
@@ -575,10 +534,9 @@ func (r *Runner) gridPhase(bench string, phase int, slices, caches []int) (*econ
 	if err != nil {
 		return nil, err
 	}
-	// Pre-generate the trace once so local workers share it. With a remote
-	// backend the subprocesses generate their own traces; the parent never
-	// simulates, so warming its memo would be pure waste.
-	if !r.remoteBackend() {
+	// Pre-generate the trace once so the local workers share it. A plugged
+	// Backend generates its own traces, so warming the memo would be waste.
+	if r.Backend == nil {
 		if _, err := r.traceFor(bench, phase, r.traceLen(), r.seed()); err != nil {
 			return nil, err
 		}

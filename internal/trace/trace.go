@@ -1,7 +1,7 @@
 // Package trace defines the dynamic-instruction trace containers that the
 // workload generator (internal/workload) fills and the simulator consumes,
-// and the SREQ/SRES frames that carry simulation requests and results to
-// procpool workers.
+// and the SimRequest/SimResult pair that names one simulation and its
+// outcome.
 //
 // The paper's SSim is driven by full-system traces produced by GEM5; here a
 // trace is a pure function of (benchmark, phase, length, seed), regenerated
@@ -112,6 +112,44 @@ func (m *MultiTrace) Validate() error {
 // Single wraps a single-thread trace as a MultiTrace.
 func Single(t *Trace) *MultiTrace {
 	return &MultiTrace{Name: t.Name, Threads: []*Trace{t}}
+}
+
+// SimRequest names one simulation: the full content-addressed key of a
+// measurement, with no host-specific state. Sample geometry fields are plain
+// ints (not sim.SampleParams) so the trace package stays import-free of the
+// simulator.
+type SimRequest struct {
+	// ID is a correlation id a backend may echo in its result; the
+	// experiments runner leaves it zero.
+	ID       uint64
+	Bench    string
+	Phase    int // -1 = whole benchmark
+	Slices   int
+	CacheKB  int
+	TraceLen int
+	Seed     int64
+	OpNetW   int
+	Quantum  int
+	// Sampled-execution geometry; SampleEnabled false means exact mode and
+	// the remaining fields are ignored.
+	SampleEnabled bool
+	SampleWindow  int
+	SamplePeriod  int
+	SampleWarmup  int // -1 = explicit zero-length warmup
+	SampleSeed    int64
+}
+
+// SimResult is one simulation outcome.
+type SimResult struct {
+	ID uint64
+	// Err carries a simulation-level failure (e.g. unknown benchmark)
+	// reported by a backend in-band rather than as an Execute error.
+	Err     string
+	Cycles  int64
+	Insts   uint64
+	Sampled bool
+	Windows int
+	RelCI95 float64
 }
 
 // Stats summarizes the static mix of a trace; used by tests and by
