@@ -19,19 +19,21 @@ test:
 	$(GO) test ./...
 
 # The simulator core, the parallel sweep runner, the concurrent allocation
-# library, the sharded fleet simulator, and the trace generator (threads on a
-# worker pool, each with its value pass on a second goroutine); run them
+# library, the fleet simulator (its first-sighting pricing searches run on
+# their own goroutines), and the trace generator (threads on a worker pool,
+# each with its value pass on a second goroutine); run them
 # under the race detector. The simulator runs on its own line: beside the
 # other packages it comes too close to go test's 10-minute default timeout.
 race:
 	$(GO) test -race ./internal/sim
 	$(GO) test -race ./internal/experiments ./internal/alloc ./internal/fleet ./internal/workload
 
-# Scheduling-order shakeout: the byte-identity differential that proves
-# determinism across the fleet shards, run twice under the race detector so
-# an interleaving-dependent flake gets two chances to surface per CI run.
+# Scheduling-order shakeout: the byte-identity differential that runs each
+# fleet variant at GOMAXPROCS 1 and 4, and the test that requires two cold
+# surfaces to be priced at once, run twice under the race detector so an
+# interleaving-dependent flake gets two chances to surface per CI run.
 race-determinism:
-	$(GO) test -race -count=2 -run 'TestFleetDeterminismAcrossShards' ./internal/fleet
+	$(GO) test -race -count=2 -run 'TestFleetDeterminismAcrossGOMAXPROCS|TestFleetPricesColdGroupsConcurrently' ./internal/fleet
 
 bench:
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkMachineRun -benchtime 10x
@@ -99,7 +101,7 @@ results-check:
 	if ! cmp -s results/perf.json "$$tmp/perf.json"; then echo "results-check: the memo changed"; status=1; fi && \
 	exit $$status
 
-# Fleet determinism differential (1 vs 2/4/8 shards, byte-identical
+# Fleet scheduling differential (GOMAXPROCS 1 vs 4, byte-identical
 # fingerprints under every policy combination), the golden fingerprint pins,
 # the hand-computed energy pin, the event record's layout pin and the
 # departure calendar's differential against a sort-everything reference,
@@ -107,8 +109,8 @@ results-check:
 # acceptance-scale synthetic run through the CLI: 2,000 machines / 20,000 VM
 # lifecycle events.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetDeterminismAcrossShards|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestEventLayout|TestCalendar' ./internal/fleet
-	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000 -shards 4
+	$(GO) test -race -run 'TestFleetDeterminismAcrossGOMAXPROCS|TestFleetGoldenFingerprints|TestMachineEnergyHandComputed|TestEventLayout|TestCalendar' ./internal/fleet
+	$(GO) run ./cmd/fleet -synthetic -machines 2000 -events 20000
 
 # Short coverage-guided runs of the fuzz targets, one per line since -fuzz
 # takes a single target. FuzzPlacer: decoded alloc/free sequences on small

@@ -1,4 +1,4 @@
-// Command fleet runs the sharded datacenter simulator: a churning stream of
+// Command fleet runs the datacenter simulator: a churning stream of
 // VM bids priced in O(probes) through the allocation core's shared surfaces,
 // placed onto thousands of simulated sharing-architecture chips, with
 // per-Slice and per-L2-bank energy accounting.
@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	fleet -synthetic -machines 2000 -events 20000 -shards 4
+//	fleet -synthetic -machines 2000 -events 20000
 //	fleet -machines 64 -events 500 -bench hmmer,gobmk -results results/perf.json
 //	fleet -synthetic -objective perwatt -place packed -adaptive
 //	fleet -fig17k -bench hmmer,gobmk,mcf -results results/perf.json
@@ -32,7 +32,6 @@ import (
 func main() {
 	var (
 		machines  = flag.Int("machines", 2000, "chips in the fleet")
-		shards    = flag.Int("shards", 4, "parallel shards (results are byte-identical for any value)")
 		events    = flag.Int("events", 20000, "VM lifecycle events (arrivals + departures)")
 		rate      = flag.Float64("rate", 500, "mean VM arrivals per simulated second")
 		life      = flag.Float64("life", 10, "mean VM lifetime in simulated seconds")
@@ -76,9 +75,12 @@ func main() {
 		return
 	}
 
+	if *synthetic && (*results != "" || *resume) {
+		fatal(errors.New("-results and -resume need simulator probes: -synthetic surfaces are closed-form and cache nothing"))
+	}
+
 	p := fleet.Params{
 		Machines:       *machines,
-		Shards:         *shards,
 		Events:         *events,
 		ArrivalsPerSec: *rate,
 		MeanLifetime:   *life,

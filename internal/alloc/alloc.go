@@ -1,5 +1,5 @@
 // Package alloc is the one market core: every bid the repository prices —
-// the sharded fleet simulator's epoch groups, the experiments churn
+// the fleet simulator's epoch groups, the experiments churn
 // scenario, and the sharingd daemon's requests
 // (cmd/sharingd is the HTTP face) — goes through an Allocator. One goroutine
 // driving it is the degenerate case of many goroutines driving it at
@@ -190,8 +190,8 @@ func (a *Allocator) PriceBid(bench string, u econ.Utility, m econ.Market) (marke
 // its utility-per-watt scheduling objective). The result is a pure function
 // of (surface, objective, prices, start), independent of scheduling and of
 // every other request in flight: the fleet relies on it to stay
-// byte-identical across shard counts, pricing every group from its
-// epoch-synchronized previous optimum.
+// byte-identical however its cold searches are scheduled, pricing every
+// group from its previous epoch's optimum.
 //
 //ssim:parallel
 func (a *Allocator) PriceBidAt(bench string, u econ.Utility, m econ.Market, start econ.Config, obj econ.Objective) (market.BidResult, error) {

@@ -12,17 +12,18 @@
 //     a same-package function launched by a go statement, or a function
 //     carrying the //ssim:parallel directive (for call paths whose
 //     concurrency is not syntactically visible in their own package, such
-//     as the quantum engine step or the shared surface cache).
+//     as the allocator's pricing path or the shared surface cache).
 //
 //   - Ownership. Within a region every expression is classified Private
 //     (region-local values, per-iteration variables of the launching loop),
 //     Partitioned (an element of a shared slice or array selected by a
-//     goroutine-private index — the static-partition idiom the quantum pool
-//     and the fleet shards are built on), or Shared (package state, captured
-//     variables, anything reached through the receiver or a reference
-//     parameter). A short alias prescan lets region-local handles inherit
-//     the class of what they were assigned from, so `m := mc.m` stays
-//     Shared while `e := mc.m.engines[i]` becomes Partitioned.
+//     goroutine-private index — the static-partition idiom the trace
+//     generator's workers and the runner's grid probes are built on), or
+//     Shared (package state, captured variables, anything reached through
+//     the receiver or a reference parameter). A short alias prescan lets
+//     region-local handles inherit the class of what they were assigned
+//     from, so `m := mc.m` stays Shared while `e := mc.m.engines[i]`
+//     becomes Partitioned.
 //
 //   - Summaries. Every package-level function gets a compositional summary
 //     of the writes and float accumulations reachable through its receiver,
@@ -995,8 +996,8 @@ func (c *summaryCtx) recordAliases(as *ast.AssignStmt) {
 }
 
 // recordRangeAliases handles `for i, v := range x`: the key derives from
-// x's root parameters when x is parameter-rooted (ranging a shard's own
-// machine list yields shard-owned indices).
+// x's root parameters when x is parameter-rooted (ranging a worker's own
+// index list yields worker-owned indices).
 func (c *summaryCtx) recordRangeAliases(rs *ast.RangeStmt) {
 	if rs.Tok != token.DEFINE {
 		return

@@ -23,8 +23,8 @@ const NolintPrefix = "//ssim:nolint"
 const HotpathDirective = "//ssim:hotpath"
 
 // ParallelDirective marks a function that executes on multiple goroutines
-// concurrently *with the same receiver and arguments* — the quantum engine
-// step, the shard pricing path, the shared surface cache. Inside such a
+// concurrently *with the same receiver and arguments* — the allocator's
+// pricing path, the shared surface cache. Inside such a
 // function (and through its same-package callee summaries) the concurrency
 // passes treat everything reachable from the receiver and pointer/reference
 // parameters as shared state: writes must be partitioned by a

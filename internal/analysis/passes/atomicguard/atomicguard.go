@@ -8,7 +8,7 @@
 //     written plainly elsewhere. The plain access races with the atomic
 //     ones and the race detector only catches it when both sides actually
 //     collide. SSim's own convention — the typed atomic.Int64/Pointer
-//     wrappers, as in the quantum pool's epoch/done counters and the
+//     wrappers, as in the allocator's statistics counters and the
 //     SurfaceCache's value slots — makes this mistake unrepresentable; the
 //     pass enforces the same property for code still on the free functions.
 //

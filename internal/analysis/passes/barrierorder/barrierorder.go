@@ -3,10 +3,10 @@
 // ID order.
 //
 // SSim's barrier discipline is that goroutines never merge their own
-// results: each fills a slot indexed by its engine/shard/machine ID, and
+// results: each fills a slot indexed by its thread/point/group ID, and
 // the sequential phase after the join reduces the slots in ID order (the
-// quantum outbox merge sorts by (cycle, engine, FIFO); fleet sums energy
-// in machine-ID order). Any merge keyed by *when a goroutine finished* —
+// fleet reports the lowest failing pricing group's error and commits warm
+// starts in group order). Any merge keyed by *when a goroutine finished* —
 // appending to a shared slice from inside a region, draining a results
 // channel as values arrive, iterating a sync.Map — produces a
 // scheduling-dependent order and breaks byte-identical replay, even when

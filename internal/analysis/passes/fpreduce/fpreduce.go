@@ -4,11 +4,11 @@
 // Float addition is not associative, so even a perfectly race-free
 // reduction — each goroutine adding into a mutex-guarded total — produces
 // run-to-run-different low bits depending on arrival order. That is
-// exactly the bug class that would silently break SSim's 1/2/4/8-shard
-// byte-identical fingerprints: the race detector cannot see it, only the
-// golden files drift. The deterministic shape, used by fleet's energy
-// totals and the quantum barrier, is per-goroutine partial sums reduced
-// sequentially in machine/engine-ID order after the join.
+// exactly the bug class that would silently break SSim's byte-identical
+// fingerprints: the race detector cannot see it, only the golden files
+// drift. The deterministic shape is per-goroutine partial results reduced
+// sequentially in ID order after the join, as the fleet commits its priced
+// groups in group order and sums energy in machine-ID order.
 //
 // The pass flags, inside parallel regions: float `+=`/`-=`/`*=`/`/=` (and
 // `x = x ⊕ y`) accumulation into shared or captured targets — mutex or

@@ -2,9 +2,10 @@
 // state from parallel regions with no barrier, mutex, or partition
 // justifying them.
 //
-// SSim's parallel layers are correct by construction: the quantum pool and
-// the fleet shards partition their state statically (one engine, one
-// machine list per goroutine), and everything else crosses goroutines only
+// SSim's parallel layers are correct by construction: the trace generator's
+// workers, the runner's grid probes and the fleet's cold pricing searches
+// partition their state statically (one thread, one surface point, one
+// pricing group per goroutine), and everything else crosses goroutines only
 // at a sequential barrier or under a lock. This pass enforces the
 // discipline: inside a parallel region — a go-launched function or a
 // //ssim:parallel one — every write must land in goroutine-private memory,

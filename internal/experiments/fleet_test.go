@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"sharing/internal/fleet"
@@ -12,7 +15,6 @@ func TestNewFleetSimulatorBacked(t *testing.T) {
 	r := tiny(t)
 	f, err := NewFleet(r, fleet.Params{
 		Machines:       4,
-		Shards:         2,
 		Events:         20,
 		ArrivalsPerSec: 4,
 		MeanLifetime:   1,
@@ -34,6 +36,36 @@ func TestNewFleetSimulatorBacked(t *testing.T) {
 	}
 	if rep.UniqueProbes >= rep.NaiveGridProbes {
 		t.Errorf("no probe economy: %d probes vs %d naive", rep.UniqueProbes, rep.NaiveGridProbes)
+	}
+}
+
+// TestNewFleetStoppedRunner covers the path behind cmd/fleet's exit 130: a
+// simulator-backed fleet over a stopped Runner fails its first pricing with
+// ErrStopped and starts no simulation. Every arrival falls in one epoch, so
+// the cold groups of both benchmarks fail at once, and the error reported
+// must be the lowest group's: gobmk sorts before hmmer.
+func TestNewFleetStoppedRunner(t *testing.T) {
+	r := tiny(t)
+	r.Stop()
+	f, err := NewFleet(r, fleet.Params{
+		Machines:       4,
+		Events:         40,
+		ArrivalsPerSec: math.Inf(1),
+		Seed:           7,
+		Benches:        []string{"hmmer", "gobmk"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Run()
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("Run over a stopped runner: err = %v, want ErrStopped", err)
+	}
+	if n := r.SimRuns(); n != 0 {
+		t.Errorf("a stopped runner ran %d simulations", n)
+	}
+	if !strings.HasPrefix(err.Error(), "gobmk/") {
+		t.Errorf("err = %v, want the lowest group's (gobmk)", err)
 	}
 }
 

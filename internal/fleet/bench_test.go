@@ -14,7 +14,6 @@ func BenchmarkFleet2000x20000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f, err := New(Params{
 			Machines:       2000,
-			Shards:         4,
 			Events:         20000,
 			ArrivalsPerSec: 500,
 			MeanLifetime:   10,
@@ -92,7 +91,6 @@ func BenchmarkDepartureQueue(b *testing.B) {
 func testBenchParams() Params {
 	return Params{
 		Machines:       256,
-		Shards:         4,
 		Events:         2000,
 		ArrivalsPerSec: 100,
 		MeanLifetime:   5,

@@ -46,7 +46,7 @@ type calendar struct {
 	n    int     // departures pending in all regions
 
 	run   sorted // absorbed departures
-	late  sorted // pushed at or before head (delivered a barrier late), sorted
+	late  sorted // pushed at or before head (delivered an epoch late), sorted
 	early list   // the same, as pushed, awaiting a merge into late
 	ring  [ringBuckets]list
 	occ   [ringBuckets / 64]uint64 // non-empty ring slots
@@ -294,7 +294,7 @@ func (c *calendar) rebucket() {
 // merge moves l's departures into s, keeping s in (t, seq) order. An empty
 // s takes the sorted list as is. Otherwise only l is sorted, then merged
 // into s from the back, in s's own storage: s's unread departures are
-// never sorted again, so a caller reading in small steps while the barrier
+// never sorted again, so a caller reading in small steps while placement
 // pushes a few late departures pays for those few.
 //
 //ssim:hotpath

@@ -62,9 +62,9 @@ func newChipPower(chipSlices, chipBanks int) chipPower {
 }
 
 // machine is one chip's occupancy and energy state, exactly one 64-byte
-// cache line. All mutation happens on the owning shard in (time, seq) order,
-// so the accrual sequence — and with it every float result — is independent
-// of the shard count.
+// cache line. All mutation happens during placement, in (time, seq) order,
+// so the accrual sequence — and with it every float result — is fixed by
+// the event stream.
 type machine struct {
 	// Dynamic power of the resident VMs, by component.
 	dynSliceW, dynBankW float64
@@ -76,7 +76,7 @@ type machine struct {
 }
 
 // accrue integrates the current power draw over [lastT, t). The integral is
-// strictly monotonic in time: departures are delivered one barrier late with
+// strictly monotonic in time: departures are delivered one epoch late with
 // their true (earlier) timestamp, so t can predate a prior touch — rewinding
 // lastT there would re-integrate the span [t, lastT] on the next accrual and
 // silently over-count energy. On backward or zero dt the state change simply

@@ -7,17 +7,16 @@ import "math"
 // drawn from SplitMix64 hashes of (seed, index) — the same seed-derived
 // determinism discipline as internal/sim's sample schedule, and for the same
 // reason: no math/rand, no global state, so the stream is a pure function of
-// Params and identical across shard counts, platforms, and replays.
+// Params and identical across schedules, platforms, and replays.
 
 // event is one VM lifecycle event in the global (time, seq) total order: a
-// pointer-free 32-byte record (TestEventLayout). The calendar's chunks,
-// take's batch and each shard's apply queue all hold it unchanged, so a due
-// departure reaches the barrier as one 32-byte copy.
+// pointer-free 32-byte record (TestEventLayout). The calendar's chunks and
+// take's batch hold it unchanged, so a due departure reaches placement as
+// one 32-byte copy.
 //
 // lease is the 16-byte payload. A departure carries the lease it releases.
-// An arrival carries its draw (see arrival), and an admission in an apply
-// queue the lease it takes; both complement the machine field, so a
-// negative machine marks an arriving VM wherever the record is.
+// An arrival carries its draw (see arrival) and complements the machine
+// field, so a negative machine marks an arriving VM.
 type event struct {
 	t     float64
 	seq   int
@@ -29,12 +28,6 @@ type event struct {
 // perf.
 func arrival(t float64, seq int, bench int32, k uint16, depart float64) event {
 	return event{t: t, seq: seq, lease: lease{machine: ^bench, slices: k, perf: depart}}
-}
-
-// admission is an apply queue's record of arrival a, placed as l.
-func admission(a *event, l lease) event {
-	l.machine = ^l.machine
-	return event{t: a.t, seq: a.seq, lease: l}
 }
 
 func (e *event) arrive() bool                   { return e.lease.machine < 0 }
@@ -90,12 +83,12 @@ func unit(h uint64) float64 {
 }
 
 // eventStream generates arrivals lazily and carries the departures the
-// placement barrier schedules. take returns every event due before a given
-// time in (time, seq) order by merging the arrivals, which are generated in
-// that order, with the due departures of an epoch-keyed calendar queue; the
-// calendar's content at each barrier is itself deterministic (departures are
-// scheduled only at barriers, in event order), so the whole stream is
-// shard-count-independent.
+// placement schedules. take returns every event due before a given time in
+// (time, seq) order by merging the arrivals, which are generated in that
+// order, with the due departures of an epoch-keyed calendar queue; the
+// calendar's content at each epoch is itself deterministic (departures are
+// scheduled only during placement, in event order), so the whole stream is
+// a pure function of Params.
 type eventStream struct {
 	seed     uint64
 	rate     float64 // arrivals per second
@@ -148,7 +141,7 @@ func (s *eventStream) take(t1 float64) []event {
 	out := s.out[:0]
 	for s.arrivals > 0 && s.nextAt < t1 {
 		// Departures ordered before this arrival go first. Their seqs were
-		// assigned at earlier barriers, so on an exact time tie they win.
+		// assigned in earlier epochs, so on an exact time tie they win.
 		out = s.pending.popBefore(out, s.nextAt, s.seq)
 		i := s.nextIdx
 		bench, k := s.shape(i)
@@ -168,7 +161,7 @@ func (s *eventStream) take(t1 float64) []event {
 }
 
 // scheduleDeparture registers a placed VM's departure, carrying its lease.
-// Called only from the placement barrier, in deterministic event order.
+// Called only from placement, in deterministic event order.
 //
 //ssim:hotpath
 func (s *eventStream) scheduleDeparture(at float64, l lease) {

@@ -1,30 +1,29 @@
-// Package fleet is the sharded, discrete-event datacenter simulator: it
-// places a churning stream of VM bids onto N simulated sharing-architecture
-// chips and accounts power and energy per Slice and L2 bank (ROADMAP item 3;
-// DISSECT-CF is the layered, energy-aware template, "Resource Allocation
-// using Virtual Clusters" the placement/yield objective).
+// Package fleet is the discrete-event datacenter simulator: it places a
+// churning stream of VM bids onto N simulated sharing-architecture chips and
+// accounts power and energy per Slice and L2 bank (the paper's §5.9
+// datacenter argument at fleet scale; DISSECT-CF is the layered,
+// energy-aware template, "Resource Allocation using Virtual Clusters" the
+// placement/yield objective).
 //
-// Scale is the point, so the loop is built around three performance levers:
-//
-//   - Sharded epochs. Machines are partitioned round-robin across shards;
-//     simulated time advances in fixed epochs. Within an epoch, shards work
-//     in parallel twice — first pricing the epoch's bids, then applying
-//     machine-state changes — with one sequential barrier between them for
-//     placement. The merge discipline is PR 4's quantum barrier transplanted
-//     up a level: everything order-sensitive happens at the barrier in
-//     deterministic (time, sequence) order, everything parallel is
-//     per-machine-private, so 1-shard and k-shard runs are byte-identical by
-//     construction.
+// Scale is the point, so the one epoch loop — price, place, apply energy,
+// adjust prices — is built around three performance levers:
 //
 //   - Batched, warm-started pricing. Arrivals in an epoch are grouped by
-//     (benchmark, utility); the shards price the groups in parallel, each
-//     once, through one shared alloc.Allocator with the group's
-//     previous-epoch optimum as the explicit start. Every search is the one
-//     stateless econ.Lattice.Search, and it probes through the allocator's
-//     market.SurfaceCache, the one dense memo over the lattice, so a
-//     configuration any shard ever probed is a lock-free hit for all. After
-//     the first epoch a stationary market prices bids with zero new probes
-//     — O(probes) per distinct surface, not O(grid) per bid.
+//     (benchmark, utility) and each group is priced once, through one
+//     alloc.Allocator, with the group's previous-epoch optimum as the
+//     explicit start. Every search is the one stateless econ.Lattice.Search,
+//     and it probes through the allocator's market.SurfaceCache, the one
+//     dense memo over the lattice. After the first epoch a stationary market
+//     prices bids with zero new probes — O(probes) per distinct surface, not
+//     O(grid) per bid.
+//
+//   - Concurrent cold searches only. A group seen for the first time
+//     searches from the lattice midpoint and, under a simulator-backed
+//     prober, pays whole simulations; those groups run on their own
+//     goroutines so distinct surfaces simulate at once. Warm groups cost
+//     a few cache hits and run inline. Each search is a pure function of
+//     (surface, objective, prices, start), so the schedule cannot move a
+//     byte of the result.
 //
 //   - Wholesale idle fast-forward. A machine's energy integral is advanced
 //     lazily, only when an event touches it (or once at the end of the run):
@@ -86,9 +85,9 @@ func (p Placement) String() string {
 type Params struct {
 	// Machines is the number of chips in the fleet (at most math.MaxInt32).
 	Machines int
-	// Shards is the parallel shard count (1 if 0, at most Machines;
-	// negative is an error). Results are byte-identical for any value; see
-	// the determinism differential.
+	// Shards is kept only because perfbench's fleet workload sets it to 1:
+	// the fleet runs one loop, so 0 and 1 are accepted and any other value
+	// is an error. Delete it together with that perfbench line.
 	Shards int
 	// ChipSlices and ChipBanks are each machine's rentable resources
 	// (the evaluated chip, 64 Slices + 128 banks, if 0; at most 65535).
@@ -146,8 +145,8 @@ func (p *Params) defaults() error {
 	switch {
 	case p.Machines > math.MaxInt32:
 		return fmt.Errorf("fleet: %d machines, want at most %d", p.Machines, math.MaxInt32)
-	case p.Shards < 0:
-		return fmt.Errorf("fleet: Shards is %d, want 0 (one shard) or more", p.Shards)
+	case p.Shards != 0 && p.Shards != 1:
+		return fmt.Errorf("fleet: Shards is %d, want 0 or 1: the fleet runs one loop", p.Shards)
 	case p.ChipSlices < 0 || p.ChipSlices > math.MaxUint16:
 		return fmt.Errorf("fleet: ChipSlices is %d, want 0 (64) or up to %d", p.ChipSlices, math.MaxUint16)
 	case p.ChipBanks < 0 || p.ChipBanks > math.MaxUint16:
@@ -160,12 +159,6 @@ func (p *Params) defaults() error {
 		return fmt.Errorf("fleet: ArrivalsPerSec is %v, want 0 (100/s) or a positive number", p.ArrivalsPerSec)
 	case !(p.MeanLifetime >= 0) || math.IsInf(p.MeanLifetime, 1):
 		return fmt.Errorf("fleet: MeanLifetime is %v, want 0 (60 s) or a positive finite number", p.MeanLifetime)
-	}
-	if p.Shards == 0 {
-		p.Shards = 1
-	}
-	if p.Shards > p.Machines {
-		p.Shards = p.Machines
 	}
 	if p.ChipSlices == 0 {
 		p.ChipSlices = 64
@@ -208,16 +201,15 @@ func (p *Params) defaults() error {
 
 // Fleet is one datacenter simulation. Build with New, run with Run.
 type Fleet struct {
-	p      Params
-	alloc  *alloc.Allocator
-	shards []*shard
-	mach   []machine
-	power  chipPower
-	place  *placer
+	p     Params
+	alloc *alloc.Allocator
+	mach  []machine
+	power chipPower
+	place *placer
 
 	// Pricing tables indexed by groupKey: warm holds each group's last
-	// optimum (updated only at barriers, in group order), slot its index
-	// in the epoch's groups (-1: none).
+	// optimum (committed after each epoch's pricing, in group order), slot
+	// its index in the epoch's groups (-1: none).
 	names []string // distinct bench names, sorted
 	rank  []int    // Params.Benches position -> index in names
 	warm  []econ.Config
@@ -235,21 +227,6 @@ type Fleet struct {
 // deterministic group order, bench name then K.
 func (f *Fleet) groupKey(ev *event) int {
 	return f.rank[ev.bench()]*utilityExps + ev.k() - 1
-}
-
-// shard owns a machine partition and prices its share of the groups.
-type shard struct {
-	id int
-	// machines this shard owns (machine ID m belongs to shard m % Shards).
-	machines []int
-	// ops is the epoch's apply queue, filed by the placement barrier in
-	// (time, seq) order and reused across epochs: each departure as take
-	// delivered it, each admission as an arrival whose payload is its lease.
-	ops []event
-	// energy totals for Report.PerShard, summed in within-shard machine
-	// order at finalize.
-	energy EnergyBreakdown
-	err    error
 }
 
 // New builds a fleet over the given prober (simulator-backed or synthetic).
@@ -281,14 +258,6 @@ func New(p Params, prober market.Prober) (*Fleet, error) {
 		prices: p.Market,
 	}
 	f.place = newPlacer(p.Machines, p.ChipSlices, p.ChipBanks, p.Place)
-	f.shards = make([]*shard, p.Shards)
-	for s := range f.shards {
-		f.shards[s] = &shard{id: s}
-	}
-	for m := 0; m < p.Machines; m++ {
-		sh := f.shards[m%p.Shards]
-		sh.machines = append(sh.machines, m)
-	}
 	f.events = newEventStream(p.Seed, p.ArrivalsPerSec, p.MeanLifetime, p.Epoch, p.Events, len(p.Benches))
 	return f, nil
 }
@@ -328,7 +297,6 @@ func (f *Fleet) Run() (*Report, error) {
 			return nil, err
 		}
 		f.placeEvents(evs, groups)
-		f.applyOps()
 		if f.p.AdaptivePrices {
 			f.adjustPrices()
 		}
@@ -393,43 +361,37 @@ func (f *Fleet) groupBids(evs []event) []pricingGroup {
 type pricingGroup struct {
 	key int // groupKey
 	bid market.BidResult
+	err error
 }
 
-// priceGroups prices every group, fanning groups across shards in parallel.
-// Each search is a pure function of (surface, objective, prices, start), so
-// the outcome is independent of the group-to-shard assignment, and the
-// allocator's shared SurfaceCache collapses duplicate probes across shards.
+// priceGroups prices every group and commits the warm starts in group
+// order. A cold group (no previous optimum: its search starts at the
+// lattice midpoint and, behind a simulator, runs whole simulations) prices
+// on its own goroutine; a warm one, a few memo hits, prices inline. Each
+// search is a pure function of (surface, objective, prices, start), so the
+// outcome does not depend on the schedule, and the shared SurfaceCache
+// collapses duplicate probes. On failure the lowest group's error is
+// returned, whichever finished first.
 func (f *Fleet) priceGroups(groups []pricingGroup) error {
-	if len(groups) == 0 {
-		return nil
-	}
 	var wg sync.WaitGroup
-	for s := range f.shards {
-		sh := f.shards[s]
+	for i := range groups {
+		g := &groups[i]
+		if f.warm[g.key] != (econ.Config{}) {
+			f.priceGroup(g)
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := sh.id; gi < len(groups); gi += len(f.shards) {
-				g := &groups[gi]
-				bench := f.names[g.key/utilityExps]
-				u := econ.Utility{K: g.key%utilityExps + 1, Budget: econ.DefaultBudget}
-				start := f.warm[g.key] // zero Config on cold start: lattice midpoint
-				bid, err := f.alloc.PriceBidAt(bench, u, f.prices, start, f.objective(u, f.prices))
-				if err != nil {
-					sh.err = err
-					return
-				}
-				g.bid = bid
-			}
+			f.priceGroup(g)
 		}()
 	}
 	wg.Wait()
-	for _, sh := range f.shards {
-		if sh.err != nil {
-			return sh.err
+	for i := range groups {
+		if err := groups[i].err; err != nil {
+			return err
 		}
 	}
-	// Barrier: commit warm starts in deterministic group order.
 	for i := range groups {
 		f.warm[groups[i].key] = groups[i].bid.Config
 		f.rep.Searches++
@@ -437,25 +399,30 @@ func (f *Fleet) priceGroups(groups []pricingGroup) error {
 	return nil
 }
 
-// placeEvents runs the sequential placement barrier: events in (time, seq)
-// order against global machine capacity, filing each machine op straight
-// into its owning shard's queue for the parallel apply phase, so every queue
-// is in (time, seq) order. Only integer capacity bookkeeping happens here;
-// the float energy integrals run shard-parallel in applyOps. Only a placed
-// arrival schedules a departure, and the departure carries its lease back.
+// priceGroup prices one group from its warm start at the epoch's prices. It
+// writes only g, so concurrent calls on distinct groups do not race.
+func (f *Fleet) priceGroup(g *pricingGroup) {
+	bench := f.names[g.key/utilityExps]
+	u := econ.Utility{K: g.key%utilityExps + 1, Budget: econ.DefaultBudget}
+	start := f.warm[g.key] // zero Config on cold start: lattice midpoint
+	g.bid, g.err = f.alloc.PriceBidAt(bench, u, f.prices, start, f.objective(u, f.prices))
+}
+
+// placeEvents places the epoch's events in (time, seq) order against global
+// machine capacity and applies each one's energy change to its machine at
+// once. Every machine therefore sees its admissions and evictions in
+// (time, seq) order, and admit and evict touch only that machine, so the
+// energy integrals do not depend on anything else. Only a placed arrival
+// schedules a departure, and the departure carries its lease back.
 //
 //ssim:hotpath
 func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) {
-	for _, sh := range f.shards {
-		sh.ops = sh.ops[:0]
-	}
 	for i := range evs {
 		ev := &evs[i]
 		if !ev.arrive() {
 			f.place.free(ev.lease)
+			f.mach[ev.lease.machine].evict(ev.t, ev.lease, &f.power)
 			f.rep.Departed++
-			sh := f.shards[int(ev.lease.machine)%len(f.shards)]
-			sh.ops = append(sh.ops, *ev)
 			continue
 		}
 		g := &groups[f.slot[f.groupKey(ev)]]
@@ -467,45 +434,16 @@ func (f *Fleet) placeEvents(evs []event, groups []pricingGroup) {
 		}
 		l := newLease(m, cfg.Slices, cfg.Banks(), g.bid.Perf)
 		f.place.alloc(l)
+		f.mach[m].admit(ev.t, l, &f.power)
 		f.events.scheduleDeparture(ev.depart(), l)
 		f.rep.Placed++
 		f.rep.UtilityAdmitted += g.bid.Utility
-		sh := f.shards[m%len(f.shards)]
-		sh.ops = append(sh.ops, admission(ev, l))
 	}
-}
-
-// applyOps applies the barrier's per-shard queues in parallel: every op
-// touches exactly one machine, machines belong to exactly one shard, and
-// each shard applies its ops in the barrier's (time, seq) order — so the
-// parallel apply is trivially deterministic. Untouched machines are not
-// visited at all (idle fast-forward).
-func (f *Fleet) applyOps() {
-	var wg sync.WaitGroup
-	for s := range f.shards {
-		sh := f.shards[s]
-		if len(sh.ops) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range sh.ops {
-				op := &sh.ops[i]
-				if op.arrive() { // an admission: admit reads only the lease's size and IPC
-					f.mach[^op.lease.machine].admit(op.t, op.lease, &f.power)
-				} else {
-					f.mach[op.lease.machine].evict(op.t, op.lease, &f.power)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // adjustPrices ratchets the fleet price vector by utilization excess over a
 // target band: an asymmetric step at fleet granularity, independent of
-// econ.ClearMarket. It runs at the barrier, from deterministic aggregate
+// econ.ClearMarket. It runs after placement, from deterministic aggregate
 // state.
 func (f *Fleet) adjustPrices() {
 	totSlices := float64(f.p.Machines * f.p.ChipSlices)
@@ -531,43 +469,20 @@ func (f *Fleet) adjustPrices() {
 }
 
 // finalize fast-forwards every machine's energy integral to the stream end
-// and reduces the totals in deterministic machine-ID order.
+// and sums the totals in machine-ID order.
 func (f *Fleet) finalize() {
 	end := f.events.end()
-	var wg sync.WaitGroup
-	for s := range f.shards {
-		sh := f.shards[s]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, mi := range sh.machines {
-				f.mach[mi].accrue(end, &f.power)
-			}
-			var e EnergyBreakdown
-			for _, mi := range sh.machines {
-				e.add(&f.mach[mi].energy)
-			}
-			sh.energy = e
-		}()
-	}
-	wg.Wait()
-	// The identity-relevant total sums per-machine energies in global
-	// machine-ID order: float addition is not associative, so summing
-	// shard subtotals would leak the shard count into the bytes.
 	f.rep.MachineEnergy = make([]float64, len(f.mach))
 	for mi := range f.mach {
-		f.rep.Energy.add(&f.mach[mi].energy)
-		f.rep.MachineEnergy[mi] = f.mach[mi].energy.TotalJ()
-		if f.mach[mi].everUsed {
+		m := &f.mach[mi]
+		m.accrue(end, &f.power)
+		f.rep.Energy.add(&m.energy)
+		f.rep.MachineEnergy[mi] = m.energy.TotalJ()
+		if m.everUsed {
 			f.rep.MachinesUsed++
 		}
 	}
-	f.rep.PerShard = make([]EnergyBreakdown, len(f.shards))
-	for s, sh := range f.shards {
-		f.rep.PerShard[s] = sh.energy
-	}
 	f.rep.Machines = f.p.Machines
-	f.rep.Shards = len(f.shards)
 	f.rep.Events = f.rep.Placed + f.rep.Rejected + f.rep.Departed
 	f.rep.SimSeconds = end
 	cache := f.alloc.Cache()

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"sharing/internal/area"
@@ -13,10 +16,9 @@ import (
 
 var testBenches = []string{"astar", "bzip2", "gobmk", "hmmer", "mcf", "sjeng"}
 
-func testParams(shards int) Params {
+func testParams() Params {
 	return Params{
 		Machines:       64,
-		Shards:         shards,
 		Events:         2000,
 		ArrivalsPerSec: 50,
 		MeanLifetime:   2,
@@ -38,13 +40,14 @@ func runFleet(t *testing.T, p Params) *Report {
 	return rep
 }
 
-// TestFleetDeterminismAcrossShards is the differential the whole sharding
-// design answers to: the same fleet run at 1, 2, 4, and 8 shards must
-// produce byte-identical fingerprints — placements, counts, utilities,
-// energy totals, per-machine energies, probe economy, prices — under every
-// policy combination. The package's tests run under -race in CI, so this
-// also exercises the shared SurfaceCache and parallel phases for races.
-func TestFleetDeterminismAcrossShards(t *testing.T) {
+// TestFleetDeterminismAcrossGOMAXPROCS is the scheduling differential: the
+// same fleet run at GOMAXPROCS 1 and 4 must produce byte-identical
+// fingerprints — placements, counts, utilities, energy totals, per-machine
+// energies, probe economy, prices — under every policy combination, though
+// at 4 the cold groups' searches really run at once and race for the
+// shared SurfaceCache. The package's tests run under -race in CI, so this
+// also checks the concurrent pricing for races.
+func TestFleetDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	variants := []struct {
 		name string
 		mod  func(*Params)
@@ -58,19 +61,92 @@ func TestFleetDeterminismAcrossShards(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			base := testParams(1)
-			v.mod(&base)
-			want := runFleet(t, base).Fingerprint()
-			for _, shards := range []int{2, 4, 8} {
-				p := testParams(shards)
-				v.mod(&p)
-				got := runFleet(t, p).Fingerprint()
-				if got != want {
-					t.Errorf("%d shards diverge from 1 shard:\n--- 1 shard\n%s--- %d shards\n%s",
-						shards, want, shards, got)
-				}
+			p := testParams()
+			v.mod(&p)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			want := runFleet(t, p).Fingerprint()
+			runtime.GOMAXPROCS(4)
+			if got := runFleet(t, p).Fingerprint(); got != want {
+				t.Errorf("GOMAXPROCS 4 diverges from 1:\n--- GOMAXPROCS 1\n%s--- GOMAXPROCS 4\n%s", want, got)
 			}
 		})
+	}
+}
+
+// rendezvousProber serves SyntheticProber's surfaces, but each probe first
+// waits until probes of two distinct benchmarks are in flight at once; from
+// then on every probe passes straight through. A schedule that never
+// overlaps two surfaces' probes gets an error once the timeout expires
+// instead of hanging.
+type rendezvousProber struct {
+	mu       sync.Mutex
+	inflight map[string]int
+	met      chan struct{} // closed once two benchmarks' probes overlap
+	expired  chan struct{} // closed by the timeout
+}
+
+func newRendezvousProber(t *testing.T, timeout time.Duration) *rendezvousProber {
+	p := &rendezvousProber{inflight: map[string]int{}, met: make(chan struct{}), expired: make(chan struct{})}
+	timer := time.AfterFunc(timeout, func() { close(p.expired) })
+	t.Cleanup(func() { timer.Stop() })
+	return p
+}
+
+func (p *rendezvousProber) Probe(bench string, cfg econ.Config) (float64, error) {
+	p.mu.Lock()
+	p.inflight[bench]++
+	if len(p.inflight) == 2 && !p.overlapped() {
+		close(p.met)
+	}
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		if p.inflight[bench]--; p.inflight[bench] == 0 {
+			delete(p.inflight, bench)
+		}
+		p.mu.Unlock()
+	}()
+	select {
+	case <-p.met:
+		return SyntheticProber{}.Probe(bench, cfg)
+	case <-p.expired:
+		return 0, fmt.Errorf("probe of %s: no other surface's probe was in flight before the timeout", bench)
+	}
+}
+
+// overlapped reports whether two benchmarks' probes have overlapped.
+func (p *rendezvousProber) overlapped() bool {
+	select {
+	case <-p.met:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestFleetPricesColdGroupsConcurrently: the first epoch's groups are all
+// cold, so two benchmarks' searches must be in flight at once. Every
+// arrival falls in that one epoch; a fleet that priced its groups one after
+// another would block in its first probe until the rendezvous times out.
+func TestFleetPricesColdGroupsConcurrently(t *testing.T) {
+	prober := newRendezvousProber(t, 10*time.Second)
+	f, err := New(Params{
+		Machines:       4,
+		Events:         40,
+		ArrivalsPerSec: math.Inf(1),
+		Seed:           7,
+		Benches:        []string{"hmmer", "gobmk"},
+	}, prober)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Epochs == 0 || rep.Surfaces != 2 || !prober.overlapped() {
+		t.Fatalf("%d epochs over %d surfaces, overlapped %v: want two surfaces probed at once",
+			rep.Epochs, rep.Surfaces, prober.overlapped())
 	}
 }
 
@@ -114,7 +190,7 @@ func TestMachineEnergyHandComputed(t *testing.T) {
 	}
 }
 
-// TestMachineEnergyMonotonicAccrual: departures are delivered one barrier
+// TestMachineEnergyMonotonicAccrual: departures are delivered one epoch
 // late with their true (earlier) timestamp, so evict can run with t before a
 // prior touch. The integral must stay monotonic — the old code rewound lastT
 // backwards and double-counted the span [depart, prevTouch] on the next
@@ -239,7 +315,7 @@ func pointerFree(typ reflect.Type) bool {
 // real run: event conservation, energy reduction identities, and the probe
 // economy bounds the acceptance criteria quote.
 func TestFleetReportConsistency(t *testing.T) {
-	rep := runFleet(t, testParams(4))
+	rep := runFleet(t, testParams())
 	if rep.Events != rep.Placed+rep.Rejected+rep.Departed {
 		t.Errorf("events %d != placed %d + rejected %d + departed %d",
 			rep.Events, rep.Placed, rep.Rejected, rep.Departed)
@@ -248,16 +324,12 @@ func TestFleetReportConsistency(t *testing.T) {
 		// The stream drains every scheduled departure before ending.
 		t.Errorf("departed %d != placed %d", rep.Departed, rep.Placed)
 	}
-	var perShard, perMachine float64
-	for _, e := range rep.PerShard {
-		perShard += e.TotalJ()
-	}
+	var perMachine float64
 	for _, e := range rep.MachineEnergy {
 		perMachine += e
 	}
-	tot := rep.Energy.TotalJ()
-	if math.Abs(perShard-tot) > 1e-6*tot || math.Abs(perMachine-tot) > 1e-6*tot {
-		t.Errorf("energy reductions disagree: total %v, per-shard %v, per-machine %v", tot, perShard, perMachine)
+	if tot := rep.Energy.TotalJ(); math.Abs(perMachine-tot) > 1e-6*tot {
+		t.Errorf("energy reductions disagree: total %v, per-machine %v", tot, perMachine)
 	}
 	if rep.UniqueProbes == 0 || rep.UniqueProbes > rep.GridProbes {
 		t.Errorf("unique probes %d outside (0, grid %d]", rep.UniqueProbes, rep.GridProbes)
@@ -275,7 +347,7 @@ func TestFleetReportConsistency(t *testing.T) {
 // worst-fit spreads across, and consolidation must show up as less energy
 // (parked machines draw only the leakage floor).
 func TestPlacementPolicies(t *testing.T) {
-	packed := testParams(2)
+	packed := testParams()
 	packed.Machines = 256 // headroom so the policies can actually differ
 	spread := packed
 	spread.Place = PlaceSpread
@@ -298,7 +370,7 @@ func TestPlacementPolicies(t *testing.T) {
 // TestFleetRejectsWhenFull: a one-machine fleet under sustained load must
 // reject bids rather than oversubscribe.
 func TestFleetRejectsWhenFull(t *testing.T) {
-	p := testParams(1)
+	p := testParams()
 	p.Machines = 1
 	p.MeanLifetime = 1000 // effectively no departures during arrivals
 	rep := runFleet(t, p)
@@ -356,7 +428,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 // TestAdaptivePricesMove: under sustained load the ratchet must move prices
 // off the initial vector, deterministically.
 func TestAdaptivePricesMove(t *testing.T) {
-	p := testParams(2)
+	p := testParams()
 	p.Machines = 4 // high utilization so the ratchet engages upward
 	p.AdaptivePrices = true
 	p.MeanLifetime = 50
@@ -404,6 +476,7 @@ func TestParamValidation(t *testing.T) {
 		{"negative ArrivalsPerSec", func(p *Params) { p.ArrivalsPerSec = -1 }},
 		{"negative Events", func(p *Params) { p.Events = -1 }},
 		{"negative Shards", func(p *Params) { p.Shards = -1 }},
+		{"two Shards", func(p *Params) { p.Shards = 2 }},
 		{"negative ChipSlices", func(p *Params) { p.ChipSlices = -1 }},
 		{"negative ChipBanks", func(p *Params) { p.ChipBanks = -1 }},
 		{"Machines beyond int32", func(p *Params) { p.Machines = math.MaxInt32 + 1 }},
@@ -440,13 +513,13 @@ func TestParamValidation(t *testing.T) {
 // TestFleetRunAllocsDoNotScaleWithEvents is the deterministic allocation
 // gate on the epoch loop: quadrupling the events of a run must add far
 // fewer allocations than it adds arrivals. What a run may allocate grows
-// with its epochs (pricing groups, phase goroutines) and, logarithmically,
-// with its peak backlog (buffer growth) — never once per VM.
+// with its epochs (pricing groups, cold-search goroutines) and,
+// logarithmically, with its peak backlog (buffer growth) — never once per
+// VM.
 func TestFleetRunAllocsDoNotScaleWithEvents(t *testing.T) {
 	allocs := func(events int) float64 {
 		p := Params{
 			Machines:       2000,
-			Shards:         2,
 			Events:         events,
 			ArrivalsPerSec: 5000,
 			MeanLifetime:   1,

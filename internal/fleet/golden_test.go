@@ -14,7 +14,7 @@ import "testing"
 //
 // The last two pin the departure path. In short-lifetime, the mean lifetime
 // is a twentieth of an epoch, so most departures fall inside their
-// arrival's own epoch and are delivered one barrier late with their true,
+// arrival's own epoch and are delivered one epoch late with their true,
 // earlier timestamp. In saturated, 20 machines cannot hold the offered
 // load, so many bids are rejected, and a rejected bid must never yield a
 // departure. Both were recorded from the fleet that tracked every resident
@@ -114,7 +114,6 @@ func TestFleetGoldenFingerprints(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := Params{
 				Machines:       2000,
-				Shards:         4,
 				Events:         20000,
 				ArrivalsPerSec: 500,
 				MeanLifetime:   10,

@@ -13,8 +13,8 @@ import "math/bits"
 // word: O(machines/4096 + nonzero words), not O(machines/64). Moving a
 // machine between buckets clears one bit and sets one (plus at most two
 // summary bits), so alloc and free cost O(1) whatever the fleet size.
-// Everything is integer state mutated only in the sequential placement
-// barrier, so placement is deterministic by construction.
+// Everything is integer state mutated only by the sequential placement
+// step, so placement is deterministic by construction.
 type placer struct {
 	policy     Placement
 	chipSlices int

@@ -10,8 +10,8 @@ import (
 
 // Report is the outcome of one fleet run.
 type Report struct {
-	Machines, Shards int
-	Epochs           int
+	Machines int
+	Epochs   int
 	// Events = Placed + Rejected + Departed, the lifecycle events simulated.
 	Events, Placed, Rejected, Departed int
 	// MachinesUsed counts machines that ever hosted a VM.
@@ -23,17 +23,14 @@ type Report struct {
 	UtilityAdmitted float64
 	// SimSeconds is the simulated span (last event time).
 	SimSeconds float64
-	// Energy is the fleet total; PerShard splits it by owning shard (reported
-	// for observability, excluded from Fingerprint: per-shard float sums
-	// depend on the partition).
-	Energy   EnergyBreakdown
-	PerShard []EnergyBreakdown
+	// Energy is the fleet total, summed in machine-ID order.
+	Energy EnergyBreakdown
 	// MachineEnergy is each machine's total joules, in machine-ID order.
 	MachineEnergy []float64
-	// Probe economy: UniqueProbes simulator runs were issued across all
-	// shards for Surfaces distinct performance surfaces; the batch
-	// alternative costs GridProbes (one lattice sweep per surface) and the
-	// naive online alternative NaiveGridProbes (one sweep per bid).
+	// Probe economy: UniqueProbes simulator runs were issued for Surfaces
+	// distinct performance surfaces; the batch alternative costs GridProbes
+	// (one lattice sweep per surface) and the naive online alternative
+	// NaiveGridProbes (one sweep per bid).
 	UniqueProbes, Surfaces      int
 	GridProbes, NaiveGridProbes int
 	// FinalPrices is the price vector after the run (moves only under
@@ -42,9 +39,8 @@ type Report struct {
 }
 
 // Fingerprint is the canonical digest the determinism differential compares:
-// every shard-count-independent quantity, with floats rendered exactly
-// (%.17g) and the per-machine energy vector folded through FNV-1a over its
-// IEEE-754 bits. Shards and PerShard are deliberately excluded.
+// every quantity of the run, with floats rendered exactly (%.17g) and the
+// per-machine energy vector folded through FNV-1a over its IEEE-754 bits.
 func (r *Report) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "machines=%d epochs=%d events=%d placed=%d rejected=%d departed=%d used=%d searches=%d\n",
@@ -68,8 +64,8 @@ func (r *Report) Fingerprint() string {
 // String renders the human-readable summary cmd/fleet prints.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d machines, %d shards, %d epochs, %.1f sim-seconds\n",
-		r.Machines, r.Shards, r.Epochs, r.SimSeconds)
+	fmt.Fprintf(&b, "fleet: %d machines, %d epochs, %.1f sim-seconds\n",
+		r.Machines, r.Epochs, r.SimSeconds)
 	fmt.Fprintf(&b, "events: %d (placed %d, rejected %d, departed %d), %d machines used\n",
 		r.Events, r.Placed, r.Rejected, r.Departed, r.MachinesUsed)
 	fmt.Fprintf(&b, "pricing: %d group searches, %d simulator probes over %d surfaces (grid sweep: %d; naive per-bid: %d)\n",
@@ -78,8 +74,5 @@ func (r *Report) String() string {
 		r.UtilityAdmitted, r.FinalPrices.SliceCost, r.FinalPrices.BankCost)
 	fmt.Fprintf(&b, "energy: %.1f J total (Slice static %.1f, Slice dynamic %.1f, bank static %.1f, bank dynamic %.1f)\n",
 		r.Energy.TotalJ(), r.Energy.SliceStaticJ, r.Energy.SliceDynamicJ, r.Energy.BankStaticJ, r.Energy.BankDynamicJ)
-	for s, e := range r.PerShard {
-		fmt.Fprintf(&b, "  shard %d: %.1f J\n", s, e.TotalJ())
-	}
 	return b.String()
 }

@@ -11,7 +11,7 @@ import (
 
 // SurfaceCache is the shared, concurrency-safe memo of probed performance
 // values P(bench[, phase], cfg) over one econ.Lattice, and the only probe
-// memo the searches have: the fleet's shards, the daemon's concurrent bids
+// memo the searches have: the fleet's pricing, the daemon's concurrent bids
 // and the experiments drivers all probe through it, and a configuration any
 // search has ever probed is a hit for every other.
 //
@@ -25,7 +25,7 @@ import (
 // republished. The race detector covers this structure via the sharing
 // tests: TestSurfaceCacheSharedAcrossEngines and TestSurfaceCacheServerLoad
 // here, TestSharedSurfaceCache and the race tests in internal/alloc, and the
-// fleet's shard-count differential.
+// fleet's GOMAXPROCS differential, whose cold searches probe at once.
 //
 // Determinism: probe values are deterministic functions of (surface, cfg), so
 // although *which* search pays a miss depends on scheduling, the memo contents
@@ -160,10 +160,10 @@ func (s Surface) Dense() (*econ.Surface, error) {
 }
 
 // Unique returns the number of distinct (surface, configuration) points ever
-// probed — the shared probe economy's denominator-free cost. It is
-// deterministic across shard counts: every search's visited set is a
-// deterministic function of its (surface, prices, warm start), so the union
-// does not depend on which shard ran which search.
+// probed — the shared probe economy's denominator-free cost. It does not
+// depend on scheduling: every search's visited set is a deterministic
+// function of its (surface, prices, warm start), so the union does not
+// depend on which goroutine ran which search, or when.
 func (c *SurfaceCache) Unique() int { return int(c.unique.Load()) }
 
 // Misses returns the prober calls that filled a slot: one per unique point,
