@@ -131,6 +131,10 @@ fleet-smoke:
 # kept in the test as the reference. FuzzCache: decoded operation streams
 # over every oracle geometry must give the flat packed tag array the
 # returns and counters of the earlier per-set-slice cache kept in the test.
+# FuzzEventQueue: decoded pushes (same-cycle ties, far-future events, events
+# behind the head, older reserved ordinals), pops at lagging and jumping
+# cycles, peeks and flushes must give the VCore event queue's sorted run the
+# pops and peeks of the earlier binary heap kept in the test.
 # FuzzMemImage: decoded loads and stores of any word, zero included, must
 # match a map reference in Load and RangeWords. FuzzRunnerLoad: an arbitrary
 # results file plus a checkpoint journal with a torn tail must load without
@@ -152,6 +156,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/vcore -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzMemImage$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzRunnerLoad$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./cmd/sharingd -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 15s -fuzzminimizetime 2s

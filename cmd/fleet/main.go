@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,6 +60,9 @@ func main() {
 	names := strings.Split(*benches, ",")
 
 	if *fig17k {
+		if err := refuseWithFig17K(flag.CommandLine); err != nil {
+			fatal(err)
+		}
 		r := newRunner(*n, *results, *quiet, *resume)
 		res, err := experiments.Fig17K(r, names, 2, *steps)
 		if err != nil {
@@ -132,6 +136,26 @@ func main() {
 		fmt.Print(rep.Fingerprint())
 	}
 	saveRunner(r)
+}
+
+// eventFlags are the event simulation's flags. The -fig17k share sweep
+// reads none of them: it always simulates each benchmark's surface and has
+// no event stream.
+var eventFlags = []string{"synthetic", "machines", "events", "rate", "life", "epoch", "seed", "objective", "place", "adaptive", "fingerprint"}
+
+// refuseWithFig17K names every event-simulation flag set on fs, so that
+// -fig17k fails rather than silently ignoring them.
+func refuseWithFig17K(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(eventFlags, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("-fig17k runs the share sweep over simulated surfaces and reads none of the event simulation's flags: drop %s", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 func newRunner(n int, results string, quiet, resume bool) *experiments.Runner {

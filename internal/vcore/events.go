@@ -30,7 +30,8 @@ const (
 // a pipeline flush of their instruction.
 //
 // Fields are ordered widest first, so the event packs into 40 bytes with no
-// interior padding (TestEventLayout pins it).
+// interior padding (TestEventLayout pins it). The queue moves whole events
+// when it inserts, so the record's size is its per-step cost.
 type event struct {
 	at   int64
 	ord  uint64
@@ -40,20 +41,19 @@ type event struct {
 	kind evKind
 }
 
-// eventQueue is a deterministic time-ordered queue: a hand-rolled binary
-// min-heap over (at, ord). container/heap would box every event into an
-// interface value and allocate on each push; this queue reuses its backing
-// array for the whole run.
+// eventQueue is a deterministic time-ordered queue: one sorted run. The
+// pending events are h[head:] in ascending (at, ord) order, so the next
+// event is h[head] and popping it is head++. A push walks the new event
+// back past the later entries; most events land a few cycles ahead of
+// everything queued, and an engine holds a handful at a time, so the walk
+// is short and cheaper than a binary heap's sift-down. Ordinals are unique,
+// so (at, ord) is a total order and the pop order is the one any
+// (at, ord) min-queue gives. The queue reuses its backing array for the
+// whole run.
 type eventQueue struct {
-	h   []event
-	ord uint64
-}
-
-func (q *eventQueue) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
-	}
-	return q.h[i].ord < q.h[j].ord
+	h    []event
+	head int
+	ord  uint64
 }
 
 func (q *eventQueue) push(at int64, kind evKind, seq uint64, gen uint32, a uint64) {
@@ -74,53 +74,43 @@ func (q *eventQueue) reserveOrd() uint64 {
 }
 
 // pushOrd inserts an event with an explicitly assigned ordinal (previously
-// obtained from reserveOrd). It does not advance the ordinal counter.
+// obtained from reserveOrd). It does not advance the ordinal counter. An
+// older ordinal sorts before younger events of the same cycle, exactly
+// where it would sit had it been pushed when it was reserved.
+//
+// An empty run restarts at the front, and a full run with a spent prefix
+// moves its pending events to the front, so the array grows only when every
+// slot holds a pending event. Like the walk, that move costs at most one
+// step per pending event.
 //
 //ssim:hotpath
 func (q *eventQueue) pushOrd(at int64, kind evKind, seq uint64, gen uint32, a uint64, ord uint64) {
-	q.h = append(q.h, event{at: at, ord: ord, kind: kind, seq: seq, gen: gen, a: a})
+	switch n := len(q.h); {
+	case q.head == n:
+		q.h, q.head = q.h[:0], 0
+	case n == cap(q.h) && q.head > 0:
+		q.h, q.head = q.h[:copy(q.h, q.h[q.head:])], 0
+	}
+	ev := event{at: at, ord: ord, kind: kind, seq: seq, gen: gen, a: a}
+	q.h = append(q.h, ev)
 	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
+	for ; i > q.head; i-- {
+		p := &q.h[i-1]
+		if p.at < at || p.at == at && p.ord < ord {
 			break
 		}
-		q.h[i], q.h[p] = q.h[p], q.h[i]
-		i = p
+		q.h[i] = *p
 	}
+	q.h[i] = ev
 }
 
 // popReady removes and returns the next event with at <= now, or ok=false.
 func (q *eventQueue) popReady(now int64) (event, bool) {
-	if len(q.h) == 0 || q.h[0].at > now {
+	if q.head == len(q.h) || q.h[q.head].at > now {
 		return event{}, false
 	}
-	top := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h = q.h[:n]
-	q.down(0)
-	return top, true
-}
-
-// down restores the heap order below position i.
-func (q *eventQueue) down(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && q.less(l, m) {
-			m = l
-		}
-		if r < n && q.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		q.h[i], q.h[m] = q.h[m], q.h[i]
-		i = m
-	}
+	q.head++
+	return q.h[q.head-1], true
 }
 
 // perInst reports whether events of kind k name an instruction by its seq
@@ -128,27 +118,23 @@ func (q *eventQueue) down(i int) {
 func (k evKind) perInst() bool { return k <= evLoadRetry }
 
 // dropFrom removes every instruction-keyed event whose seq is at or past
-// from, keeping the rest (fills, drains, older instructions' events), and
-// restores the heap. Each event keeps its ordinal, so the remaining events
-// pop in the order they would have without the removal.
+// from, keeping the rest (fills, drains, older instructions' events) in
+// their order at the front of the run. Each event keeps its ordinal, so the
+// remaining events pop in the order they would have without the removal.
 func (q *eventQueue) dropFrom(from uint64) {
 	kept := q.h[:0]
-	for _, ev := range q.h {
+	for _, ev := range q.h[q.head:] {
 		if !ev.kind.perInst() || ev.seq < from {
 			kept = append(kept, ev)
 		}
 	}
-	clear(q.h[len(kept):])
-	q.h = kept
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
+	q.h, q.head = kept, 0
 }
 
 // nextAt returns the time of the earliest pending event.
 func (q *eventQueue) nextAt() (int64, bool) {
-	if len(q.h) == 0 {
+	if q.head == len(q.h) {
 		return 0, false
 	}
-	return q.h[0].at, true
+	return q.h[q.head].at, true
 }

@@ -12,8 +12,9 @@ import (
 // TestFlushDropsSquashedEvents drives generated traces through detailed
 // windows separated by FlushInFlight and FastForward, as sampled
 // simulation does. After every flush no queued event may name a squashed
-// instruction, every fill and drain must still be queued, and the run must
-// end in the reference interpreter's architectural state.
+// instruction, every fill and drain must still be queued, the pending run
+// must stay in (at, ord) order, and the run must end in the reference
+// interpreter's architectural state.
 func TestFlushDropsSquashedEvents(t *testing.T) {
 	for _, bench := range []string{"mcf", "libquantum"} {
 		prof, err := workload.Lookup(bench)
@@ -39,7 +40,7 @@ func TestFlushDropsSquashedEvents(t *testing.T) {
 			}
 			if steps%300 == 0 && !e.Done() {
 				kept := 0
-				for _, ev := range e.events.h {
+				for _, ev := range e.events.h[e.events.head:] {
 					if !ev.kind.perInst() {
 						kept++
 					} else if ev.seq >= e.commitHead {
@@ -47,7 +48,8 @@ func TestFlushDropsSquashedEvents(t *testing.T) {
 					}
 				}
 				e.FlushInFlight(now)
-				for i, ev := range e.events.h {
+				pending := e.events.h[e.events.head:]
+				for i, ev := range pending {
 					if ev.kind.perInst() && ev.seq >= e.commitHead {
 						t.Fatalf("%s: after the flush at cycle %d (commit head %d) an event of kind %d names squashed seq %d",
 							bench, now, e.commitHead, ev.kind, ev.seq)
@@ -55,8 +57,12 @@ func TestFlushDropsSquashedEvents(t *testing.T) {
 					if !ev.kind.perInst() {
 						kept--
 					}
-					if i > 0 && e.events.less(i, (i-1)/2) {
-						t.Fatalf("%s: the flush at cycle %d broke the heap order at %d", bench, now, i)
+					if i == 0 {
+						continue
+					}
+					if p := pending[i-1]; p.at > ev.at || p.at == ev.at && p.ord >= ev.ord {
+						t.Fatalf("%s: after the flush at cycle %d pending event %d (at %d, ord %d) follows (at %d, ord %d)",
+							bench, now, i, ev.at, ev.ord, p.at, p.ord)
 					}
 				}
 				if kept != 0 {
