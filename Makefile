@@ -125,10 +125,15 @@ fleet-smoke:
 # configuration decoder must never panic, accepted parameters must pass
 # Validate and fit the flight ring, and a WriteConfig/ParseConfig round trip
 # must give equal Params, and every width it carries must be one a NoC port
-# meter accepts. FuzzMeter: decoded reservation streams (any width, start
-# cycle and mix of steps, window jumps and far jumps within the meter's
-# exact range) must get the grants of the earlier cycle<<16 | count meter
-# kept in the test as the reference. FuzzCache: decoded operation streams
+# meter accepts, with a port-meter window at least twice the latency
+# horizon. FuzzMeter: decoded reservation streams (any width, start cycle
+# and mix of steps, window jumps and far jumps within the meter's exact
+# range) must get the grants and alias counts of the earlier
+# cycle<<16 | count meter kept in the test as the reference, at the
+# smallest and the largest window. FuzzMeterExact: the same streams must
+# get an unbounded per-cycle meter's grants while the meter counts no
+# alias, and never alias while no request lags the highest grant by a
+# window. FuzzCache: decoded operation streams
 # over every oracle geometry must give the flat packed tag array the
 # returns and counters of the earlier per-set-slice cache kept in the test.
 # FuzzEventQueue: decoded pushes (same-cycle ties, far-future events, events
@@ -155,6 +160,7 @@ fuzz-smoke:
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSurfaceCache$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeter$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeterExact$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/vcore -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzMemImage$$' -fuzztime 15s -fuzzminimizetime 2s

@@ -136,6 +136,7 @@ func main() {
 	fmt.Printf("l2          %d hits, %d misses\n", res.L2Hits, res.L2Misses)
 	fmt.Printf("memory      %d reads, %d writes\n", res.MemReads, res.MemWrites)
 	fmt.Printf("operand net %d msgs (%d stall cycles)\n", res.OpNet.Messages, res.OpNet.StallCycles)
+	fmt.Printf("port meters %d aliases\n", res.MeterAliases)
 	if res.Invalidations > 0 {
 		fmt.Printf("coherence   %d invalidations\n", res.Invalidations)
 	}

@@ -25,13 +25,23 @@ type Memory struct {
 	Reads, Writes uint64
 }
 
-// New builds a memory channel.
-func New(cfg Config) *Memory {
+// New builds a memory channel whose bandwidth meter spans window cycles
+// (see noc.WindowFor).
+func New(cfg Config, window int) *Memory {
 	m := &Memory{cfg: cfg}
 	if cfg.RequestsPerCycle > 0 {
-		m.meter = noc.NewMeter(cfg.RequestsPerCycle)
+		m.meter = noc.NewMeter(cfg.RequestsPerCycle, window)
 	}
 	return m
+}
+
+// Aliased returns the channel meter's alias count (noc.Meter.Aliased), 0
+// for an unlimited channel.
+func (m *Memory) Aliased() uint64 {
+	if m.meter == nil {
+		return 0
+	}
+	return m.meter.Aliased()
 }
 
 // Access schedules a request issued at cycle now and returns its completion

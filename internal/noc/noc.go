@@ -57,26 +57,31 @@ type Network struct {
 	W, H   int
 	Width  int // messages per cycle per injection/ejection port
 
+	window  int      // cycles each port meter's window spans (see WindowFor)
 	egress  []*Meter // per source tile
 	ingress []*Meter // per destination tile
 	stats   Stats
 }
 
 // New creates a network over a w x h grid with the given per-port bandwidth
-// in messages per cycle. Port meters are created lazily per tile.
-func New(name string, w, h, width int) *Network { return NewBox(name, Coord{}, w, h, width) }
+// in messages per cycle and port-meter window in cycles. Port meters are
+// created lazily per tile.
+func New(name string, w, h, width, window int) *Network {
+	return NewBox(name, Coord{}, w, h, width, window)
+}
 
 // NewBox creates a network over the w x h box of tiles whose lowest corner
 // is origin. A coordinate outside the box panics in Send, as one outside
 // the grid does for New. Hop counts and latencies are those of the fabric:
 // the box only sizes the port tables.
-func NewBox(name string, origin Coord, w, h, width int) *Network {
-	if w <= 0 || h <= 0 || width <= 0 || width > MaxWidth {
-		panic(fmt.Sprintf("noc: invalid network geometry %dx%d width %d", w, h, width))
+func NewBox(name string, origin Coord, w, h, width, window int) *Network {
+	if w <= 0 || h <= 0 || width <= 0 || width > MaxWidth || !validWindow(window) {
+		panic(fmt.Sprintf("noc: invalid network geometry %dx%d width %d window %d", w, h, width, window))
 	}
 	n := w * h
 	return &Network{
 		Name: name, Origin: origin, W: w, H: h, Width: width,
+		window:  window,
 		egress:  make([]*Meter, n),
 		ingress: make([]*Meter, n),
 	}
@@ -95,7 +100,7 @@ func BoundingBox(tiles []Coord) (origin Coord, w, h int) {
 
 func (n *Network) meter(ms []*Meter, i int) *Meter {
 	if ms[i] == nil {
-		ms[i] = NewMeter(n.Width) //ssim:nolint hotalloc: lazy one-time port-meter init, at most one per tile per run
+		ms[i] = NewMeter(n.Width, n.window) //ssim:nolint hotalloc: lazy one-time port-meter init, at most one per tile per run
 	}
 	return ms[i]
 }
@@ -127,3 +132,16 @@ func (n *Network) Send(now int64, src, dst Coord) int64 {
 
 // Stats returns a copy of the accumulated statistics.
 func (n *Network) Stats() Stats { return n.stats }
+
+// Aliased sums Meter.Aliased over every port meter of the network.
+func (n *Network) Aliased() uint64 {
+	var a uint64
+	for _, ms := range [2][]*Meter{n.egress, n.ingress} {
+		for _, m := range ms {
+			if m != nil {
+				a += m.Aliased()
+			}
+		}
+	}
+	return a
+}

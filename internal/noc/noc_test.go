@@ -55,7 +55,7 @@ func TestLatencyModel(t *testing.T) {
 }
 
 func TestSendDeliverOrdering(t *testing.T) {
-	n := New("t", 8, 8, 1)
+	n := New("t", 8, 8, 1, MinWindow)
 	dst := Coord{4, 4}
 	// Two messages from different distances; the nearer must arrive first.
 	far := n.Send(0, Coord{0, 0}, dst)
@@ -72,7 +72,7 @@ func TestSendDeliverOrdering(t *testing.T) {
 }
 
 func TestPortContention(t *testing.T) {
-	n := New("t", 4, 4, 1)
+	n := New("t", 4, 4, 1, MinWindow)
 	src, dst := Coord{0, 0}, Coord{1, 0}
 	a := n.Send(10, src, dst)
 	b := n.Send(10, src, dst)
@@ -90,7 +90,7 @@ func TestPortContention(t *testing.T) {
 }
 
 func TestWidthTwoDoublesBandwidth(t *testing.T) {
-	n := New("t", 4, 4, 2)
+	n := New("t", 4, 4, 2, MinWindow)
 	src, dst := Coord{0, 0}, Coord{1, 0}
 	a := n.Send(10, src, dst)
 	b := n.Send(10, src, dst)
@@ -101,7 +101,7 @@ func TestWidthTwoDoublesBandwidth(t *testing.T) {
 }
 
 func TestIngressContention(t *testing.T) {
-	n := New("t", 8, 1, 1)
+	n := New("t", 8, 1, 1, MinWindow)
 	dst := Coord{4, 0}
 	// Equidistant sources from both sides collide at the ejection port.
 	a := n.Send(0, Coord{3, 0}, dst)
@@ -113,7 +113,7 @@ func TestIngressContention(t *testing.T) {
 
 func TestDeliverDeterministicTieBreak(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
-		n := New("t", 8, 8, 4)
+		n := New("t", 8, 8, 4, MinWindow)
 		dst := Coord{0, 0}
 		// Equidistant sources on a four-wide port share the ejection cycle.
 		a := n.Send(0, Coord{2, 0}, dst)
@@ -127,7 +127,7 @@ func TestDeliverDeterministicTieBreak(t *testing.T) {
 // TestNextArrivalAndReset pins one message's delivery cycle and the
 // statistics it leaves.
 func TestNextArrivalAndReset(t *testing.T) {
-	n := New("t", 4, 4, 1)
+	n := New("t", 4, 4, 1, MinWindow)
 	dst := Coord{2, 2}
 	if at := n.Send(5, Coord{0, 0}, dst); at != 10 {
 		t.Fatalf("arrival = %d, want 10 (injection at 5, 1 + 4 hops)", at)
@@ -138,7 +138,7 @@ func TestNextArrivalAndReset(t *testing.T) {
 }
 
 func TestOutOfGridPanics(t *testing.T) {
-	n := New("t", 4, 4, 1)
+	n := New("t", 4, 4, 1, MinWindow)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-grid coordinate must panic")
@@ -157,7 +157,7 @@ func TestBoxMatchesFabric(t *testing.T) {
 	if o != (Coord{5, 3}) || w != 3 || h != 2 {
 		t.Fatalf("BoundingBox = %v %dx%d, want {5 3} 3x2", o, w, h)
 	}
-	fab, box := New("f", 16, 8, 2), NewBox("b", o, w, h, 2)
+	fab, box := New("f", 16, 8, 2, MinWindow), NewBox("b", o, w, h, 2, MinWindow)
 	for i := 0; i < 500; i++ {
 		now := int64(i / 3)
 		src, dst := tiles[i%len(tiles)], tiles[(i*7+1)%len(tiles)]
@@ -181,7 +181,7 @@ func TestBoxMatchesFabric(t *testing.T) {
 }
 
 func TestMeterOutOfOrderReservations(t *testing.T) {
-	m := NewMeter(1)
+	m := NewMeter(1, MinWindow)
 	// A far-future reservation must not delay a present one.
 	if got := m.Reserve(100000); got != 100000 {
 		t.Fatalf("future reservation at %d", got)
@@ -195,7 +195,7 @@ func TestMeterOutOfOrderReservations(t *testing.T) {
 }
 
 func TestMeterCapacityPerCycle(t *testing.T) {
-	m := NewMeter(3)
+	m := NewMeter(3, MinWindow)
 	for i := 0; i < 3; i++ {
 		if got := m.Reserve(42); got != 42 {
 			t.Fatalf("slot %d at %d", i, got)
@@ -210,74 +210,100 @@ func TestMeterCapacityPerCycle(t *testing.T) {
 	}
 }
 
-// TestMeterWindowAliasing pins the meter's window semantics: slots are
-// tagged per cycle over a 2048-cycle window, so a reservation one window
-// later takes over the slot and the older count is forgotten; a saturated
-// cycle rolls over to the next one; negative requests clamp to cycle 0;
-// Reset forgets every reservation; cycles 2^35 apart alias; and widths
-// beyond 8 bits are refused.
+// TestMeterWindowAliasing pins the meter's window semantics at the smallest
+// and the largest window: slots are tagged per cycle over the window, so a
+// reservation one window later takes over the slot and the older count is
+// forgotten, and a reservation that then probes the older cycle finds the
+// later cycle's count and is counted as an alias; a saturated cycle rolls
+// over to the next one; negative requests clamp to cycle 0; Reset forgets
+// every reservation and the alias count; cycles 2^32 apart share a slot
+// and a tag; the zero Meter grants every reservation as asked; and
+// widths beyond 8 bits are refused.
 func TestMeterWindowAliasing(t *testing.T) {
-	const window = 1 << meterBits
-	expect := func(m *Meter, at, want int64) {
-		t.Helper()
-		if got := m.Reserve(at); got != want {
-			t.Fatalf("Reserve(%d) = %d, want %d", at, got, want)
+	for _, window := range []int64{MinWindow, MaxWindow} {
+		expect := func(m *Meter, at, want int64) {
+			t.Helper()
+			if got := m.Reserve(at); got != want {
+				t.Fatalf("window %d: Reserve(%d) = %d, want %d", window, at, got, want)
+			}
+		}
+		aliased := func(m *Meter, want uint64) {
+			t.Helper()
+			if got := m.Aliased(); got != want {
+				t.Fatalf("window %d: Aliased() = %d, want %d", window, got, want)
+			}
+		}
+		w := int(window)
+
+		m := NewMeter(1, w)
+		expect(m, 5, 5)
+		expect(m, 5+window, 5+window) // same slot, newer cycle: not blocked
+		aliased(m, 0)
+		expect(m, 5, 5) // the count for cycle 5 was forgotten
+		aliased(m, 1)   // ... and the probe found cycle 5+window's count
+		expect(m, 5, 6) // cycle 5 is saturated again: roll over
+		aliased(m, 1)
+
+		m = NewMeter(2, w)
+		expect(m, 10, 10)
+		expect(m, 10, 10)
+		expect(m, 10, 11)
+		expect(m, 10, 11)
+		expect(m, 10, 12)
+		expect(m, window-1, window-1) // last slot of the window
+		expect(m, window-1, window-1)
+		expect(m, window-1, window) // rolls over into slot 0 of the next window
+		aliased(m, 0)
+
+		m = NewMeter(1, w)
+		expect(m, -7, 0)
+		expect(m, -1, 1)
+		expect(m, 0, 2)
+
+		m = NewMeter(1, w)
+		expect(m, 0, 0)
+		expect(m, 3, 3)
+		expect(m, 3+window, 3+window)
+		expect(m, 3, 3)
+		aliased(m, 1)
+		m.Reset()
+		aliased(m, 0)
+		expect(m, 0, 0)
+		expect(m, 3, 3)
+		expect(m, 3+window, 3+window)
+		expect(m, 3+window, 4+window)
+
+		// The exact range ends at 2^32: a cycle that far away carries the
+		// same 24-bit tag, so its slot still holds the older cycle's count.
+		m = NewMeter(1, w)
+		expect(m, 9, 9)
+		expect(m, 9+ExactCycles, 10+ExactCycles)
+	}
+
+	// The zero Meter meters nothing.
+	var zero Meter
+	for range 3 {
+		if got := zero.Reserve(4); got != 4 {
+			t.Fatalf("zero Meter: Reserve(4) = %d, want 4", got)
 		}
 	}
 
-	m := NewMeter(1)
-	expect(m, 5, 5)
-	expect(m, 5+window, 5+window) // same slot, newer cycle: not blocked
-	expect(m, 5, 5)               // the count for cycle 5 was forgotten
-	expect(m, 5, 6)               // cycle 5 is saturated again: roll over
-
-	m = NewMeter(2)
-	expect(m, 10, 10)
-	expect(m, 10, 10)
-	expect(m, 10, 11)
-	expect(m, 10, 11)
-	expect(m, 10, 12)
-	expect(m, window-1, window-1) // last slot of the window
-	expect(m, window-1, window-1)
-	expect(m, window-1, window) // rolls over into slot 0 of the next window
-
-	m = NewMeter(1)
-	expect(m, -7, 0)
-	expect(m, -1, 1)
-	expect(m, 0, 2)
-
-	m = NewMeter(1)
-	expect(m, 0, 0)
-	expect(m, 3, 3)
-	expect(m, 3+window, 3+window)
-	m.Reset()
-	expect(m, 0, 0)
-	expect(m, 3, 3)
-	expect(m, 3+window, 3+window)
-	expect(m, 3+window, 4+window)
-
-	// The exact range ends at 2^35: a cycle that far away carries the same
-	// 24-bit tag, so its slot still holds the older cycle's count.
-	m = NewMeter(1)
-	expect(m, 9, 9)
-	expect(m, 9+ExactCycles, 10+ExactCycles)
-
 	// A slot packs a 24-bit window tag and an 8-bit count, so the width
 	// must fit in 8 bits.
-	NewMeter(1<<8 - 1)
+	NewMeter(1<<8-1, MinWindow)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("width 1<<8 accepted: its count would overflow into the window tag")
 		}
 	}()
-	NewMeter(1 << 8)
+	NewMeter(1<<8, MinWindow)
 }
 
 func TestMeterProperty(t *testing.T) {
 	// Reserve never returns a cycle earlier than requested, and per-cycle
 	// grants never exceed the width.
 	f := func(reqs []uint16) bool {
-		m := NewMeter(2)
+		m := NewMeter(2, MinWindow)
 		grants := make(map[int64]int)
 		for _, r := range reqs {
 			at := int64(r % 512)
@@ -297,12 +323,41 @@ func TestMeterProperty(t *testing.T) {
 	}
 }
 
+// TestWindowFor pins the window rule: the smallest power of two at least
+// twice the horizon, clamped to [MinWindow, MaxWindow].
+func TestWindowFor(t *testing.T) {
+	for _, c := range []struct {
+		horizon int64
+		want    int
+	}{
+		{-5, MinWindow}, {0, MinWindow}, {1, MinWindow}, {100, MinWindow}, {128, MinWindow},
+		{129, 512}, {256, 512}, {257, 1024}, {300, 1024}, {512, 1024},
+		{513, MaxWindow}, {1000, MaxWindow}, {MaxHorizon, MaxWindow},
+		{MaxHorizon + 1, MaxWindow}, {1 << 40, MaxWindow},
+	} {
+		if got := WindowFor(c.horizon); got != c.want {
+			t.Errorf("WindowFor(%d) = %d, want %d", c.horizon, got, c.want)
+		}
+	}
+	for h := int64(1); h <= MaxHorizon; h++ {
+		if w := int64(WindowFor(h)); w < 2*h || !validWindow(int(w)) || (w > MinWindow && w/2 >= 2*h) {
+			t.Fatalf("WindowFor(%d) = %d", h, w)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { New("x", 0, 4, 1) },
-		func() { New("x", 4, 4, 0) },
-		func() { New("x", 4, 4, MaxWidth+1) },
-		func() { NewMeter(0) },
+		func() { New("x", 0, 4, 1, MinWindow) },
+		func() { New("x", 4, 4, 0, MinWindow) },
+		func() { New("x", 4, 4, MaxWidth+1, MinWindow) },
+		func() { NewMeter(0, MinWindow) },
+		func() { NewMeter(1, MinWindow/2) },
+		func() { NewMeter(1, MinWindow+1) },
+		func() { NewMeter(1, 3*MinWindow) },
+		func() { NewMeter(1, 2*MaxWindow) },
+		func() { New("x", 4, 4, 1, 0) },
+		func() { New("x", 4, 4, 1, 1000) },
 	} {
 		func() {
 			defer func() {

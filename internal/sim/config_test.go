@@ -11,8 +11,9 @@ import (
 // FuzzParseConfig: the XML machine-configuration decoder must never panic on
 // hostile bytes; a decoded configuration either fails Params or yields
 // parameters that pass Validate, keep the engine's in-flight bound within its
-// 2048-slot flight ring, give both L1s a positive size and carry only widths
-// a NoC port meter accepts; and writing a
+// 2048-slot flight ring, give both L1s a positive size, carry only widths
+// a NoC port meter accepts and give the port meters a window of at least
+// twice their horizon; and writing a
 // decoded configuration back out with WriteConfig and parsing it again gives
 // the same Params (or the same refusal).
 func FuzzParseConfig(f *testing.F) {
@@ -29,6 +30,10 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add(`<ssim><cacheKB>-64</cacheKB><memoryDelay>-1</memoryDelay></ssim>`)
 	f.Add("not xml")
 	f.Add(`<ssim><operandNetWidth>70000</operandNetWidth></ssim>`) // beyond what a port meter counts
+	f.Add(`<ssim><memoryDelay>1024</memoryDelay><l1HitDelay>1024</l1HitDelay></ssim>`)
+	f.Add(`<ssim><memoryDelay>1025</memoryDelay></ssim>`)              // beyond the largest window's horizon
+	f.Add(`<ssim><memoryDelay>34359738368</memoryDelay></ssim>`)       // 2^35: past the tag range
+	f.Add(`<ssim><l1HitDelay>9223372036854775807</l1HitDelay></ssim>`) // the largest int64
 	f.Fuzz(func(t *testing.T, text string) {
 		c, err := ParseConfig(strings.NewReader(text))
 		if err != nil {
@@ -62,8 +67,12 @@ func FuzzParseConfig(f *testing.F) {
 							t.Fatalf("accepted width %d, which a port meter refuses: %v", w, r)
 						}
 					}()
-					noc.NewMeter(w)
+					noc.NewMeter(w, p.meterWindow())
 				}()
+			}
+			if h, w := p.meterHorizon(), p.meterWindow(); int64(w) < 2*h {
+				t.Fatalf("accepted memory latency %d, L1 hit latency %d: the meters' %d-cycle window is under twice the %d-cycle horizon",
+					p.Mem.Latency, p.VCore.L1HitLatency, w, h)
 			}
 		}
 		var out strings.Builder

@@ -36,7 +36,7 @@ type Params struct {
 	// Mem configures main memory.
 	Mem mem.Config
 	// MaxCycles aborts runaway simulations (0 = default 2e9). At most
-	// 2^34, half the range in which the NoC port meters tell cycles apart.
+	// 2^31, half the range in which every NoC port meter tells cycles apart.
 	MaxCycles int64
 	// StrictTick disables event-driven cycle skipping and ticks every engine
 	// on every cycle. It is the naive reference loop: slower, but useful for
@@ -60,8 +60,21 @@ type Params struct {
 
 // maxCyclesLimit is the largest MaxCycles Validate accepts: half the NoC
 // meters' exact range (noc.ExactCycles), leaving as many cycles again for
-// reservations that latency chains place ahead of the clock.
+// reservations that latency chains place ahead of the clock. At 2^31 it is
+// above the run loops' 2e9 default.
 const maxCyclesLimit = noc.ExactCycles / 2
+
+// meterHorizon bounds how far below a port meter's highest reservation a
+// later one lands: the longest latency a reservation chains ahead of the
+// clock, the memory latency (a miss's return and its writeback are reserved
+// when the miss issues) or, if longer, the L1 hit latency (a load's operand
+// reply is reserved when it binds). The fixed network, bank and instruction
+// terms added to it stay within the factor of two that noc.WindowFor
+// leaves; the meters' alias count (Result.MeterAliases) checks every run.
+func (p *Params) meterHorizon() int64 { return max(p.Mem.Latency, p.VCore.L1HitLatency) }
+
+// meterWindow is the window of every port meter of the machine.
+func (p *Params) meterWindow() int { return noc.WindowFor(p.meterHorizon()) }
 
 // DefaultParams returns the paper's base configuration for a VCore of n
 // Slices and cacheKB of L2.
@@ -99,6 +112,10 @@ func (p *Params) Validate() error {
 	if p.Mem.Latency < 1 {
 		return fmt.Errorf("sim: memory latency must be >= 1")
 	}
+	if p.Mem.Latency > noc.MaxHorizon || p.VCore.L1HitLatency > noc.MaxHorizon {
+		return fmt.Errorf("sim: memory latency %d and L1 hit latency %d must be at most %d, the horizon the largest NoC port-meter window covers",
+			p.Mem.Latency, p.VCore.L1HitLatency, noc.MaxHorizon)
+	}
 	if p.Quantum < 0 {
 		return fmt.Errorf("sim: Quantum %d must be >= 0", p.Quantum)
 	}
@@ -124,6 +141,11 @@ type Result struct {
 	Invalidations uint64
 	// MemReads/MemWrites count main-memory accesses.
 	MemReads, MemWrites uint64
+	// MeterAliases sums noc.Meter.Aliased over every port meter of the
+	// machine: network ports, bank ports and the memory channel. Zero
+	// certifies that every reservation of the run was granted as by an
+	// unbounded per-cycle meter.
+	MeterAliases uint64
 	// Sample is set only for sampled runs: Cycles is then an extrapolated
 	// estimate and Sample carries the measurement windows' statistics and
 	// the CLT confidence interval. Nil for exact runs.
@@ -483,11 +505,12 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	memNet := noc.New("memory", w, h, p.MemNetWidth)
+	window := p.meterWindow()
+	memNet := noc.New("memory", w, h, p.MemNetWidth, window)
 	m := &machine{
 		home:     cache.NewHomeMap(vm.Banks),
 		memNet:   memNet,
-		memory:   mem.New(p.Mem),
+		memory:   mem.New(p.Mem, window),
 		bankPort: make([]*noc.Meter, len(vm.Banks)),
 		multiVC:  len(mt.Threads) > 1,
 		ctrls: []noc.Coord{
@@ -502,7 +525,7 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 		}
 	}
 	for i := range m.bankPort {
-		m.bankPort[i] = noc.NewMeter(p.BankPortWidth)
+		m.bankPort[i] = noc.NewMeter(p.BankPortWidth, window)
 	}
 	mc := &Machine{p: p, m: m, memNet: memNet}
 	for ti, th := range mt.Threads {
@@ -511,8 +534,8 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 		// statistics; see the Machine doc comment), spanning only the box
 		// that holds its Slices.
 		o, bw, bh := noc.BoundingBox(vm.VCores[ti].Slices)
-		opNet := noc.NewBox("operand", o, bw, bh, p.OperandNetWidth)
-		sortNet := noc.NewBox("lssort", o, bw, bh, p.SortNetWidth)
+		opNet := noc.NewBox("operand", o, bw, bh, p.OperandNetWidth, window)
+		sortNet := noc.NewBox("lssort", o, bw, bh, p.SortNetWidth, window)
 		u := &uncoreFor{m: m, vc: ti}
 		eng, err := vcore.New(p.VCore, th, vm.VCores[ti].Slices, opNet, sortNet, u)
 		if err != nil {
@@ -690,9 +713,14 @@ func (mc *Machine) runUntil(t *int64, stop *windowStop) error {
 func (mc *Machine) result(cycles int64) *Result {
 	m := mc.m
 	res := &Result{Cycles: cycles, MemNet: mc.memNet.Stats()}
+	res.MeterAliases = mc.memNet.Aliased() + m.memory.Aliased()
 	for i := range m.engines {
 		addNet(&res.OpNet, mc.opNets[i].Stats())
 		addNet(&res.SortNet, mc.sortNets[i].Stats())
+		res.MeterAliases += mc.opNets[i].Aliased() + mc.sortNets[i].Aliased()
+	}
+	for _, bp := range m.bankPort {
+		res.MeterAliases += bp.Aliased()
 	}
 	for _, e := range m.engines {
 		res.Instructions += e.Committed()

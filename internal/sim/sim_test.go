@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sharing/internal/noc"
 	"sharing/internal/workload"
 )
 
@@ -26,6 +27,9 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.MaxCycles = maxCyclesLimit + 1 },
 		func(p *Params) { p.MaxCycles = -1 },
 		func(p *Params) { p.Mem.Latency = 0 },
+		func(p *Params) { p.Mem.Latency = noc.MaxHorizon + 1 },
+		func(p *Params) { p.Mem.Latency = 1 << 35 },
+		func(p *Params) { p.VCore.L1HitLatency = noc.MaxHorizon + 1 },
 		func(p *Params) { p.VCore.NumSlices = 0 },
 	}
 	for i, m := range bad {
@@ -39,9 +43,10 @@ func TestParamsValidate(t *testing.T) {
 	p = DefaultParams(4, 512)
 	p.OperandNetWidth, p.SortNetWidth, p.MemNetWidth, p.BankPortWidth = 255, 255, 255, 255
 	p.Mem.RequestsPerCycle = 255
-	p.MaxCycles = 1 << 34
+	p.MaxCycles = maxCyclesLimit
+	p.Mem.Latency, p.VCore.L1HitLatency = noc.MaxHorizon, noc.MaxHorizon
 	if err := p.Validate(); err != nil {
-		t.Fatalf("widths 255 and MaxCycles 2^34 refused: %v", err)
+		t.Fatalf("widths 255, MaxCycles %d and latencies %d refused: %v", int64(maxCyclesLimit), noc.MaxHorizon, err)
 	}
 }
 

@@ -39,8 +39,8 @@ func run(t *testing.T, insts []isa.Inst, n int, mutate func(*Config)) *Engine {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	op := noc.New("op", 4, MaxSlices, 1)
-	srt := noc.New("sort", 4, MaxSlices, 1)
+	op := noc.New("op", 4, MaxSlices, 1, noc.MinWindow)
+	srt := noc.New("sort", 4, MaxSlices, 1, noc.MinWindow)
 	e, err := New(cfg, &trace.Trace{Name: "unit", Insts: insts}, positions(n), op, srt, &stubUncore{l2Lat: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +251,8 @@ func TestEngineDeterministic(t *testing.T) {
 
 func TestEngineRejectsBadInputs(t *testing.T) {
 	cfg := DefaultConfig(2)
-	op := noc.New("op", 4, 8, 1)
-	srt := noc.New("s", 4, 8, 1)
+	op := noc.New("op", 4, 8, 1, noc.MinWindow)
+	srt := noc.New("s", 4, 8, 1, noc.MinWindow)
 	if _, err := New(cfg, &trace.Trace{}, positions(2), op, srt, &stubUncore{}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
@@ -335,7 +335,7 @@ func TestFlightRingSized(t *testing.T) {
 		if got := ringSlots(cfg.inflight()); got != c.want {
 			t.Errorf("%d Slices, ROB %d: ringSlots(%d) = %d, want %d", c.slices, c.rob, cfg.inflight(), got, c.want)
 		}
-		e, err := New(cfg, &trace.Trace{Insts: seqProgram()}, positions(c.slices), noc.New("op", 4, MaxSlices, 1), noc.New("s", 4, MaxSlices, 1), &stubUncore{})
+		e, err := New(cfg, &trace.Trace{Insts: seqProgram()}, positions(c.slices), noc.New("op", 4, MaxSlices, 1, noc.MinWindow), noc.New("s", 4, MaxSlices, 1, noc.MinWindow), &stubUncore{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestFlightRingSized(t *testing.T) {
 	if err := over.Validate(); err == nil {
 		t.Fatal("in-flight bound 2052 accepted; the ring holds at most 2048")
 	}
-	if _, err := New(over, &trace.Trace{Insts: seqProgram()}, positions(4), noc.New("op", 4, MaxSlices, 1), noc.New("s", 4, MaxSlices, 1), &stubUncore{}); err == nil {
+	if _, err := New(over, &trace.Trace{Insts: seqProgram()}, positions(4), noc.New("op", 4, MaxSlices, 1, noc.MinWindow), noc.New("s", 4, MaxSlices, 1, noc.MinWindow), &stubUncore{}); err == nil {
 		t.Fatal("New built an engine whose in-flight bound exceeds 2048")
 	}
 }

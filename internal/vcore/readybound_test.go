@@ -146,8 +146,8 @@ func TestReadyBoundMatchesOracle(t *testing.T) {
 					if v.lsq > 0 {
 						cfg.LSQSize, cfg.LSWindow = v.lsq, v.lsq
 					}
-					op := noc.New("op", 4, MaxSlices, 1)
-					srt := noc.New("sort", 4, MaxSlices, 1)
+					op := noc.New("op", 4, MaxSlices, 1, noc.MinWindow)
+					srt := noc.New("sort", 4, MaxSlices, 1, noc.MinWindow)
 					e, err := New(cfg, &trace.Trace{Name: bench, Insts: th.Insts}, positions(slices), op, srt, &stubUncore{l2Lat: 30})
 					if err != nil {
 						t.Fatal(err)

@@ -27,7 +27,7 @@ func TestFlushDropsSquashedEvents(t *testing.T) {
 		}
 		insts := mt.Threads[0].Insts
 		e, err := New(DefaultConfig(4), &trace.Trace{Name: bench, Insts: insts}, positions(4),
-			noc.New("op", 4, MaxSlices, 1), noc.New("sort", 4, MaxSlices, 1), &stubUncore{l2Lat: 30})
+			noc.New("op", 4, MaxSlices, 1, noc.MinWindow), noc.New("sort", 4, MaxSlices, 1, noc.MinWindow), &stubUncore{l2Lat: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
