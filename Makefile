@@ -120,8 +120,8 @@ fleet-smoke:
 # to the sort-everything reference's. FuzzSurfaceCache: decoded
 # (surface, phase, configuration) probe sequences, on and off the lattice,
 # must match a map reference: values equal the prober's, off-lattice and
-# unsupported phase probes are refused, and Unique and Misses both equal the
-# number of distinct points probed. FuzzParseConfig: the XML machine
+# unsupported phase probes are refused, and Unique and the prober's call
+# count both equal the number of distinct points probed. FuzzParseConfig: the XML machine
 # configuration decoder must never panic, accepted parameters must pass
 # Validate and fit the flight ring, and a WriteConfig/ParseConfig round trip
 # must give equal Params, and every width it carries must be one a NoC port
@@ -180,10 +180,11 @@ bench-fleet:
 # Execution and checkpoint/resume under the race detector: journal-only
 # checkpoint/resume with zero re-runs, recovery from a truncated results
 # file, the drain short-circuit, the runner's worker bound and queue
-# shedding on Stop, the journal itself, and the scripted SIGINT
+# shedding on Stop, the command lifecycle's exit statuses (0, 1, 130, each
+# after a save), the journal itself, and the scripted SIGINT
 # kill-and-resume round trip through the real sweep CLI.
 distrib-smoke:
-	$(GO) test -race -count=1 -run 'TestCheckpointResumeZeroReruns|TestSweepCompletesAfterTruncatedResults|TestStopShortCircuits|TestRunnerBoundsAndShedsQueue' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestCheckpointResumeZeroReruns|TestSweepCompletesAfterTruncatedResults|TestStopShortCircuits|TestRunnerBoundsAndShedsQueue|TestRunnerEndStatuses' ./internal/experiments
 	$(GO) test -race -count=1 ./internal/distrib
 	$(GO) test -race -count=1 -run 'TestSweepSigintResume' ./cmd/sweep
 

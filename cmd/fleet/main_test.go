@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The flag tests drive the real fleet binary: TestMain re-execs this test
+// The flag test drives the real fleet binary: TestMain re-execs this test
 // binary with runMainEnv set, which runs fleet's main() on the given flags.
 const runMainEnv = "FLEET_RUN_MAIN"
 
@@ -40,38 +40,15 @@ func runFleet(t *testing.T, args ...string) (int, string) {
 	return 0, ""
 }
 
-// TestFig17KRefusesEventFlags sets each event-simulation flag together with
-// -fig17k and requires fleet to exit 1 naming that flag before it builds a
-// Runner. A single benchmark would make the share sweep fail at once, so a
-// refusal that came too late would show as that error instead.
-func TestFig17KRefusesEventFlags(t *testing.T) {
-	values := map[string]string{
-		"synthetic": "", "adaptive": "", "fingerprint": "",
-		"machines": "64", "events": "500", "rate": "100", "life": "5", "epoch": "2",
-		"seed": "3", "objective": "perwatt", "place": "spread",
-	}
-	for _, name := range eventFlags {
-		arg := "-" + name
-		if v := values[name]; v != "" {
-			arg += "=" + v
+// TestRemovedFlagsRefused: the K-type share sweep moved to market -exp
+// fig17k, and a rerun resumes without asking, so fleet refuses the flags
+// that used to select them rather than running the event simulation.
+func TestRemovedFlagsRefused(t *testing.T) {
+	for _, arg := range []string{"-fig17k", "-steps=2", "-resume"} {
+		code, stderr := runFleet(t, arg, "-synthetic", "-machines", "8", "-events", "10", "-q")
+		name, _, _ := strings.Cut(arg, "=")
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("fleet %s: exit %d, stderr %q; want exit 2, %s not defined", arg, code, stderr, name)
 		}
-		code, stderr := runFleet(t, "-fig17k", arg, "-bench", "mcf", "-q")
-		if code != 1 || !strings.Contains(stderr, "drop -"+name) || strings.Contains(stderr, "at least 2 benchmarks") {
-			t.Errorf("fleet -fig17k %s: exit %d, stderr %q; want exit 1 refusing -%s", arg, code, stderr, name)
-		}
-	}
-	code, stderr := runFleet(t, "-fig17k", "-seed", "1", "-synthetic", "-bench", "mcf", "-q")
-	if code != 1 || !strings.Contains(stderr, "drop -seed, -synthetic") {
-		t.Errorf("fleet -fig17k -seed 1 -synthetic: exit %d, stderr %q; want both flags refused", code, stderr)
-	}
-}
-
-// TestFig17KPlainPassesCheck runs -fig17k with only its own flags and one
-// benchmark: the flag check must let it through to the share sweep, which
-// refuses a single benchmark before simulating anything.
-func TestFig17KPlainPassesCheck(t *testing.T) {
-	code, stderr := runFleet(t, "-fig17k", "-steps", "2", "-n", "2000", "-bench", "mcf", "-q")
-	if code != 1 || !strings.Contains(stderr, "fig17k needs at least 2 benchmarks") || strings.Contains(stderr, "drop -") {
-		t.Errorf("fleet -fig17k: exit %d, stderr %q; want it past the flag check to the sweep's benchmark count", code, stderr)
 	}
 }

@@ -2,7 +2,9 @@
 // (perf^k/area optima), Table 5 (utility definitions), Table 6 (optima per
 // utility per market), Fig. 14 (utility surfaces), Fig. 15 (gain vs the best
 // static fixed architecture), Fig. 16 (gain vs a heterogeneous machine), and
-// Fig. 17 (datacenter big/small-core mixes).
+// Fig. 17 (datacenter big/small-core mixes), and its K-type extension
+// fig17k (each benchmark's perf^2/area optimum is a core type; the
+// datacenter sweeps the area shares of those types in quarters per job mix).
 //
 // Every table and figure is an optimum over measured Slice x L2 grids.
 // -churn instead runs an arrival/departure/phase-change scenario through the
@@ -13,15 +15,14 @@
 //
 //	market -exp table4 -results results/perf.json
 //	market -exp fig15  -results results/perf.json
+//	market -exp fig17k -bench hmmer,gobmk,mcf -results results/perf.json
 //	market -churn -bench gcc,mcf,sjeng
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
 	"sharing/internal/econ"
@@ -31,94 +32,75 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "table4", "table4|table5|table6|fig14|fig15|fig16|fig17")
+		exp     = flag.String("exp", "table4", "table4|table5|table6|fig14|fig15|fig16|fig17|fig17k")
 		benches = flag.String("bench", "", "comma-separated benchmarks (default: all)")
 		n       = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread")
 		seed    = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 		results = flag.String("results", "", "JSON results cache (reused across runs)")
-		resume  = flag.Bool("resume", false, "resume an interrupted run from the -results checkpoint journal")
 		quiet   = flag.Bool("q", false, "suppress per-run progress")
 		churn   = flag.Bool("churn", false, "run the churn scenario through the allocation core and report per-event costs")
 	)
 	flag.Parse()
 
-	if *resume && *results == "" {
-		fatal(errors.New("-resume needs -results: the checkpoint journal lives next to the results cache"))
+	r, err := experiments.Open("market", *n, *seed, *results, *quiet)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "market:", err)
+		os.Exit(1)
 	}
-
-	r := experiments.NewRunner()
-	r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
-	if !*quiet {
-		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	if err := r.Load(); err != nil {
-		fatal(err)
-	}
-	if *resume {
-		fmt.Fprintf(os.Stderr, "market: recovered %d checkpointed measurements\n", r.Recovered())
-	}
-
-	// Ctrl-C drains instead of killing: stop dispatching new simulations,
-	// let in-flight ones finish and journal, then save and point at -resume.
-	// A second Ctrl-C falls through to the default hard kill — same contract
-	// as cmd/sweep.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt)
-	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "market: interrupt - draining in-flight simulations (Ctrl-C again to kill)")
-		r.Stop()
-		signal.Stop(sigs)
-	}()
 	var names []string
 	if *benches != "" {
 		names = strings.Split(*benches, ",")
 	}
-
 	if *churn {
-		rep, err := experiments.ChurnScenario(r, names)
-		if err != nil {
-			stopOrFatal(r, err)
-		}
-		var out [][]string
-		for _, ev := range rep.Events {
-			target := ev.Bench
-			if ev.Action == "phase" {
-				target = fmt.Sprintf("%s/ph%d", ev.Bench, ev.Phase)
-			}
-			ratio := "-"
-			if ev.Prices.SliceCost > 0 {
-				ratio = fmt.Sprintf("%.3g", ev.Prices.BankCost/ev.Prices.SliceCost)
-			}
-			out = append(out, []string{
-				ev.Action, ev.Customer, target,
-				fmt.Sprintf("%d", ev.Probes), fmt.Sprintf("%d", ev.SimRuns),
-				fmt.Sprintf("%d", ev.Iterations), ratio, fmt.Sprintf("%.3f", ev.TotalUtility),
-			})
-		}
-		fmt.Print(experiments.RenderSeries(
-			"Churn scenario - marginal cost per market event (incremental search)",
-			[]string{"event", "customer", "target", "probes", "simruns", "evals", "bank/slice", "totalU"}, out))
-		fmt.Printf("total: %d simulator runs vs %d for per-event grid recomputation (%d surfaces x %d points); %d re-auctions\n",
-			rep.SimRuns, rep.GridSimRuns, rep.Stats.Surfaces, rep.GridSimRuns/max(rep.Stats.Surfaces, 1), rep.Stats.Epochs)
-		if err := r.Save(); err != nil {
-			fatal(err)
-		}
-		return
+		os.Exit(r.End(runChurn(r, names)))
 	}
+	os.Exit(r.End(run(r, *exp, names)))
+}
 
-	switch *exp {
+// runChurn runs the churn scenario over the benchmarks names and prints each
+// event's marginal cost.
+func runChurn(r *experiments.Runner, names []string) error {
+	rep, err := experiments.ChurnScenario(r, names)
+	if err != nil {
+		return err
+	}
+	var out [][]string
+	for _, ev := range rep.Events {
+		target := ev.Bench
+		if ev.Action == "phase" {
+			target = fmt.Sprintf("%s/ph%d", ev.Bench, ev.Phase)
+		}
+		ratio := "-"
+		if ev.Prices.SliceCost > 0 {
+			ratio = fmt.Sprintf("%.3g", ev.Prices.BankCost/ev.Prices.SliceCost)
+		}
+		out = append(out, []string{
+			ev.Action, ev.Customer, target,
+			fmt.Sprintf("%d", ev.Probes), fmt.Sprintf("%d", ev.SimRuns),
+			fmt.Sprintf("%d", ev.Iterations), ratio, fmt.Sprintf("%.3f", ev.TotalUtility),
+		})
+	}
+	fmt.Print(experiments.RenderSeries(
+		"Churn scenario - marginal cost per market event (incremental search)",
+		[]string{"event", "customer", "target", "probes", "simruns", "evals", "bank/slice", "totalU"}, out))
+	fmt.Printf("total: %d simulator runs vs %d for per-event grid recomputation (%d surfaces x %d points); %d re-auctions\n",
+		rep.SimRuns, rep.GridSimRuns, rep.Stats.Surfaces, rep.GridSimRuns/max(rep.Stats.Surfaces, 1), rep.Stats.Epochs)
+	return nil
+}
+
+// run measures and prints the table or figure exp over the benchmarks names.
+func run(r *experiments.Runner, exp string, names []string) error {
+	switch exp {
 	case "table5":
 		fmt.Println("Table 5 - customer utility functions (B = budget, P = single-thread perf,")
 		fmt.Println("v = B/(Cc*c + Cs*s) VCores affordable):")
 		fmt.Println("  Utility1 (latency-tolerant): U = v * P      (throughput)")
 		fmt.Println("  Utility2:                    U = v * P^2")
 		fmt.Println("  Utility3 (OLDI):             U = v * P^3    (single-stream)")
-		return
 	case "table4":
 		rows, _, err := experiments.Table4(r, names)
 		if err != nil {
-			stopOrFatal(r, err)
+			return err
 		}
 		var out [][]string
 		for _, row := range rows {
@@ -130,7 +112,7 @@ func main() {
 	case "table6":
 		_, suite, err := experiments.Table4(r, names)
 		if err != nil {
-			stopOrFatal(r, err)
+			return err
 		}
 		rows := experiments.Table6(suite)
 		header := []string{"benchmark"}
@@ -158,7 +140,7 @@ func main() {
 		}
 		surfs, err := experiments.Fig14(r, names, []int{1, 2})
 		if err != nil {
-			stopOrFatal(r, err)
+			return err
 		}
 		for _, s := range surfs {
 			fmt.Printf("Fig. 14 - %s Utility%d (rows: log2 banks, cols: slices; 0-9 = utility/max)\n", s.Bench, s.K)
@@ -182,21 +164,21 @@ func main() {
 	case "fig15", "fig16":
 		_, suite, err := experiments.Table4(r, names)
 		if err != nil {
-			stopOrFatal(r, err)
+			return err
 		}
 		var gains []econ.PairGain
-		if *exp == "fig15" {
+		if exp == "fig15" {
 			var fixed econ.Config
 			gains, fixed, err = experiments.Fig15(suite)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("Fig. 15 - utility gain vs best static fixed architecture %v (Market2)\n", fixed)
 		} else {
 			var perU map[int]econ.Config
 			gains, perU, err = experiments.Fig16(suite)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("Fig. 16 - utility gain vs heterogeneous per-utility cores U1=%v U2=%v U3=%v\n",
 				perU[1], perU[2], perU[3])
@@ -221,7 +203,7 @@ func main() {
 	case "fig17":
 		points, big, small, err := experiments.Fig17(r)
 		if err != nil {
-			stopOrFatal(r, err)
+			return err
 		}
 		fmt.Printf("Fig. 17 - datacenter utility vs big-core area fraction (big = %v,\n", big.Cfg)
 		fmt.Printf("small = %v); application mix = fraction of hmmer jobs\n", small.Cfg)
@@ -245,29 +227,20 @@ func main() {
 		for _, mix := range mixes {
 			fmt.Printf("    hmmer=%.0f%% -> big=%.1f%%\n", 100*mix, 100*opt[mix])
 		}
+	case "fig17k":
+		res, err := experiments.Fig17K(r, names)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("Fig. 17K - datacenter utility over %d-type area shares (perf^2/area optima):\n", len(res.Types))
+		for _, ct := range res.Types {
+			fmt.Printf("  type %-14s %v\n", ct.Name, ct.Cfg)
+		}
+		for _, p := range res.Best {
+			fmt.Printf("  mix %v -> best shares %v  utility %.3f\n", p.JobFracs, p.Shares, p.Utility)
+		}
 	default:
-		fatal(fmt.Errorf("unknown experiment %q", *exp))
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	if err := r.Save(); err != nil {
-		fatal(err)
-	}
-}
-
-// stopOrFatal handles an experiment error. A graceful interrupt (the
-// Ctrl-C drain) saves every completed measurement and exits 130 with a
-// -resume hint; any other error is fatal.
-func stopOrFatal(r *experiments.Runner, err error) {
-	if !errors.Is(err, experiments.ErrStopped) {
-		fatal(err)
-	}
-	if err := r.Save(); err != nil {
-		fmt.Fprintln(os.Stderr, "market: saving after interrupt:", err)
-	}
-	fmt.Fprintf(os.Stderr, "market: interrupted after %d simulations; completed measurements saved - rerun with -resume to continue\n", r.SimRuns())
-	os.Exit(130)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "market:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,0 +1,59 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// The flag tests drive the real market binary: TestMain re-execs this test
+// binary with runMainEnv set, which runs market's main() on the given flags.
+const runMainEnv = "MARKET_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMarket runs market's main with args and returns its exit code and
+// standard error.
+func runMarket(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	}
+	t.Fatal(err)
+	return 0, ""
+}
+
+// TestFig17KNeedsTwoBenchmarks: the K-type share sweep has one core type
+// per benchmark, so a single benchmark is refused before any simulation.
+func TestFig17KNeedsTwoBenchmarks(t *testing.T) {
+	code, stderr := runMarket(t, "-exp", "fig17k", "-bench", "mcf", "-n", "2000", "-q")
+	if code != 1 || !strings.Contains(stderr, "needs at least 2 benchmarks") {
+		t.Errorf("market -exp fig17k -bench mcf: exit %d, stderr %q; want exit 1, at least 2 benchmarks", code, stderr)
+	}
+}
+
+// TestResumeFlagRefused: a rerun resumes without asking, so market has no
+// -resume flag.
+func TestResumeFlagRefused(t *testing.T) {
+	code, stderr := runMarket(t, "-resume", "-exp", "table5")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -resume") {
+		t.Errorf("market -resume: exit %d, stderr %q; want exit 2, -resume not defined", code, stderr)
+	}
+}

@@ -3,6 +3,9 @@
 // VCore configurations per perf^k/area metric, and the dynamic-vs-static
 // gain including the hypervisor's reconfiguration costs (10,000 cycles for
 // an L2 change, 500 for a Slice-only change).
+//
+// Ctrl-C drains: simulations in flight finish and are checkpointed next to
+// -results, and rerunning the same command re-executes none of them.
 package main
 
 import (
@@ -25,17 +28,20 @@ func main() {
 	)
 	flag.Parse()
 
-	r := experiments.NewRunner()
-	r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
-	if !*quiet {
-		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+	r, err := experiments.Open("phases", *n, *seed, *results, *quiet)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "phases:", err)
+		os.Exit(1)
 	}
-	if err := r.Load(); err != nil {
-		fatal(err)
-	}
+	os.Exit(r.End(run(r, *autotune)))
+}
+
+// run measures and prints Table 7 and, with autotune, the auto-tuner's
+// comparison against it.
+func run(r *experiments.Runner, autotune bool) error {
 	tables, err := experiments.Table7(r)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println("Table 7 - optimal VCore configurations for the 10 gcc phases")
 	for _, t := range tables {
@@ -55,14 +61,10 @@ func main() {
 		fmt.Printf("\n  static best: %v\n", s.StaticBest)
 		fmt.Printf("  dyn/static gain (with reconfig costs): %.1f%%\n", 100*s.Gain)
 	}
-	if *autotune {
-		if err := runAutotune(r, tables); err != nil {
-			fatal(err)
-		}
+	if autotune {
+		return runAutotune(r, tables)
 	}
-	if err := r.Save(); err != nil {
-		fatal(err)
-	}
+	return nil
 }
 
 // runAutotune compares the online heartbeat auto-tuner against the oracle
@@ -82,9 +84,4 @@ func runAutotune(r *experiments.Runner, tables []experiments.PhaseTable) error {
 			t.K, sched.GME, sched.Moves, sched.Probes, t.Schedule.DynGME, t.Schedule.StaticGME)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "phases:", err)
-	os.Exit(1)
 }

@@ -72,12 +72,7 @@ func main() {
 			Supply: supply,
 		}, fleet.SyntheticProber{})
 	} else {
-		r = experiments.NewRunner()
-		r.TraceLen, r.Seed, r.ResultsPath = *n, *seed, *results
-		if !*quiet {
-			r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-		}
-		if err = r.Load(); err != nil {
+		if r, err = experiments.Open("sharingd", *n, *seed, *results, *quiet); err != nil {
 			fatal(err)
 		}
 		a, err = experiments.NewAllocator(r, supply)
@@ -94,8 +89,9 @@ func main() {
 
 	// Ctrl-C drains instead of killing: stop accepting, let in-flight
 	// requests (and their simulations) finish, checkpoint the results
-	// cache, exit 0. A second Ctrl-C falls through to the default hard
-	// kill — same contract as cmd/sweep.
+	// cache, exit 0. The runner Open built stops dispatching new simulations
+	// on the same interrupt. A second Ctrl-C falls through to the default
+	// hard kill.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt)
 	interrupt := make(chan struct{})
@@ -103,9 +99,6 @@ func main() {
 		<-sigs
 		fmt.Fprintln(os.Stderr, "sharingd: interrupt - draining in-flight requests (Ctrl-C again to kill)")
 		signal.Stop(sigs)
-		if r != nil {
-			r.Stop()
-		}
 		close(interrupt)
 	}()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -39,6 +40,20 @@ var (
 	recoveredRE   = regexp.MustCompile(`recovered (\d+) checkpointed measurements`)
 )
 
+// exitCode returns the exit status behind err from running a command.
+func exitCode(t *testing.T, err error) int {
+	t.Helper()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &exit):
+		return exit.ExitCode()
+	}
+	t.Fatal(err)
+	return 0
+}
+
 func matchCount(t *testing.T, re *regexp.Regexp, out string) int {
 	t.Helper()
 	m := re.FindStringSubmatch(out)
@@ -54,8 +69,8 @@ func matchCount(t *testing.T, re *regexp.Regexp, out string) int {
 
 // TestSweepSigintResume scripts the kill-and-resume round trip: start a
 // sweep, SIGINT it after the first measurement completes, and verify it
-// drains gracefully (nonzero exit, -resume hint, checkpoint saved); then
-// rerun with -resume and verify zero completed simulations re-execute.
+// drains gracefully (exit 130, rerun hint, checkpoint saved); then rerun
+// the same command and verify zero completed simulations re-execute.
 func TestSweepSigintResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs multi-second sweeps in subprocesses")
@@ -97,21 +112,21 @@ func TestSweepSigintResume(t *testing.T) {
 	}
 	err = cmd.Wait()
 	out := tail.String()
-	if err == nil {
-		t.Fatalf("interrupted sweep exited zero; stderr:\n%s", out)
+	if cmd.ProcessState.ExitCode() != 130 {
+		t.Fatalf("interrupted sweep exited %v, want status 130; stderr:\n%s", err, out)
 	}
-	if !strings.Contains(out, "-resume") {
-		t.Fatalf("no -resume hint after interrupt; stderr:\n%s", out)
+	if !strings.Contains(out, "rerun the same command") {
+		t.Fatalf("no rerun hint after interrupt; stderr:\n%s", out)
 	}
 	firstRuns := matchCount(t, interruptedRE, out)
 	if firstRuns < 1 {
 		t.Fatalf("interrupted sweep reported %d simulations; stderr:\n%s", firstRuns, out)
 	}
 
-	// Resume: the full figure completes, recovers every checkpointed
-	// measurement, and re-executes none of them.
+	// Rerun the same command: the full figure completes, recovers every
+	// checkpointed measurement, and re-executes none of them.
 	done := make(chan struct{})
-	resume := sweepCmd(append(args, "-resume")...)
+	resume := sweepCmd(args...)
 	var resumeOut []byte
 	go func() {
 		defer close(done)
@@ -127,17 +142,27 @@ func TestSweepSigintResume(t *testing.T) {
 		t.Fatalf("resumed sweep failed: %v\n%s", err, resumeOut)
 	}
 	// The graceful drain folded its journal into the results file with a
-	// full atomic Save, so nothing needs journal recovery — but the resume
-	// accounting line must still print, and the resumed sweep must execute
-	// exactly the simulations the interrupt shed, re-running none of the
-	// completed ones. (The journal-only path — a kill with no chance to
-	// save — is covered by TestCheckpointResumeZeroReruns in
-	// internal/experiments.)
-	matchCount(t, recoveredRE, string(resumeOut))
+	// full atomic Save, so the rerun recovers every measurement the
+	// interrupted run completed from that file, and executes exactly the
+	// simulations the interrupt shed, re-running none of the completed
+	// ones. (The journal-only path — a kill with no chance to save — is
+	// covered by TestCheckpointResumeZeroReruns in internal/experiments.)
+	if got := matchCount(t, recoveredRE, string(resumeOut)); got != firstRuns {
+		t.Fatalf("rerun recovered %d measurements, want the %d the interrupted run completed", got, firstRuns)
+	}
 	secondRuns := matchCount(t, executedRE, string(resumeOut))
 	const gridPoints = 8 // fig12: len(experiments.StdSlices) per benchmark
 	if firstRuns+secondRuns != gridPoints {
 		t.Fatalf("interrupted run executed %d + resumed run executed %d != %d grid points (completed work re-ran or was lost)",
 			firstRuns, secondRuns, gridPoints)
+	}
+}
+
+// TestResumeFlagRefused: a rerun resumes without asking, so sweep has no
+// -resume flag.
+func TestResumeFlagRefused(t *testing.T) {
+	out, err := sweepCmd("-resume", "-exp", "fig12", "-bench", "mcf", "-n", "2000").CombinedOutput()
+	if code := exitCode(t, err); code != 2 || !strings.Contains(string(out), "flag provided but not defined: -resume") {
+		t.Errorf("sweep -resume: exit %d, output %q; want exit 2, -resume not defined", code, out)
 	}
 }

@@ -126,11 +126,11 @@ func TestPriceBidAtObjectiveOverride(t *testing.T) {
 	if br.Config != want {
 		t.Fatalf("frugal objective chose %v, want %v", br.Config, want)
 	}
-	misses := cache.Misses()
+	misses := cache.Unique()
 	if p, err := cache.Surface("slicey", market.WholeProgram).Probe(want); err != nil || p != br.Perf {
 		t.Fatalf("shared cache probe at the chosen point = (%v, %v), want (%v, nil)", p, err, br.Perf)
 	}
-	if cache.Misses() != misses {
-		t.Fatalf("probing the chosen point missed the shared cache: misses %d -> %d", misses, cache.Misses())
+	if cache.Unique() != misses {
+		t.Fatalf("probing the chosen point missed the shared cache: misses %d -> %d", misses, cache.Unique())
 	}
 }

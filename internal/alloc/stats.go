@@ -44,7 +44,8 @@ type Stats struct {
 	// ProbeLookups counts the distinct configurations each search looked
 	// up in the shared surface cache (a search's revisits are not counted;
 	// a clearing group reads its whole surface, one lattice); CacheMisses
-	// the ones that cost a prober call (simulator work). ProbeLookups -
+	// the ones that cost a prober call (simulator work), which is one per
+	// unique point, so it always equals UniquePoints. ProbeLookups -
 	// CacheMisses were served lock-free.
 	ProbeLookups int64 `json:"probeLookups"`
 	CacheMisses  int64 `json:"cacheMisses"`
@@ -78,7 +79,7 @@ func (a *Allocator) Stats() Stats {
 		Coalesced:    a.stats.coalesced.Load(),
 		Searches:     a.stats.searches.Load(),
 		ProbeLookups: a.stats.probeLookups.Load(),
-		CacheMisses:  a.cache.Misses(),
+		CacheMisses:  int64(a.cache.Unique()),
 		InFlight:     a.stats.inflight.Load(),
 		Residents:    len(v.VMs),
 		Epoch:        v.Epoch,

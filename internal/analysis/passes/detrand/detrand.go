@@ -28,10 +28,10 @@ import (
 
 // DefaultScope lists the packages whose results must be a pure function of
 // configuration and seed — the simulator core, the layers above it
-// (autotuner, experiments), the drivers under cmd/, and the analysis suite
+// (market, alloc, autotuner, experiments), the drivers under cmd/, and the analysis suite
 // itself (a nondeterministic linter would report findings in a
 // run-to-run-varying order).
-const DefaultScope = "internal/sim,internal/vcore,internal/slice,internal/cache,internal/noc,internal/trace,internal/workload,internal/econ,internal/hypervisor,internal/market,internal/fleet,internal/autotuner,internal/experiments,internal/distrib,internal/area,internal/plot,internal/isa,internal/mem,internal/analysis,cmd"
+const DefaultScope = "internal/sim,internal/vcore,internal/slice,internal/cache,internal/noc,internal/trace,internal/workload,internal/econ,internal/hypervisor,internal/market,internal/alloc,internal/fleet,internal/autotuner,internal/experiments,internal/distrib,internal/area,internal/plot,internal/isa,internal/mem,internal/analysis,cmd"
 
 var scope string
 

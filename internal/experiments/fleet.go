@@ -5,6 +5,7 @@ import (
 
 	"sharing/internal/econ"
 	"sharing/internal/fleet"
+	"sharing/internal/workload"
 )
 
 // Fleet-scale experiments: the §5.9 datacenter construction extended from
@@ -31,22 +32,22 @@ type Fig17KResult struct {
 	Best   []econ.FleetPoint // per-mix utility-maximizing share vector
 }
 
-// Fig17K extends Fig. 17 to K benchmarks: each contributes a core type (its
-// utility-k optimum under Market2, the same construction that picked gobmk's
-// and hmmer's peaks for the original pair), job classes are the benchmarks
-// themselves, and the datacenter sweeps the full K-simplex of area shares at
-// granularity 1/steps for each job mix (the single-class corners plus the
-// uniform mix). The movement of the optimal share vector with the job mix is
-// the paper's heterogeneity argument, now in K dimensions.
-func Fig17K(r *Runner, names []string, k, steps int) (*Fig17KResult, error) {
+// Fig17K extends Fig. 17 to K benchmarks (all benchmarks when names is
+// empty): each contributes a core type (its utility-2 optimum under
+// Market2, the same construction that picked gobmk's and hmmer's peaks for
+// the original pair; k = 2 is where this substrate's Fig. 17 peaks
+// separate), job classes are the benchmarks themselves, and the datacenter
+// sweeps the full K-simplex of area shares in quarters for each job mix (the
+// single-class corners plus the uniform mix). The movement of the optimal
+// share vector with the job mix is the paper's heterogeneity argument, now
+// in K dimensions.
+func Fig17K(r *Runner, names []string) (*Fig17KResult, error) {
+	const k, steps = 2, 4
+	if len(names) == 0 {
+		names = workload.Names()
+	}
 	if len(names) < 2 {
 		return nil, fmt.Errorf("experiments: fig17k needs at least 2 benchmarks, have %v", names)
-	}
-	if k < 1 {
-		k = 2 // the exponent where this substrate's Fig. 17 peaks separate
-	}
-	if steps < 1 {
-		steps = 4
 	}
 	perf := make([]*econ.Surface, len(names))
 	types := make([]econ.CoreType, 0, len(names))

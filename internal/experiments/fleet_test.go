@@ -74,7 +74,7 @@ func TestNewFleetStoppedRunner(t *testing.T) {
 // and the single-class corners must favor that class's own core type.
 func TestFig17KMovesWithMix(t *testing.T) {
 	r := tiny(t)
-	res, err := Fig17K(r, []string{"hmmer", "gobmk"}, 2, 4)
+	res, err := Fig17K(r, []string{"hmmer", "gobmk"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFig17KMovesWithMix(t *testing.T) {
 // TestFig17KValidation covers the error path.
 func TestFig17KValidation(t *testing.T) {
 	r := tiny(t)
-	if _, err := Fig17K(r, []string{"hmmer"}, 2, 4); err == nil {
+	if _, err := Fig17K(r, []string{"hmmer"}); err == nil {
 		t.Error("single-benchmark fig17k accepted")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -177,6 +178,11 @@ type Runner struct {
 	recovered int
 	simRuns   atomic.Int64 // executed simulations (cache misses that ran)
 	stopping  atomic.Bool
+
+	// cmd names the command that opened the runner and log takes its
+	// lifecycle lines (see Open and End).
+	cmd string
+	log io.Writer
 
 	// sem bounds concurrent simulations. It is created lazily from
 	// workers() and shared by every caller, so simultaneous

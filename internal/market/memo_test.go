@@ -35,17 +35,17 @@ func TestSearchWarmStartProbeEconomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Misses(); n >= int64(lat.Size()) || n != int64(cold.Probes) {
+	if n := cache.Unique(); n >= lat.Size() || n != cold.Probes {
 		t.Fatalf("cold search: %d misses for %d distinct configurations, lattice %d", n, cold.Probes, lat.Size())
 	}
 
 	// Same prices from the optimum: every point is memoized.
-	misses := cache.Misses()
+	misses := cache.Unique()
 	again, err := lat.Search(obj, m, cold.Best, surf.Probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Misses() - misses; n != 0 {
+	if n := cache.Unique() - misses; n != 0 {
 		t.Fatalf("repeat search missed the cache %d times, want 0", n)
 	}
 	if again.Best != cold.Best {
@@ -57,12 +57,12 @@ func TestSearchWarmStartProbeEconomy(t *testing.T) {
 	bumped := m
 	bumped.SliceCost *= 1.1
 	obj2 := func(p float64, cfg econ.Config) float64 { return u.Value(bumped, p, cfg) }
-	misses = cache.Misses()
+	misses = cache.Unique()
 	warm, err := lat.Search(obj2, bumped, cold.Best, surf.Probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Misses() - misses; n > 8 {
+	if n := cache.Unique() - misses; n > 8 {
 		t.Fatalf("re-priced warm search missed the cache %d times, want <= 8", n)
 	}
 	if want, _ := u.Best(bumped, gridOf(benchPerf["balanced"])); warm.Best != want {
@@ -85,10 +85,10 @@ func TestSurfaceMemoSharedAcrossObjectives(t *testing.T) {
 			}
 		}
 	}
-	if got := fp.calls.Load(); got != cache.Misses() {
-		t.Fatalf("probe accounting: prober %d != cache misses %d", got, cache.Misses())
+	if got := fp.calls.Load(); got != int64(cache.Unique()) {
+		t.Fatalf("probe accounting: prober %d != cache misses %d", got, cache.Unique())
 	}
-	if n := cache.Misses(); n > int64(lat.Size()) {
+	if n := cache.Unique(); n > lat.Size() {
 		t.Fatalf("nine bids on one surface missed %d > lattice %d: memo not shared", n, lat.Size())
 	}
 }
@@ -177,8 +177,8 @@ func FuzzSurfaceCache(f *testing.F) {
 				seen[ci][pt] = true
 			}
 			for i, c := range caches {
-				if c.Unique() != len(seen[i]) || c.Misses() != int64(c.Unique()) || *calls[i] != c.Misses() {
-					t.Fatalf("cache %d: unique %d, misses %d, prober calls %d; want %d distinct points", i, c.Unique(), c.Misses(), *calls[i], len(seen[i]))
+				if c.Unique() != len(seen[i]) || *calls[i] != int64(c.Unique()) {
+					t.Fatalf("cache %d: unique %d, prober calls %d; want %d distinct points", i, c.Unique(), *calls[i], len(seen[i]))
 				}
 			}
 		}

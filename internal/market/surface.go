@@ -163,12 +163,10 @@ func (s Surface) Dense() (*econ.Surface, error) {
 // probed — the shared probe economy's denominator-free cost. It does not
 // depend on scheduling: every search's visited set is a deterministic
 // function of its (surface, prices, warm start), so the union does not
-// depend on which goroutine ran which search, or when.
+// depend on which goroutine ran which search, or when. It is also the number
+// of prober calls: the per-surface mutex singleflights concurrent misses, so
+// each point is probed once.
 func (c *SurfaceCache) Unique() int { return int(c.unique.Load()) }
-
-// Misses returns the prober calls that filled a slot: one per unique point,
-// since the per-surface mutex singleflights concurrent misses.
-func (c *SurfaceCache) Misses() int64 { return c.unique.Load() }
 
 // NumSurfaces returns the distinct surfaces touched so far.
 func (c *SurfaceCache) NumSurfaces() int { return int(c.nsurf.Load()) }

@@ -165,11 +165,8 @@ func TestSurfaceCacheSharedAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if cache.Misses() != int64(cache.Unique()) {
-		t.Errorf("misses %d != unique %d: a point was probed twice", cache.Misses(), cache.Unique())
-	}
-	if got := fp.calls.Load(); got != cache.Misses() {
-		t.Errorf("prober calls %d != cache misses %d", got, cache.Misses())
+	if got := fp.calls.Load(); got != int64(cache.Unique()) {
+		t.Errorf("prober calls %d != unique points %d: a point was probed twice", got, cache.Unique())
 	}
 	if cache.Unique() != private.Unique() {
 		t.Errorf("shared cache holds %d points, the private reference %d", cache.Unique(), private.Unique())
@@ -246,8 +243,8 @@ func TestSurfaceCacheServerLoad(t *testing.T) {
 	}
 	wg.Wait()
 	lattice := int64(len(tSlices) * len(tCaches))
-	if cache.Misses() != lattice {
-		t.Fatalf("herd misses %d, want exactly one sweep %d", cache.Misses(), lattice)
+	if int64(cache.Unique()) != lattice {
+		t.Fatalf("herd probed %d points, want exactly one sweep %d", cache.Unique(), lattice)
 	}
 
 	// Mixed load: cold sweeps of other surfaces racing warm re-probes, each
@@ -286,11 +283,8 @@ func TestSurfaceCacheServerLoad(t *testing.T) {
 		}
 	}
 
-	if cache.Misses() != int64(cache.Unique()) {
-		t.Errorf("misses %d != unique %d: singleflight let a point probe twice", cache.Misses(), cache.Unique())
-	}
-	if got := fp.calls.Load(); got != cache.Misses() {
-		t.Errorf("prober calls %d != cache misses %d", got, cache.Misses())
+	if got := fp.calls.Load(); got != int64(cache.Unique()) {
+		t.Errorf("prober calls %d != unique points %d: singleflight let a point probe twice", got, cache.Unique())
 	}
 	if got, want := cache.NumSurfaces(), 3; got != want {
 		t.Errorf("surfaces = %d, want %d", got, want)

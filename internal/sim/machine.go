@@ -183,7 +183,6 @@ type machine struct {
 	bankPort []*noc.Meter // per bank slot: bankPort[bankSlot(line)] serves Home(line)
 	engines  []*vcore.Engine
 	multiVC  bool
-	ctrls    []noc.Coord
 
 	// Fast bank math for power-of-two bank counts (the common case):
 	// bankIndex/bankSlot shift and mask instead of dividing by NumBanks.
@@ -195,18 +194,6 @@ type machine struct {
 	invalidations uint64
 	l2Hits        uint64
 	l2Misses      uint64
-}
-
-// nearestCtrl returns the closest memory controller tile.
-func (m *machine) nearestCtrl(from noc.Coord) noc.Coord {
-	best := m.ctrls[0]
-	bd := noc.Manhattan(from, best)
-	for _, c := range m.ctrls[1:] {
-		if d := noc.Manhattan(from, c); d < bd {
-			best, bd = c, d
-		}
-	}
-	return best
 }
 
 // uncoreFor binds the shared machine to one VCore.
@@ -513,9 +500,6 @@ func NewMachine(p Params, mt *trace.MultiTrace) (*Machine, error) {
 		memory:   mem.New(p.Mem, window),
 		bankPort: make([]*noc.Meter, len(vm.Banks)),
 		multiVC:  len(mt.Threads) > 1,
-		ctrls: []noc.Coord{
-			{X: 0, Y: h / 2}, {X: w - 1, Y: h / 2}, {X: w / 2, Y: 0}, {X: w / 2, Y: h - 1},
-		},
 	}
 	if nb := m.home.NumBanks(); nb > 0 && nb&(nb-1) == 0 {
 		m.bankPow = true
