@@ -133,13 +133,13 @@ fleet-smoke:
 # smallest and the largest window. FuzzMeterExact: the same streams must
 # get an unbounded per-cycle meter's grants while the meter counts no
 # alias, and never alias while no request lags the highest grant by a
-# window. FuzzCache: decoded operation streams
-# over every oracle geometry must give the flat packed tag array the
+# window. FuzzCache: decoded lookups, fills, invalidations and whole-cache
+# flushes over every oracle geometry must give the flat packed tag array the
 # returns and counters of the earlier per-set-slice cache kept in the test.
 # FuzzEventQueue: decoded pushes (same-cycle ties, far-future events, events
 # behind the head, older reserved ordinals), pops at lagging and jumping
-# cycles, peeks and flushes must give the VCore event queue's sorted run the
-# pops and peeks of the earlier binary heap kept in the test.
+# cycles and peeks must give the VCore event queue's sorted run the pops and
+# peeks of the earlier binary heap kept in the test.
 # FuzzMemImage: decoded loads and stores of any word, zero included, must
 # match a map reference in Load and RangeWords. FuzzRunnerLoad: an arbitrary
 # results file plus a checkpoint journal with a torn tail must load without

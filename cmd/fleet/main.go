@@ -4,7 +4,7 @@
 // per-Slice and per-L2-bank energy accounting.
 //
 // By default probes run the actual cycle-level simulator through the
-// experiments Runner (with its results cache and sampled mode); -synthetic
+// experiments Runner (with its results cache); -synthetic
 // swaps in closed-form surfaces for mechanics-scale runs (thousands of
 // machines, tens of thousands of events in seconds). A simulator-backed run
 // drains on Ctrl-C and, rerun with the same flags, re-executes none of the

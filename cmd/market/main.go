@@ -237,10 +237,25 @@ func run(r *experiments.Runner, exp string, names []string) error {
 			fmt.Printf("  type %-14s %v\n", ct.Name, ct.Cfg)
 		}
 		for _, p := range res.Best {
-			fmt.Printf("  mix %v -> best shares %v  utility %.3f\n", p.JobFracs, p.Shares, p.Utility)
+			fmt.Printf("  mix %s -> best shares %v  utility %.3f\n", mixString(res.Jobs, p.JobFracs), p.Shares, p.Utility)
 		}
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
+}
+
+// mixString names a job mix by its nonzero classes, as name=fraction.
+func mixString(names []string, fracs []float64) string {
+	var b strings.Builder
+	for j, f := range fracs {
+		if f == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%.3g", names[j], f)
+	}
+	return b.String()
 }

@@ -33,10 +33,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload generation seed")
 		verbose    = flag.Bool("v", false, "print per-VCore details")
 		strict     = flag.Bool("strict", false, "use the strict per-cycle loop instead of event-driven cycle skipping (slow; results identical)")
-		sample     = flag.Bool("sample", false, "sampled execution: functional warming with periodic detailed windows (fast; IPC is a statistical estimate)")
-		sampleWin  = flag.Int("sample-window", 0, "sampled mode: instructions per detailed measurement window (0 = default)")
-		samplePer  = flag.Int("sample-period", 0, "sampled mode: instructions per sampling period, one window each (0 = default)")
-		sampleSeed = flag.Int64("sample-seed", 1, "sampled mode: seed deriving the window placement")
 		quantum    = flag.Int("quantum", 0, "synchronization quantum in cycles for multi-engine machines (0 = NoC lookahead; larger values are clamped to it)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -100,14 +96,6 @@ func main() {
 	}
 	params.StrictTick = *strict
 	params.Quantum = *quantum
-	if *sample {
-		params.Sample = sim.SampleParams{
-			Enabled:     true,
-			WindowInsts: *sampleWin,
-			PeriodInsts: *samplePer,
-			Seed:        *sampleSeed,
-		}
-	}
 	prof, err := workload.Lookup(cfg.Benchmark)
 	if err != nil {
 		fatal(err)
@@ -129,10 +117,6 @@ func main() {
 	fmt.Printf("cycles      %d\n", res.Cycles)
 	fmt.Printf("insts       %d\n", res.Instructions)
 	fmt.Printf("ipc         %.4f\n", res.IPC())
-	if s := res.Sample; s != nil {
-		fmt.Printf("sampled     %d windows, %d insts measured, ipc ±%.1f%% (95%% CI)\n",
-			s.Windows, s.MeasuredInsts, 100*s.RelCI95)
-	}
 	fmt.Printf("l2          %d hits, %d misses\n", res.L2Hits, res.L2Misses)
 	fmt.Printf("memory      %d reads, %d writes\n", res.MemReads, res.MemWrites)
 	fmt.Printf("operand net %d msgs (%d stall cycles)\n", res.OpNet.Messages, res.OpNet.StallCycles)

@@ -23,7 +23,6 @@ import (
 
 	"sharing/internal/experiments"
 	"sharing/internal/plot"
-	"sharing/internal/sim"
 )
 
 func main() { os.Exit(sweep()) }
@@ -37,10 +36,6 @@ func sweep() int {
 		n          = flag.Int("n", experiments.DefaultTraceLen, "instructions per thread")
 		seed       = flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 		results    = flag.String("results", "", "JSON results cache (reused across runs)")
-		sample     = flag.Bool("sample", false, "sampled execution: functional warming with periodic detailed windows (fast; IPC is a statistical estimate, cached separately from exact results)")
-		sampleWin  = flag.Int("sample-window", 0, "sampled mode: instructions per detailed measurement window (0 = default)")
-		samplePer  = flag.Int("sample-period", 0, "sampled mode: instructions per sampling period, one window each (0 = default)")
-		sampleSeed = flag.Int64("sample-seed", 1, "sampled mode: seed deriving the window placement")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 		quantum    = flag.Int("quantum", 0, "synchronization quantum in cycles for multi-engine machines (0 = NoC lookahead; larger values are clamped to it)")
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
@@ -76,14 +71,6 @@ func sweep() int {
 	r, err := experiments.Open("sweep", *n, *seed, *results, *quiet)
 	if err != nil {
 		fatal(err)
-	}
-	if *sample {
-		r.Sample = sim.SampleParams{
-			Enabled:     true,
-			WindowInsts: *sampleWin,
-			PeriodInsts: *samplePer,
-			Seed:        *sampleSeed,
-		}
 	}
 	r.Workers = *jobs
 	r.MachineQuantum = *quantum

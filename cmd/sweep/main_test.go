@@ -158,11 +158,15 @@ func TestSweepSigintResume(t *testing.T) {
 	}
 }
 
-// TestResumeFlagRefused: a rerun resumes without asking, so sweep has no
-// -resume flag.
+// TestResumeFlagRefused: a rerun resumes without asking, and every
+// simulation is exact, so sweep refuses -resume and the flags of the
+// removed sampled mode rather than running the sweep.
 func TestResumeFlagRefused(t *testing.T) {
-	out, err := sweepCmd("-resume", "-exp", "fig12", "-bench", "mcf", "-n", "2000").CombinedOutput()
-	if code := exitCode(t, err); code != 2 || !strings.Contains(string(out), "flag provided but not defined: -resume") {
-		t.Errorf("sweep -resume: exit %d, output %q; want exit 2, -resume not defined", code, out)
+	for _, arg := range []string{"-resume", "-sample", "-sample-window=1000", "-sample-period=15000", "-sample-seed=7"} {
+		out, err := sweepCmd(arg, "-exp", "fig12", "-bench", "mcf", "-n", "2000").CombinedOutput()
+		name, _, _ := strings.Cut(arg, "=")
+		if code := exitCode(t, err); code != 2 || !strings.Contains(string(out), "flag provided but not defined: "+name) {
+			t.Errorf("sweep %s: exit %d, output %q; want exit 2, %s not defined", arg, code, out, name)
+		}
 	}
 }

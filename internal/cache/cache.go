@@ -251,27 +251,6 @@ func (c *Cache) Fill(addr uint64, dirty bool) (victim uint64, victimDirty, evict
 	return victim, victimDirty, evicted
 }
 
-// Warm touches the line containing addr for functional warming (sampled
-// simulation): a hit refreshes LRU order (ORing in dirty), a miss fills the
-// line as most-recently-used. Unlike Lookup/Fill it updates no hit/miss/
-// eviction statistics, so warmed intervals leave the measured-window
-// counters untouched. The evicted victim, if any, is reported exactly like
-// Fill so callers can propagate dirty writebacks down the hierarchy.
-//
-//ssim:hotpath
-func (c *Cache) Warm(addr uint64, dirty bool) (hit bool, victim uint64, victimDirty, evicted bool) {
-	if c.cfg.SizeBytes == 0 {
-		return false, 0, false, false
-	}
-	s, set, tag := c.locate(addr)
-	if i := find(set, tag); i >= 0 {
-		toFront(set, i, dirty)
-		return true, 0, false, false
-	}
-	victim, victimDirty, evicted = c.insert(s, set, tag, dirty)
-	return false, victim, victimDirty, evicted
-}
-
 // Invalidate removes the line containing addr if present, reporting whether
 // it was present and whether it was dirty.
 //

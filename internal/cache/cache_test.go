@@ -281,16 +281,19 @@ func (c *refCache) Contains(addr uint64) bool {
 	return i >= 0
 }
 
-// touch is Fill and Warm without statistics: refresh on a hit, else insert
-// as MRU and report the LRU victim of a full set.
-func (c *refCache) touch(addr uint64, dirty bool) (hit bool, victim uint64, victimDirty, evicted bool) {
+// Fill refreshes a present line, else inserts it as MRU and evicts the LRU
+// line of a full set.
+func (c *refCache) Fill(addr uint64, dirty bool) (uint64, bool, bool) {
+	if c.cfg.SizeBytes == 0 {
+		return 0, false, false
+	}
 	s, set, tag, i := c.find(addr)
 	if i >= 0 {
 		l := set[i]
 		l.dirty = l.dirty || dirty
 		copy(set[1:i+1], set[:i])
 		set[0] = l
-		return true, 0, false, false
+		return 0, false, false
 	}
 	nl := refLine{tag: tag, valid: true, dirty: dirty}
 	if len(set) < c.cfg.Ways {
@@ -298,33 +301,16 @@ func (c *refCache) touch(addr uint64, dirty bool) (hit bool, victim uint64, vict
 		copy(set[1:], set[:len(set)-1])
 		set[0] = nl
 		c.sets[s] = set
-		return false, 0, false, false
+		return 0, false, false
 	}
 	v := set[len(set)-1]
 	copy(set[1:], set[:len(set)-1])
 	set[0] = nl
-	return false, v.tag << c.lineShift, v.dirty, true
-}
-
-func (c *refCache) Fill(addr uint64, dirty bool) (uint64, bool, bool) {
-	if c.cfg.SizeBytes == 0 {
-		return 0, false, false
+	c.Evictions++
+	if v.dirty {
+		c.Writebacks++
 	}
-	_, victim, vd, ev := c.touch(addr, dirty)
-	if ev {
-		c.Evictions++
-		if vd {
-			c.Writebacks++
-		}
-	}
-	return victim, vd, ev
-}
-
-func (c *refCache) Warm(addr uint64, dirty bool) (bool, uint64, bool, bool) {
-	if c.cfg.SizeBytes == 0 {
-		return false, 0, false, false
-	}
-	return c.touch(addr, dirty)
+	return v.tag << c.lineShift, v.dirty, true
 }
 
 func (c *refCache) Invalidate(addr uint64) (bool, bool) {
@@ -423,12 +409,7 @@ func runOracle(t *testing.T, cfg Config, ops []byte) {
 			got = [4]uint64{v, b2u(d), b2u(e)}
 			v, d, e = r.Fill(addr, op%8 == 4)
 			want = [4]uint64{v, b2u(d), b2u(e)}
-		case 5:
-			h, v, d, e := c.Warm(addr, a&1 != 0)
-			got = [4]uint64{b2u(h), v, b2u(d), b2u(e)}
-			h, v, d, e = r.Warm(addr, a&1 != 0)
-			want = [4]uint64{b2u(h), v, b2u(d), b2u(e)}
-		case 6:
+		case 5, 6:
 			p, d := c.Invalidate(addr)
 			got = [4]uint64{b2u(p), b2u(d)}
 			p, d = r.Invalidate(addr)

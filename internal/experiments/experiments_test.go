@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sharing/internal/econ"
-	"sharing/internal/sim"
 )
 
 // tiny returns a Runner fast enough for unit tests.
@@ -273,58 +272,6 @@ func TestMeasureSingleflight(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&runs); got != 1 {
 		t.Fatalf("simulation ran %d times for one key, want 1", got)
-	}
-}
-
-func TestSampledMeasurementsCacheSeparately(t *testing.T) {
-	r := tiny(t)
-	cfg := econ.Config{Slices: 2, CacheKB: 128}
-	exact, err := r.Measure("astar", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Sampled || exact.Windows != 0 {
-		t.Fatalf("exact measurement carries sample fields: %+v", exact)
-	}
-	// Period chosen so the tiny test trace still gets several windows.
-	r.Sample = sim.SampleParams{Enabled: true, Seed: 3, PeriodInsts: 2000}
-	sampled, err := r.Measure("astar", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sampled.Sampled || sampled.Windows == 0 {
-		t.Fatalf("sampled measurement not flagged: %+v", sampled)
-	}
-	if sampled.Cycles == exact.Cycles {
-		t.Fatal("sampled measurement identical to exact: cache keys collided")
-	}
-	// Flipping back must hit the exact cache entry, not the sampled one.
-	r.Sample = sim.SampleParams{}
-	again, err := r.Measure("astar", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != exact {
-		t.Fatalf("exact remeasure %+v != original %+v", again, exact)
-	}
-}
-
-func TestSampledKeyNormalizesDefaults(t *testing.T) {
-	base := key{Bench: "gcc", Slices: 2, CacheKB: 128, N: 100, Seed: 1, Phase: -1}
-	zero, explicit := base, base
-	zero.Sample = sim.SampleParams{Enabled: true, Seed: 3}
-	explicit.Sample = sim.SampleParams{
-		Enabled:     true,
-		WindowInsts: sim.DefaultSampleWindow,
-		PeriodInsts: sim.DefaultSamplePeriod,
-		WarmupInsts: sim.DefaultSampleWarmup,
-		Seed:        3,
-	}
-	if zero.String() != explicit.String() {
-		t.Fatalf("default-by-zero key %q != explicit-default key %q", zero.String(), explicit.String())
-	}
-	if base.String() == zero.String() {
-		t.Fatal("sampled key not distinct from exact key")
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // Fleet-scale experiments: the §5.9 datacenter construction extended from
 // the hard-coded big/small pair to heterogeneous fleets of K core types, and
 // the wiring that runs the fleet simulator against real simulator-measured
-// surfaces through the Runner (results cache, singleflight, sampled mode
-// included).
+// surfaces through the Runner (results cache and singleflight included).
 
 // NewFleet builds a fleet simulator whose pricing probes run the actual
 // cycle-level simulator via r, on the standard configuration lattice.
@@ -27,6 +26,7 @@ func NewFleet(r *Runner, p fleet.Params) (*fleet.Fleet, error) {
 // vector, and the per-mix optima.
 type Fig17KResult struct {
 	Types  []econ.CoreType
+	Jobs   []string    // job-class names, in the order of every mix's fractions
 	Mixes  [][]float64 // job-fraction vectors evaluated, one per point group
 	Points []econ.FleetPoint
 	Best   []econ.FleetPoint // per-mix utility-maximizing share vector
@@ -92,6 +92,7 @@ func Fig17K(r *Runner, names []string) (*Fig17KResult, error) {
 	}
 	return &Fig17KResult{
 		Types:  types,
+		Jobs:   names,
 		Mixes:  mixes,
 		Points: pts,
 		Best:   econ.OptimalShares(pts),

@@ -24,6 +24,8 @@ import (
 func FuzzRunnerLoad(f *testing.F) {
 	f.Add([]byte(`{"k1":{"cycles":10,"insts":5}}`), []byte{1, 20, 0, 7, 0, 2, 30, 0, 9, 0, 3, 1, 1, 1, 1}, uint16(9))
 	f.Add([]byte(`{broken`), []byte{0, 1, 2, 3, 4}, uint16(0))
+	// A results file written while measurements could be sampled: the
+	// fields of that mode are unknown now and must be ignored.
 	f.Add([]byte(`{"k0":null,"k2":{"sampled":true,"windows":3,"relCI95":0.25}}`), []byte{2, 9, 9, 9, 9, 0, 0, 0, 0, 0}, uint16(200))
 	f.Fuzz(func(t *testing.T, results, records []byte, cut uint16) {
 		dir := t.TempDir()
@@ -42,11 +44,8 @@ func FuzzRunnerLoad(f *testing.F) {
 			recs = append(recs, rec{
 				k: "k" + string(rune('0'+b[0]%4)),
 				m: Measurement{
-					Cycles:  int64(binary.LittleEndian.Uint16(b[1:3])) - 100,
-					Insts:   uint64(b[3]),
-					Sampled: b[4]&1 != 0,
-					Windows: int(b[4] >> 1),
-					RelCI95: float64(b[4]) / 7,
+					Cycles: int64(binary.LittleEndian.Uint16(b[1:3])) - 100,
+					Insts:  uint64(binary.LittleEndian.Uint16(b[3:5])),
 				},
 			})
 		}

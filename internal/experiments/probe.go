@@ -12,11 +12,10 @@ import (
 
 // This file is the bridge between the allocation core (internal/alloc) and
 // the simulator: a RunnerProber turns search probes into Runner
-// measurements — behind the content-addressed results cache, the
-// singleflight collapse, and (when enabled) sampled simulation — plus the
-// churn scenario that cmd/market -churn drives through the core. The
-// paper's tables are optima over full grids (figures.go); they do not go
-// through the core.
+// measurements — behind the content-addressed results cache and the
+// singleflight collapse — plus the churn scenario that cmd/market -churn
+// drives through the core. The paper's tables are optima over full grids
+// (figures.go); they do not go through the core.
 
 // RunnerProber adapts a Runner to market.Prober/market.PhaseProber.
 // Performance is IPC, the same figure of merit the grid sweeps feed the

@@ -52,13 +52,6 @@ var ErrStopped = errors.New("experiments: runner stopped")
 type Measurement struct {
 	Cycles int64  `json:"cycles"`
 	Insts  uint64 `json:"insts"`
-	// Sampled marks a measurement produced by sampled simulation; Cycles
-	// is then an extrapolated estimate, Windows counts the detailed
-	// measurement windows behind it, and RelCI95 is the relative half-width
-	// of the CLT 95% confidence interval on IPC (see sim.SampleStats).
-	Sampled bool    `json:"sampled,omitempty"`
-	Windows int     `json:"windows,omitempty"`
-	RelCI95 float64 `json:"relCI95,omitempty"`
 }
 
 // IPC returns instructions per cycle.
@@ -83,10 +76,6 @@ type key struct {
 	// machine's timing semantics; default-quantum runs keep their
 	// historical, suffix-free keys.
 	Quantum int `json:"quantum,omitempty"`
-	// Sample is the sampled-execution configuration (zero value = exact).
-	// It is part of the key, so sampled results are cached separately from
-	// exact ones and from runs with a different sampling geometry.
-	Sample sim.SampleParams `json:"sample"`
 }
 
 func (k key) String() string {
@@ -94,21 +83,14 @@ func (k key) String() string {
 	if k.Quantum > 0 {
 		s += fmt.Sprintf("/q%d", k.Quantum)
 	}
-	if k.Sample.Enabled {
-		// Normalized, so "defaults by zero" and explicit defaults share an
-		// entry. Exact measurements keep their historical, suffix-free keys.
-		sp := k.Sample.Normalized()
-		s += fmt.Sprintf("/sampled.w%d.p%d.u%d.seed%d", sp.WindowInsts, sp.PeriodInsts, sp.WarmupInsts, sp.Seed)
-	}
 	return s
 }
 
 // request maps the key onto the simulation request a plugged Backend
 // executes: the full content-addressed identity of the measurement, nothing
-// else. Sample fields stay raw (not normalized), so the backend resolves
-// their defaults as a local run would.
+// else.
 func (k key) request() trace.SimRequest {
-	req := trace.SimRequest{
+	return trace.SimRequest{
 		Bench:    k.Bench,
 		Phase:    k.Phase,
 		Slices:   k.Slices,
@@ -118,14 +100,6 @@ func (k key) request() trace.SimRequest {
 		OpNetW:   k.OpNetW,
 		Quantum:  k.Quantum,
 	}
-	if k.Sample.Enabled {
-		req.SampleEnabled = true
-		req.SampleWindow = k.Sample.WindowInsts
-		req.SamplePeriod = k.Sample.PeriodInsts
-		req.SampleWarmup = k.Sample.WarmupInsts
-		req.SampleSeed = k.Sample.Seed
-	}
-	return req
 }
 
 // Backend executes simulation requests in place of the runner's built-in
@@ -165,10 +139,6 @@ type Runner struct {
 	ResultsPath string
 	// Progress, when set, receives one line per completed measurement.
 	Progress func(string)
-	// Sample, when Enabled, runs every measurement in sampled mode with
-	// this geometry (see sim.SampleParams). Sampled measurements are cached
-	// under distinct keys, so exact and sampled results never mix.
-	Sample sim.SampleParams
 
 	mu        sync.Mutex
 	cache     map[string]Measurement
@@ -414,9 +384,6 @@ func (r *Runner) runLocal(k key) (trace.SimResult, error) {
 	if k.OpNetW > 0 {
 		p.OperandNetWidth = k.OpNetW
 	}
-	if k.Sample.Enabled {
-		p.Sample = k.Sample
-	}
 	p.Quantum = k.Quantum
 	run := sim.Run
 	if r.simRun != nil {
@@ -426,13 +393,7 @@ func (r *Runner) runLocal(k key) (trace.SimResult, error) {
 	if err != nil {
 		return trace.SimResult{}, err
 	}
-	out := trace.SimResult{Cycles: res.Cycles, Insts: res.Instructions}
-	if res.Sample != nil {
-		out.Sampled = true
-		out.Windows = res.Sample.Windows
-		out.RelCI95 = res.Sample.RelCI95
-	}
-	return out, nil
+	return trace.SimResult{Cycles: res.Cycles, Insts: res.Instructions}, nil
 }
 
 // measure runs (or recalls) one simulation. Concurrent callers asking for
@@ -487,7 +448,7 @@ func (r *Runner) measure(k key) (Measurement, error) {
 	if res.Err != "" {
 		return Measurement{}, fmt.Errorf("experiments: %s: %s", ks, res.Err)
 	}
-	m := Measurement{Cycles: res.Cycles, Insts: res.Insts, Sampled: res.Sampled, Windows: res.Windows, RelCI95: res.RelCI95}
+	m := Measurement{Cycles: res.Cycles, Insts: res.Insts}
 	r.mu.Lock()
 	r.cache[ks] = m
 	r.dirty = true
@@ -509,17 +470,17 @@ func (r *Runner) measure(k key) (Measurement, error) {
 
 // Measure returns the measurement for one benchmark and configuration.
 func (r *Runner) Measure(bench string, cfg econ.Config) (Measurement, error) {
-	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: -1, Quantum: r.MachineQuantum, Sample: r.Sample})
+	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: -1, Quantum: r.MachineQuantum})
 }
 
 // MeasurePhase returns the measurement for one phase of a benchmark.
 func (r *Runner) MeasurePhase(bench string, phase int, cfg econ.Config) (Measurement, error) {
-	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: phase, Quantum: r.MachineQuantum, Sample: r.Sample})
+	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: phase, Quantum: r.MachineQuantum})
 }
 
 // MeasureOpNet measures with an explicit operand-network width (ablation).
 func (r *Runner) MeasureOpNet(bench string, cfg econ.Config, width int) (Measurement, error) {
-	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: -1, OpNetW: width, Quantum: r.MachineQuantum, Sample: r.Sample})
+	return r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: -1, OpNetW: width, Quantum: r.MachineQuantum})
 }
 
 // Grid measures a benchmark over the lattice slices x caches, fanning the
@@ -556,7 +517,7 @@ func (r *Runner) gridPhase(bench string, phase int, slices, caches []int) (*econ
 		go func(x int) {
 			defer wg.Done()
 			cfg := lat.Point(x)
-			m, err := r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: phase, Quantum: r.MachineQuantum, Sample: r.Sample})
+			m, err := r.measure(key{Bench: bench, Slices: cfg.Slices, CacheKB: cfg.CacheKB, N: r.traceLen(), Seed: r.seed(), Phase: phase, Quantum: r.MachineQuantum})
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {

@@ -4,10 +4,9 @@ import "math"
 
 // The synthetic VM lifecycle stream. Arrivals are a Poisson process
 // (exponential inter-arrival times) and lifetimes are exponential, both
-// drawn from SplitMix64 hashes of (seed, index) — the same seed-derived
-// determinism discipline as internal/sim's sample schedule, and for the same
-// reason: no math/rand, no global state, so the stream is a pure function of
-// Params and identical across schedules, platforms, and replays.
+// drawn from SplitMix64 hashes of (seed, index): no math/rand, no global
+// state, so the stream is a pure function of Params and identical across
+// schedules, platforms, and replays.
 
 // event is one VM lifecycle event in the global (time, seq) total order: a
 // pointer-free 32-byte record (TestEventLayout). The calendar's chunks and
@@ -65,7 +64,8 @@ func newLease(machine, slices, banks int, perf float64) lease {
 	}
 }
 
-// splitmix64 is the SplitMix64 finalizer (see internal/sim/sample.go).
+// splitmix64 is the finalizer of Steele, Lea and Flood's SplitMix64
+// generator: a bijective mix of a 64-bit word.
 //
 //ssim:hotpath
 func splitmix64(x uint64) uint64 {

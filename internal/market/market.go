@@ -19,8 +19,8 @@ import "sharing/internal/econ"
 
 // Prober supplies the measured performance P(c) of one benchmark at one
 // configuration. experiments.RunnerProber adapts the sweeping Runner (and
-// with it the content-addressed results cache, singleflight, and sampled
-// mode) to this interface; tests use synthetic surfaces.
+// with it the content-addressed results cache and singleflight) to this
+// interface; tests use synthetic surfaces.
 type Prober interface {
 	Probe(bench string, cfg econ.Config) (float64, error)
 }

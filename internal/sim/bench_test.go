@@ -71,40 +71,3 @@ func BenchmarkMachineRun(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSampledRun runs the same configurations as BenchmarkMachineRun
-// in sampled mode at the default window/period geometry. Comparing the two
-// benchmarks gives the sweep speedup of sampling (and its allocation
-// behaviour: the fast-forward loop must stay allocation-free).
-func BenchmarkSampledRun(b *testing.B) {
-	cases := []struct {
-		bench   string
-		slices  int
-		cacheKB int
-	}{
-		{"mcf", 4, 512},
-		{"omnetpp", 4, 512},
-		{"libquantum", 2, 256},
-		{"gobmk", 4, 512},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.bench, func(b *testing.B) {
-			mt := benchTrace(b, c.bench)
-			p := DefaultParams(c.slices, c.cacheKB)
-			p.Sample = SampleParams{Enabled: true, Seed: 2014}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := Run(p, mt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = res.Cycles
-			}
-			b.ReportMetric(float64(cycles), "cycles")
-			b.ReportMetric(float64(uint64(b.N)*uint64(len(mt.Threads))*benchTraceLen)/b.Elapsed().Seconds(), "insts/s")
-		})
-	}
-}

@@ -52,10 +52,6 @@ type Params struct {
 	// 0 uses the topology lookahead (the minimum cross-engine round trip
 	// through the NoC/L2 path); larger values are clamped to it.
 	Quantum int
-	// Sample configures sampled execution (functional warming + detailed
-	// measurement windows). Zero value / Enabled=false keeps the exact,
-	// fully detailed mode, which remains the default.
-	Sample SampleParams
 }
 
 // maxCyclesLimit is the largest MaxCycles Validate accepts: half the NoC
@@ -119,9 +115,6 @@ func (p *Params) Validate() error {
 	if p.Quantum < 0 {
 		return fmt.Errorf("sim: Quantum %d must be >= 0", p.Quantum)
 	}
-	if err := p.Sample.validate(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -146,10 +139,6 @@ type Result struct {
 	// certifies that every reservation of the run was granted as by an
 	// unbounded per-cycle meter.
 	MeterAliases uint64
-	// Sample is set only for sampled runs: Cycles is then an extrapolated
-	// estimate and Sample carries the measurement windows' statistics and
-	// the CLT confidence interval. Nil for exact runs.
-	Sample *SampleStats
 }
 
 // IPC returns aggregate committed instructions per cycle.
@@ -186,7 +175,7 @@ type machine struct {
 
 	// Fast bank math for power-of-two bank counts (the common case):
 	// bankIndex/bankSlot shift and mask instead of dividing by NumBanks.
-	// These run on every L2 access in both detailed and warming paths.
+	// These run on every L2 access.
 	bankPow   bool
 	bankMask  uint64
 	bankShift uint
@@ -358,76 +347,6 @@ func (u *uncoreFor) WritebackDirty(now int64, from noc.Coord, addr uint64) {
 	}
 }
 
-// WarmLoad implements vcore.WarmUncore: the timing-free twin of L2Load.
-// It updates the home bank's tag/LRU/dirty state, the directory sharer set,
-// and victim drop exactly as a detailed load would, but models no network,
-// port, or memory timing and counts no hits or misses — functional warming
-// must leave the measured windows' statistics untouched.
-//
-//ssim:hotpath
-func (u *uncoreFor) WarmLoad(addr uint64) {
-	m := u.m
-	line := addr &^ 63
-	bank := m.home.Home(line)
-	if bank == nil {
-		return
-	}
-	if m.multiVC {
-		bank.AddSharer(line, u.vc)
-	}
-	idx := m.bankIndex(line)
-	slot := m.bankSlot(line)
-	if hit, victim, _, evicted := bank.Tags.Warm(idx, false); !hit && evicted {
-		bank.DropLine(m.bankReal(victim, slot))
-	}
-}
-
-// WarmStore implements vcore.WarmUncore: the timing-free twin of
-// StoreVisible (directory-driven invalidation of remote VCores' L1 copies).
-//
-//ssim:hotpath
-func (u *uncoreFor) WarmStore(addr uint64) {
-	m := u.m
-	if !m.multiVC {
-		return
-	}
-	line := addr &^ 63
-	bank := m.home.Home(line)
-	if bank == nil {
-		return
-	}
-	others := bank.Sharers(line) &^ (1 << uint(u.vc))
-	if others == 0 {
-		bank.AddSharer(line, u.vc)
-		return
-	}
-	bank.ClearSharersExcept(line, u.vc)
-	for vc2 := range m.engines {
-		if vc2 == u.vc || others&(1<<uint(vc2)) == 0 {
-			continue
-		}
-		m.engines[vc2].InvalidateL1(line)
-	}
-}
-
-// WarmWriteback implements vcore.WarmUncore: the timing-free twin of
-// WritebackDirty (a dirty L1 victim installed in its home bank).
-//
-//ssim:hotpath
-func (u *uncoreFor) WarmWriteback(addr uint64) {
-	m := u.m
-	line := addr &^ 63
-	bank := m.home.Home(line)
-	if bank == nil {
-		return
-	}
-	idx := m.bankIndex(line)
-	slot := m.bankSlot(line)
-	if hit, victim, _, evicted := bank.Tags.Warm(idx, true); !hit && evicted {
-		bank.DropLine(m.bankReal(victim, slot))
-	}
-}
-
 // Machine is one fully wired simulation instance: a VM placed on the
 // fabric, one VCore engine per thread, shared networks, banks and memory.
 //
@@ -456,9 +375,9 @@ type Machine struct {
 	// unless something outside it changes, so later quanta charge the idle
 	// span without stepping. Only the merge and the barrier release change
 	// an engine from outside, so mergeFabric lowers wake[i] to a delivered
-	// fill's cycle and a barrier release clears every wake, as does each
-	// runQuanta entry. A wake at or before a quantum's start is spent and
-	// ignored; 0 is the empty value. StrictTick never records one.
+	// fill's cycle and a barrier release clears every wake. A wake at or
+	// before a quantum's start is spent and ignored; 0 is the empty value
+	// (NewMachine allocates wake zeroed). StrictTick never records one.
 	wake []int64
 }
 
@@ -591,22 +510,18 @@ func quantumFor(p Params, vm *hypervisor.VMAlloc) int64 {
 // every cycle with work steps the engine, and idle spans are skipped to
 // NextWake with their stall statistics charged via AccountIdle, so results
 // are bit-identical to the strict per-cycle loop (Params.StrictTick).
-// Multi-engine machines use the quantum-phased loop (runQuanta).
+// Multi-engine machines use the quantum-phased loop (runQuanta). A
+// Machine runs once.
 func (mc *Machine) Run() (*Result, error) {
-	var t int64
-	if err := mc.runLoop(&t, nil); err != nil {
+	run := mc.runUntil
+	if len(mc.m.engines) > 1 {
+		run = mc.runQuanta
+	}
+	last, err := run()
+	if err != nil {
 		return nil, err
 	}
-	return mc.result(t + 1), nil
-}
-
-// runLoop dispatches to the machine's main loop: the quantum-phased loop
-// for multi-engine machines, the direct loop otherwise.
-func (mc *Machine) runLoop(t *int64, stop *windowStop) error {
-	if len(mc.m.engines) > 1 {
-		return mc.runQuanta(t, stop)
-	}
-	return mc.runUntil(t, stop)
+	return mc.result(last + 1), nil
 }
 
 // addNet accumulates per-engine network statistics into a whole-VM view.
@@ -616,22 +531,17 @@ func addNet(dst *noc.Stats, s noc.Stats) {
 	dst.StallCycles += s.StallCycles
 }
 
-// runUntil drives the event-driven main loop from *t until every engine is
-// done or, when stop is non-nil, until stop reports the current measurement
-// window complete. *t is left at the last cycle executed, so a sampled
-// caller resumes at *t+1. The loop is shared verbatim between exact runs
-// (stop == nil) and the detailed windows of sampled runs, which keeps the
-// exact mode byte-identical by construction.
+// runUntil drives the event-driven main loop from cycle 0 until every
+// engine is done, and returns the last cycle executed.
 //
 //ssim:hotpath
-func (mc *Machine) runUntil(t *int64, stop *windowStop) error {
+func (mc *Machine) runUntil() (int64, error) {
 	p, m := mc.p, mc.m
 	maxCycles := p.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 2_000_000_000
 	}
-	for {
-		now := *t
+	for now := int64(0); ; {
 		anyActive := false
 		done := true
 		for _, e := range m.engines {
@@ -639,17 +549,14 @@ func (mc *Machine) runUntil(t *int64, stop *windowStop) error {
 				anyActive = true
 			}
 			if err := e.Err(); err != nil {
-				return err
+				return 0, err
 			}
 			if !e.Done() {
 				done = false
 			}
 		}
 		if done {
-			return nil
-		}
-		if stop != nil && stop.check(now) {
-			return nil
+			return now, nil
 		}
 		// Barrier rendezvous: release when every unfinished engine waits.
 		waiting, active := 0, 0
@@ -678,16 +585,16 @@ func (mc *Machine) runUntil(t *int64, stop *windowStop) error {
 			}
 			if next >= vcore.NeverWake {
 				//ssim:nolint hotalloc: deadlock error path, taken at most once per run
-				return fmt.Errorf("sim: deadlock at cycle %d: all engines quiescent with no pending events", now)
+				return 0, fmt.Errorf("sim: deadlock at cycle %d: all engines quiescent with no pending events", now)
 			}
 			for _, e := range m.engines {
 				e.AccountIdle(next-now-1, now)
 			}
 		}
-		*t = next
-		if *t > maxCycles {
+		now = next
+		if now > maxCycles {
 			//ssim:nolint hotalloc: runaway-simulation error path, taken at most once per run
-			return fmt.Errorf("sim: exceeded %d cycles (deadlock?)", maxCycles)
+			return 0, fmt.Errorf("sim: exceeded %d cycles (deadlock?)", maxCycles)
 		}
 	}
 }
@@ -716,15 +623,11 @@ func (mc *Machine) result(cycles int64) *Result {
 	return res
 }
 
-// Run builds a Machine for mt under p and executes it to completion, in
-// exact mode or, when p.Sample.Enabled, in sampled mode.
+// Run builds a Machine for mt under p and executes it to completion.
 func Run(p Params, mt *trace.MultiTrace) (*Result, error) {
 	mc, err := NewMachine(p, mt)
 	if err != nil {
 		return nil, err
-	}
-	if p.Sample.Enabled {
-		return mc.RunSampled()
 	}
 	return mc.Run()
 }

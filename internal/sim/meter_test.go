@@ -27,9 +27,9 @@ func generate(t *testing.T, bench string, n int, seed int64) *trace.MultiTrace {
 // window sized to the machine's latency horizon granted every reservation
 // as an unbounded per-cycle meter, and so as the largest window, would. It
 // covers every benchmark profile at 1, 2, 4 and 8 Slices and 0, 128, 512 and
-// 2048 KB of L2; the BenchmarkMachineRun and BenchmarkSampledRun cases; a
-// StrictTick run; and dedup and mcf at memory latencies from 1 cycle to the
-// largest Validate accepts, and at the largest L1 hit latency.
+// 2048 KB of L2; the BenchmarkMachineRun cases; a StrictTick run; and dedup
+// and mcf at memory latencies from 1 cycle to the largest Validate accepts,
+// and at the largest L1 hit latency.
 func TestMeterWindowCoversHorizon(t *testing.T) {
 	check := func(name string, p Params, mt *trace.MultiTrace) {
 		t.Helper()
@@ -54,23 +54,17 @@ func TestMeterWindowCoversHorizon(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		bench          string
-		slices, kb     int
-		sampled, multi bool
+		bench      string
+		slices, kb int
 	}{
-		{"mcf", 4, 512, true, false},
-		{"omnetpp", 4, 512, true, false},
-		{"libquantum", 2, 256, true, false},
-		{"gobmk", 4, 512, true, false},
-		{"dedup", 8, 512, false, true},
+		{"mcf", 4, 512},
+		{"omnetpp", 4, 512},
+		{"libquantum", 2, 256},
+		{"gobmk", 4, 512},
+		{"dedup", 8, 512},
 	} {
 		mt := generate(t, c.bench, benchTraceLen, 2014)
-		p := DefaultParams(c.slices, c.kb)
-		check(fmt.Sprintf("BenchmarkMachineRun/%s", c.bench), p, mt)
-		if c.sampled {
-			p.Sample = SampleParams{Enabled: true, Seed: 2014}
-			check(fmt.Sprintf("BenchmarkSampledRun/%s", c.bench), p, mt)
-		}
+		check(fmt.Sprintf("BenchmarkMachineRun/%s", c.bench), DefaultParams(c.slices, c.kb), mt)
 	}
 
 	p := DefaultParams(4, 512)

@@ -23,35 +23,29 @@ import (
 // phases and the quantum sequence, the result depends on the quantum
 // length alone — determinism is by construction, not by luck.
 
-// runQuanta drives the quantum-phased main loop from *t until every engine
-// is done or, when stop is non-nil, until every engine has crossed its
-// measurement-window end (checked at quantum barriers; engines overrun by
-// at most one quantum, which the sampled caller drains via FlushInFlight).
-// *t is left at the last cycle executed.
+// runQuanta drives the quantum-phased main loop from cycle 0 until every
+// engine is done, and returns the last cycle executed.
 //
 //ssim:hotpath
-func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
+func (mc *Machine) runQuanta() (int64, error) {
 	m := mc.m
 	maxCycles := mc.p.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 2_000_000_000
 	}
 	q := mc.quantum
-	// Sampled windows fast-forward the engines between calls, so a wake
-	// carried from the previous call no longer describes them.
-	clear(mc.wake)
-	for {
-		tq := *t + q
+	for t := int64(0); ; {
+		tq := t + q
 		// Private phases: every engine advances [T, TQ) on its own state.
 		had := false
 		for i := range m.engines {
-			if mc.runEngineQuantum(i, *t, tq, stop) {
+			if mc.runEngineQuantum(i, t, tq) {
 				had = true
 			}
 		}
 		for _, e := range m.engines {
 			if err := e.Err(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		// Quantum barrier: apply the buffered fabric traffic.
@@ -70,21 +64,7 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 					last = c
 				}
 			}
-			*t = last - 1
-			return nil
-		}
-		if stop != nil {
-			for i, e := range m.engines {
-				// Engines done before this window never step again, so they
-				// record their (degenerate) crossings here.
-				if e.Done() {
-					stop.checkEngine(i, tq-1)
-				}
-			}
-			if stop.quantumBarrier() {
-				*t = tq - 1
-				return nil
-			}
+			return last - 1, nil
 		}
 		// Trace-barrier rendezvous, at quantum granularity.
 		released := false
@@ -119,7 +99,7 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 			}
 			if w >= vcore.NeverWake {
 				//ssim:nolint hotalloc: deadlock error path, taken at most once per run
-				return fmt.Errorf("sim: deadlock at cycle %d: all engines quiescent with no pending events", tq-1)
+				return 0, fmt.Errorf("sim: deadlock at cycle %d: all engines quiescent with no pending events", tq-1)
 			}
 			if skip := (w - tq) / q; skip > 0 {
 				for _, e := range m.engines {
@@ -128,10 +108,10 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 				next = tq + skip*q
 			}
 		}
-		*t = next
-		if *t > maxCycles {
+		t = next
+		if t > maxCycles {
 			//ssim:nolint hotalloc: runaway-simulation error path, taken at most once per run
-			return fmt.Errorf("sim: exceeded %d cycles (deadlock?)", maxCycles)
+			return 0, fmt.Errorf("sim: exceeded %d cycles (deadlock?)", maxCycles)
 		}
 	}
 }
@@ -144,7 +124,7 @@ func (mc *Machine) runQuanta(t *int64, stop *windowStop) error {
 // whether the engine performed any observable work in the quantum.
 //
 //ssim:hotpath
-func (mc *Machine) runEngineQuantum(i int, from, to int64, stop *windowStop) bool {
+func (mc *Machine) runEngineQuantum(i int, from, to int64) bool {
 	e := mc.m.engines[i]
 	strict := mc.p.StrictTick
 	had := false
@@ -162,9 +142,6 @@ func (mc *Machine) runEngineQuantum(i int, from, to int64, stop *windowStop) boo
 		}
 		if e.Step(now) {
 			had = true
-			if stop != nil {
-				stop.checkEngine(i, now)
-			}
 			now++
 			continue
 		}

@@ -115,9 +115,7 @@ func Single(t *Trace) *MultiTrace {
 }
 
 // SimRequest names one simulation: the full content-addressed key of a
-// measurement, with no host-specific state. Sample geometry fields are plain
-// ints (not sim.SampleParams) so the trace package stays import-free of the
-// simulator.
+// measurement, with no host-specific state.
 type SimRequest struct {
 	// ID is a correlation id a backend may echo in its result; the
 	// experiments runner leaves it zero.
@@ -130,13 +128,6 @@ type SimRequest struct {
 	Seed     int64
 	OpNetW   int
 	Quantum  int
-	// Sampled-execution geometry; SampleEnabled false means exact mode and
-	// the remaining fields are ignored.
-	SampleEnabled bool
-	SampleWindow  int
-	SamplePeriod  int
-	SampleWarmup  int // -1 = explicit zero-length warmup
-	SampleSeed    int64
 }
 
 // SimResult is one simulation outcome.
@@ -144,12 +135,9 @@ type SimResult struct {
 	ID uint64
 	// Err carries a simulation-level failure (e.g. unknown benchmark)
 	// reported by a backend in-band rather than as an Execute error.
-	Err     string
-	Cycles  int64
-	Insts   uint64
-	Sampled bool
-	Windows int
-	RelCI95 float64
+	Err    string
+	Cycles int64
+	Insts  uint64
 }
 
 // Stats summarizes the static mix of a trace; used by tests and by

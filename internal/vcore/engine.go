@@ -125,7 +125,6 @@ type Engine struct {
 	ownMask  uint64
 	ownShift uint
 	uncore   Uncore
-	warmU    WarmUncore // uncore's functional-warming hooks, nil if unsupported
 	opNet    *noc.Network
 	sortNet  *noc.Network
 	pos      []noc.Coord
@@ -232,7 +231,6 @@ func New(cfg Config, tr *trace.Trace, pos []noc.Coord, opNet, sortNet *noc.Netwo
 		opNet: opNet, sortNet: sortNet, pos: pos,
 		blockedBranch: -1,
 	}
-	e.warmU, _ = uncore.(WarmUncore)
 	n := cfg.NumSlices
 	e.instBuf = make([]seqFIFO, n)
 	for i := 0; i < n; i++ {
@@ -298,12 +296,6 @@ func (e *Engine) SetBarriers(at []int) { e.barriers = at }
 // AtBarrier reports whether the engine is stopped at its current barrier.
 func (e *Engine) AtBarrier() bool { return e.atBarrier }
 
-// Barriers returns the installed barrier instruction indices.
-func (e *Engine) Barriers() []int { return e.barriers }
-
-// BarrierIndex returns how many barriers the engine has passed or reached.
-func (e *Engine) BarrierIndex() int { return e.barrierIdx }
-
 // ReleaseBarrier lets the engine continue past the current barrier at cycle
 // now plus a small rendezvous overhead.
 func (e *Engine) ReleaseBarrier(now int64) {
@@ -317,9 +309,9 @@ func (e *Engine) ReleaseBarrier(now int64) {
 
 // owner Slice of a PC: fetch is interleaved on aligned instruction pairs, so
 // the same PC always maps to the same Slice (§3.1). Owner and index math run
-// per instruction in both detailed and fast-forward execution, so the
-// common power-of-two slice counts use precomputed mask/shift forms instead
-// of hardware division; both forms give identical values.
+// per instruction, so the common power-of-two slice counts use precomputed
+// mask/shift forms instead of hardware division; both forms give identical
+// values.
 func (e *Engine) pcOwner(pc uint64) int {
 	if e.ownPow {
 		return int((pc >> 3) & e.ownMask)
@@ -376,9 +368,6 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 
 // Committed returns the number of committed instructions.
 func (e *Engine) Committed() uint64 { return e.commitHead }
-
-// TraceLen returns the thread's dynamic instruction count.
-func (e *Engine) TraceLen() uint64 { return uint64(len(e.tr)) }
 
 // FinalState exposes the committed architectural state for golden-model
 // comparison against the functional interpreter.
@@ -1019,8 +1008,8 @@ func (e *Engine) startIFill(now int64, k int, line uint64, blockFetch bool) {
 		// start, and no completion event will ever deliver this line. Do
 		// not hold fetch on it — stall briefly and retry once an MSHR
 		// frees. (With in-flight work a squash would eventually restart
-		// fetch anyway, but after a functional fast-forward the pipeline
-		// is empty and waiting here would deadlock the engine.)
+		// fetch anyway, but with an empty pipeline waiting here would
+		// deadlock the engine.)
 		e.waitingIFill = false
 		e.fetchBlockedUntil = maxi64(e.fetchBlockedUntil, now+2)
 	}

@@ -15,8 +15,6 @@ const (
 	// evStoreData: a store's data value arrives at its LSQ bank.
 	evStoreData
 	// evLoadRetry: a load retries its bank access (MSHR or bank full).
-	// It is the last instruction-keyed kind (see perInst); the kinds
-	// after it name a Slice or a line.
 	evLoadRetry
 	// evIFill: an instruction-cache line fill completes at a Slice.
 	evIFill
@@ -111,24 +109,6 @@ func (q *eventQueue) popReady(now int64) (event, bool) {
 	}
 	q.head++
 	return q.h[q.head-1], true
-}
-
-// perInst reports whether events of kind k name an instruction by its seq
-// (rather than a Slice or a line), so that a squash of that seq voids them.
-func (k evKind) perInst() bool { return k <= evLoadRetry }
-
-// dropFrom removes every instruction-keyed event whose seq is at or past
-// from, keeping the rest (fills, drains, older instructions' events) in
-// their order at the front of the run. Each event keeps its ordinal, so the
-// remaining events pop in the order they would have without the removal.
-func (q *eventQueue) dropFrom(from uint64) {
-	kept := q.h[:0]
-	for _, ev := range q.h[q.head:] {
-		if !ev.kind.perInst() || ev.seq < from {
-			kept = append(kept, ev)
-		}
-	}
-	q.h, q.head = kept, 0
 }
 
 // nextAt returns the time of the earliest pending event.

@@ -73,19 +73,6 @@ func (q *refQueue) down(i int) {
 	}
 }
 
-func (q *refQueue) dropFrom(from uint64) {
-	kept := q.h[:0]
-	for _, ev := range q.h {
-		if !ev.kind.perInst() || ev.seq < from {
-			kept = append(kept, ev)
-		}
-	}
-	q.h = kept
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
-}
-
 func (q *refQueue) nextAt() (int64, bool) {
 	if len(q.h) == 0 {
 		return 0, false
@@ -98,10 +85,10 @@ func (q *refQueue) nextAt() (int64, bool) {
 // Each byte pair (op, arg) is one operation: a push a few cycles ahead
 // (same-cycle ties), up to 255 cycles ahead, or far in the future; a push
 // behind the current cycle; reserving an ordinal, or pushing the oldest
-// reserved one as a delayed fill does; popping at a lagging cycle; moving
-// the cycle forward a little or a lot and popping what is ready; and a
-// flush of every instruction event at or past some seq. Seqs are drawn out
-// of ordinal order, so a queue that broke ties by seq would show.
+// reserved one as a delayed fill does; popping at a lagging cycle; and
+// moving the cycle forward a little or a lot and popping what is ready.
+// Seqs are drawn out of ordinal order, so a queue that broke ties by seq
+// would show.
 func queueStream(t *testing.T, ops []byte) {
 	t.Helper()
 	var (
@@ -127,7 +114,7 @@ func queueStream(t *testing.T, ops []byte) {
 	for k := 0; k+1 < len(ops); k += 2 {
 		op, arg := ops[k], ops[k+1]
 		kind := evKind(op>>4) % (evLoadFill + 1)
-		switch op % 10 {
+		switch op % 9 {
 		case 0:
 			push(now+int64(arg%4), kind, arg)
 		case 1:
@@ -161,10 +148,6 @@ func queueStream(t *testing.T, ops []byte) {
 		case 8:
 			now += int64(arg) << 8
 			pop(k, now)
-		case 9:
-			from := seq - uint64(arg%32)
-			q.dropFrom(from)
-			ref.dropFrom(from)
 		}
 		got, gok := q.nextAt()
 		want, wok := ref.nextAt()

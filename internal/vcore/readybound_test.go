@@ -114,15 +114,13 @@ func checkReadyBounds(t *testing.T, e *Engine, now int64) {
 // TestReadyBoundMatchesOracle steps engines of 1, 3 and 8 Slices over
 // generated workloads with the event-driven loop and checks the ready
 // bounds against the exhaustive scans after every Step. Small LSQs force
-// overflow squashes, and one variant periodically flushes the pipeline and
-// fast-forwards as sampled runs do, so the squash recomputation is covered.
+// overflow squashes, so the squash recomputation is covered.
 func TestReadyBoundMatchesOracle(t *testing.T) {
 	type variant struct {
-		name  string
-		lsq   int
-		flush int // flush + fast-forward every flush Steps, 0 never
+		name string
+		lsq  int
 	}
-	variants := []variant{{"base", 0, 0}, {"lsq4", 4, 0}, {"flush", 0, 1500}}
+	variants := []variant{{"base", 0}, {"lsq4", 4}}
 	n := 4000
 	if testing.Short() {
 		n = 1500
@@ -153,21 +151,12 @@ func TestReadyBoundMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					var now int64
-					for steps := 1; !e.Done(); steps++ {
+					for !e.Done() {
 						active := e.Step(now)
 						if err := e.Err(); err != nil {
 							t.Fatal(err)
 						}
 						checkReadyBounds(t, e, now)
-						if v.flush > 0 && steps%v.flush == 0 && !e.Done() {
-							e.FlushInFlight(now)
-							if err := e.FastForward(e.Committed()+200, now); err != nil {
-								t.Fatal(err)
-							}
-							checkReadyBounds(t, e, now)
-							now++
-							continue
-						}
 						next := now + 1
 						if !active && !e.Done() {
 							next = e.NextWake(now)
